@@ -41,9 +41,11 @@ from .registry import (
 from .search import (
     PlanResult,
     SearchConfig,
+    SearchStats,
     astar_search,
     compute_g,
     precompute_heuristics,
+    suffix_bounds,
 )
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "PlanResult",
     "PlannerPrompt",
     "SearchConfig",
+    "SearchStats",
     "Simulator",
     "SimulatorSpec",
     "SubtaskInstance",
@@ -80,6 +83,7 @@ __all__ = [
     "parse_subtask_tree",
     "precompute_heuristics",
     "request_tree",
+    "suffix_bounds",
     "sweep_alpha",
     "task_accuracy",
     "validate_dag",

@@ -1,7 +1,7 @@
 """Command-line surface: plan, sweep, verify, and graph export.
 
 Exit codes: 0 success, 1 input/usage error, 2 no valid path (or a verify
-gap above the tolerance), 3 path-count explosion.
+gap above the tolerance), 3 path-count explosion, 4 search queue overflow.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy
 
 from . import __version__
-from .errors import PathExplosion, SearchExhausted, ToolpathError
+from .errors import PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
 from .evaluation import brute_force_optimal, pareto_csv, sweep_alpha
 from .execution import Simulator, SimulatorSpec, load_simulator_spec
 from .graphs import (
@@ -40,13 +40,14 @@ from .search import (
     DEFAULT_SEED,
     SearchConfig,
     astar_search,
-    precompute_heuristics,
+    suffix_bounds,
 )
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NO_PATH = 2
 EXIT_PATH_EXPLOSION = 3
+EXIT_QUEUE_OVERFLOW = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,8 +159,7 @@ def cmd_plan(args, argv: list[str]) -> int:
     )
     spec = _sim_spec(args.sim)
     simulator = Simulator(spec, bt, cfg.seed)
-    heuristics = precompute_heuristics(graph, bt, cfg.alpha)
-    result = astar_search(graph, heuristics, simulator, cfg)
+    result = astar_search(graph, suffix_bounds(graph, bt), simulator, cfg)
     payload = result.to_json_dict(graph)
     _write_or_print(_dump_json(payload), args.out)
     if args.out:
@@ -314,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except PathExplosion as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PATH_EXPLOSION
+    except QueueOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_QUEUE_OVERFLOW
     except SearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PATH

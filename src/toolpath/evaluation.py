@@ -12,7 +12,7 @@ from .search import (
     SearchConfig,
     astar_search,
     compute_g,
-    precompute_heuristics,
+    suffix_bounds,
     validate_alpha,
 )
 
@@ -74,8 +74,7 @@ def brute_force_optimal(
     if search_cfg.alpha != alpha:
         search_cfg = replace(search_cfg, alpha=alpha)
     simulator = Simulator(SimulatorSpec(mode="deterministic"), bt, search_cfg.seed)
-    heuristics = precompute_heuristics(graph, bt, alpha)
-    result = astar_search(graph, heuristics, simulator, search_cfg)
+    result = astar_search(graph, suffix_bounds(graph, bt), simulator, search_cfg)
     if result.found:
         astar_obj = path_objective(graph, bt, result.path.node_ids, alpha)
         astar_path = result.path.node_ids
@@ -151,14 +150,18 @@ def sweep_alpha(
     alphas,
     base_cfg: SearchConfig | None = None,
 ) -> list[ParetoPoint]:
-    """One deterministic search per alpha; output sorted by alpha."""
+    """One deterministic search per alpha; output sorted by alpha.
+
+    The suffix bounds do not depend on alpha, so they are computed once.
+    """
     cfg0 = base_cfg if base_cfg is not None else SearchConfig()
+    alphas = sorted(validate_alpha(a) for a in alphas)
+    bounds = suffix_bounds(graph, bt) if alphas else None
     points: list[ParetoPoint] = []
-    for alpha in sorted(validate_alpha(a) for a in alphas):
+    for alpha in alphas:
         cfg = replace(cfg0, alpha=alpha)
         simulator = Simulator(sim_spec, bt, cfg.seed)
-        heuristics = precompute_heuristics(graph, bt, alpha)
-        result = astar_search(graph, heuristics, simulator, cfg)
+        result = astar_search(graph, bounds, simulator, cfg)
         if not result.found:
             raise SearchExhausted(f"search at alpha={alpha} found no valid path")
         points.append(

@@ -11,6 +11,7 @@ outcome of an unrelated node and replays are bit-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,8 +44,9 @@ class SimulatorSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParseError(f"unknown simulator mode {self.mode!r}; expected one of {MODES}")
-        if self.time_noise_sigma < 0 or self.quality_noise_sigma < 0:
-            raise ParseError("noise sigmas must be non-negative")
+        for sigma in (self.time_noise_sigma, self.quality_noise_sigma):
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ParseError("noise sigmas must be finite and non-negative")
         if self.mode == "scripted" and not self.script:
             raise ParseError("scripted mode requires a script")
 
@@ -62,9 +64,12 @@ def simulator_spec_from_json(text: str) -> SimulatorSpec:
         for i, row in enumerate(raw["script"]):
             try:
                 key = (row["tool"], canonical_subtask(row["subtask"]), int(row["attempt"]))
-                script[key] = (float(row["time"]), float(row["quality"]))
+                outcome = (float(row["time"]), float(row["quality"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"script row {i} is malformed: {exc}") from exc
+            if not all(math.isfinite(v) for v in outcome):
+                raise ParseError(f"script row {i} has a non-finite time or quality")
+            script[key] = outcome
     return SimulatorSpec(
         mode=raw["mode"],
         time_noise_sigma=float(raw.get("time_noise_sigma", DEFAULT_TIME_SIGMA)),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -305,6 +306,8 @@ def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
             raise ParseError(f"benchmark row {i} missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"benchmark row {i} has a non-numeric value: {exc}") from exc
+        if not (math.isfinite(time_s) and math.isfinite(quality)):
+            raise ParseError(f"benchmark row {i} has a non-finite time or quality")
         key = (tool, subtask)
         if key not in mdt.records:
             raise ParseError(f"benchmark row {i} references {key}, which is not in the MDT")

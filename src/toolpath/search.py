@@ -1,17 +1,29 @@
 """Cost/quality-weighted best-first search over a tool subgraph.
 
-The planner orders paths by f = g + h.  The realized prefix objective is
+The realized prefix objective of a path is
 
     g = (sum of executed times) ** alpha * (2 - product of qualities) ** (2 - alpha)
 
-and the precomputed suffix estimate at a node is the minimum over its
-successors y of
+alpha in [0, 2] trades time against quality: 2 is pure time, 0 pure
+quality.  g never falls when time rises or quality falls, for every alpha.
 
-    (h_C(y) + C(y)) ** alpha * (2 - Q(y) * h_Q(y)) ** (2 - alpha)
+The paper orders paths by f = g + h, with the suffix estimate h of
+`precompute_heuristics`.  That sum overestimates the best completion when
+alpha < 1, so the search here orders by an admissible bound instead: with
+`suffix_bounds` giving, per node, the minimum suffix time and the maximum
+suffix quality product, a prefix (T, Q) at node n is queued at
 
-where h_C accumulates the best-case suffix time, h_Q the best-case suffix
-quality product, and C, Q are benchmark values.  alpha in [0, 2] trades
-time against quality: 2 is pure time, 0 pure quality.
+    f = g(T + min_time[n], Q * max_quality[n])
+
+which never exceeds the g of any completion and equals g at a leaf.  The
+paper's h stays available as `precompute_heuristics`.
+
+Paths are pruned by Pareto dominance: each node keeps the non-dominated
+(cum_time, cum_quality) labels that reached it, as in the label-setting
+searches NAMOA* (Mandow & Perez de la Cruz, JACM 2010) and BOA* (Hernandez
+et al., AIJ 2023).  Execution outcomes are keyed by node and attempt, not
+by the path taken, so a dominated prefix can never complete better than its
+dominator and the pruning is exact.
 
 A node whose executed quality misses the threshold is retried with a bumped
 attempt counter; a node that exhausts its retries drops the path without
@@ -20,8 +32,10 @@ re-queueing it, while other routes through the same node stay explorable.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass
+import logging
+from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 
 from .errors import AlphaOutOfRange, QueueOverflow
@@ -36,6 +50,8 @@ DEFAULT_QUEUE_CAP = 100_000
 
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
+
+logger = logging.getLogger(__name__)
 
 
 def validate_alpha(alpha: float) -> float:
@@ -121,18 +137,54 @@ def precompute_heuristics(
 
 
 def _reverse_topological(graph: ToolSubgraph) -> list[int]:
+    """Sinks first; among ready nodes the smallest id goes next.
+
+    Calls heapq through the module, so the bare heappop/heappush names stay
+    the path queue's alone.
+    """
     outdeg = [len(s) for s in graph.successors]
-    queue = sorted(i for i in range(len(graph.nodes)) if outdeg[i] == 0)
+    ready = [i for i in range(len(graph.nodes)) if outdeg[i] == 0]
     order: list[int] = []
-    while queue:
-        i = queue.pop(0)
+    while ready:
+        i = heapq.heappop(ready)
         order.append(i)
         for j in graph.predecessors[i]:
             outdeg[j] -= 1
             if outdeg[j] == 0:
-                queue.append(j)
-        queue.sort()
+                heapq.heappush(ready, j)
     return order
+
+
+@dataclass(frozen=True)
+class SuffixBounds:
+    """Per-node best cases over every completion, indexed by node id."""
+
+    min_time: tuple[float, ...]
+    max_quality: tuple[float, ...]
+
+
+def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
+    """Minimum suffix time and maximum suffix quality product of every node.
+
+    One reverse-topological pass over benchmark values, independent of
+    alpha; sinks get (0, 1).  The two extrema may come from different
+    successors, which keeps both of them optimistic.
+    """
+    min_time = [0.0] * len(graph.nodes)
+    max_quality = [1.0] * len(graph.nodes)
+    for node_id in _reverse_topological(graph):
+        succs = graph.successors[node_id]
+        if not succs:
+            continue
+        times, qualities = [], []
+        for succ in succs:
+            node = graph.nodes[succ]
+            row = bt.row(node.tool, node.kind)
+            times.append(row.time_seconds + min_time[succ])
+            qualities.append(row.quality_norm * max_quality[succ])
+        min_time[node_id] = min(times)
+        max_quality[node_id] = max(qualities)
+    return SuffixBounds(min_time=tuple(min_time), max_quality=tuple(max_quality))
 
 
 @dataclass(frozen=True)
@@ -199,16 +251,41 @@ def retry_node(
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """Deterministic work counters of one search.
+
+    Every successor walked from an expanded path is one `generated` path
+    and one first execution, so `executions == generated + retries`.  A
+    generated path is then dropped after its retries, pruned by dominance,
+    or queued.  `stale_pops` are queued paths whose label a later label
+    dominated; they are skipped and not counted as `expanded`.
+    """
+
+    executions: int = 0
+    expanded: int = 0
+    generated: int = 0
+    pruned_by_dominance: int = 0
+    stale_pops: int = 0
+    retries: int = 0
+    dropped_after_retries: int = 0
+    peak_frontier: int = 0
+
+
+@dataclass(frozen=True)
 class PlanResult:
     status: str
     alpha: float
     path: PathState | None
     trace: object
-    expanded_count: int
+    stats: SearchStats
 
     @property
     def found(self) -> bool:
         return self.status == STATUS_FOUND
+
+    @property
+    def expanded_count(self) -> int:
+        return self.stats.expanded
 
     def to_json_dict(self, graph: ToolSubgraph) -> dict:
         path_rows = []
@@ -239,12 +316,44 @@ class PlanResult:
             "path": path_rows,
             "totals": totals,
             "expanded_count": self.expanded_count,
+            "stats": asdict(self.stats),
         }
+
+
+class _Label:
+    """A (cum_time, cum_quality) pair that reached a node; dead once dominated."""
+
+    __slots__ = ("time", "quality", "alive")
+
+    def __init__(self, time: float, quality: float):
+        self.time = time
+        self.quality = quality
+        self.alive = True
+
+
+def _admit(labels: list[_Label], time: float, quality: float) -> _Label | None:
+    """Add (time, quality) to a node's non-dominated labels.
+
+    Returns None when a live label is at least as good on both coordinates,
+    so an equal label loses to the one that came first.  Otherwise the
+    labels the new one dominates are marked dead and removed, and the new
+    label is returned.
+    """
+    for label in labels:
+        if label.time <= time and label.quality >= quality:
+            return None
+    for label in labels:
+        if time <= label.time and quality >= label.quality:
+            label.alive = False
+    labels[:] = [label for label in labels if label.alive]
+    new = _Label(time, quality)
+    labels.append(new)
+    return new
 
 
 def astar_search(
     graph: ToolSubgraph,
-    heuristics: dict[int, HeuristicEntry],
+    bounds: SuffixBounds,
     executor,
     cfg: SearchConfig,
     recorder: TraceRecorder | None = None,
@@ -254,71 +363,83 @@ def astar_search(
     Successors are executed when generated; a passing node extends the
     path, a failing one goes through the retry mechanism and, if it never
     passes, the extension is dropped without re-queueing.  Queue order is
-    (f, insertion counter), so runs replay exactly.  Paths into an already
-    visited node are pruned only when strictly dominated: realized g above
-    the node's best and quality product no better than the best path's.
+    (f, insertion counter), so runs replay exactly; f is the admissible
+    bound of the module docstring, so the first leaf popped is optimal.
+    A path whose (cum_time, cum_quality) label at its node is weakly
+    dominated by a live label there is dropped; queued paths whose labels
+    a newer label dominates are skipped when popped.
     """
     rec = recorder if recorder is not None else TraceRecorder()
+    alpha = cfg.alpha
+    min_time, max_quality = bounds.min_time, bounds.max_quality
     counter = itertools.count()
+    stats = dict.fromkeys(SearchStats.__dataclass_fields__, 0)
+    labels: list[list[_Label]] = [[] for _ in graph.nodes]
+    root_label = _admit(labels[ROOT_ID], 0.0, 1.0)
     root_state = PathState(
         node_ids=(ROOT_ID,),
         steps=(PathStep(node_id=ROOT_ID, time_seconds=0.0, quality=1.0, attempts=0),),
         cum_time=0.0,
         cum_quality=1.0,
         g=0.0,
-        f=heuristics[ROOT_ID].h,
+        f=compute_g(min_time[ROOT_ID], max_quality[ROOT_ID], alpha),
     )
-    heap: list[tuple[float, int, PathState]] = [(root_state.f, next(counter), root_state)]
-    best: dict[int, tuple[float, float]] = {ROOT_ID: (0.0, 1.0)}
-    expanded = 0
+    heap: list[tuple[float, int, PathState, _Label]] = [
+        (root_state.f, next(counter), root_state, root_label)
+    ]
+    stats["peak_frontier"] = 1
+
+    def finish(status: str, path: PathState | None) -> PlanResult:
+        result = PlanResult(
+            status=status, alpha=alpha, path=path, trace=rec.build(), stats=SearchStats(**stats)
+        )
+        logger.debug("search at alpha=%s %s: %s", alpha, status, result.stats)
+        return result
 
     while heap:
-        _, _, state = heappop(heap)
-        expanded += 1
+        _, _, state, label = heappop(heap)
+        if not label.alive:
+            stats["stale_pops"] += 1
+            continue
+        stats["expanded"] += 1
         last = state.node_ids[-1]
         if last in graph.leaves:
-            return PlanResult(
-                status=STATUS_FOUND,
-                alpha=cfg.alpha,
-                path=state,
-                trace=rec.build(),
-                expanded_count=expanded,
-            )
+            return finish(STATUS_FOUND, state)
         for succ in graph.successors[last]:
             node = graph.nodes[succ]
             first = executor(node, 1)
+            stats["generated"] += 1
+            stats["executions"] += 1
             passed = validate_quality(first, cfg.quality_threshold)
             rec.record(node, 1, first, passed)
-            g_new = compute_g(
-                state.cum_time + first.time_seconds,
-                state.cum_quality * first.quality,
-                cfg.alpha,
-            )
             if passed:
                 attempts, extra_time, final_quality = 1, 0.0, first.quality
-                g_literal = g_new
             else:
                 retry = retry_node(node, executor, cfg, state, recorder=rec, first_outcome=first)
+                stats["retries"] += retry.attempts - 1
+                stats["executions"] += retry.attempts - 1
                 if not retry.succeeded:
+                    stats["dropped_after_retries"] += 1
                     continue
                 attempts = retry.attempts
                 extra_time = retry.extra_time
                 final_quality = retry.final_quality
-                g_literal = g_new + compute_g(extra_time, final_quality, cfg.alpha)
 
             cum_time = state.cum_time + first.time_seconds + extra_time
             cum_quality = state.cum_quality * final_quality
-            g_path = compute_g(cum_time, cum_quality, cfg.alpha)
+            g_path = compute_g(cum_time, cum_quality, alpha)
             if attempts > 1:
+                g_literal = compute_g(
+                    state.cum_time + first.time_seconds, state.cum_quality * first.quality, alpha
+                ) + compute_g(extra_time, final_quality, alpha)
                 rec.annotate_last(g_literal=g_literal, g_path=g_path)
 
-            known = best.get(succ)
-            if known is not None and g_path > known[0] and cum_quality <= known[1]:
+            succ_label = _admit(labels[succ], cum_time, cum_quality)
+            if succ_label is None:
+                stats["pruned_by_dominance"] += 1
                 continue
-            if known is None or g_path < known[0]:
-                best[succ] = (g_path, cum_quality)
 
-            f = g_path + heuristics[succ].h
+            f = compute_g(cum_time + min_time[succ], cum_quality * max_quality[succ], alpha)
             next_state = PathState(
                 node_ids=state.node_ids + (succ,),
                 steps=state.steps
@@ -335,16 +456,11 @@ def astar_search(
                 g=g_path,
                 f=f,
             )
-            heappush(heap, (f, next(counter), next_state))
+            heappush(heap, (f, next(counter), next_state, succ_label))
+            stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
             if len(heap) > cfg.queue_cap:
                 raise QueueOverflow(
                     f"search queue exceeded its capacity of {cfg.queue_cap} paths"
                 )
 
-    return PlanResult(
-        status=STATUS_EXHAUSTED,
-        alpha=cfg.alpha,
-        path=None,
-        trace=rec.build(),
-        expanded_count=expanded,
-    )
+    return finish(STATUS_EXHAUSTED, None)

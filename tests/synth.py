@@ -165,13 +165,53 @@ def write_instance(payload: dict, directory: Path) -> dict[str, Path]:
     return paths
 
 
+def chain_instance(seed: int, stages: int, tools: int) -> dict:
+    """S-stage x K-tool chain as JSON payloads: {"mdt", "benchmark", "tree"}.
+
+    Every tool of stage s reads the result of stage s - 1 (the first stage
+    reads the input image), so consecutive stages join completely and the
+    subgraph holds K**S paths.  Times are uniform on [0.5, 10] and raw
+    qualities on [0.9, 1]; stages take distinct subtask kinds, so S is at
+    most the 24 planner subtasks.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = [PLANNER_SUBTASKS[int(k)] for k in rng.permutation(len(PLANNER_SUBTASKS))[:stages]]
+    mdt: list[dict] = []
+    benchmark: list[dict] = []
+    tree_nodes: list[dict] = []
+    for s, kind in enumerate(kinds):
+        inputs = [f"stage-{s - 1}-result" if s else "Input Image"]
+        for t in range(tools):
+            tool = f"ChainTool-{s:02d}-{t:02d}"
+            mdt.append({"tool": tool, "subtasks": [kind], "inputs": inputs, "outputs": [f"stage-{s}-result"]})
+            benchmark.append(
+                {
+                    "tool": tool,
+                    "subtask": kind,
+                    "time_seconds": round(float(rng.uniform(0.5, 10.0)), 4),
+                    "quality": round(float(rng.uniform(0.9, 1.0)), 4),
+                }
+            )
+        parent = [tree_nodes[-1]["subtask"]] if tree_nodes else []
+        tree_nodes.append({"subtask": f"{kind} (obj)({s + 1})", "parent": parent})
+    return {
+        "mdt": mdt,
+        "benchmark": benchmark,
+        "tree": {"task": f"synthetic chain {seed}", "subtask_tree": tree_nodes},
+    }
+
+
 def built_instance(seed: int, unit_quality: bool = False):
     """Instance materialized through the real parsers and builder."""
+    return build_payload(random_pipeline_instance(seed, unit_quality=unit_quality))
+
+
+def build_payload(payload: dict):
+    """(graph, benchmark table, tree, payload) of a JSON-payload instance."""
     from toolpath.graphs import build_tdg, build_tool_subgraph
     from toolpath.planning import parse_subtask_tree
     from toolpath.registry import parse_benchmark, parse_mdt
 
-    payload = random_pipeline_instance(seed, unit_quality=unit_quality)
     mdt = parse_mdt(json.dumps(payload["mdt"]))
     bt = parse_benchmark(json.dumps(payload["benchmark"]), mdt)
     tree = parse_subtask_tree(json.dumps(payload["tree"]))

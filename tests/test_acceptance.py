@@ -28,7 +28,7 @@ from toolpath.execution import Simulator, SimulatorSpec
 from toolpath.graphs import build_tdg, build_tool_subgraph, enumerate_paths
 from toolpath.planning import parse_subtask_tree, root_to_leaf_orderings
 from toolpath.registry import load_mdt
-from toolpath.search import SearchConfig, astar_search, compute_g, precompute_heuristics
+from toolpath.search import SearchConfig, astar_search, compute_g, precompute_heuristics, suffix_bounds
 
 
 def _report(n: int, summary: str) -> None:
@@ -166,7 +166,7 @@ def test_criterion_06_alpha_tradeoff_fixture(detection_fixture):
     def run(alpha):
         cfg = SearchConfig(alpha=alpha)
         sim = Simulator(SimulatorSpec(mode="deterministic"), bt, cfg.seed)
-        return astar_search(graph, precompute_heuristics(graph, bt, alpha), sim, cfg)
+        return astar_search(graph, suffix_bounds(graph, bt), sim, cfg)
 
     fast = run(2.0)
     good = run(0.0)
@@ -203,7 +203,7 @@ def test_criterion_07_retry_semantics():
     script = {("A", "Object Detection", 1): (1.0, 0.8), ("B", "Object Detection", 1): (5.0, 1.0)}
     sim = Simulator(SimulatorSpec(mode="scripted", script=script), bt, seed=0)
     cfg = SearchConfig(alpha=1.0, quality_threshold=0.8)
-    res = astar_search(graph, precompute_heuristics(graph, bt, 1.0), sim, cfg)
+    res = astar_search(graph, suffix_bounds(graph, bt), sim, cfg)
     assert [graph.nodes[i].tool for i in res.path.node_ids[1:]] == ["A"]
     assert res.trace.attempts_for(node_a.node_id) == 1
 
@@ -212,7 +212,7 @@ def test_criterion_07_retry_semantics():
     script[("B", "Object Detection", 1)] = (5.0, 1.0)
     sim = Simulator(SimulatorSpec(mode="scripted", script=script), bt, seed=0)
     cfg = SearchConfig(alpha=1.0, quality_threshold=0.8, max_retries=3)
-    res = astar_search(graph, precompute_heuristics(graph, bt, 1.0), sim, cfg)
+    res = astar_search(graph, suffix_bounds(graph, bt), sim, cfg)
     assert [graph.nodes[i].tool for i in res.path.node_ids[1:]] == ["B"]
     assert res.trace.attempts_for(node_a.node_id) == 4  # never re-queued afterwards
 

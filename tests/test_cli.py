@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from synth import random_pipeline_instance, write_instance
-from toolpath.cli import main
+from toolpath import cli
+from toolpath.cli import EXIT_QUEUE_OVERFLOW, main
+from toolpath.search import SearchConfig
 
 
 def _args_detection(data_dir, extra=()):
@@ -69,6 +72,34 @@ def test_plan_scripted_always_fail_exits_2(data_dir, tmp_path):
     spec_path.write_text(json.dumps({"mode": "scripted", "script": script}))
     code = main(["plan", *_args_detection(data_dir), "--sim", str(spec_path)])
     assert code == 2
+
+
+def test_plan_queue_overflow_exits_4(data_dir, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SearchConfig", functools.partial(SearchConfig, queue_cap=1))
+    code = main(["plan", *_args_detection(data_dir), "--alpha", "1"])
+    assert code == EXIT_QUEUE_OVERFLOW == 4
+    assert capsys.readouterr().err.startswith("error: search queue exceeded")
+
+
+def test_plan_json_reports_search_stats(data_dir, tmp_path):
+    out = tmp_path / "plan.json"
+    assert main(["plan", *_args_detection(data_dir), "--alpha", "0.5", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    stats = payload["stats"]
+    assert set(stats) == {
+        "executions",
+        "expanded",
+        "generated",
+        "pruned_by_dominance",
+        "stale_pops",
+        "retries",
+        "dropped_after_retries",
+        "peak_frontier",
+    }
+    assert stats["expanded"] == payload["expanded_count"]
+    assert stats["executions"] == stats["generated"] + stats["retries"]
+    trace = json.loads(out.with_suffix(".json.trace.json").read_text())
+    assert stats["executions"] == trace["totals"]["events"]
 
 
 def test_plan_byte_identical_across_runs(data_dir, tmp_path):

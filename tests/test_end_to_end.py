@@ -12,7 +12,7 @@ from toolpath.execution import Simulator, SimulatorSpec
 from toolpath.graphs import build_tdg, build_tool_subgraph, enumerate_paths, validate_dag
 from toolpath.planning import parse_subtask_tree, root_to_leaf_orderings
 from toolpath.registry import parse_mdt
-from toolpath.search import SearchConfig, astar_search, precompute_heuristics
+from toolpath.search import SearchConfig, astar_search, suffix_bounds
 
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -27,7 +27,7 @@ def _expand(full_tables, tree_json: dict):
 def _search(graph, bt, alpha, **cfg_kwargs):
     cfg = SearchConfig(alpha=alpha, **cfg_kwargs)
     sim = Simulator(SimulatorSpec(mode="deterministic"), bt, cfg.seed)
-    return astar_search(graph, precompute_heuristics(graph, bt, alpha), sim, cfg)
+    return astar_search(graph, suffix_bounds(graph, bt), sim, cfg)
 
 
 def _single_tree(kind: str, argument: str = "Sign") -> dict:

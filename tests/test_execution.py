@@ -123,6 +123,19 @@ def test_spec_json_roundtrip():
         simulator_spec_from_json('{"mode": "scripted"}')
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_spec_json_rejects_non_finite_values(value):
+    # json.dumps writes NaN / Infinity / -Infinity, which json.loads accepts
+    for field in ("time_noise_sigma", "quality_noise_sigma"):
+        with pytest.raises(ParseError):
+            simulator_spec_from_json(json.dumps({"mode": "stochastic", field: value}))
+    for field in ("time", "quality"):
+        row = {"tool": "YOLOv7", "subtask": "Object Detection", "attempt": 1, "time": 0.5, "quality": 0.3}
+        row[field] = value
+        with pytest.raises(ParseError):
+            simulator_spec_from_json(json.dumps({"mode": "scripted", "script": [row]}))
+
+
 def test_validate_quality_threshold_is_inclusive():
     assert validate_quality(ExecutionOutcome(1.0, 0.9, 1), 0.8)
     assert validate_quality(ExecutionOutcome(1.0, 0.8, 1), 0.8)

@@ -164,6 +164,23 @@ def test_benchmark_negative_time_rejected(data_dir):
         parse_benchmark(json.dumps(rows), mdt)
 
 
+@pytest.mark.parametrize("field", ["time_seconds", "quality"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_benchmark_non_finite_value_rejected(field, value):
+    mdt = parse_mdt(json.dumps(
+        [
+            {"tool": t, "subtasks": ["Object Detection"], "inputs": ["Input Image"], "outputs": ["Bounding Boxes"]}
+            for t in ("X", "Y")
+        ]
+    ))
+    rows = [
+        {"tool": t, "subtask": "Object Detection", "time_seconds": 1.0, "quality": 0.5} for t in ("X", "Y")
+    ]
+    rows[0][field] = value  # json.dumps writes NaN / Infinity / -Infinity
+    with pytest.raises(ParseError):
+        parse_benchmark(json.dumps(rows), mdt)
+
+
 def test_normalize_quality_examples():
     out = normalize_quality({("A", "s"): 40.0, ("B", "s"): 50.0})
     assert out == {("A", "s"): 0.8, ("B", "s"): 1.0}

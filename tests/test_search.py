@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dijkstra_min_time, reference_heuristic
-from synth import built_instance, random_plan_graph
+from synth import build_payload, built_instance, chain_instance, random_plan_graph
 from toolpath.errors import AlphaOutOfRange, MissingBenchmark, QueueOverflow
-from toolpath.evaluation import path_objective
+from toolpath.evaluation import brute_force_optimal, path_objective
 from toolpath.execution import Simulator, SimulatorSpec, TraceRecorder
 from toolpath.graphs import build_tdg, build_tool_subgraph, enumerate_paths
 from toolpath.planning import parse_subtask_tree
@@ -16,10 +19,12 @@ from toolpath.search import (
     STATUS_EXHAUSTED,
     PathState,
     SearchConfig,
+    _admit,
     astar_search,
     compute_g,
     precompute_heuristics,
     retry_node,
+    suffix_bounds,
     validate_alpha,
 )
 
@@ -37,8 +42,7 @@ def _unit_bt(bt: BenchmarkTable) -> BenchmarkTable:
 def _run(graph, bt, alpha=1.0, sim=None, **cfg_kwargs):
     cfg = SearchConfig(alpha=alpha, **cfg_kwargs)
     simulator = sim if sim is not None else Simulator(SimulatorSpec(mode="deterministic"), bt, cfg.seed)
-    heuristics = precompute_heuristics(graph, bt, alpha)
-    return astar_search(graph, heuristics, simulator, cfg)
+    return astar_search(graph, suffix_bounds(graph, bt), simulator, cfg)
 
 
 # ---------------------------------------------------------------- compute_g
@@ -436,3 +440,97 @@ def test_heuristic_closed_forms_at_exponent_boundaries():
                 continue
             assert h2[i].h == pytest.approx(min_time[i] ** 2, rel=1e-12, abs=1e-300)
             assert h0[i].h == pytest.approx((2.0 - max_quality[i]) ** 2, rel=1e-12)
+
+
+# ------------------------------------------------- suffix bounds and labels
+
+
+def test_suffix_bounds_match_independent_dp():
+    for seed in range(40):
+        graph, bt = random_plan_graph(seed)
+        min_time, max_quality = _suffix_extrema(graph, bt)
+        bounds = suffix_bounds(graph, bt)
+        assert list(bounds.min_time) == pytest.approx(min_time, rel=1e-12, abs=1e-300)
+        assert list(bounds.max_quality) == pytest.approx(max_quality, rel=1e-12, abs=1e-300)
+        for leaf in graph.leaves:
+            assert (bounds.min_time[leaf], bounds.max_quality[leaf]) == (0.0, 1.0)
+
+
+def test_suffix_bounds_missing_benchmark():
+    graph, bt = random_plan_graph(0)
+    rows = dict(bt.rows)
+    rows.popitem()
+    with pytest.raises(MissingBenchmark):
+        suffix_bounds(graph, BenchmarkTable(rows=rows))
+
+
+def test_label_rules():
+    labels = []
+    first = _admit(labels, 2.0, 0.9)
+    assert first is not None
+    # weakly dominated (equal time, lower quality) and equal labels are dropped
+    assert _admit(labels, 2.0, 0.8) is None
+    assert _admit(labels, 2.0, 0.9) is None
+    assert [(x.time, x.quality) for x in labels] == [(2.0, 0.9)]
+    # a trade-off label is kept beside the first
+    other = _admit(labels, 1.0, 0.5)
+    assert other is not None and first.alive and other.alive
+    # a label dominating both kills them and is the only one left
+    best = _admit(labels, 1.0, 0.95)
+    assert not first.alive and not other.alive
+    assert labels == [best]
+
+
+def test_dominated_queued_state_is_skipped_at_pop():
+    """ROOT -> {A, B} -> X -> L, and A -> Z with Z failing every attempt.
+
+    Z's optimistic suffix time lets A pop before B, so the path through A
+    queues its label at X first; B then reaches X with the same time and a
+    better quality, which kills the queued path.
+    """
+    from toolpath.graphs import PlanNode, _assemble
+    from toolpath.planning import SubtaskInstance
+
+    inst = SubtaskInstance(kind="Object Detection", argument="x", ordinal=1)
+    tools = ["A", "B", "X", "L", "Z"]
+    nodes = [PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root")] + [
+        PlanNode(node_id=i, tool=t, kind="Object Detection", instance=inst, role="candidate")
+        for i, t in enumerate(tools, start=1)
+    ]
+    a, b, x, leaf, z = range(1, 6)
+    graph = _assemble(nodes, {(0, a), (0, b), (a, x), (a, z), (b, x), (x, leaf)}, {leaf, z})
+    rows = {"A": (1.0, 0.9), "B": (1.0, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0), "Z": (0.1, 0.5)}
+    bt = BenchmarkTable(
+        rows={(t, "Object Detection"): BenchmarkRow(c, q, q) for t, (c, q) in rows.items()}
+    )
+    res = _run(graph, bt, alpha=2.0)
+    assert res.path.node_ids == (0, b, x, leaf)
+    assert res.stats.stale_pops == 1
+    assert res.stats.expanded == res.expanded_count == 5  # ROOT, A, B, X via B, L
+    assert res.stats.dropped_after_retries == 1
+    assert res.stats.retries == 3
+    assert res.stats.executions == res.stats.generated + res.stats.retries == len(res.trace.events)
+
+
+def test_search_stats_logged_at_debug(detection_fixture, caplog):
+    graph, bt = detection_fixture
+    with caplog.at_level(logging.DEBUG, logger="toolpath.search"):
+        res = _run(graph, bt, alpha=1.0)
+    assert str(res.stats) in caplog.text
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=299), alpha=st.floats(min_value=0.0, max_value=2.0))
+def test_search_matches_oracle_at_any_alpha(seed, alpha):
+    graph, bt, *_ = built_instance(seed)
+    assert brute_force_optimal(graph, bt, alpha).gap == 0
+
+
+@pytest.mark.parametrize(("alpha", "expanded", "executions"), [(2.0, 25, 384), (1.5, 267, 4256)])
+def test_deep_chain_counters(alpha, expanded, executions):
+    # 16**24 paths; before the labelled search this ran into the queue cap.
+    graph, bt, *_ = build_payload(chain_instance(0, stages=24, tools=16))
+    res = _run(graph, bt, alpha=alpha)
+    assert res.found
+    assert res.expanded_count == expanded
+    assert res.stats.executions == executions
