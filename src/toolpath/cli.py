@@ -142,15 +142,13 @@ def _build_graph(args):
     mdt = load_mdt(args.mdt)
     bt = load_benchmark(args.benchmark, mdt)
     tree_text, extra_inputs = _load_tree_text(args)
-    tree = parse_subtask_tree(tree_text)
-    tdg = build_tdg(mdt)
-    graph = build_tool_subgraph(tree, mdt, tdg)
+    graph = build_tool_subgraph(parse_subtask_tree(tree_text), mdt)
     inputs = [Path(args.mdt), Path(args.benchmark)] + extra_inputs
-    return mdt, bt, tree, graph, inputs
+    return bt, graph, inputs
 
 
 def cmd_plan(args, argv: list[str]) -> int:
-    _, bt, _, graph, inputs = _build_graph(args)
+    bt, graph, inputs = _build_graph(args)
     cfg = SearchConfig(
         alpha=args.alpha,
         quality_threshold=args.quality_threshold,
@@ -178,7 +176,7 @@ def cmd_plan(args, argv: list[str]) -> int:
 
 
 def cmd_sweep(args, argv: list[str]) -> int:
-    _, bt, _, graph, inputs = _build_graph(args)
+    bt, graph, inputs = _build_graph(args)
     alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     cfg = SearchConfig(
         quality_threshold=args.quality_threshold,
@@ -202,7 +200,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
 
 
 def cmd_verify(args, argv: list[str]) -> int:
-    _, bt, _, graph, inputs = _build_graph(args)
+    bt, graph, inputs = _build_graph(args)
     cfg = SearchConfig(
         alpha=args.alpha,
         quality_threshold=args.quality_threshold,
@@ -239,15 +237,15 @@ def cmd_verify(args, argv: list[str]) -> int:
 
 def cmd_graph(args, argv: list[str]) -> int:
     mdt = load_mdt(args.mdt)
-    tdg = build_tdg(mdt)
     inputs = [Path(args.mdt)]
     if args.tree:
         tree_path = Path(args.tree)
         tree = parse_subtask_tree(tree_path.read_text(encoding="utf-8"))
-        graph = build_tool_subgraph(tree, mdt, tdg)
+        graph = build_tool_subgraph(tree, mdt)
         inputs.append(tree_path)
         text = subgraph_to_json(graph) if args.format == "json" else subgraph_to_dot(graph)
     else:
+        tdg = build_tdg(mdt)
         if args.format == "json":
             payload = {"nodes": list(tdg.nodes), "edges": sorted([u, v] for u, v in tdg.edges)}
             text = _dump_json(payload)

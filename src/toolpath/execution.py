@@ -229,10 +229,3 @@ class TraceRecorder:
     def build(self) -> ExecutionTrace:
         return ExecutionTrace(events=tuple(self._events))
 
-
-def record_trace(events) -> ExecutionTrace:
-    """Build a trace from an iterable of (node, attempt, outcome, passed)."""
-    rec = TraceRecorder()
-    for node, attempt, outcome, passed in events:
-        rec.record(node, attempt, outcome, passed)
-    return rec.build()

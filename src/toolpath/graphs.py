@@ -1,10 +1,13 @@
 """Tool dependency graph and tool-subgraph construction.
 
 The tool dependency graph (TDG) links tool u to tool v whenever some output
-resource of u matches some input resource of v.  A subtask tree is expanded
-into a tool subgraph by replacing each subtask instance with its candidate
-tools plus any prerequisite chains spliced in from the TDG, so that every
-root-to-leaf path is an executable toolpath.
+resource of u matches some input resource of v; the `graph` command exports
+it.  A subtask tree is expanded into a tool subgraph by replacing each
+subtask instance with its candidate tools plus any prerequisite chains
+spliced in front of them, so that every root-to-leaf path is an executable
+toolpath.  Prerequisites are found by the TDG's own rule, a producer whose
+output is a missing input, applied directly to the registry records; the
+TDG itself is never built for planning.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import CycleDetected, NoToolForSubtask, PathExplosion, UnsatisfiableDependency
-from .planning import SubtaskInstance, SubtaskTree, topological_order
+from .errors import NoToolForSubtask, PathExplosion, UnsatisfiableDependency
+from .planning import SubtaskInstance, SubtaskTree, kahn_order, root_to_leaf_paths, topological_order
 from .registry import ModelDescriptionTable, ToolRecord, normalize_resource
 
 ROOT_ID = 0
@@ -91,13 +94,6 @@ class ToolSubgraph:
     successors: tuple[tuple[int, ...], ...] = field(compare=False)
     predecessors: tuple[tuple[int, ...], ...] = field(compare=False)
 
-    @property
-    def root(self) -> PlanNode:
-        return self.nodes[ROOT_ID]
-
-    def node(self, node_id: int) -> PlanNode:
-        return self.nodes[node_id]
-
 
 def _assemble(nodes: list[PlanNode], edges: set[tuple[int, int]], leaves: set[int]) -> ToolSubgraph:
     succ: list[list[int]] = [[] for _ in nodes]
@@ -130,12 +126,11 @@ def _resolve(
     record: ToolRecord,
     available: frozenset[str],
     mdt: ModelDescriptionTable,
-    tdg: ToolDependencyGraph,
     visiting: frozenset[tuple[str, str]],
 ) -> list[ToolRecord]:
     """Minimal prerequisite chain making every input of `record` available.
 
-    Walks backwards through the dependency graph from the candidate tool,
+    Walks backwards through the producers of the candidate tool's inputs,
     resolving each missing input resource to a producer chain.  Producers
     are ranked by total spliced node count, ties broken by (tool, subtask)
     name.  Resources accumulate: once some chain element produces a
@@ -148,10 +143,8 @@ def _resolve(
         for producer in _producers(mdt, resource, record):
             if producer.key in visiting or producer.key == record.key:
                 continue
-            if (producer.tool, record.tool) not in tdg.edges:
-                continue
             try:
-                sub = _resolve(producer, frozenset(avail), mdt, tdg, visiting | {record.key})
+                sub = _resolve(producer, frozenset(avail), mdt, visiting | {record.key})
             except UnsatisfiableDependency:
                 continue
             rank = (len(sub) + 1, producer.tool, producer.subtask)
@@ -169,9 +162,7 @@ def _resolve(
     return chain
 
 
-def build_tool_subgraph(
-    tree: SubtaskTree, mdt: ModelDescriptionTable, tdg: ToolDependencyGraph
-) -> ToolSubgraph:
+def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSubgraph:
     """Expand a subtask tree into the tool subgraph searched by the planner.
 
     Each subtask instance becomes the set of tools able to perform it; a
@@ -217,7 +208,7 @@ def build_tool_subgraph(
         terminals: list[int] = []
         produced_sets: list[frozenset[str]] = []
         for record in candidates:
-            chain = _resolve(record, avail_in, mdt, tdg, frozenset())
+            chain = _resolve(record, avail_in, mdt, frozenset())
             seq = chain + [record]
             prefix: tuple[tuple[str, str], ...] = ()
             prev_id: int | None = None
@@ -269,82 +260,32 @@ def build_tool_subgraph(
     return graph
 
 
-def _adjacency(graph) -> tuple[list[int], dict[int, list[int]]]:
-    if isinstance(graph, ToolSubgraph):
-        ids = [n.node_id for n in graph.nodes]
-        return ids, {i: list(graph.successors[i]) for i in ids}
-    if isinstance(graph, SubtaskTree):
-        kids = graph.children()
-        index = {n: i for i, n in enumerate(graph.nodes)}
-        return list(index.values()), {
-            index[n]: [index[c] for c in kids[n]] for n in graph.nodes
-        }
-    if isinstance(graph, ToolDependencyGraph):
-        return list(graph.nodes), {t: graph.successors(t) for t in graph.nodes}
-    raise TypeError(f"cannot validate object of type {type(graph).__name__}")
-
-
 def validate_dag(graph) -> None:
-    """Kahn-style acyclicity check; raises CycleDetected with one cycle."""
-    ids, succ = _adjacency(graph)
-    indeg = {i: 0 for i in ids}
-    for i in ids:
-        for j in succ[i]:
-            indeg[j] += 1
-    queue = [i for i in ids if indeg[i] == 0]
-    seen = 0
-    while queue:
-        i = queue.pop()
-        seen += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    if seen == len(ids):
-        return
-    remaining = {i for i in ids if indeg[i] > 0}
-    cycle = _find_cycle(remaining, succ)
-    raise CycleDetected(f"graph contains a cycle: {cycle}", cycle)
-
-
-def _find_cycle(remaining: set, succ: dict) -> list:
-    start = next(iter(sorted(remaining, key=repr)))
-    path, seen = [start], {start}
-    while True:
-        nxt = next(j for j in succ[path[-1]] if j in remaining)
-        if nxt in seen:
-            return path[path.index(nxt):] + [nxt]
-        path.append(nxt)
-        seen.add(nxt)
+    """Acyclicity check; raises CycleDetected with one cycle."""
+    if isinstance(graph, SubtaskTree):
+        topological_order(graph)
+    elif isinstance(graph, ToolSubgraph):
+        kahn_order(dict(enumerate(graph.successors)))
+    elif isinstance(graph, ToolDependencyGraph):
+        succ: dict[str, list[str]] = {t: [] for t in graph.nodes}
+        for u, v in graph.edges:
+            succ[u].append(v)
+        kahn_order(succ)
+    else:
+        raise TypeError(f"cannot validate object of type {type(graph).__name__}")
 
 
 def count_paths(graph: ToolSubgraph) -> int:
     """Number of root-to-leaf paths, via DP over a topological order."""
-    order = _topo_ids(graph)
     counts = [0] * len(graph.nodes)
     counts[ROOT_ID] = 1
     total = 0
-    for i in order:
+    for i in kahn_order(dict(enumerate(graph.successors))):
         if not graph.successors[i]:
             total += counts[i]
         for j in graph.successors[i]:
             counts[j] += counts[i]
     return total
-
-
-def _topo_ids(graph: ToolSubgraph) -> list[int]:
-    indeg = [len(p) for p in graph.predecessors]
-    queue = sorted(i for i in range(len(graph.nodes)) if indeg[i] == 0)
-    order = []
-    while queue:
-        i = queue.pop(0)
-        order.append(i)
-        for j in graph.successors[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-        queue.sort()
-    return order
 
 
 def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tuple[int, ...]]:
@@ -356,21 +297,7 @@ def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tu
     total = count_paths(graph)
     if total > cap:
         raise PathExplosion(f"{total} root-to-leaf paths exceed the cap of {cap}")
-    out: list[tuple[int, ...]] = []
-    stack: list[int] = [ROOT_ID]
-
-    def walk(i: int) -> None:
-        succs = graph.successors[i]
-        if not succs:
-            out.append(tuple(stack))
-            return
-        for j in succs:
-            stack.append(j)
-            walk(j)
-            stack.pop()
-
-    walk(ROOT_ID)
-    return out
+    return root_to_leaf_paths((ROOT_ID,), graph.successors)
 
 
 def subgraph_to_json(graph: ToolSubgraph) -> str:

@@ -8,12 +8,14 @@ of the work.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import urllib.error
 import urllib.request
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from collections import deque
+from typing import TypeVar
 
 from .errors import (
     CycleDetected,
@@ -27,6 +29,8 @@ from .errors import (
 from .registry import PLANNER_SUBTASKS, canonical_subtask
 
 PLANNER_URL_ENV = "COSTA_PLANNER_URL"
+
+Node = TypeVar("Node")
 
 
 @dataclass(frozen=True, order=True)
@@ -168,7 +172,7 @@ def parse_subtask_tree(
     tree = SubtaskTree(nodes=nodes, parents=parents_resolved, task_text=task_text)
     if not tree.roots():
         raise CycleDetected("subtask tree has no root (every node has a parent)")
-    _check_acyclic(tree)
+    topological_order(tree)
     return tree
 
 
@@ -180,86 +184,89 @@ def _register(by_label, parent_labels, label, kind, argument, ordinal, parents):
     parent_labels[node] = list(parents)
 
 
-def _check_acyclic(tree: SubtaskTree) -> None:
-    kids = tree.children()
-    indeg = {n: len(tree.parents[n]) for n in tree.nodes}
-    queue = deque(sorted((n for n in tree.nodes if indeg[n] == 0), key=lambda n: n.label()))
-    seen = 0
-    while queue:
-        node = queue.popleft()
-        seen += 1
-        for child in kids[node]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                queue.append(child)
-    if seen != len(tree.nodes):
-        cycle = [n.label() for n in tree.nodes if indeg[n] > 0]
-        raise CycleDetected(f"subtask tree contains a cycle among: {cycle}", cycle)
+def kahn_order(successors: Mapping[Node, Sequence[Node]]) -> list[Node]:
+    """Kahn topological order of the graph `successors` maps out.
+
+    Every node is a key.  Among ready nodes the smallest goes first, so the
+    order depends on the graph alone.  Raises CycleDetected naming one
+    cycle, first node repeated last, when the graph has one.
+    """
+    indeg = dict.fromkeys(successors, 0)
+    for targets in successors.values():
+        for node in targets:
+            indeg[node] += 1
+    ready = [node for node, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for succ in successors[node]:
+            indeg[succ] -= 1
+            if indeg[succ] == 0:
+                heapq.heappush(ready, succ)
+    if len(order) < len(indeg):
+        cycle = _find_cycle(successors, [node for node, d in indeg.items() if d])
+        raise CycleDetected(f"graph contains a cycle: {cycle}", cycle)
+    return order
+
+
+def _find_cycle(successors: Mapping[Node, Sequence[Node]], left: list[Node]) -> list[Node]:
+    """One cycle among the nodes Kahn's algorithm never freed.
+
+    Each of them keeps a predecessor among them, so a walk along
+    predecessors comes back to a node it passed; that loop, reversed, is
+    the cycle.
+    """
+    pred = {}
+    for node in left:
+        for succ in successors[node]:
+            pred.setdefault(succ, node)
+    node, walk, seen = min(left), [], set()
+    while node not in seen:
+        seen.add(node)
+        walk.append(node)
+        node = pred[node]
+    cycle = walk[walk.index(node) :] + [node]
+    cycle.reverse()
+    return cycle
+
+
+def root_to_leaf_paths(roots: Iterable[Node], successors) -> list[tuple[Node, ...]]:
+    """Every path from a root to a node without successors, depth first.
+
+    `successors[node]` lists the successors of `node`; roots and successors
+    are taken in the order given.  The walk keeps its own stack, so the
+    depth of the graph is not bounded by recursion.
+    """
+    out: list[tuple[Node, ...]] = []
+    path: list[Node] = []
+    stack = [iter(roots)]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            if path:
+                path.pop()
+        elif successors[node]:
+            path.append(node)
+            stack.append(iter(successors[node]))
+        else:
+            out.append(tuple(path) + (node,))
+    return out
 
 
 def topological_order(tree: SubtaskTree) -> list[SubtaskInstance]:
     """Kahn order with ready nodes taken in label order, so it is stable."""
     kids = tree.children()
-    indeg = {n: len(tree.parents[n]) for n in tree.nodes}
-    ready = sorted((n for n in tree.nodes if indeg[n] == 0), key=lambda n: n.label())
-    order: list[SubtaskInstance] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        changed = False
-        for child in kids[node]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                ready.append(child)
-                changed = True
-        if changed:
-            ready.sort(key=lambda n: n.label())
-    if len(order) != len(tree.nodes):
-        raise CycleDetected("subtask tree contains a cycle")
-    return order
+    by_label = {n.label(): n for n in tree.nodes}
+    order = kahn_order({n.label(): [c.label() for c in kids[n]] for n in tree.nodes})
+    return [by_label[label] for label in order]
 
 
 def root_to_leaf_orderings(tree: SubtaskTree) -> list[tuple[SubtaskInstance, ...]]:
     """Every root-to-leaf chain, in deterministic label order."""
-    kids = tree.children()
-    out: list[tuple[SubtaskInstance, ...]] = []
-
-    def walk(node: SubtaskInstance, acc: list[SubtaskInstance]) -> None:
-        acc.append(node)
-        if not kids[node]:
-            out.append(tuple(acc))
-        else:
-            for child in kids[node]:
-                walk(child, acc)
-        acc.pop()
-
-    for root in sorted(tree.roots(), key=lambda n: n.label()):
-        walk(root, [])
-    return out
-
-
-def missing_requirements(
-    tree: SubtaskTree, required: set[tuple[str, str]]
-) -> list[tuple[tuple[str, str], tuple[SubtaskInstance, ...]]]:
-    """Required (kind, argument) pairs absent from some root-to-leaf chain."""
-    gaps = []
-    for chain in root_to_leaf_orderings(tree):
-        covered = {(n.kind, n.argument) for n in chain}
-        for req in sorted(required):
-            if req not in covered:
-                gaps.append((req, chain))
-    return gaps
-
-
-def serialize_tree(tree: SubtaskTree) -> str:
-    payload = {
-        "task": tree.task_text,
-        "subtask_tree": [
-            {"subtask": n.label(), "parent": [p.label() for p in tree.parents[n]]}
-            for n in tree.nodes
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return root_to_leaf_paths(sorted(tree.roots(), key=lambda n: n.label()), tree.children())
 
 
 @dataclass(frozen=True)
@@ -301,17 +308,6 @@ def build_planner_prompt(
     return PlannerPrompt(
         text=_PROMPT_TEMPLATE.format(subtasks=", ".join(vocabulary), task=task_text.strip())
     )
-
-
-class FilePlannerClient:
-    """Planner stub that replays a canned response file."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def generate(self, prompt_text: str) -> str:
-        with open(self.path, encoding="utf-8") as fh:
-            return fh.read()
 
 
 class HttpPlannerClient:

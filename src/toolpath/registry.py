@@ -228,19 +228,6 @@ def load_mdt(path: str | Path, vocabulary: tuple[str, ...] = ALL_SUBTASKS) -> Mo
     return parse_mdt(p.read_text(encoding="utf-8"), vocabulary)
 
 
-def serialize_mdt(mdt: ModelDescriptionTable) -> str:
-    payload = [
-        {
-            "tool": e.tool,
-            "subtasks": list(e.subtasks),
-            "inputs": list(e.inputs),
-            "outputs": list(e.outputs),
-        }
-        for e in mdt.entries
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:
     """Tools able to perform the given subtask.  Empty set when none can."""
     canon = canonical_subtask(subtask)
@@ -263,12 +250,6 @@ class BenchmarkTable:
             return self.rows[(tool, subtask)]
         except KeyError:
             raise MissingBenchmark(f"no benchmark row for ({tool!r}, {subtask!r})") from None
-
-    def time(self, tool: str, subtask: str) -> float:
-        return self.row(tool, subtask).time_seconds
-
-    def quality(self, tool: str, subtask: str) -> float:
-        return self.row(tool, subtask).quality_norm
 
 
 def normalize_quality(raw: dict[tuple[str, str], float]) -> dict[tuple[str, str], float]:

@@ -32,7 +32,6 @@ re-queueing it, while other routes through the same node stay explorable.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 from dataclasses import asdict, dataclass
@@ -41,6 +40,7 @@ from heapq import heappop, heappush
 from .errors import AlphaOutOfRange, QueueOverflow
 from .execution import ExecutionOutcome, TraceRecorder, validate_quality
 from .graphs import ROOT_ID, PlanNode, ToolSubgraph
+from .planning import kahn_order
 from .registry import BenchmarkTable
 
 DEFAULT_SEED = 0xC057A
@@ -111,8 +111,7 @@ def precompute_heuristics(
     """
     validate_alpha(alpha)
     entries: dict[int, HeuristicEntry] = {}
-    order = _reverse_topological(graph)
-    for node_id in order:
+    for node_id in kahn_order(dict(enumerate(graph.predecessors))):
         succs = graph.successors[node_id]
         if not succs:
             entries[node_id] = HeuristicEntry(h=0.0, h_C=0.0, h_Q=1.0)
@@ -136,25 +135,6 @@ def precompute_heuristics(
     return entries
 
 
-def _reverse_topological(graph: ToolSubgraph) -> list[int]:
-    """Sinks first; among ready nodes the smallest id goes next.
-
-    Calls heapq through the module, so the bare heappop/heappush names stay
-    the path queue's alone.
-    """
-    outdeg = [len(s) for s in graph.successors]
-    ready = [i for i in range(len(graph.nodes)) if outdeg[i] == 0]
-    order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in graph.predecessors[i]:
-            outdeg[j] -= 1
-            if outdeg[j] == 0:
-                heapq.heappush(ready, j)
-    return order
-
-
 @dataclass(frozen=True)
 class SuffixBounds:
     """Per-node best cases over every completion, indexed by node id."""
@@ -172,7 +152,7 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     """
     min_time = [0.0] * len(graph.nodes)
     max_quality = [1.0] * len(graph.nodes)
-    for node_id in _reverse_topological(graph):
+    for node_id in kahn_order(dict(enumerate(graph.predecessors))):
         succs = graph.successors[node_id]
         if not succs:
             continue
@@ -217,7 +197,6 @@ def retry_node(
     node: PlanNode,
     executor,
     cfg: SearchConfig,
-    attempt_path: PathState,
     recorder: TraceRecorder | None = None,
     first_outcome: ExecutionOutcome | None = None,
 ) -> RetryOutcome:
@@ -415,7 +394,7 @@ def astar_search(
             if passed:
                 attempts, extra_time, final_quality = 1, 0.0, first.quality
             else:
-                retry = retry_node(node, executor, cfg, state, recorder=rec, first_outcome=first)
+                retry = retry_node(node, executor, cfg, recorder=rec, first_outcome=first)
                 stats["retries"] += retry.attempts - 1
                 stats["executions"] += retry.attempts - 1
                 if not retry.succeeded:

@@ -34,12 +34,12 @@ def full_tables():
 
 @pytest.fixture(scope="session")
 def detection_fixture():
-    from toolpath.graphs import build_tdg, build_tool_subgraph
+    from toolpath.graphs import build_tool_subgraph
     from toolpath.planning import parse_subtask_tree
     from toolpath.registry import load_benchmark, load_mdt
 
     mdt = load_mdt(DATA_DIR / "mdt_detection_choice.json")
     bt = load_benchmark(DATA_DIR / "benchmark_detection_choice.json", mdt)
     tree = parse_subtask_tree((DATA_DIR / "tree_detection_choice.json").read_text())
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     return graph, bt

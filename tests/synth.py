@@ -201,6 +201,20 @@ def chain_instance(seed: int, stages: int, tools: int) -> dict:
     }
 
 
+def deep_chain_instance(depth: int) -> dict:
+    """One tool and a subtask tree that is a single chain `depth` nodes deep."""
+    kind = "Image Deblurring"
+    tree_nodes = [
+        {"subtask": f"{kind} (x)({i})", "parent": [f"{kind} (x)({i - 1})"] if i > 1 else []}
+        for i in range(1, depth + 1)
+    ]
+    return {
+        "mdt": [{"tool": "Deblur", "subtasks": [kind], "inputs": ["Input Image"], "outputs": ["Input Image"]}],
+        "benchmark": [{"tool": "Deblur", "subtask": kind, "time_seconds": 1.0, "quality": 1.0}],
+        "tree": {"task": f"deep chain {depth}", "subtask_tree": tree_nodes},
+    }
+
+
 def built_instance(seed: int, unit_quality: bool = False):
     """Instance materialized through the real parsers and builder."""
     return build_payload(random_pipeline_instance(seed, unit_quality=unit_quality))
@@ -208,12 +222,12 @@ def built_instance(seed: int, unit_quality: bool = False):
 
 def build_payload(payload: dict):
     """(graph, benchmark table, tree, payload) of a JSON-payload instance."""
-    from toolpath.graphs import build_tdg, build_tool_subgraph
+    from toolpath.graphs import build_tool_subgraph
     from toolpath.planning import parse_subtask_tree
     from toolpath.registry import parse_benchmark, parse_mdt
 
     mdt = parse_mdt(json.dumps(payload["mdt"]))
     bt = parse_benchmark(json.dumps(payload["benchmark"]), mdt)
     tree = parse_subtask_tree(json.dumps(payload["tree"]))
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     return graph, bt, tree, payload

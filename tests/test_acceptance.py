@@ -196,7 +196,7 @@ def test_criterion_07_retry_semantics():
     tree = parse_subtask_tree(json.dumps(
         {"task": "t", "subtask_tree": [{"subtask": "Object Detection (X)(1)", "parent": []}]}
     ))
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     node_a = next(n for n in graph.nodes if n.tool == "A")
 
     # (a) the comparison is >=: exactly-at-threshold passes with no retry

@@ -5,7 +5,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from synth import random_pipeline_instance, write_instance
+from synth import deep_chain_instance, random_pipeline_instance, write_instance
 from toolpath import cli
 from toolpath.cli import EXIT_QUEUE_OVERFLOW, main
 from toolpath.search import SearchConfig
@@ -202,6 +202,31 @@ def test_verify_random_corner_instances(tmp_path):
         assert code == 0
         report = json.loads((tmp_path / f"report{seed}.json").read_text())
         assert report["gap"] == 0.0
+
+
+def test_verify_deep_chain_tree(tmp_path):
+    paths = write_instance(deep_chain_instance(1500), tmp_path / "deep")
+    out = tmp_path / "report.json"
+    code = main([
+        "verify",
+        "--mdt", str(paths["mdt"]),
+        "--benchmark", str(paths["benchmark"]),
+        "--tree", str(paths["tree"]),
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert json.loads(out.read_text())["paths_enumerated"] == 1
+
+
+def test_plan_sweep_verify_never_build_the_tdg(data_dir, tmp_path, monkeypatch):
+    def refuse(mdt):
+        raise AssertionError("the dependency graph was built")
+
+    monkeypatch.setattr(cli, "build_tdg", refuse)
+    out = str(tmp_path / "out")
+    assert main(["plan", *_args_detection(data_dir), "--out", out]) == 0
+    assert main(["sweep", *_args_detection(data_dir), "--csv", out]) == 0
+    assert main(["verify", *_args_detection(data_dir), "--out", out]) == 0
 
 
 def test_graph_tdg_dot(data_dir, capsys):

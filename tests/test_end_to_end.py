@@ -9,7 +9,7 @@ import pytest
 from toolpath.errors import UnsatisfiableDependency
 from toolpath.evaluation import brute_force_optimal, path_objective
 from toolpath.execution import Simulator, SimulatorSpec
-from toolpath.graphs import build_tdg, build_tool_subgraph, enumerate_paths, validate_dag
+from toolpath.graphs import build_tool_subgraph, enumerate_paths, validate_dag
 from toolpath.planning import parse_subtask_tree, root_to_leaf_orderings
 from toolpath.registry import parse_mdt
 from toolpath.search import SearchConfig, astar_search, suffix_bounds
@@ -20,7 +20,7 @@ ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 def _expand(full_tables, tree_json: dict):
     mdt, bt = full_tables
     tree = parse_subtask_tree(json.dumps(tree_json))
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     return graph, bt, tree
 
 
@@ -89,7 +89,7 @@ def test_recoloration_alpha_direction(full_tables):
 def test_example_trees_plan_at_every_alpha(data_dir, full_tables, tree_name, alpha):
     mdt, bt = full_tables
     tree = parse_subtask_tree((data_dir / tree_name).read_text())
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     validate_dag(graph)
     res = _search(graph, bt, alpha=alpha)
     assert res.found
@@ -114,7 +114,7 @@ def test_example1_search_is_optimal_at_alpha2(data_dir, full_tables):
     # by the big diffusion steps; enumeration confirms the search optimum.
     mdt, bt = full_tables
     tree = parse_subtask_tree((data_dir / "tree_example1.json").read_text())
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     rep = brute_force_optimal(graph, bt, 2.0)
     assert rep.gap == 0.0
 
@@ -138,7 +138,7 @@ def test_resolver_rejects_mutually_recursive_producers():
         json.dumps({"task": "t", "subtask_tree": [{"subtask": "Object Detection (X)(1)", "parent": []}]})
     )
     with pytest.raises(UnsatisfiableDependency):
-        build_tool_subgraph(tree, mdt, build_tdg(mdt))
+        build_tool_subgraph(tree, mdt)
 
 
 def test_resolver_handles_deep_chain():
@@ -154,7 +154,7 @@ def test_resolver_handles_deep_chain():
     tree = parse_subtask_tree(
         json.dumps({"task": "t", "subtask_tree": [{"subtask": "Object Detection (X)(1)", "parent": []}]})
     )
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     tools = [n.tool for n in graph.nodes[1:]]
     assert tools == [f"Maker{i}" for i in range(10)] + ["Target"]
 
@@ -169,7 +169,7 @@ def test_resolver_tie_break_is_lexicographic():
     tree = parse_subtask_tree(
         json.dumps({"task": "t", "subtask_tree": [{"subtask": "Object Detection (X)(1)", "parent": []}]})
     )
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     assert [n.tool for n in graph.nodes[1:]] == ["Alpha", "Target"]
 
 
@@ -185,5 +185,5 @@ def test_resolver_prefers_shorter_chain_over_name():
     tree = parse_subtask_tree(
         json.dumps({"task": "t", "subtask_tree": [{"subtask": "Object Detection (X)(1)", "parent": []}]})
     )
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     assert [n.tool for n in graph.nodes[1:]] == ["Zzz", "Target"]

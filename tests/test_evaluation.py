@@ -17,7 +17,7 @@ from toolpath.evaluation import (
     task_accuracy,
 )
 from toolpath.execution import SimulatorSpec
-from toolpath.graphs import build_tdg, build_tool_subgraph
+from toolpath.graphs import build_tool_subgraph
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import load_benchmark, load_mdt
 
@@ -29,7 +29,7 @@ def test_single_chain_gap_zero(data_dir):
     mdt = load_mdt(data_dir / "mdt_full.json")
     bt = load_benchmark(data_dir / "benchmark_full.json", mdt)
     tree = parse_subtask_tree((data_dir / "tree_single_deblur.json").read_text())
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     rep = brute_force_optimal(graph, bt, 1.0)
     assert rep.gap == 0.0
     assert rep.paths_enumerated == 1

@@ -13,7 +13,6 @@ from toolpath.execution import (
     SimulatorSpec,
     TraceRecorder,
     execute,
-    record_trace,
     simulator_spec_from_json,
     validate_quality,
 )
@@ -143,7 +142,7 @@ def test_validate_quality_threshold_is_inclusive():
 
 
 def test_empty_trace_totals():
-    trace = record_trace([])
+    trace = TraceRecorder().build()
     assert trace.total_time == 0.0
     assert trace.events == ()
     payload = trace.to_json_dict()
@@ -151,12 +150,11 @@ def test_empty_trace_totals():
 
 
 def test_trace_counts_attempts_and_retries():
-    events = [
-        (NODE, 1, ExecutionOutcome(0.5, 0.3, 1), False),
-        (NODE, 2, ExecutionOutcome(0.6, 0.4, 2), False),
-        (NODE, 3, ExecutionOutcome(0.7, 0.9, 3), True),
-    ]
-    trace = record_trace(events)
+    rec = TraceRecorder()
+    rec.record(NODE, 1, ExecutionOutcome(0.5, 0.3, 1), False)
+    rec.record(NODE, 2, ExecutionOutcome(0.6, 0.4, 2), False)
+    rec.record(NODE, 3, ExecutionOutcome(0.7, 0.9, 3), True)
+    trace = rec.build()
     assert trace.attempts_for(NODE.node_id) == 3
     assert trace.retried_nodes() == {NODE.node_id}
     assert trace.total_time == pytest.approx(1.8, abs=1e-12)

@@ -95,9 +95,8 @@ def test_tdg_random_mdts_match_pairwise_oracle():
 
 def test_replacement_chain_on_table1(data_dir):
     mdt = load_mdt(data_dir / "mdt_table1.json")
-    tdg = build_tdg(mdt)
     tree = parse_subtask_tree((data_dir / "tree_replacement.json").read_text())
-    g = build_tool_subgraph(tree, mdt, tdg)
+    g = build_tool_subgraph(tree, mdt)
     names = [(n.tool, n.kind) for n in g.nodes[1:]]
     assert names == [
         ("YOLO", "Object Detection"),
@@ -111,9 +110,8 @@ def test_replacement_chain_on_table1(data_dir):
 
 def test_deblur_needs_no_prerequisites(data_dir, full_tables):
     mdt, _ = full_tables
-    tdg = build_tdg(mdt)
     tree = parse_subtask_tree((data_dir / "tree_single_deblur.json").read_text())
-    g = build_tool_subgraph(tree, mdt, tdg)
+    g = build_tool_subgraph(tree, mdt)
     assert len(g.nodes) == 2
     assert g.nodes[1].tool == "DeblurGAN"
     assert g.edges == {(0, 1)}
@@ -121,7 +119,7 @@ def test_deblur_needs_no_prerequisites(data_dir, full_tables):
 
 def test_text_replacement_splices_full_chain(full_tables):
     mdt, _ = full_tables
-    g = build_tool_subgraph(_single("Text Replacement", "A -> B"), mdt, build_tdg(mdt))
+    g = build_tool_subgraph(_single("Text Replacement", "A -> B"), mdt)
     tools = [n.tool for n in g.nodes[1:]]
     assert tools == [
         "CRAFT",
@@ -137,11 +135,10 @@ def test_text_replacement_splices_full_chain(full_tables):
 
 def test_example1_expansion_matches_reference(data_dir, full_tables):
     mdt, _ = full_tables
-    tdg = build_tdg(mdt)
     tree_payload = load_json(data_dir / "tree_example1.json")
     mdt_payload = load_json(data_dir / "mdt_full.json")
     tree = parse_subtask_tree(json.dumps(tree_payload))
-    g = build_tool_subgraph(tree, mdt, tdg)
+    g = build_tool_subgraph(tree, mdt)
 
     ref_nodes, ref_edge_count, ref_paths = expand_reference(tree_payload, mdt_payload)
     got_nodes = sorted(
@@ -156,11 +153,10 @@ def test_example1_expansion_matches_reference(data_dir, full_tables):
 
 def test_example2_expansion_matches_reference(data_dir, full_tables):
     mdt, _ = full_tables
-    tdg = build_tdg(mdt)
     tree_payload = load_json(data_dir / "tree_example2.json")
     mdt_payload = load_json(data_dir / "mdt_full.json")
     tree = parse_subtask_tree(json.dumps(tree_payload))
-    g = build_tool_subgraph(tree, mdt, tdg)
+    g = build_tool_subgraph(tree, mdt)
 
     ref_nodes, ref_edge_count, ref_paths = expand_reference(tree_payload, mdt_payload)
     got_nodes = sorted(
@@ -175,14 +171,14 @@ def test_example2_expansion_matches_reference(data_dir, full_tables):
 def test_no_tool_for_subtask(data_dir):
     mdt = load_mdt(data_dir / "mdt_table1.json")
     with pytest.raises(NoToolForSubtask):
-        build_tool_subgraph(_single("Outpainting"), mdt, build_tdg(mdt))
+        build_tool_subgraph(_single("Outpainting"), mdt)
 
 
 def test_unsatisfiable_dependency(data_dir):
     # On the excerpt, EasyOCR needs a text bounding box and nothing produces one.
     mdt = load_mdt(data_dir / "mdt_table1.json")
     with pytest.raises(UnsatisfiableDependency):
-        build_tool_subgraph(_single("Text Extraction"), mdt, build_tdg(mdt))
+        build_tool_subgraph(_single("Text Extraction"), mdt)
 
 
 def _path_is_sound(g, path) -> bool:
@@ -244,6 +240,22 @@ def test_validate_dag_detects_injected_back_edge(detection_fixture):
     with pytest.raises(CycleDetected) as err:
         validate_dag(bad)
     assert err.value.cycle
+
+
+def test_validate_dag_names_cycle_upstream_of_a_sink():
+    # A hangs off the B <-> C cycle and has no successor.
+    mdt = parse_mdt(json.dumps([
+        {"tool": "A", "subtasks": ["Object Detection"], "inputs": ["Y"], "outputs": ["Z"]},
+        {"tool": "B", "subtasks": ["Object Detection"], "inputs": ["X"], "outputs": ["Y"]},
+        {"tool": "C", "subtasks": ["Object Detection"], "inputs": ["Y"], "outputs": ["X"]},
+    ]))
+    tdg = build_tdg(mdt)
+    with pytest.raises(CycleDetected) as err:
+        validate_dag(tdg)
+    cycle = err.value.cycle
+    assert cycle[0] == cycle[-1]
+    assert set(cycle) == {"B", "C"}
+    assert all(edge in tdg.edges for edge in zip(cycle, cycle[1:]))
 
 
 def test_validate_dag_accepts_empty_graph():

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from synth import deep_chain_instance
 from toolpath.errors import (
     CycleDetected,
     DanglingParent,
@@ -16,7 +17,6 @@ from toolpath.errors import (
     UnknownSubtask,
 )
 from toolpath.planning import (
-    FilePlannerClient,
     HttpPlannerClient,
     PlannerPrompt,
     build_planner_prompt,
@@ -25,7 +25,6 @@ from toolpath.planning import (
     planner_client_from_env,
     request_tree,
     root_to_leaf_orderings,
-    serialize_tree,
     topological_order,
 )
 from toolpath.registry import PLANNER_SUBTASKS
@@ -163,13 +162,6 @@ def test_multiple_roots_allowed():
     assert len(root_to_leaf_orderings(tree)) == 2
 
 
-def test_serialize_roundtrip(data_dir):
-    for name in ("tree_example1.json", "tree_example2.json", "tree_detection_choice.json"):
-        tree = parse_subtask_tree((data_dir / name).read_text())
-        again = parse_subtask_tree(serialize_tree(tree))
-        assert again == tree
-
-
 def test_topological_order_lists_every_node_once(data_dir):
     tree = parse_subtask_tree((data_dir / "tree_example1.json").read_text())
     order = topological_order(tree)
@@ -178,6 +170,32 @@ def test_topological_order_lists_every_node_once(data_dir):
     for node in tree.nodes:
         for parent in tree.parents[node]:
             assert pos[parent] < pos[node]
+
+
+def test_topological_order_takes_ready_nodes_in_label_order():
+    # Label order puts "(10)" before "(2)"; SubtaskInstance order is the reverse.
+    payload = {
+        "task": "x",
+        "subtask_tree": [
+            {"subtask": "Object Detection (X)(2)", "parent": []},
+            {"subtask": "Object Detection (X)(10)", "parent": []},
+            {"subtask": "Object Removal (X)(3)", "parent": ["Object Detection (X)(2)"]},
+            {"subtask": "Object Removal (X)(11)", "parent": ["Object Detection (X)(10)"]},
+        ],
+    }
+    tree = parse_subtask_tree(json.dumps(payload))
+    assert [n.label() for n in topological_order(tree)] == [
+        "Object Detection (X)(10)",
+        "Object Detection (X)(2)",
+        "Object Removal (X)(11)",
+        "Object Removal (X)(3)",
+    ]
+
+
+def test_root_to_leaf_orderings_on_deep_chain():
+    tree = parse_subtask_tree(json.dumps(deep_chain_instance(1500)["tree"]))
+    (chain,) = root_to_leaf_orderings(tree)
+    assert [n.ordinal for n in chain] == list(range(1, 1501))
 
 
 def test_ordering_count_matches_bruteforce_dfs(data_dir):
@@ -190,17 +208,6 @@ def test_ordering_count_matches_bruteforce_dfs(data_dir):
         return sum(count(c) for c in kids[n])
 
     assert len(root_to_leaf_orderings(tree)) == sum(count(r) for r in tree.roots())
-
-
-def test_missing_requirements_flags_uncovered_chains(data_dir):
-    from toolpath.planning import missing_requirements
-
-    tree = parse_subtask_tree((data_dir / "tree_example1.json").read_text())
-    required = {("Object Removal", "Car"), ("Object Recoloration", "Dog -> Pink Dog")}
-    assert missing_requirements(tree, required) == []
-    gaps = missing_requirements(tree, {("Text Removal", "sign")})
-    assert len(gaps) == 2  # absent from both orderings
-    assert gaps[0][0] == ("Text Removal", "sign")
 
 
 def test_build_planner_prompt_contains_vocabulary_and_task():
@@ -224,10 +231,20 @@ def test_build_planner_prompt_empty_task():
         build_planner_prompt("   ")
 
 
+class _FilePlannerClient:
+    """Planner stub that replays a canned response file."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def generate(self, prompt_text: str) -> str:
+        return self.path.read_text(encoding="utf-8")
+
+
 def test_request_tree_file_stub(tmp_path, data_dir):
     canned = tmp_path / "canned.json"
     canned.write_text((data_dir / "tree_example2.json").read_text(), encoding="utf-8")
-    client = FilePlannerClient(canned)
+    client = _FilePlannerClient(canned)
     text = request_tree(client, PlannerPrompt(text="ignored"))
     assert text == canned.read_text()
     tree = parse_subtask_tree(text)

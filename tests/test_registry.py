@@ -23,7 +23,6 @@ from toolpath.registry import (
     normalize_resource,
     parse_benchmark,
     parse_mdt,
-    serialize_mdt,
 )
 
 
@@ -95,12 +94,6 @@ def test_malformed_mdt_rejected():
         parse_mdt('{"tool": "X"}')
     with pytest.raises(ParseError):
         parse_mdt('[{"tool": "X", "subtasks": "Object Detection", "inputs": [], "outputs": []}]')
-
-
-def test_mdt_roundtrip(data_dir):
-    mdt = load_mdt(data_dir / "mdt_full.json")
-    again = parse_mdt(serialize_mdt(mdt))
-    assert again.entries == mdt.entries
 
 
 def test_lookup_models_full_table(full_tables):

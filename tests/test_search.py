@@ -12,12 +12,11 @@ from synth import build_payload, built_instance, chain_instance, random_plan_gra
 from toolpath.errors import AlphaOutOfRange, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import brute_force_optimal, path_objective
 from toolpath.execution import Simulator, SimulatorSpec, TraceRecorder
-from toolpath.graphs import build_tdg, build_tool_subgraph, enumerate_paths
+from toolpath.graphs import build_tool_subgraph, enumerate_paths
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import BenchmarkRow, BenchmarkTable
 from toolpath.search import (
     STATUS_EXHAUSTED,
-    PathState,
     SearchConfig,
     _admit,
     astar_search,
@@ -154,7 +153,7 @@ def test_heuristic_missing_benchmark():
 def test_single_chain_returned_whole(data_dir, full_tables):
     mdt, bt = full_tables
     tree = parse_subtask_tree((data_dir / "tree_single_deblur.json").read_text())
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     res = _run(graph, bt, alpha=1.0)
     assert res.found
     assert res.path.node_ids == (0, 1)
@@ -270,7 +269,7 @@ def _scripted_two_branch():
     tree = parse_subtask_tree(
         json.dumps({"task": "t", "subtask_tree": [{"subtask": "Object Detection (X)(1)", "parent": []}]})
     )
-    graph = build_tool_subgraph(tree, mdt, build_tdg(mdt))
+    graph = build_tool_subgraph(tree, mdt)
     return graph, bt
 
 
@@ -283,9 +282,8 @@ def test_retry_succeeds_on_second_attempt():
     }
     sim = Simulator(SimulatorSpec(mode="scripted", script=script), bt, seed=0)
     cfg = SearchConfig(alpha=1.0, quality_threshold=0.8, max_retries=3)
-    state = PathState(node_ids=(0,), steps=(), cum_time=0.0, cum_quality=1.0, g=0.0, f=0.0)
     first = sim(node_a, 1)
-    outcome = retry_node(node_a, sim, cfg, state, first_outcome=first)
+    outcome = retry_node(node_a, sim, cfg, first_outcome=first)
     assert outcome.succeeded
     assert outcome.attempts == 2
     assert outcome.final_quality == 0.9
@@ -298,9 +296,8 @@ def test_retry_exhaustion_attempt_count():
     script = {("A", "Object Detection", k): (1.0, 0.1) for k in range(1, 5)}
     sim = Simulator(SimulatorSpec(mode="scripted", script=script), bt, seed=0)
     cfg = SearchConfig(alpha=1.0, quality_threshold=0.8, max_retries=3)
-    state = PathState(node_ids=(0,), steps=(), cum_time=0.0, cum_quality=1.0, g=0.0, f=0.0)
     rec = TraceRecorder()
-    outcome = retry_node(node_a, sim, cfg, state, recorder=rec, first_outcome=sim(node_a, 1))
+    outcome = retry_node(node_a, sim, cfg, recorder=rec, first_outcome=sim(node_a, 1))
     assert not outcome.succeeded
     assert outcome.attempts == 4  # 1 original + 3 retries
     assert outcome.extra_time == pytest.approx(3.0)
