@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy
 
 from . import __version__
-from .errors import PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
+from .errors import ParseError, PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
 from .evaluation import brute_force_optimal, pareto_csv, sweep_alpha
 from .execution import Simulator, SimulatorSpec, load_simulator_spec
 from .graphs import (
@@ -177,7 +177,10 @@ def cmd_plan(args, argv: list[str]) -> int:
 
 def cmd_sweep(args, argv: list[str]) -> int:
     bt, graph, inputs = _build_graph(args)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
+    try:
+        alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
+    except ValueError as exc:
+        raise ParseError(f"--alphas must be comma-separated numbers: {exc}") from exc
     cfg = SearchConfig(
         quality_threshold=args.quality_threshold,
         max_retries=args.max_retries,
@@ -239,10 +242,9 @@ def cmd_graph(args, argv: list[str]) -> int:
     mdt = load_mdt(args.mdt)
     inputs = [Path(args.mdt)]
     if args.tree:
-        tree_path = Path(args.tree)
-        tree = parse_subtask_tree(tree_path.read_text(encoding="utf-8"))
-        graph = build_tool_subgraph(tree, mdt)
-        inputs.append(tree_path)
+        tree_text, tree_inputs = _load_tree_text(args)
+        graph = build_tool_subgraph(parse_subtask_tree(tree_text), mdt)
+        inputs += tree_inputs
         text = subgraph_to_json(graph) if args.format == "json" else subgraph_to_dot(graph)
     else:
         tdg = build_tdg(mdt)

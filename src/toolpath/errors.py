@@ -65,6 +65,10 @@ class SearchExhausted(ToolpathError):
     """Raised by batch drivers when a search ends with no valid path."""
 
 
+class InvalidConfig(ToolpathError, ValueError):
+    """Search setting outside its valid range."""
+
+
 class AlphaOutOfRange(ToolpathError):
     """Tradeoff exponent outside [0, 2]."""
 

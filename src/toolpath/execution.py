@@ -220,12 +220,6 @@ class TraceRecorder:
             )
         )
 
-    def annotate_last(self, g_literal: float, g_path: float) -> None:
-        last = self._events[-1]
-        self._events[-1] = TraceEvent(
-            **{**last.__dict__, "g_literal": g_literal, "g_path": g_path}
-        )
-
     def build(self) -> ExecutionTrace:
         return ExecutionTrace(events=tuple(self._events))
 

@@ -34,12 +34,6 @@ class ToolDependencyGraph:
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
-    def successors(self, tool: str) -> list[str]:
-        return sorted(v for (u, v) in self.edges if u == tool)
-
-    def predecessors(self, tool: str) -> list[str]:
-        return sorted(u for (u, v) in self.edges if v == tool)
-
 
 def build_tdg(mdt: ModelDescriptionTable) -> ToolDependencyGraph:
     """Directed edge (u, v) exactly when an output of u is an input of v.
@@ -79,11 +73,6 @@ class PlanNode:
     @property
     def is_root(self) -> bool:
         return self.role == "root"
-
-    def describe(self) -> str:
-        if self.is_root:
-            return ROOT_TOOL
-        return f"{self.tool} [{self.kind}]"
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ after loading and safe to share across concurrent searches.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -70,6 +71,12 @@ def _squash(name: str) -> str:
     return _WS.sub(" ", name.strip())
 
 
+@functools.lru_cache(maxsize=16)
+def _lowercase_index(vocabulary: tuple[str, ...]) -> dict[str, str]:
+    """Lowercased name -> canonical name; the first of equal spellings wins."""
+    return {canon.lower(): canon for canon in reversed(vocabulary)}
+
+
 def canonical_subtask(name: str, vocabulary: tuple[str, ...] = ALL_SUBTASKS) -> str:
     """Map a subtask name to its canonical spelling, or raise UnknownSubtask.
 
@@ -77,11 +84,10 @@ def canonical_subtask(name: str, vocabulary: tuple[str, ...] = ALL_SUBTASKS) -> 
     transcriptions like "Question Answering based on text" resolve to the
     canonical entry.
     """
-    key = _squash(name).lower()
-    for canon in vocabulary:
-        if canon.lower() == key:
-            return canon
-    raise UnknownSubtask(f"unknown subtask {name!r}")
+    canon = _lowercase_index(vocabulary).get(_squash(name).lower())
+    if canon is None:
+        raise UnknownSubtask(f"unknown subtask {name!r}")
+    return canon
 
 
 def normalize_resource(name: str) -> str:

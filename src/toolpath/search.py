@@ -23,11 +23,14 @@ Paths are pruned by Pareto dominance: each node keeps the non-dominated
 searches NAMOA* (Mandow & Perez de la Cruz, JACM 2010) and BOA* (Hernandez
 et al., AIJ 2023).  Execution outcomes are keyed by node and attempt, not
 by the path taken, so a dominated prefix can never complete better than its
-dominator and the pruning is exact.
+dominator and the pruning is exact.  A label is the search's only state:
+it links to the label of the prefix it extends, and the one path returned
+is rebuilt from those links.
 
-A node whose executed quality misses the threshold is retried with a bumped
-attempt counter; a node that exhausts its retries drops the path without
-re-queueing it, while other routes through the same node stay explorable.
+Each generated successor runs through one attempt loop: attempts 1 to
+1 + max_retries are executed until one meets the quality threshold.  A
+successor that never passes drops the path without re-queueing it, while
+other routes through the same node stay explorable.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ import logging
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 
-from .errors import AlphaOutOfRange, QueueOverflow
-from .execution import ExecutionOutcome, TraceRecorder, validate_quality
-from .graphs import ROOT_ID, PlanNode, ToolSubgraph
+from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
+from .execution import TraceRecorder, validate_quality
+from .graphs import ROOT_ID, ToolSubgraph
 from .planning import kahn_order
 from .registry import BenchmarkTable
 
@@ -71,11 +74,13 @@ class SearchConfig:
     def __post_init__(self):
         validate_alpha(self.alpha)
         if not 0.0 <= self.quality_threshold <= 1.0:
-            raise ValueError("quality_threshold must lie in [0, 1]")
+            raise InvalidConfig(
+                f"quality_threshold must lie in [0, 1], got {self.quality_threshold}"
+            )
         if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+            raise InvalidConfig(f"max_retries must be non-negative, got {self.max_retries}")
         if self.queue_cap < 1:
-            raise ValueError("queue_cap must be positive")
+            raise InvalidConfig(f"queue_cap must be positive, got {self.queue_cap}")
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -177,56 +182,14 @@ class PathStep:
 
 @dataclass(frozen=True)
 class PathState:
+    """A returned root-to-leaf path; the search itself keeps `_Label`s."""
+
     node_ids: tuple[int, ...]
     steps: tuple[PathStep, ...]
     cum_time: float
     cum_quality: float
     g: float
     f: float
-
-
-@dataclass(frozen=True)
-class RetryOutcome:
-    succeeded: bool
-    extra_time: float
-    final_quality: float
-    attempts: int  # total invocations including the original failed one
-
-
-def retry_node(
-    node: PlanNode,
-    executor,
-    cfg: SearchConfig,
-    recorder: TraceRecorder | None = None,
-    first_outcome: ExecutionOutcome | None = None,
-) -> RetryOutcome:
-    """Re-invoke a below-threshold node with bumped attempt counters.
-
-    Stops at the first attempt meeting the quality threshold, or after
-    max_retries re-invocations.  extra_time sums the retry attempts only;
-    the original attempt's time is already on the path.
-    """
-    extra_time = 0.0
-    final_quality = first_outcome.quality if first_outcome is not None else 0.0
-    retries = 0
-    succeeded = False
-    for attempt in range(2, cfg.max_retries + 2):
-        outcome = executor(node, attempt)
-        retries += 1
-        extra_time += outcome.time_seconds
-        final_quality = outcome.quality
-        passed = validate_quality(outcome, cfg.quality_threshold)
-        if recorder is not None:
-            recorder.record(node, attempt, outcome, passed)
-        if passed:
-            succeeded = True
-            break
-    return RetryOutcome(
-        succeeded=succeeded,
-        extra_time=extra_time,
-        final_quality=final_quality,
-        attempts=1 + retries,
-    )
 
 
 @dataclass(frozen=True)
@@ -300,17 +263,25 @@ class PlanResult:
 
 
 class _Label:
-    """A (cum_time, cum_quality) pair that reached a node; dead once dominated."""
+    """One path prefix: its (cum_time, cum_quality), the step that ended it
+    and the label of the prefix before it (None at the root).
 
-    __slots__ = ("time", "quality", "alive")
+    The label is dead once a newer label at its node dominates it.
+    """
 
-    def __init__(self, time: float, quality: float):
+    __slots__ = ("time", "quality", "step", "parent", "alive")
+
+    def __init__(self, time: float, quality: float, step: PathStep, parent: _Label | None):
         self.time = time
         self.quality = quality
+        self.step = step
+        self.parent = parent
         self.alive = True
 
 
-def _admit(labels: list[_Label], time: float, quality: float) -> _Label | None:
+def _admit(
+    labels: list[_Label], time: float, quality: float, step: PathStep, parent: _Label | None
+) -> _Label | None:
     """Add (time, quality) to a node's non-dominated labels.
 
     Returns None when a live label is at least as good on both coordinates,
@@ -325,9 +296,27 @@ def _admit(labels: list[_Label], time: float, quality: float) -> _Label | None:
         if time <= label.time and quality >= label.quality:
             label.alive = False
     labels[:] = [label for label in labels if label.alive]
-    new = _Label(time, quality)
+    new = _Label(time, quality, step, parent)
     labels.append(new)
     return new
+
+
+def _path(label: _Label, f: float, alpha: float) -> PathState:
+    """The path ending at `label`, rebuilt by walking its parent links."""
+    steps = []
+    link = label
+    while link is not None:
+        steps.append(link.step)
+        link = link.parent
+    steps.reverse()
+    return PathState(
+        node_ids=tuple(step.node_id for step in steps),
+        steps=tuple(steps),
+        cum_time=label.time,
+        cum_quality=label.quality,
+        g=compute_g(label.time, label.quality, alpha),
+        f=f,
+    )
 
 
 def astar_search(
@@ -339,33 +328,24 @@ def astar_search(
 ) -> PlanResult:
     """Best-first search returning the first leaf-ending path popped.
 
-    Successors are executed when generated; a passing node extends the
-    path, a failing one goes through the retry mechanism and, if it never
-    passes, the extension is dropped without re-queueing.  Queue order is
-    (f, insertion counter), so runs replay exactly; f is the admissible
-    bound of the module docstring, so the first leaf popped is optimal.
-    A path whose (cum_time, cum_quality) label at its node is weakly
-    dominated by a live label there is dropped; queued paths whose labels
-    a newer label dominates are skipped when popped.
+    Successors are executed when generated, up to 1 + max_retries times
+    until an attempt meets the quality threshold; a successor that never
+    passes is dropped without re-queueing.  Queue order is (f, insertion
+    counter), so runs replay exactly; f is the admissible bound of the
+    module docstring, so the first leaf popped is optimal.  A prefix whose
+    (cum_time, cum_quality) label at its node is weakly dominated by a live
+    label there is dropped; queued labels that a newer label dominates are
+    skipped when popped.
     """
     rec = recorder if recorder is not None else TraceRecorder()
-    alpha = cfg.alpha
+    alpha, threshold = cfg.alpha, cfg.quality_threshold
     min_time, max_quality = bounds.min_time, bounds.max_quality
     counter = itertools.count()
     stats = dict.fromkeys(SearchStats.__dataclass_fields__, 0)
     labels: list[list[_Label]] = [[] for _ in graph.nodes]
-    root_label = _admit(labels[ROOT_ID], 0.0, 1.0)
-    root_state = PathState(
-        node_ids=(ROOT_ID,),
-        steps=(PathStep(node_id=ROOT_ID, time_seconds=0.0, quality=1.0, attempts=0),),
-        cum_time=0.0,
-        cum_quality=1.0,
-        g=0.0,
-        f=compute_g(min_time[ROOT_ID], max_quality[ROOT_ID], alpha),
-    )
-    heap: list[tuple[float, int, PathState, _Label]] = [
-        (root_state.f, next(counter), root_state, root_label)
-    ]
+    root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
+    f_root = compute_g(min_time[ROOT_ID], max_quality[ROOT_ID], alpha)
+    heap: list[tuple[float, int, _Label]] = [(f_root, next(counter), root)]
     stats["peak_frontier"] = 1
 
     def finish(status: str, path: PathState | None) -> PlanResult:
@@ -376,70 +356,54 @@ def astar_search(
         return result
 
     while heap:
-        _, _, state, label = heappop(heap)
+        f, _, label = heappop(heap)
         if not label.alive:
             stats["stale_pops"] += 1
             continue
         stats["expanded"] += 1
-        last = state.node_ids[-1]
+        last = label.step.node_id
         if last in graph.leaves:
-            return finish(STATUS_FOUND, state)
+            return finish(STATUS_FOUND, _path(label, f, alpha))
         for succ in graph.successors[last]:
             node = graph.nodes[succ]
-            first = executor(node, 1)
             stats["generated"] += 1
-            stats["executions"] += 1
-            passed = validate_quality(first, cfg.quality_threshold)
-            rec.record(node, 1, first, passed)
-            if passed:
-                attempts, extra_time, final_quality = 1, 0.0, first.quality
+            retry_time = 0.0
+            for attempt in range(1, cfg.max_retries + 2):
+                outcome = executor(node, attempt)
+                stats["executions"] += 1
+                if attempt == 1:
+                    first = outcome
+                else:
+                    stats["retries"] += 1
+                    retry_time += outcome.time_seconds
+                if validate_quality(outcome, threshold):
+                    break
+                rec.record(node, attempt, outcome, False)
             else:
-                retry = retry_node(node, executor, cfg, recorder=rec, first_outcome=first)
-                stats["retries"] += retry.attempts - 1
-                stats["executions"] += retry.attempts - 1
-                if not retry.succeeded:
-                    stats["dropped_after_retries"] += 1
-                    continue
-                attempts = retry.attempts
-                extra_time = retry.extra_time
-                final_quality = retry.final_quality
+                stats["dropped_after_retries"] += 1
+                continue
 
-            cum_time = state.cum_time + first.time_seconds + extra_time
-            cum_quality = state.cum_quality * final_quality
-            g_path = compute_g(cum_time, cum_quality, alpha)
-            if attempts > 1:
+            # Retry times are summed apart from the first attempt, as the split
+            # in g_literal needs; a running total would round differently.
+            cum_time = label.time + first.time_seconds + retry_time
+            cum_quality = label.quality * outcome.quality
+            g_literal = g_path = None
+            if attempt > 1:
                 g_literal = compute_g(
-                    state.cum_time + first.time_seconds, state.cum_quality * first.quality, alpha
-                ) + compute_g(extra_time, final_quality, alpha)
-                rec.annotate_last(g_literal=g_literal, g_path=g_path)
+                    label.time + first.time_seconds, label.quality * first.quality, alpha
+                ) + compute_g(retry_time, outcome.quality, alpha)
+                g_path = compute_g(cum_time, cum_quality, alpha)
+            rec.record(node, attempt, outcome, True, g_literal=g_literal, g_path=g_path)
 
-            succ_label = _admit(labels[succ], cum_time, cum_quality)
+            step = PathStep(succ, first.time_seconds + retry_time, outcome.quality, attempt)
+            succ_label = _admit(labels[succ], cum_time, cum_quality, step, label)
             if succ_label is None:
                 stats["pruned_by_dominance"] += 1
                 continue
-
             f = compute_g(cum_time + min_time[succ], cum_quality * max_quality[succ], alpha)
-            next_state = PathState(
-                node_ids=state.node_ids + (succ,),
-                steps=state.steps
-                + (
-                    PathStep(
-                        node_id=succ,
-                        time_seconds=first.time_seconds + extra_time,
-                        quality=final_quality,
-                        attempts=attempts,
-                    ),
-                ),
-                cum_time=cum_time,
-                cum_quality=cum_quality,
-                g=g_path,
-                f=f,
-            )
-            heappush(heap, (f, next(counter), next_state, succ_label))
+            heappush(heap, (f, next(counter), succ_label))
             stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
             if len(heap) > cfg.queue_cap:
-                raise QueueOverflow(
-                    f"search queue exceeded its capacity of {cfg.queue_cap} paths"
-                )
+                raise QueueOverflow(f"search queue exceeded its capacity of {cfg.queue_cap} paths")
 
     return finish(STATUS_EXHAUSTED, None)

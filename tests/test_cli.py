@@ -152,6 +152,30 @@ def test_sweep_alpha_out_of_range(data_dir, capsys):
     assert code == 1
 
 
+def test_sweep_non_numeric_alpha_is_input_error(data_dir, capsys):
+    code = main(["sweep", *_args_detection(data_dir), "--alphas", "0,abc"])
+    assert code == 1
+    assert "error: --alphas" in capsys.readouterr().err
+
+
+def test_plan_quality_threshold_above_one_is_input_error(data_dir, capsys):
+    code = main(["plan", *_args_detection(data_dir), "--quality-threshold", "1.5"])
+    assert code == 1
+    assert "error: quality_threshold" in capsys.readouterr().err
+
+
+def test_plan_nan_quality_threshold_is_input_error(data_dir, capsys):
+    code = main(["plan", *_args_detection(data_dir), "--quality-threshold", "nan"])
+    assert code == 1
+    assert "error: quality_threshold" in capsys.readouterr().err
+
+
+def test_plan_negative_max_retries_is_input_error(data_dir, capsys):
+    code = main(["plan", *_args_detection(data_dir), "--max-retries", "-1"])
+    assert code == 1
+    assert "error: max_retries" in capsys.readouterr().err
+
+
 def test_sweep_exhaustion_exits_2(data_dir, tmp_path):
     rows = json.loads((data_dir / "benchmark_detection_choice.json").read_text())
     script = [
@@ -248,6 +272,16 @@ def test_graph_subgraph_json(data_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["nodes"][0]["tool"] == "ROOT"
     assert len(payload["nodes"]) == 5
+
+
+def test_graph_missing_tree_is_input_error(data_dir, capsys):
+    code = main([
+        "graph",
+        "--mdt", str(data_dir / "mdt_table1.json"),
+        "--tree", str(data_dir / "missing.json"),
+    ])
+    assert code == 1
+    assert "error: tree file not found" in capsys.readouterr().err
 
 
 def test_graph_full_mdt_edge_count_matches_oracle(data_dir, capsys):

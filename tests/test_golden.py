@@ -9,6 +9,7 @@ change: `PYTHONPATH=src python tests/test_golden.py` prints it.
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -31,6 +32,10 @@ FIXTURES = (
     ("table1", "replacement"),
 )
 PLAN_ALPHAS = ("0", "0.5", "1", "2")
+# Stochastic plans on these fixtures retry and pass, so their traces carry
+# a non-null g_literal; deterministic plans never pass a retry.
+STOCHASTIC_FIXTURES = (("full", "detection_choice"), ("full", "example1"), ("full", "example2"))
+STOCHASTIC_SEEDS = ("0", "2")
 TDG_MDTS = ("detection_choice", "full", "table1")
 
 
@@ -52,6 +57,19 @@ def _cases() -> dict[str, tuple[list[str], tuple[str, ...]]]:
             cases[f"graph {name} {fmt}"] = (
                 ["graph", *mdt, *tree_file, "--format", fmt, "--out", "OUT"], ("",)
             )
+    for tables, tree in STOCHASTIC_FIXTURES:
+        inputs = [
+            "--mdt", str(DATA_DIR / f"mdt_{tables}.json"),
+            "--benchmark", str(DATA_DIR / f"benchmark_{tables}.json"),
+            "--tree", str(DATA_DIR / f"tree_{tree}.json"),
+        ]
+        for seed in STOCHASTIC_SEEDS:
+            for alpha in PLAN_ALPHAS:
+                cases[f"plan {tables}/{tree} stochastic seed={seed} alpha={alpha}"] = (
+                    ["plan", *inputs, "--sim", "stochastic", "--seed", seed, "--alpha", alpha,
+                     "--out", "OUT"],
+                    ("", ".trace.json"),
+                )
     for tables in TDG_MDTS:
         for fmt in ("json", "dot"):
             cases[f"graph tdg {tables} {fmt}"] = (
@@ -155,12 +173,46 @@ GOLDEN = {
     'verify table1/detection_choice': '4cfa0ee5eb59c92d1e9b1a08da2e229a1c8b64521dac9276d72ab26c62466617',
     'verify table1/example1': '046bfaf1154353079d3ebd401fa7600382f9fed2c01d354f3647eab7a6be739f',
     'verify table1/replacement': '691557f0816e12a4ed349b4e0fcc0cf23b1064a88cf6bc40fe48c94d133fd46a',
+    # Recorded before the search kept parent-linked labels and one attempt loop.
+    'plan full/detection_choice stochastic seed=0 alpha=0': '30aa03ec4937a0e9a8522c4f51ec649973ac852c58087d8bb86c657ca9ccee76',
+    'plan full/detection_choice stochastic seed=0 alpha=0.5': '23937c7bc40be4e91ea202807bfb9594cf908e424fb35221b8ec1d37f725bd26',
+    'plan full/detection_choice stochastic seed=0 alpha=1': '556c388ec9a17a99f28b7f111edc7fa7e120946c2a4ec3a1bd1c594752abd988',
+    'plan full/detection_choice stochastic seed=0 alpha=2': '0a890ae7475a4956fffc8c4567198718cea312a4b5a4732ed9e168a87f654b11',
+    'plan full/detection_choice stochastic seed=2 alpha=0': '48e91f3ba18120fe2c2551279aa81ca3251757c86781a9994d361310f1037163',
+    'plan full/detection_choice stochastic seed=2 alpha=0.5': '8f63a58f1067c7dcd7103580b8e72f5829dab0ed7398e3e06b938a136ab70192',
+    'plan full/detection_choice stochastic seed=2 alpha=1': '338cee1b100aeb1b4aabae0912631475276be0d12f273a3e7b0c130e6c0afa04',
+    'plan full/detection_choice stochastic seed=2 alpha=2': '93158b0e44c989805981c8596f6356edc6659d8ecb604602af28dd0408f48e43',
+    'plan full/example1 stochastic seed=0 alpha=0': '904540934d975a6636c83cd15f84a31c079cef48a0a9d029d41f3f9951f07cb4',
+    'plan full/example1 stochastic seed=0 alpha=0.5': '850f6131f19b1d2bfd04a7e28e6c866cd01632b1e006becde505c6b138173e04',
+    'plan full/example1 stochastic seed=0 alpha=1': '1d210153f24b34caf4ff4594ab723363d5e225d7f96b70c0b91a143abc5d4456',
+    'plan full/example1 stochastic seed=0 alpha=2': 'ef865d3842a5d846c4a402e452f004820f089a7408a09546da72f50a25d06180',
+    'plan full/example1 stochastic seed=2 alpha=0': 'df619678e2897a30b1f53c3ee193dc2e9a4c092040d95648fe1ad27b0cf877ec',
+    'plan full/example1 stochastic seed=2 alpha=0.5': '6a40394c786f15e4876d9fdb097a2ba787f4925b494e85fa739ed94636877168',
+    'plan full/example1 stochastic seed=2 alpha=1': 'c8a87e4b512c77b68fbd622826fe210992fdcad3f9f51bb5183fa5d7bf65e7d7',
+    'plan full/example1 stochastic seed=2 alpha=2': 'e2b23dc082aa51d4e60b9c26465359df69877c6f47a4ca2bccb498d8366bc9a7',
+    'plan full/example2 stochastic seed=0 alpha=0': 'f32c78906d7c6243f3bca75c01c3b409a7ddb86729b1274ff7a9553d57f31bc7',
+    'plan full/example2 stochastic seed=0 alpha=0.5': 'abc28d6fb3963f4c0aaf0d46833ca6fc02f799371bf8f7bc86deeedd53f5a7a3',
+    'plan full/example2 stochastic seed=0 alpha=1': '68bccdb51a718c10cc72f7b3b4a10cd35f8f8c0a92d0fa661894d59021d88a29',
+    'plan full/example2 stochastic seed=0 alpha=2': 'fede53791730281b35183d877e21930bc73fe5b5a4cd8896f17959e1c78afc7d',
+    'plan full/example2 stochastic seed=2 alpha=0': '5a250b52da8ed4de999cca5c826a9a6d13ec64a01e8e4acc375f54eacac440e7',
+    'plan full/example2 stochastic seed=2 alpha=0.5': 'dc9f291c99f548fbc902e5372a81e24f6a4b6238b024d799aa9afd1a48e9c578',
+    'plan full/example2 stochastic seed=2 alpha=1': '11d85aad95eaa10bd6fec911327da2d77da0c8ce6ee98c4d8b45e3e6702329e0',
+    'plan full/example2 stochastic seed=2 alpha=2': 'b93de9c0f4bc188c581578435151dddf0864d39cfa65d9a61f3e8f34785a6827',
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_digest(case, tmp_path):
     assert _digest(case, tmp_path) == GOLDEN[case]
+
+
+def test_stochastic_plan_trace_holds_a_passing_retry(tmp_path):
+    # Without a passing retry the stochastic digests would not pin g_literal.
+    argv, _ = CASES["plan full/example2 stochastic seed=0 alpha=1"]
+    out = tmp_path / "out"
+    assert main([str(out) if a == "OUT" else a for a in argv]) == 0
+    trace = json.loads(Path(f"{out}.trace.json").read_text(encoding="utf-8"))
+    assert sum(e["g_literal"] is not None for e in trace["events"]) >= 1
 
 
 if __name__ == "__main__":

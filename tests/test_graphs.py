@@ -303,11 +303,3 @@ def test_dot_exports(data_dir, detection_fixture):
     gdot = subgraph_to_dot(g)
     assert gdot.startswith("digraph")
     assert "n0" in gdot and "diamond" in gdot
-
-
-def test_tdg_neighbor_queries(data_dir):
-    mdt = load_mdt(data_dir / "mdt_table1.json")
-    tdg = build_tdg(mdt)
-    assert tdg.successors("SAM") == ["DALL-E", "Stable Diffusion Inpaint"]
-    assert tdg.predecessors("SAM") == ["YOLO"]
-    assert tdg.predecessors("YOLO") == []

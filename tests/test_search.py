@@ -9,20 +9,20 @@ from hypothesis import strategies as st
 
 from oracles import dijkstra_min_time, reference_heuristic
 from synth import build_payload, built_instance, chain_instance, random_plan_graph
-from toolpath.errors import AlphaOutOfRange, MissingBenchmark, QueueOverflow
+from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import brute_force_optimal, path_objective
-from toolpath.execution import Simulator, SimulatorSpec, TraceRecorder
+from toolpath.execution import Simulator, SimulatorSpec
 from toolpath.graphs import build_tool_subgraph, enumerate_paths
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import BenchmarkRow, BenchmarkTable
 from toolpath.search import (
     STATUS_EXHAUSTED,
+    PathStep,
     SearchConfig,
     _admit,
     astar_search,
     compute_g,
     precompute_heuristics,
-    retry_node,
     suffix_bounds,
     validate_alpha,
 )
@@ -70,6 +70,16 @@ def test_validate_alpha_domain():
         validate_alpha(2.01)
     with pytest.raises(AlphaOutOfRange):
         SearchConfig(alpha=3.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"quality_threshold": 1.5}, {"quality_threshold": float("nan")}, {"max_retries": -1}, {"queue_cap": 0}],
+)
+def test_search_config_rejects_bad_settings(kwargs):
+    with pytest.raises(InvalidConfig) as info:
+        SearchConfig(**kwargs)
+    assert isinstance(info.value, ValueError)
 
 
 # ---------------------------------------------------------------- heuristics
@@ -279,28 +289,33 @@ def test_retry_succeeds_on_second_attempt():
     script = {
         ("A", "Object Detection", 1): (1.0, 0.5),
         ("A", "Object Detection", 2): (1.5, 0.9),
+        ("B", "Object Detection", 1): (5.0, 1.0),
     }
     sim = Simulator(SimulatorSpec(mode="scripted", script=script), bt, seed=0)
-    cfg = SearchConfig(alpha=1.0, quality_threshold=0.8, max_retries=3)
-    first = sim(node_a, 1)
-    outcome = retry_node(node_a, sim, cfg, first_outcome=first)
-    assert outcome.succeeded
-    assert outcome.attempts == 2
-    assert outcome.final_quality == 0.9
-    assert outcome.extra_time == 1.5
+    res = _run(graph, bt, alpha=1.0, sim=sim, quality_threshold=0.8, max_retries=3)
+    assert res.found and res.path.node_ids == (0, node_a.node_id)
+    step = res.path.steps[-1]
+    assert step.attempts == 2
+    assert step.quality == 0.9
+    events = [e for e in res.trace.events if e.node_id == node_a.node_id]
+    assert [(e.attempt, e.decision) for e in events] == [(1, "fail"), (2, "pass")]
+    assert events[-1].time_seconds == 1.5  # the retry's time, on top of the first
+    assert res.stats.retries == 1
 
 
 def test_retry_exhaustion_attempt_count():
     graph, bt = _scripted_two_branch()
     node_a = next(n for n in graph.nodes if n.tool == "A")
     script = {("A", "Object Detection", k): (1.0, 0.1) for k in range(1, 5)}
+    script[("B", "Object Detection", 1)] = (5.0, 1.0)
     sim = Simulator(SimulatorSpec(mode="scripted", script=script), bt, seed=0)
-    cfg = SearchConfig(alpha=1.0, quality_threshold=0.8, max_retries=3)
-    rec = TraceRecorder()
-    outcome = retry_node(node_a, sim, cfg, recorder=rec, first_outcome=sim(node_a, 1))
-    assert not outcome.succeeded
-    assert outcome.attempts == 4  # 1 original + 3 retries
-    assert outcome.extra_time == pytest.approx(3.0)
+    res = _run(graph, bt, alpha=1.0, sim=sim, quality_threshold=0.8, max_retries=3)
+    assert node_a.node_id not in res.path.node_ids
+    events = [e for e in res.trace.events if e.node_id == node_a.node_id]
+    assert len(events) == 4  # 1 original + 3 retries
+    assert all(e.decision == "fail" for e in events)
+    assert sum(e.time_seconds for e in events if e.attempt > 1) == pytest.approx(3.0)
+    assert res.stats.dropped_after_retries == 1
 
 
 def test_failing_branch_falls_back_to_sibling():
@@ -463,17 +478,18 @@ def test_suffix_bounds_missing_benchmark():
 
 def test_label_rules():
     labels = []
-    first = _admit(labels, 2.0, 0.9)
+    step = PathStep(node_id=1, time_seconds=1.0, quality=0.9, attempts=1)
+    first = _admit(labels, 2.0, 0.9, step, None)
     assert first is not None
     # weakly dominated (equal time, lower quality) and equal labels are dropped
-    assert _admit(labels, 2.0, 0.8) is None
-    assert _admit(labels, 2.0, 0.9) is None
+    assert _admit(labels, 2.0, 0.8, step, None) is None
+    assert _admit(labels, 2.0, 0.9, step, None) is None
     assert [(x.time, x.quality) for x in labels] == [(2.0, 0.9)]
     # a trade-off label is kept beside the first
-    other = _admit(labels, 1.0, 0.5)
+    other = _admit(labels, 1.0, 0.5, step, None)
     assert other is not None and first.alive and other.alive
     # a label dominating both kills them and is the only one left
-    best = _admit(labels, 1.0, 0.95)
+    best = _admit(labels, 1.0, 0.95, step, None)
     assert not first.alive and not other.alive
     assert labels == [best]
 
@@ -521,6 +537,40 @@ def test_search_stats_logged_at_debug(detection_fixture, caplog):
 def test_search_matches_oracle_at_any_alpha(seed, alpha):
     graph, bt, *_ = built_instance(seed)
     assert brute_force_optimal(graph, bt, alpha).gap == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=299),
+    sim_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alpha=st.floats(min_value=0.0, max_value=2.0),
+)
+def test_stochastic_replays_are_bit_stable(seed, sim_seed, alpha):
+    graph, bt, *_ = built_instance(seed)
+    runs = []
+    for _ in range(2):
+        sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=0.1), bt, sim_seed)
+        res = _run(graph, bt, alpha=alpha, sim=sim, seed=sim_seed)
+        runs.append(json.dumps([res.to_json_dict(graph), res.trace.to_json_dict()], sort_keys=True))
+    assert runs[0] == runs[1]
+
+
+def test_one_path_state_per_search(detection_fixture, monkeypatch):
+    import toolpath.search as search
+
+    built = []
+    path_state = search.PathState
+
+    def counting_path_state(*args, **kwargs):
+        built.append(path_state(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(search, "PathState", counting_path_state)
+    graph, bt = detection_fixture
+    res = _run(graph, bt, alpha=1.0)
+    assert built == [res.path]
+    assert res.path.node_ids[0] == 0 and res.path.node_ids[-1] in graph.leaves
+    assert [step.node_id for step in res.path.steps] == list(res.path.node_ids)
 
 
 @pytest.mark.parametrize(("alpha", "expanded", "executions"), [(2.0, 25, 384), (1.5, 267, 4256)])
