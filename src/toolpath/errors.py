@@ -53,6 +53,10 @@ class UnsatisfiableDependency(ToolpathError):
     """A required input resource has no producer chain in the dependency graph."""
 
 
+class DependencyTooDeep(ToolpathError):
+    """A prerequisite chain is nested deeper than the resolver can follow."""
+
+
 class PathExplosion(ToolpathError):
     """Root-to-leaf path count exceeds the configured cap."""
 

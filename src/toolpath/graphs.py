@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import NoToolForSubtask, PathExplosion, UnsatisfiableDependency
+from .errors import DependencyTooDeep, NoToolForSubtask, PathExplosion, UnsatisfiableDependency
 from .planning import SubtaskInstance, SubtaskTree, kahn_order, root_to_leaf_paths, topological_order
 from .registry import ModelDescriptionTable, ToolRecord, normalize_resource
 
@@ -197,7 +197,13 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
         terminals: list[int] = []
         produced_sets: list[frozenset[str]] = []
         for record in candidates:
-            chain = _resolve(record, avail_in, mdt, frozenset())
+            try:
+                chain = _resolve(record, avail_in, mdt, frozenset())
+            except RecursionError:
+                raise DependencyTooDeep(
+                    f"prerequisite chain of {record.tool!r} ({record.subtask}) is nested "
+                    "too deeply to resolve"
+                ) from None
             seq = chain + [record]
             prefix: tuple[tuple[str, str], ...] = ()
             prev_id: int | None = None

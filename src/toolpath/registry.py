@@ -13,7 +13,6 @@ import functools
 import json
 import logging
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,11 +63,9 @@ AUXILIARY_SUBTASKS: tuple[str, ...] = ("Text Style Detection",)
 
 ALL_SUBTASKS: tuple[str, ...] = PLANNER_SUBTASKS + AUXILIARY_SUBTASKS
 
-_WS = re.compile(r"\s+")
-
 
 def _squash(name: str) -> str:
-    return _WS.sub(" ", name.strip())
+    return " ".join(name.split())
 
 
 @functools.lru_cache(maxsize=16)

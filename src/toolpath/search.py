@@ -9,14 +9,17 @@ quality.  g never falls when time rises or quality falls, for every alpha.
 
 The paper orders paths by f = g + h, with the suffix estimate h of
 `precompute_heuristics`.  That sum overestimates the best completion when
-alpha < 1, so the search here orders by an admissible bound instead: with
-`suffix_bounds` giving, per node, the minimum suffix time and the maximum
-suffix quality product, a prefix (T, Q) at node n is queued at
+alpha < 1, so the search here orders by an exact bound instead:
+`suffix_bounds` gives, per node, the Pareto front of (suffix time, suffix
+quality product) over benchmark values, and a prefix (T, Q) at node n is
+queued at
 
-    f = g(T + min_time[n], Q * max_quality[n])
+    f = min over (t, q) in fronts[n] of g(T + t, Q * q)
 
-which never exceeds the g of any completion and equals g at a leaf.  The
-paper's h stays available as `precompute_heuristics`.
+the best completion of the prefix under benchmark values.  It never
+exceeds the g of any completion at any alpha, and equals g at a leaf,
+whose front is the single point (0, 1).  The paper's h stays available as
+`precompute_heuristics`.
 
 Paths are pruned by Pareto dominance: each node keeps the non-dominated
 (cum_time, cum_quality) labels that reached it, as in the label-setting
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 
@@ -140,36 +144,73 @@ def precompute_heuristics(
     return entries
 
 
+# (suffix time, suffix quality product) pairs, ascending in both.
+Front = tuple[tuple[float, float], ...]
+
+
 @dataclass(frozen=True)
 class SuffixBounds:
-    """Per-node best cases over every completion, indexed by node id."""
+    """Per-node Pareto fronts of completions, indexed by node id.
 
-    min_time: tuple[float, ...]
-    max_quality: tuple[float, ...]
+    `fronts[n]` lists the non-dominated (suffix time, suffix quality
+    product) pairs over every completion from node n.
+    """
+
+    fronts: tuple[Front, ...]
 
 
 def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
-    """Minimum suffix time and maximum suffix quality product of every node.
+    """Pareto front of suffix (time, quality product) of every node.
 
     One reverse-topological pass over benchmark values, independent of
-    alpha; sinks get (0, 1).  The two extrema may come from different
-    successors, which keeps both of them optimistic.
+    alpha; a sink's front is ((0, 1),).  A node merges its successors'
+    fronts, each shifted by that successor's benchmark row, and keeps the
+    points no other point weakly dominates.  A front depends only on the
+    successors, so nodes with the same successors share one front.
     """
-    min_time = [0.0] * len(graph.nodes)
-    max_quality = [1.0] * len(graph.nodes)
+    fronts: list[Front] = [((0.0, 1.0),)] * len(graph.nodes)
+    shared: dict[tuple[int, ...], Front] = {}
     for node_id in kahn_order(dict(enumerate(graph.predecessors))):
         succs = graph.successors[node_id]
         if not succs:
             continue
-        times, qualities = [], []
-        for succ in succs:
-            node = graph.nodes[succ]
-            row = bt.row(node.tool, node.kind)
-            times.append(row.time_seconds + min_time[succ])
-            qualities.append(row.quality_norm * max_quality[succ])
-        min_time[node_id] = min(times)
-        max_quality[node_id] = max(qualities)
-    return SuffixBounds(min_time=tuple(min_time), max_quality=tuple(max_quality))
+        front = shared.get(succs)
+        if front is None:
+            points = []
+            for succ in succs:
+                node = graph.nodes[succ]
+                row = bt.row(node.tool, node.kind)
+                c, r = row.time_seconds, row.quality_norm
+                points += [(c + t, -(r * q)) for t, q in fronts[succ]]
+            # Ascending time, higher quality first among equal times: a point
+            # survives only if it beats the quality of every faster one.
+            points.sort()
+            kept = []
+            for t, neg_q in points:
+                if not kept or -neg_q > kept[-1][1]:
+                    kept.append((t, -neg_q))
+            front = shared[succs] = tuple(kept)
+        fronts[node_id] = front
+    return SuffixBounds(fronts=tuple(fronts))
+
+
+def _front_bound(front: Front, time: float, quality: float, alpha: float) -> float:
+    """min over (t, q) in `front` of g(time + t, quality * q).
+
+    Times ascend along the front, so once (time + t) ** alpha times the
+    quality factor of the front's best quality reaches the best g found,
+    no later point can do better.
+    """
+    floor = (2.0 - quality * front[-1][1]) ** (2.0 - alpha)
+    best = math.inf
+    for t, q in front:
+        total = time + t
+        if total**alpha * floor >= best:
+            break
+        g = compute_g(total, quality * q, alpha)
+        if g < best:
+            best = g
+    return best
 
 
 @dataclass(frozen=True)
@@ -339,12 +380,12 @@ def astar_search(
     """
     rec = recorder if recorder is not None else TraceRecorder()
     alpha, threshold = cfg.alpha, cfg.quality_threshold
-    min_time, max_quality = bounds.min_time, bounds.max_quality
+    fronts = bounds.fronts
     counter = itertools.count()
     stats = dict.fromkeys(SearchStats.__dataclass_fields__, 0)
     labels: list[list[_Label]] = [[] for _ in graph.nodes]
     root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
-    f_root = compute_g(min_time[ROOT_ID], max_quality[ROOT_ID], alpha)
+    f_root = _front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha)
     heap: list[tuple[float, int, _Label]] = [(f_root, next(counter), root)]
     stats["peak_frontier"] = 1
 
@@ -400,7 +441,7 @@ def astar_search(
             if succ_label is None:
                 stats["pruned_by_dominance"] += 1
                 continue
-            f = compute_g(cum_time + min_time[succ], cum_quality * max_quality[succ], alpha)
+            f = _front_bound(fronts[succ], cum_time, cum_quality, alpha)
             heappush(heap, (f, next(counter), succ_label))
             stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
             if len(heap) > cfg.queue_cap:

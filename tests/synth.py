@@ -215,6 +215,36 @@ def deep_chain_instance(depth: int) -> dict:
     }
 
 
+def deep_prerequisite_instance(depth: int) -> dict:
+    """A one-subtask tree whose only tool needs a `depth`-long helper chain.
+
+    Helper H_i turns resource R_{i+1} into R_i, H_{depth-1} reads the input
+    image, and Deblur needs R0, so resolving Deblur's prerequisites walks
+    every helper in turn.
+    """
+    kind = "Image Deblurring"
+    helpers = [
+        {
+            "tool": f"H{i}",
+            "subtasks": ["Object Detection"],
+            "inputs": [f"R{i + 1}" if i + 1 < depth else "Input Image"],
+            "outputs": [f"R{i}"],
+        }
+        for i in range(depth)
+    ]
+    return {
+        "mdt": [{"tool": "Deblur", "subtasks": [kind], "inputs": ["R0"], "outputs": ["Sharp Image"]}, *helpers],
+        "benchmark": [
+            {"tool": "Deblur", "subtask": kind, "time_seconds": 1.0, "quality": 1.0},
+            *(
+                {"tool": h["tool"], "subtask": "Object Detection", "time_seconds": 0.1, "quality": 1.0}
+                for h in helpers
+            ),
+        ],
+        "tree": {"task": "sharpen", "subtask_tree": [{"subtask": f"{kind}(1)", "parent": []}]},
+    }
+
+
 def built_instance(seed: int, unit_quality: bool = False):
     """Instance materialized through the real parsers and builder."""
     return build_payload(random_pipeline_instance(seed, unit_quality=unit_quality))

@@ -5,7 +5,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from synth import deep_chain_instance, random_pipeline_instance, write_instance
+from synth import deep_chain_instance, deep_prerequisite_instance, random_pipeline_instance, write_instance
 from toolpath import cli
 from toolpath.cli import EXIT_QUEUE_OVERFLOW, main
 from toolpath.search import SearchConfig
@@ -242,6 +242,33 @@ def test_verify_deep_chain_tree(tmp_path):
     assert json.loads(out.read_text())["paths_enumerated"] == 1
 
 
+def test_plan_deep_prerequisite_chain_is_input_error(tmp_path, capsys):
+    paths = write_instance(deep_prerequisite_instance(1200), tmp_path / "deep")
+    code = main([
+        "plan",
+        "--mdt", str(paths["mdt"]),
+        "--benchmark", str(paths["benchmark"]),
+        "--tree", str(paths["tree"]),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too deeply" in err
+
+
+def test_plan_short_prerequisite_chain_is_spliced(tmp_path):
+    paths = write_instance(deep_prerequisite_instance(3), tmp_path / "short")
+    out = tmp_path / "plan.json"
+    code = main([
+        "plan",
+        "--mdt", str(paths["mdt"]),
+        "--benchmark", str(paths["benchmark"]),
+        "--tree", str(paths["tree"]),
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert [row["tool"] for row in json.loads(out.read_text())["path"]] == ["ROOT", "H2", "H1", "H0", "Deblur"]
+
+
 def test_plan_sweep_verify_never_build_the_tdg(data_dir, tmp_path, monkeypatch):
     def refuse(mdt):
         raise AssertionError("the dependency graph was built")
@@ -328,6 +355,7 @@ def test_plan_via_planner_endpoint(data_dir, tmp_path, monkeypatch):
         assert payload["path"][1]["tool"] == "YOLOv7"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 

@@ -285,6 +285,7 @@ def planner_server(data_dir):
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from toolpath.errors import (
 )
 from toolpath.registry import (
     PLANNER_SUBTASKS,
+    _squash,
     canonical_subtask,
     load_mdt,
     lookup_models,
@@ -205,3 +207,15 @@ def test_normalize_quality_idempotent_and_bounded(raw):
 def test_full_benchmark_covers_every_mdt_pair(full_tables):
     mdt, bt = full_tables
     assert set(bt.rows) == set(mdt.records)
+
+
+# Every character that str.split() or the regex \s treats as whitespace; the
+# last of them is U+3000.
+_WHITESPACE = "".join(
+    c for c in map(chr, range(0x3001)) if c.isspace() or re.fullmatch(r"\s", c)
+)
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from(_WHITESPACE), st.characters())))
+def test_squash_matches_the_regex_form(name):
+    assert _squash(name) == re.sub(r"\s+", " ", name.strip())

@@ -461,11 +461,44 @@ def test_suffix_bounds_match_independent_dp():
     for seed in range(40):
         graph, bt = random_plan_graph(seed)
         min_time, max_quality = _suffix_extrema(graph, bt)
-        bounds = suffix_bounds(graph, bt)
-        assert list(bounds.min_time) == pytest.approx(min_time, rel=1e-12, abs=1e-300)
-        assert list(bounds.max_quality) == pytest.approx(max_quality, rel=1e-12, abs=1e-300)
+        fronts = suffix_bounds(graph, bt).fronts
+        got_min_time = [front[0][0] for front in fronts]
+        got_max_quality = [front[-1][1] for front in fronts]
+        assert got_min_time == pytest.approx(min_time, rel=1e-12, abs=1e-300)
+        assert got_max_quality == pytest.approx(max_quality, rel=1e-12, abs=1e-300)
         for leaf in graph.leaves:
-            assert (bounds.min_time[leaf], bounds.max_quality[leaf]) == (0.0, 1.0)
+            assert fronts[leaf] == ((0.0, 1.0),)
+
+
+def _enumerated_front(graph, bt, node_id):
+    """Pareto filter of every suffix from `node_id`, summed from the sink up."""
+    points = set()
+    stack = [(node_id, ())]
+    while stack:
+        i, rows = stack.pop()
+        if not graph.successors[i]:
+            t, q = 0.0, 1.0
+            for row in reversed(rows):
+                t, q = row.time_seconds + t, row.quality_norm * q
+            points.add((t, q))
+            continue
+        for j in graph.successors[i]:
+            node = graph.nodes[j]
+            stack.append((j, rows + (bt.row(node.tool, node.kind),)))
+    front = [
+        p for p in points
+        if not any(o != p and o[0] <= p[0] and o[1] >= p[1] for o in points)
+    ]
+    return tuple(sorted(front))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=299), unit_quality=st.booleans())
+def test_suffix_fronts_are_pareto_filters_of_enumerated_suffixes(seed, unit_quality):
+    graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
+    fronts = suffix_bounds(graph, bt).fronts
+    for node_id in range(len(graph.nodes)):
+        assert fronts[node_id] == _enumerated_front(graph, bt, node_id)
 
 
 def test_suffix_bounds_missing_benchmark():
@@ -573,9 +606,14 @@ def test_one_path_state_per_search(detection_fixture, monkeypatch):
     assert [step.node_id for step in res.path.steps] == list(res.path.node_ids)
 
 
-@pytest.mark.parametrize(("alpha", "expanded", "executions"), [(2.0, 25, 384), (1.5, 267, 4256)])
+@pytest.mark.parametrize(
+    ("alpha", "expanded", "executions"),
+    [(0.0, 25, 384), (0.5, 25, 384), (1.0, 25, 384), (1.5, 25, 384), (2.0, 25, 384)],
+)
 def test_deep_chain_counters(alpha, expanded, executions):
     # 16**24 paths; before the labelled search this ran into the queue cap.
+    # The exact suffix-front bound expands only the optimal path at every
+    # alpha: one expansion per stage plus the root, 16 executions per stage.
     graph, bt, *_ = build_payload(chain_instance(0, stages=24, tools=16))
     res = _run(graph, bt, alpha=alpha)
     assert res.found
