@@ -116,11 +116,6 @@ def _add_common(parser: argparse.ArgumentParser, with_tree: bool = True) -> None
         parser.add_argument("--tree", help="subtask tree JSON file")
     parser.add_argument("--quality-threshold", type=float, default=DEFAULT_QUALITY_THRESHOLD)
     parser.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
-    parser.add_argument(
-        "--sim",
-        default="deterministic",
-        help='simulator: "deterministic", "stochastic", or a spec JSON path',
-    )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", help="output file (stdout when omitted)")
 
@@ -188,7 +183,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
     )
     spec = _sim_spec(args.sim)
     points = sweep_alpha(graph, bt, spec, alphas, base_cfg=cfg)
-    text = pareto_csv(points, include_flag=True)
+    text = pareto_csv(points)
     _write_or_print(text, args.csv or args.out)
     config = {
         "command": "sweep",
@@ -225,6 +220,8 @@ def cmd_verify(args, argv: list[str]) -> int:
     config = {
         "command": "verify",
         "alpha": args.alpha,
+        "quality_threshold": cfg.quality_threshold,
+        "max_retries": cfg.max_retries,
         "paths_cap": args.paths_cap,
         "seed": cfg.seed,
     }
@@ -277,6 +274,14 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--alphas", default="0,0.5,1,1.5,2", help="comma-separated alphas")
     p_sweep.add_argument("--csv", help="CSV output file (stdout when omitted)")
     p_sweep.set_defaults(func=cmd_sweep)
+
+    # verify always replays benchmark values, so only plan and sweep take a simulator.
+    for p in (p_plan, p_sweep):
+        p.add_argument(
+            "--sim",
+            default="deterministic",
+            help='simulator: "deterministic", "stochastic", or a spec JSON path',
+        )
 
     p_verify = sub.add_parser("verify", help="compare the search against path enumeration")
     _add_common(p_verify)

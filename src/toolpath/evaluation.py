@@ -179,16 +179,14 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
-def pareto_csv(points: list[ParetoPoint], include_flag: bool = False) -> str:
-    """Diff-stable CSV rendering; nine significant digits per value."""
-    header = "alpha,total_time,quality_product,g_final"
-    if include_flag:
-        survivors = {id(p) for p in pareto_filter(points)}
-        header += ",non_dominated"
-    lines = [header]
+def pareto_csv(points: list[ParetoPoint]) -> str:
+    """Diff-stable CSV rendering; nine significant digits per value.
+
+    The last column flags the points that survive the Pareto filter.
+    """
+    survivors = {id(p) for p in pareto_filter(points)}
+    lines = ["alpha,total_time,quality_product,g_final,non_dominated"]
     for p in points:
-        row = ",".join([_fmt(p.alpha), _fmt(p.total_time), _fmt(p.quality_product), _fmt(p.g_final)])
-        if include_flag:
-            row += ",true" if id(p) in survivors else ",false"
-        lines.append(row)
+        values = ",".join([_fmt(p.alpha), _fmt(p.total_time), _fmt(p.quality_product), _fmt(p.g_final)])
+        lines.append(values + (",true" if id(p) in survivors else ",false"))
     return "\n".join(lines) + "\n"

@@ -157,9 +157,6 @@ class ExecutionTrace:
     def total_time(self) -> float:
         return sum(e.time_seconds for e in self.events)
 
-    def attempts_for(self, node_id: int) -> int:
-        return sum(1 for e in self.events if e.node_id == node_id)
-
     def retried_nodes(self) -> set[int]:
         return {e.node_id for e in self.events if e.attempt > 1}
 

@@ -5,8 +5,9 @@ resource of u matches some input resource of v; the `graph` command exports
 it.  A subtask tree is expanded into a tool subgraph by replacing each
 subtask instance with its candidate tools plus any prerequisite chains
 spliced in front of them, so that every root-to-leaf path is an executable
-toolpath.  Prerequisites are found by the TDG's own rule, a producer whose
-output is a missing input, applied directly to the registry records; the
+toolpath.  Candidates and prerequisite producers are read from the
+registry's `by_subtask` and `producers` indexes; a producer follows the
+TDG's own rule (an output of it is a missing input, tools differ), and the
 TDG itself is never built for planning.
 """
 
@@ -41,16 +42,9 @@ def build_tdg(mdt: ModelDescriptionTable) -> ToolDependencyGraph:
     Resource comparison uses the registry matching rule; self-edges are
     excluded.
     """
-    tools = mdt.tools()
-    outs = {t: mdt.tool_output_keys(t) for t in tools}
-    ins = {t: mdt.tool_input_keys(t) for t in tools}
-    edges = {
-        (u, v)
-        for u in tools
-        for v in tools
-        if u != v and outs[u] & ins[v]
-    }
-    return ToolDependencyGraph(nodes=tuple(tools), edges=frozenset(edges))
+    io = mdt.tool_io
+    edges = {(u, v) for u in io for v in io if u != v and io[u][1] & io[v][0]}
+    return ToolDependencyGraph(nodes=tuple(sorted(io)), edges=frozenset(edges))
 
 
 @dataclass(frozen=True)
@@ -99,18 +93,6 @@ def _assemble(nodes: list[PlanNode], edges: set[tuple[int, int]], leaves: set[in
     )
 
 
-def _producers(mdt: ModelDescriptionTable, resource: str, consumer: ToolRecord) -> list[ToolRecord]:
-    # Self-tool producers are never eligible: the TDG carries no self-edges.
-    return sorted(
-        (
-            rec
-            for rec in mdt.records.values()
-            if resource in rec.output_keys and rec.tool != consumer.tool
-        ),
-        key=lambda r: (r.tool, r.subtask),
-    )
-
-
 def _resolve(
     record: ToolRecord,
     available: frozenset[str],
@@ -129,8 +111,9 @@ def _resolve(
     avail = set(available)
     for resource in sorted(record.input_keys - avail):
         best: tuple[tuple[int, str, str], list[ToolRecord], ToolRecord] | None = None
-        for producer in _producers(mdt, resource, record):
-            if producer.key in visiting or producer.key == record.key:
+        for producer in mdt.producers.get(resource, ()):
+            # Self-tool producers are never eligible: the TDG carries no self-edges.
+            if producer.tool == record.tool or producer.key in visiting:
                 continue
             try:
                 sub = _resolve(producer, frozenset(avail), mdt, visiting | {record.key})
@@ -185,10 +168,7 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
             avail_in |= common
         avail_in = frozenset(avail_in)
 
-        candidates = sorted(
-            (rec for rec in mdt.records.values() if rec.subtask == inst.kind),
-            key=lambda r: r.tool,
-        )
+        candidates = mdt.by_subtask.get(inst.kind, ())
         if not candidates:
             raise NoToolForSubtask(f"no tool supports subtask {inst.kind!r}")
 

@@ -264,11 +264,6 @@ def topological_order(tree: SubtaskTree) -> list[SubtaskInstance]:
     return [by_label[label] for label in order]
 
 
-def root_to_leaf_orderings(tree: SubtaskTree) -> list[tuple[SubtaskInstance, ...]]:
-    """Every root-to-leaf chain, in deterministic label order."""
-    return root_to_leaf_paths(sorted(tree.roots(), key=lambda n: n.label()), tree.children())
-
-
 @dataclass(frozen=True)
 class PlannerPrompt:
     text: str

@@ -105,26 +105,8 @@ def resource_keys(names) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class MdtEntry:
-    """One registry row: a tool with its subtasks and I/O resource types."""
-
-    tool: str
-    subtasks: tuple[str, ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-
-    @property
-    def input_keys(self) -> frozenset[str]:
-        return resource_keys(self.inputs)
-
-    @property
-    def output_keys(self) -> frozenset[str]:
-        return resource_keys(self.outputs)
-
-
-@dataclass(frozen=True)
 class ToolRecord:
-    """An MdtEntry exploded to a single (tool, subtask) pair.
+    """One (tool, subtask) pair of an MDT row.
 
     Rows listing several subtasks share their I/O sets, but each pair gets
     its own record because benchmark values differ per subtask.
@@ -144,97 +126,99 @@ class ToolRecord:
 
 @dataclass(frozen=True)
 class ModelDescriptionTable:
-    entries: tuple[MdtEntry, ...]
-    records: dict[tuple[str, str], ToolRecord] = field(compare=False)
+    """The parsed MDT: its (tool, subtask) records and the indexes over them.
+
+    `tool_io` maps each tool to its (input keys, output keys), unioned over
+    all of its rows, rows listing no subtask included.  `by_subtask` maps a
+    subtask to its records sorted by tool, and `producers` maps a resource
+    key to the records producing it, sorted by (tool, subtask).
+    """
+
+    records: dict[tuple[str, str], ToolRecord]
+    tool_io: dict[str, tuple[frozenset[str], frozenset[str]]]
+    by_subtask: dict[str, tuple[ToolRecord, ...]] = field(compare=False)
+    producers: dict[str, tuple[ToolRecord, ...]] = field(compare=False)
     coverage_gaps: tuple[str, ...] = ()
 
-    def tools(self) -> list[str]:
-        return sorted({e.tool for e in self.entries})
 
-    def tool_input_keys(self, tool: str) -> frozenset[str]:
-        keys: set[str] = set()
-        for e in self.entries:
-            if e.tool == tool:
-                keys |= e.input_keys
-        return frozenset(keys)
+def _parse_row(i: int, item) -> tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """One MDT row as (tool, canonical subtasks, inputs, outputs)."""
+    if not isinstance(item, dict):
+        raise ParseError(f"MDT entry {i} is not an object")
+    try:
+        tool = item["tool"]
+        subtasks = item["subtasks"]
+        inputs = item["inputs"]
+        outputs = item["outputs"]
+    except KeyError as exc:
+        raise ParseError(f"MDT entry {i} missing field {exc}") from exc
+    if not isinstance(tool, str) or not tool.strip():
+        raise ParseError(f"MDT entry {i} has an empty tool name")
+    for fname, val in (("subtasks", subtasks), ("inputs", inputs), ("outputs", outputs)):
+        if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
+            raise ParseError(f"MDT entry {i} field {fname!r} must be a list of strings")
+    return (
+        _squash(tool),
+        tuple(canonical_subtask(s) for s in subtasks),
+        tuple(_squash(x) for x in inputs),
+        tuple(_squash(x) for x in outputs),
+    )
 
-    def tool_output_keys(self, tool: str) -> frozenset[str]:
-        keys: set[str] = set()
-        for e in self.entries:
-            if e.tool == tool:
-                keys |= e.output_keys
-        return frozenset(keys)
 
-
-def _build_table(entries: list[MdtEntry]) -> ModelDescriptionTable:
+def _build_table(raw: list) -> ModelDescriptionTable:
+    """Parse every row once and index its records."""
     records: dict[tuple[str, str], ToolRecord] = {}
-    for e in entries:
-        for sub in e.subtasks:
-            key = (e.tool, sub)
+    tool_io: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+    rows = [_parse_row(i, item) for i, item in enumerate(raw)]  # every row is valid before any is indexed
+    for tool, subtasks, inputs, outputs in rows:
+        input_keys, output_keys = resource_keys(inputs), resource_keys(outputs)
+        ins, outs = tool_io.get(tool, (frozenset(), frozenset()))
+        tool_io[tool] = (ins | input_keys, outs | output_keys)
+        for sub in subtasks:
+            key = (tool, sub)
             if key in records:
                 raise DuplicateEntry(f"duplicate (tool, subtask) pair {key}")
-            records[key] = ToolRecord(
-                tool=e.tool,
-                subtask=sub,
-                inputs=e.inputs,
-                outputs=e.outputs,
-                input_keys=e.input_keys,
-                output_keys=e.output_keys,
-            )
-    covered = {sub for (_, sub) in records}
-    gaps = tuple(s for s in PLANNER_SUBTASKS if s not in covered)
+            records[key] = ToolRecord(tool, sub, inputs, outputs, input_keys, output_keys)
+    by_subtask: dict[str, list[ToolRecord]] = {}
+    producers: dict[str, list[ToolRecord]] = {}
+    for key in sorted(records):
+        rec = records[key]
+        by_subtask.setdefault(rec.subtask, []).append(rec)
+        for resource in rec.output_keys:
+            producers.setdefault(resource, []).append(rec)
+    gaps = tuple(s for s in PLANNER_SUBTASKS if s not in by_subtask)
     if gaps:
         logger.warning("no tool supports %d subtask(s): %s", len(gaps), ", ".join(gaps))
-    return ModelDescriptionTable(entries=tuple(entries), records=records, coverage_gaps=gaps)
+    return ModelDescriptionTable(
+        records=records,
+        tool_io=tool_io,
+        by_subtask={sub: tuple(recs) for sub, recs in by_subtask.items()},
+        producers={res: tuple(recs) for res, recs in producers.items()},
+        coverage_gaps=gaps,
+    )
 
 
-def parse_mdt(text: str, vocabulary: tuple[str, ...] = ALL_SUBTASKS) -> ModelDescriptionTable:
+def parse_mdt(text: str) -> ModelDescriptionTable:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"MDT is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise ParseError("MDT must be a JSON array of entries")
-    entries: list[MdtEntry] = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ParseError(f"MDT entry {i} is not an object")
-        try:
-            tool = item["tool"]
-            subtasks = item["subtasks"]
-            inputs = item["inputs"]
-            outputs = item["outputs"]
-        except KeyError as exc:
-            raise ParseError(f"MDT entry {i} missing field {exc}") from exc
-        if not isinstance(tool, str) or not tool.strip():
-            raise ParseError(f"MDT entry {i} has an empty tool name")
-        for fname, val in (("subtasks", subtasks), ("inputs", inputs), ("outputs", outputs)):
-            if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-                raise ParseError(f"MDT entry {i} field {fname!r} must be a list of strings")
-        canon = tuple(canonical_subtask(s, vocabulary) for s in subtasks)
-        entries.append(
-            MdtEntry(
-                tool=_squash(tool),
-                subtasks=canon,
-                inputs=tuple(_squash(x) for x in inputs),
-                outputs=tuple(_squash(x) for x in outputs),
-            )
-        )
-    return _build_table(entries)
+    return _build_table(raw)
 
 
-def load_mdt(path: str | Path, vocabulary: tuple[str, ...] = ALL_SUBTASKS) -> ModelDescriptionTable:
+def load_mdt(path: str | Path) -> ModelDescriptionTable:
     """Load and validate a model description table from a JSON file."""
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"MDT file not found: {p}")
-    return parse_mdt(p.read_text(encoding="utf-8"), vocabulary)
+    return parse_mdt(p.read_text(encoding="utf-8"))
 
 
 def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:
     """Tools able to perform the given subtask.  Empty set when none can."""
-    canon = canonical_subtask(subtask)
-    return {tool for (tool, sub) in mdt.records if sub == canon}
+    return {rec.tool for rec in mdt.by_subtask.get(canonical_subtask(subtask), ())}
 
 
 @dataclass(frozen=True)

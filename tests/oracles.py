@@ -10,6 +10,8 @@ from __future__ import annotations
 import heapq
 import json
 
+from toolpath.planning import root_to_leaf_paths
+
 
 def pairwise_tdg_edges(mdt_payload: list[dict]) -> set[tuple[str, str]]:
     """Brute-force double loop over tool pairs applying the I/O overlap rule."""
@@ -262,3 +264,17 @@ def expand_reference(tree_payload: dict, mdt_payload: list[dict]):
 def load_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# Test-side helpers over package types; unlike the oracles above they reuse
+# package code, so they are checks of convenience, not independent ones.
+
+
+def root_to_leaf_orderings(tree) -> list[tuple]:
+    """Every root-to-leaf chain of a subtask tree, in deterministic label order."""
+    return root_to_leaf_paths(sorted(tree.roots(), key=lambda n: n.label()), tree.children())
+
+
+def attempts_for(trace, node_id: int) -> int:
+    """Number of executions a trace records for one node."""
+    return sum(1 for e in trace.events if e.node_id == node_id)

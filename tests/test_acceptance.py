@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from oracles import load_json, pairwise_tdg_edges, reference_heuristic
+from oracles import attempts_for, load_json, pairwise_tdg_edges, reference_heuristic, root_to_leaf_orderings
 from synth import built_instance, random_plan_graph, random_pipeline_instance, write_instance
 from toolpath.cli import main
 from toolpath.errors import CycleDetected, DanglingParent
@@ -26,7 +26,7 @@ from toolpath.evaluation import (
 )
 from toolpath.execution import Simulator, SimulatorSpec
 from toolpath.graphs import build_tdg, build_tool_subgraph, enumerate_paths
-from toolpath.planning import parse_subtask_tree, root_to_leaf_orderings
+from toolpath.planning import parse_subtask_tree
 from toolpath.registry import load_mdt
 from toolpath.search import SearchConfig, astar_search, compute_g, precompute_heuristics, suffix_bounds
 
@@ -205,7 +205,7 @@ def test_criterion_07_retry_semantics():
     cfg = SearchConfig(alpha=1.0, quality_threshold=0.8)
     res = astar_search(graph, suffix_bounds(graph, bt), sim, cfg)
     assert [graph.nodes[i].tool for i in res.path.node_ids[1:]] == ["A"]
-    assert res.trace.attempts_for(node_a.node_id) == 1
+    assert attempts_for(res.trace, node_a.node_id) == 1
 
     # (b) after max_retries failures the path is dropped and the sibling returned
     script = {("A", "Object Detection", k): (1.0, 0.1) for k in range(1, 5)}
@@ -214,7 +214,7 @@ def test_criterion_07_retry_semantics():
     cfg = SearchConfig(alpha=1.0, quality_threshold=0.8, max_retries=3)
     res = astar_search(graph, suffix_bounds(graph, bt), sim, cfg)
     assert [graph.nodes[i].tool for i in res.path.node_ids[1:]] == ["B"]
-    assert res.trace.attempts_for(node_a.node_id) == 4  # never re-queued afterwards
+    assert attempts_for(res.trace, node_a.node_id) == 4  # never re-queued afterwards
 
     # (c) the trace total includes every failed attempt
     assert res.trace.total_time == pytest.approx(4 * 1.0 + 5.0, abs=1e-12)

@@ -210,6 +210,29 @@ def test_verify_paths_cap_exit_3(data_dir, capsys):
     assert code == 3
 
 
+def test_verify_manifest_hashes_the_quality_settings(data_dir, tmp_path):
+    tables = [
+        "--mdt", str(data_dir / "mdt_full.json"),
+        "--benchmark", str(data_dir / "benchmark_full.json"),
+        "--tree", str(data_dir / "tree_example1.json"),
+        "--alpha", "1",
+    ]
+    reports, hashes = [], []
+    for threshold in ("0.8", "1.0"):
+        out = tmp_path / f"verify-{threshold}.json"
+        assert main(["verify", *tables, "--quality-threshold", threshold, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+        hashes.append(json.loads(out.with_suffix(".json.manifest.json").read_text())["config_hash"])
+    assert reports[0]["gap"] == 0.0 and reports[1]["gap"] > 0.0
+    assert hashes[0] != hashes[1]
+
+
+def test_verify_rejects_sim(data_dir, capsys):
+    code = main(["verify", *_args_detection(data_dir), "--sim", "/nonexistent.json"])
+    assert code == 1
+    assert "unrecognized arguments: --sim" in capsys.readouterr().err
+
+
 def test_verify_random_corner_instances(tmp_path):
     for seed in (0, 1, 2):
         payload = random_pipeline_instance(seed, unit_quality=True)

@@ -6,11 +6,12 @@ import json
 
 import pytest
 
+from oracles import attempts_for, root_to_leaf_orderings
 from toolpath.errors import UnsatisfiableDependency
 from toolpath.evaluation import brute_force_optimal, path_objective
 from toolpath.execution import Simulator, SimulatorSpec
 from toolpath.graphs import build_tool_subgraph, enumerate_paths, validate_dag
-from toolpath.planning import parse_subtask_tree, root_to_leaf_orderings
+from toolpath.planning import parse_subtask_tree
 from toolpath.registry import parse_mdt
 from toolpath.search import SearchConfig, astar_search, suffix_bounds
 
@@ -56,7 +57,7 @@ def test_text_removal_alpha2_fallback_after_painting_fails(full_tables):
     assert res.found
     assert [graph.nodes[i].tool for i in res.path.node_ids[-1:]] == ["Stable Diffusion Erase"]
     painting = next(n for n in graph.nodes if n.tool == "Text Removal (Painting)")
-    assert res.trace.attempts_for(painting.node_id) == 4
+    assert attempts_for(res.trace, painting.node_id) == 4
     # failed attempts stay on the clock
     prefix = 1.27 + 0.15 + 1.80 + 6.20
     assert res.trace.total_time == pytest.approx(

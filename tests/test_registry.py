@@ -57,7 +57,7 @@ def test_load_full_mdt(data_dir):
 
 def test_load_table1_excerpt(data_dir):
     mdt = load_mdt(data_dir / "mdt_table1.json")
-    assert len(mdt.entries) == 5
+    assert len(mdt.tool_io) == 5  # five rows, one tool each
     sam = mdt.records[("SAM", "Object Segmentation")]
     assert sam.inputs == ("Bounding Boxes",)
     assert sam.outputs == ("Segmentation Masks",)
@@ -69,9 +69,19 @@ def test_empty_mdt_warns_about_all_24_subtasks(caplog):
 
     with caplog.at_level(logging.WARNING, logger="toolpath.registry"):
         mdt = parse_mdt("[]")
-    assert mdt.entries == ()
+    assert mdt.records == {} and mdt.tool_io == {}
     assert set(mdt.coverage_gaps) == set(PLANNER_SUBTASKS)
     assert any("no tool supports 24 subtask(s)" in rec.getMessage() for rec in caplog.records)
+
+
+def test_tables_from_different_rows_compare_unequal():
+    row = {"tool": "YOLO", "subtasks": ["Object Detection"], "inputs": ["Input Image"], "outputs": ["Bounding Boxes"]}
+    table = parse_mdt(json.dumps([row]))
+    assert table == parse_mdt(json.dumps([row]))
+    assert table != parse_mdt(json.dumps([dict(row, outputs=["Segmentation Masks"])]))
+    # A row listing no subtask has no record, but it still tells the tables apart.
+    bare = {"tool": "Spare", "subtasks": [], "inputs": [], "outputs": []}
+    assert table != parse_mdt(json.dumps([row, bare]))
 
 
 def test_unknown_subtask_rejected():

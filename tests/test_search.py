@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dijkstra_min_time, reference_heuristic
+from oracles import attempts_for, dijkstra_min_time, reference_heuristic
 from synth import build_payload, built_instance, chain_instance, random_plan_graph
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import brute_force_optimal, path_objective
@@ -328,7 +328,7 @@ def test_failing_branch_falls_back_to_sibling():
     assert [graph.nodes[i].tool for i in res.path.node_ids[1:]] == ["B"]
     # A was invoked exactly 1 + max_retries times and never re-queued
     node_a = next(n for n in graph.nodes if n.tool == "A")
-    assert res.trace.attempts_for(node_a.node_id) == 4
+    assert attempts_for(res.trace, node_a.node_id) == 4
     # total trace time includes the failed attempts
     assert res.trace.total_time == pytest.approx(4 * 1.0 + 5.0)
 
@@ -343,7 +343,7 @@ def test_zero_max_retries_drops_after_single_attempt():
     res = _run(graph, bt, alpha=1.0, sim=sim, max_retries=0)
     assert [graph.nodes[i].tool for i in res.path.node_ids[1:]] == ["B"]
     node_a = next(n for n in graph.nodes if n.tool == "A")
-    assert res.trace.attempts_for(node_a.node_id) == 1
+    assert attempts_for(res.trace, node_a.node_id) == 1
 
 
 def test_threshold_equality_passes_without_retry():
@@ -356,7 +356,7 @@ def test_threshold_equality_passes_without_retry():
     res = _run(graph, bt, alpha=1.0, sim=sim, quality_threshold=0.8)
     assert [graph.nodes[i].tool for i in res.path.node_ids[1:]] == ["A"]
     node_a = next(n for n in graph.nodes if n.tool == "A")
-    assert res.trace.attempts_for(node_a.node_id) == 1
+    assert attempts_for(res.trace, node_a.node_id) == 1
 
 
 def test_retry_updates_path_g_consistently():
