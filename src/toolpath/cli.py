@@ -11,6 +11,7 @@ import hashlib
 import json
 import platform
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,6 +49,13 @@ EXIT_INPUT_ERROR = 1
 EXIT_NO_PATH = 2
 EXIT_PATH_EXPLOSION = 3
 EXIT_QUEUE_OVERFLOW = 4
+
+# Exit code of each error that main reports; any other ToolpathError exits 1.
+_ERROR_EXITS = (
+    (PathExplosion, EXIT_PATH_EXPLOSION),
+    (QueueOverflow, EXIT_QUEUE_OVERFLOW),
+    (SearchExhausted, EXIT_NO_PATH),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,35 +110,35 @@ def _emit_manifest(out: str | None, manifest: dict) -> None:
 
 
 def _sim_spec(value: str) -> SimulatorSpec:
-    if value == "deterministic":
-        return SimulatorSpec(mode="deterministic")
-    if value == "stochastic":
-        return SimulatorSpec(mode="stochastic")
+    if value in ("deterministic", "stochastic"):
+        return SimulatorSpec(mode=value)
     return load_simulator_spec(value)
 
 
-def _add_common(parser: argparse.ArgumentParser, with_tree: bool = True) -> None:
+def _search_config(args) -> SearchConfig:
+    """Search settings from whichever of them the command takes; the rest keep their defaults."""
+    names = ("alpha", "quality_threshold", "max_retries", "seed")
+    return SearchConfig(**{name: getattr(args, name) for name in names if hasattr(args, name)})
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mdt", required=True, help="model description table JSON")
     parser.add_argument("--benchmark", required=True, help="benchmark table JSON")
-    if with_tree:
-        parser.add_argument("--tree", help="subtask tree JSON file")
+    parser.add_argument("--tree", help="subtask tree JSON file")
     parser.add_argument("--quality-threshold", type=float, default=DEFAULT_QUALITY_THRESHOLD)
     parser.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", help="output file (stdout when omitted)")
 
 
 def _load_tree_text(args) -> tuple[str, list[Path]]:
-    if getattr(args, "tree", None):
+    """Tree text and its input files: from --tree, or else from the planner for plan's --task."""
+    if args.tree:
         path = Path(args.tree)
         if not path.is_file():
             raise ToolpathError(f"tree file not found: {path}")
         return path.read_text(encoding="utf-8"), [path]
-    if getattr(args, "task", None):
-        client = planner_client_from_env(getattr(args, "planner_endpoint", None))
-        prompt = build_planner_prompt(args.task)
-        return request_tree(client, prompt), []
-    raise ToolpathError("either --tree or --task (with a planner endpoint) is required")
+    client = planner_client_from_env(args.planner_endpoint)
+    return request_tree(client, build_planner_prompt(args.task)), []
 
 
 def _build_graph(args):
@@ -144,14 +152,8 @@ def _build_graph(args):
 
 def cmd_plan(args, argv: list[str]) -> int:
     bt, graph, inputs = _build_graph(args)
-    cfg = SearchConfig(
-        alpha=args.alpha,
-        quality_threshold=args.quality_threshold,
-        max_retries=args.max_retries,
-        seed=args.seed,
-    )
-    spec = _sim_spec(args.sim)
-    simulator = Simulator(spec, bt, cfg.seed)
+    cfg = _search_config(args)
+    simulator = Simulator(_sim_spec(args.sim), bt, cfg.seed)
     result = astar_search(graph, suffix_bounds(graph, bt), simulator, cfg)
     payload = result.to_json_dict(graph)
     _write_or_print(_dump_json(payload), args.out)
@@ -176,13 +178,8 @@ def cmd_sweep(args, argv: list[str]) -> int:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"--alphas must be comma-separated numbers: {exc}") from exc
-    cfg = SearchConfig(
-        quality_threshold=args.quality_threshold,
-        max_retries=args.max_retries,
-        seed=args.seed,
-    )
-    spec = _sim_spec(args.sim)
-    points = sweep_alpha(graph, bt, spec, alphas, base_cfg=cfg)
+    cfg = _search_config(args)
+    points = sweep_alpha(graph, bt, _sim_spec(args.sim), alphas, base_cfg=cfg)
     text = pareto_csv(points)
     _write_or_print(text, args.csv or args.out)
     config = {
@@ -199,31 +196,15 @@ def cmd_sweep(args, argv: list[str]) -> int:
 
 def cmd_verify(args, argv: list[str]) -> int:
     bt, graph, inputs = _build_graph(args)
-    cfg = SearchConfig(
-        alpha=args.alpha,
-        quality_threshold=args.quality_threshold,
-        max_retries=args.max_retries,
-        seed=args.seed,
-    )
+    cfg = _search_config(args)
     report = brute_force_optimal(graph, bt, args.alpha, cfg=cfg, cap=args.paths_cap)
-    payload = {
-        "alpha": args.alpha,
-        "best_objective": report.best_objective,
-        "astar_objective": report.astar_objective,
-        "gap": report.gap,
-        "paths_enumerated": report.paths_enumerated,
-        "astar_status": report.astar_status,
-        "best_path": list(report.best_path),
-        "astar_path": list(report.astar_path),
-    }
-    _write_or_print(_dump_json(payload), args.out)
+    _write_or_print(_dump_json({"alpha": args.alpha, **asdict(report)}), args.out)
     config = {
         "command": "verify",
         "alpha": args.alpha,
         "quality_threshold": cfg.quality_threshold,
         "max_retries": cfg.max_retries,
         "paths_cap": args.paths_cap,
-        "seed": cfg.seed,
     }
     _emit_manifest(args.out, build_manifest(argv, config, inputs, cfg.seed))
     if args.gap_tolerance is not None and report.gap > args.gap_tolerance:
@@ -275,13 +256,14 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--csv", help="CSV output file (stdout when omitted)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    # verify always replays benchmark values, so only plan and sweep take a simulator.
+    # verify always replays benchmark values, so only plan and sweep take a simulator and its seed.
     for p in (p_plan, p_sweep):
         p.add_argument(
             "--sim",
             default="deterministic",
             help='simulator: "deterministic", "stochastic", or a spec JSON path',
         )
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stochastic simulator seed")
 
     p_verify = sub.add_parser("verify", help="compare the search against path enumeration")
     _add_common(p_verify)
@@ -305,29 +287,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command in ("plan", "sweep", "verify") and not args.tree and not getattr(args, "task", None):
-            parser.error("--tree is required (or --task with a planner endpoint for plan)")
+        args = _PARSER.parse_args(argv)
+        if args.command != "graph" and not args.tree and not getattr(args, "task", None):
+            _PARSER.error("--tree is required (or --task with a planner endpoint for plan)")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except PathExplosion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PATH_EXPLOSION
-    except QueueOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUEUE_OVERFLOW
-    except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_PATH
     except ToolpathError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_INPUT_ERROR)
 
 
 if __name__ == "__main__":

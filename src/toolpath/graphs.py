@@ -40,10 +40,15 @@ def build_tdg(mdt: ModelDescriptionTable) -> ToolDependencyGraph:
     """Directed edge (u, v) exactly when an output of u is an input of v.
 
     Resource comparison uses the registry matching rule; self-edges are
-    excluded.
+    excluded.  Each output key is looked up among the consumers of that key,
+    so only real edges are visited.
     """
     io = mdt.tool_io
-    edges = {(u, v) for u in io for v in io if u != v and io[u][1] & io[v][0]}
+    consumers: dict[str, list[str]] = {}
+    for tool, (input_keys, _) in io.items():
+        for key in input_keys:
+            consumers.setdefault(key, []).append(tool)
+    edges = {(u, v) for u, (_, outs) in io.items() for key in outs for v in consumers.get(key, ()) if u != v}
     return ToolDependencyGraph(nodes=tuple(sorted(io)), edges=frozenset(edges))
 
 

@@ -110,13 +110,11 @@ def parse_label(label: str) -> tuple[str, str, int | None]:
     return kind, argument, ordinal
 
 
-def parse_subtask_tree(
-    json_text: str, vocabulary: tuple[str, ...] = PLANNER_SUBTASKS
-) -> SubtaskTree:
+def parse_subtask_tree(json_text: str) -> SubtaskTree:
     """Parse a planner-format JSON subtask tree and verify it is a DAG.
 
     Raises ParseError for malformed JSON or duplicate labels, UnknownSubtask
-    for names outside the vocabulary, DanglingParent for unresolved parent
+    for names outside PLANNER_SUBTASKS, DanglingParent for unresolved parent
     references and CycleDetected when the parent relation is cyclic.
     """
     try:
@@ -143,7 +141,9 @@ def parse_subtask_tree(
             raise ParseError(f"tree node {i} has wrong field types")
         kind, argument, ordinal = parse_label(label)
         try:
-            kind = canonical_subtask(kind, vocabulary)
+            kind = canonical_subtask(kind)
+            if kind not in PLANNER_SUBTASKS:  # a registry-only helper subtask
+                raise UnknownSubtask(kind)
         except UnknownSubtask:
             raise UnknownSubtask(f"tree node {i}: unknown subtask kind in label {label!r}") from None
         if ordinal is not None:
@@ -294,14 +294,12 @@ Request: {task}
 """
 
 
-def build_planner_prompt(
-    task_text: str, vocabulary: tuple[str, ...] = PLANNER_SUBTASKS
-) -> PlannerPrompt:
+def build_planner_prompt(task_text: str) -> PlannerPrompt:
     """Assemble the planner prompt for a task.  Deterministic per input."""
     if not task_text or not task_text.strip():
         raise EmptyTask("task description is empty")
     return PlannerPrompt(
-        text=_PROMPT_TEMPLATE.format(subtasks=", ".join(vocabulary), task=task_text.strip())
+        text=_PROMPT_TEMPLATE.format(subtasks=", ".join(PLANNER_SUBTASKS), task=task_text.strip())
     )
 
 

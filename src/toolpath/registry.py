@@ -9,7 +9,6 @@ after loading and safe to share across concurrent searches.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -68,20 +67,18 @@ def _squash(name: str) -> str:
     return " ".join(name.split())
 
 
-@functools.lru_cache(maxsize=16)
-def _lowercase_index(vocabulary: tuple[str, ...]) -> dict[str, str]:
-    """Lowercased name -> canonical name; the first of equal spellings wins."""
-    return {canon.lower(): canon for canon in reversed(vocabulary)}
+# Lowercased name -> canonical name, over every subtask the registry knows.
+_CANONICAL = {canon.lower(): canon for canon in ALL_SUBTASKS}
 
 
-def canonical_subtask(name: str, vocabulary: tuple[str, ...] = ALL_SUBTASKS) -> str:
+def canonical_subtask(name: str) -> str:
     """Map a subtask name to its canonical spelling, or raise UnknownSubtask.
 
     Matching is case-insensitive after whitespace collapse, so table
     transcriptions like "Question Answering based on text" resolve to the
     canonical entry.
     """
-    canon = _lowercase_index(vocabulary).get(_squash(name).lower())
+    canon = _CANONICAL.get(_squash(name).lower())
     if canon is None:
         raise UnknownSubtask(f"unknown subtask {name!r}")
     return canon

@@ -365,7 +365,6 @@ def astar_search(
     bounds: SuffixBounds,
     executor,
     cfg: SearchConfig,
-    recorder: TraceRecorder | None = None,
 ) -> PlanResult:
     """Best-first search returning the first leaf-ending path popped.
 
@@ -378,7 +377,7 @@ def astar_search(
     label there is dropped; queued labels that a newer label dominates are
     skipped when popped.
     """
-    rec = recorder if recorder is not None else TraceRecorder()
+    rec = TraceRecorder()
     alpha, threshold = cfg.alpha, cfg.quality_threshold
     fronts = bounds.fronts
     counter = itertools.count()

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
+import pytest
 from synth import deep_chain_instance, deep_prerequisite_instance, random_pipeline_instance, write_instance
 from toolpath import cli
 from toolpath.cli import EXIT_QUEUE_OVERFLOW, main
@@ -231,6 +234,100 @@ def test_verify_rejects_sim(data_dir, capsys):
     code = main(["verify", *_args_detection(data_dir), "--sim", "/nonexistent.json"])
     assert code == 1
     assert "unrecognized arguments: --sim" in capsys.readouterr().err
+
+
+def test_verify_rejects_seed(data_dir, capsys):
+    code = main(["verify", *_args_detection(data_dir), "--seed", "1"])
+    assert code == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_commands_reuse_the_module_parser(data_dir, tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    out = str(tmp_path / "out")
+    assert main(["plan", *_args_detection(data_dir), "--out", out]) == 0
+    assert main(["sweep", *_args_detection(data_dir), "--csv", out]) == 0
+    assert main(["verify", *_args_detection(data_dir), "--out", out]) == 0
+
+
+def test_parser_reuse_keeps_the_default_seed(data_dir, tmp_path):
+    out = tmp_path / "plan.json"
+    plan = ["plan", *_args_detection(data_dir), "--out", str(out)]
+    assert main([*plan, "--sim", "stochastic", "--seed", "8"]) == 0
+    assert main(plan) == 0
+    assert json.loads(out.with_suffix(".json.manifest.json").read_text())["seed"] == 0xC057A
+
+
+# Options that name an input or an output rather than a setting.
+_FILE_OPTIONS = {"--mdt", "--benchmark", "--tree", "--out", "--csv", "--task", "--planner-endpoint"}
+
+# (command, option) -> (further arguments, two values whose runs differ in output bytes or exit code).
+_STOCHASTIC = ("--sim", "stochastic", "--seed", "0")
+_OPTION_CASES = {
+    ("plan", "--alpha"): ((), "0", "2"),
+    ("plan", "--quality-threshold"): ((), "0", "1"),
+    ("plan", "--max-retries"): (_STOCHASTIC, "0", "3"),
+    ("plan", "--sim"): ((), "deterministic", "stochastic"),
+    ("plan", "--seed"): (("--sim", "stochastic"), "1", "2"),
+    ("sweep", "--alphas"): ((), "0", "2"),
+    ("sweep", "--quality-threshold"): ((), "0", "1"),
+    ("sweep", "--max-retries"): (_STOCHASTIC, "0", "3"),
+    ("sweep", "--sim"): ((), "deterministic", "stochastic"),
+    ("sweep", "--seed"): (("--sim", "stochastic"), "1", "2"),
+    ("verify", "--alpha"): ((), "0", "2"),
+    ("verify", "--quality-threshold"): ((), "0.8", "1"),
+    ("verify", "--paths-cap"): ((), "1", "1000"),
+    ("verify", "--gap-tolerance"): (("--quality-threshold", "1"), "0", "1000"),
+    ("graph", "--format"): ((), "dot", "json"),
+}
+
+# verify replays benchmark values deterministically, so every attempt returns
+# the same row and the retry budget cannot change the report; perfbench
+# passes --max-retries to every command, so verify keeps accepting it.
+_UNREAD_OPTIONS = {("verify", "--max-retries")}
+
+
+def _registered_options() -> set[tuple[str, str]]:
+    subparsers = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (command, option)
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+
+
+def test_every_setting_option_has_a_case():
+    settings = {key for key in _registered_options() if key[1] not in _FILE_OPTIONS}
+    assert settings == set(_OPTION_CASES) | _UNREAD_OPTIONS
+
+
+def _outputs(argv: list[str], out: Path) -> tuple[int, list[bytes | None]]:
+    """Exit code and the bytes of each output but the manifest, which holds a timestamp."""
+    code = main([*argv, "--out", str(out)])
+    files = [Path(f"{out}{suffix}") for suffix in ("", ".trace.json")]
+    data = [path.read_bytes() if path.is_file() else None for path in files]
+    for path in files:
+        path.unlink(missing_ok=True)
+    return code, data
+
+
+@pytest.mark.parametrize("command, option", sorted(_OPTION_CASES))
+def test_setting_option_is_read(command, option, data_dir, tmp_path, capsys):
+    mdt = ["--mdt", str(data_dir / "mdt_full.json")]
+    tables = [
+        *mdt,
+        "--benchmark", str(data_dir / "benchmark_full.json"),
+        "--tree", str(data_dir / "tree_example1.json"),
+    ]
+    extra, first, second = _OPTION_CASES[command, option]
+    argv = [command, *(mdt if command == "graph" else tables), *extra, option]
+    out = tmp_path / "out"
+    assert _outputs([*argv, first], out) != _outputs([*argv, second], out)
 
 
 def test_verify_random_corner_instances(tmp_path):

@@ -110,9 +110,11 @@ def test_self_parent_rejected():
 
 
 def test_unknown_kind_rejected():
-    payload = {"task": "x", "subtask_tree": [{"subtask": "Object Teleportation (A)(1)", "parent": []}]}
-    with pytest.raises(UnknownSubtask):
-        parse_subtask_tree(json.dumps(payload))
+    # Text Style Detection is a registry-only helper, never offered to the planner.
+    for label in ("Object Teleportation (A)(1)", "Text Style Detection (A)(1)"):
+        payload = {"task": "x", "subtask_tree": [{"subtask": label, "parent": []}]}
+        with pytest.raises(UnknownSubtask, match="tree node 0: unknown subtask kind"):
+            parse_subtask_tree(json.dumps(payload))
 
 
 def test_malformed_tree_rejected():
