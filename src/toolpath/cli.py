@@ -22,6 +22,7 @@ from .errors import ParseError, PathExplosion, QueueOverflow, SearchExhausted, T
 from .evaluation import brute_force_optimal, pareto_csv, sweep_alpha
 from .execution import Simulator, SimulatorSpec, load_simulator_spec
 from .graphs import (
+    DEFAULT_PATH_CAP,
     build_tdg,
     build_tool_subgraph,
     subgraph_to_dot,
@@ -159,7 +160,7 @@ def cmd_plan(args, argv: list[str]) -> int:
     _write_or_print(_dump_json(payload), args.out)
     if args.out:
         trace_path = Path(args.out).with_suffix(Path(args.out).suffix + ".trace.json")
-        trace_path.write_text(_dump_json(result.trace.to_json_dict()), encoding="utf-8")
+        trace_path.write_text(_dump_json(result.trace.to_json_dict(graph)), encoding="utf-8")
     config = {
         "command": "plan",
         "alpha": cfg.alpha,
@@ -268,7 +269,7 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="compare the search against path enumeration")
     _add_common(p_verify)
     p_verify.add_argument("--alpha", type=float, default=1.0)
-    p_verify.add_argument("--paths-cap", type=int, default=10**6)
+    p_verify.add_argument("--paths-cap", type=int, default=DEFAULT_PATH_CAP)
     p_verify.add_argument(
         "--gap-tolerance",
         type=float,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 from .errors import EmptyRecord, InvalidScore, SearchExhausted
 from .execution import Simulator, SimulatorSpec
-from .graphs import ToolSubgraph, enumerate_paths
+from .graphs import DEFAULT_PATH_CAP, ToolSubgraph, enumerate_paths
 from .registry import BenchmarkTable
 from .search import (
     SearchConfig,
@@ -51,7 +51,7 @@ def brute_force_optimal(
     bt: BenchmarkTable,
     alpha: float,
     cfg: SearchConfig | None = None,
-    cap: int = 10**6,
+    cap: int = DEFAULT_PATH_CAP,
 ) -> OracleReport:
     """Exhaustive path enumeration against which the search is measured.
 

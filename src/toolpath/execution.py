@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ScriptGap
-from .graphs import PlanNode
+from .graphs import PlanNode, ToolSubgraph
 from .registry import BenchmarkTable, canonical_subtask
 
 MODES = ("deterministic", "stochastic", "scripted")
@@ -136,11 +136,9 @@ def validate_quality(outcome: ExecutionOutcome, threshold: float) -> bool:
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One executed attempt as the search observed it; names come from the graph at output."""
+
     node_id: int
-    tool: str
-    subtask: str | None
-    argument: str | None
-    ordinal: int | None
     attempt: int
     time_seconds: float
     quality: float
@@ -160,15 +158,12 @@ class ExecutionTrace:
     def retried_nodes(self) -> set[int]:
         return {e.node_id for e in self.events if e.attempt > 1}
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, graph: ToolSubgraph) -> dict:
         return {
             "events": [
                 {
                     "node": e.node_id,
-                    "tool": e.tool,
-                    "subtask": e.subtask,
-                    "argument": e.argument,
-                    "ordinal": e.ordinal,
+                    **graph.nodes[e.node_id].view(),
                     "attempt": e.attempt,
                     "time_seconds": e.time_seconds,
                     "quality": e.quality,
@@ -184,39 +179,3 @@ class ExecutionTrace:
                 "retried_nodes": sorted(self.retried_nodes()),
             },
         }
-
-
-class TraceRecorder:
-    """Accumulates execution events in invocation order."""
-
-    def __init__(self):
-        self._events: list[TraceEvent] = []
-
-    def record(
-        self,
-        node: PlanNode,
-        attempt: int,
-        outcome: ExecutionOutcome,
-        passed: bool,
-        g_literal: float | None = None,
-        g_path: float | None = None,
-    ) -> None:
-        self._events.append(
-            TraceEvent(
-                node_id=node.node_id,
-                tool=node.tool if not node.is_root else "ROOT",
-                subtask=node.kind,
-                argument=node.instance.argument if node.instance else None,
-                ordinal=node.instance.ordinal if node.instance else None,
-                attempt=attempt,
-                time_seconds=outcome.time_seconds,
-                quality=outcome.quality,
-                decision="pass" if passed else "fail",
-                g_literal=g_literal,
-                g_path=g_path,
-            )
-        )
-
-    def build(self) -> ExecutionTrace:
-        return ExecutionTrace(events=tuple(self._events))
-

@@ -73,6 +73,16 @@ class PlanNode:
     def is_root(self) -> bool:
         return self.role == "root"
 
+    def view(self) -> dict:
+        """The fields that name this node in plan rows, trace events and graph JSON."""
+        inst = self.instance
+        return {
+            "tool": ROOT_TOOL if self.is_root else self.tool,
+            "subtask": self.kind,
+            "argument": inst.argument if inst else None,
+            "ordinal": inst.ordinal if inst else None,
+        }
+
 
 @dataclass(frozen=True)
 class ToolSubgraph:
@@ -80,21 +90,17 @@ class ToolSubgraph:
     edges: frozenset[tuple[int, int]]
     leaves: frozenset[int]
     successors: tuple[tuple[int, ...], ...] = field(compare=False)
-    predecessors: tuple[tuple[int, ...], ...] = field(compare=False)
 
 
 def _assemble(nodes: list[PlanNode], edges: set[tuple[int, int]], leaves: set[int]) -> ToolSubgraph:
     succ: list[list[int]] = [[] for _ in nodes]
-    pred: list[list[int]] = [[] for _ in nodes]
     for a, b in edges:
         succ[a].append(b)
-        pred[b].append(a)
     return ToolSubgraph(
         nodes=tuple(nodes),
         edges=frozenset(edges),
         leaves=frozenset(leaves),
         successors=tuple(tuple(sorted(s)) for s in succ),
-        predecessors=tuple(tuple(sorted(p)) for p in pred),
     )
 
 
@@ -282,16 +288,7 @@ def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tu
 
 def subgraph_to_json(graph: ToolSubgraph) -> str:
     payload = {
-        "nodes": [
-            {
-                "id": n.node_id,
-                "tool": n.tool if not n.is_root else ROOT_TOOL,
-                "subtask": n.kind,
-                "argument": n.instance.argument if n.instance else None,
-                "ordinal": n.instance.ordinal if n.instance else None,
-            }
-            for n in graph.nodes
-        ],
+        "nodes": [{"id": n.node_id, **n.view()} for n in graph.nodes],
         "edges": sorted([a, b] for (a, b) in graph.edges),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -65,10 +65,6 @@ class SubtaskTree:
             lst.sort(key=lambda n: n.label())
         return out
 
-    def leaves(self) -> list[SubtaskInstance]:
-        kids = self.children()
-        return [n for n in self.nodes if not kids[n]]
-
 
 def _final_paren_group(text: str) -> tuple[str, str] | None:
     """Split off a trailing balanced "(...)" group; None when there is none."""

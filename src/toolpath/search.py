@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
-from .execution import TraceRecorder, validate_quality
+from .execution import ExecutionTrace, TraceEvent, validate_quality
 from .graphs import ROOT_ID, ToolSubgraph
 from .planning import kahn_order
 from .registry import BenchmarkTable
@@ -120,7 +120,7 @@ def precompute_heuristics(
     """
     validate_alpha(alpha)
     entries: dict[int, HeuristicEntry] = {}
-    for node_id in kahn_order(dict(enumerate(graph.predecessors))):
+    for node_id in reversed(kahn_order(dict(enumerate(graph.successors)))):
         succs = graph.successors[node_id]
         if not succs:
             entries[node_id] = HeuristicEntry(h=0.0, h_C=0.0, h_Q=1.0)
@@ -170,7 +170,7 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     """
     fronts: list[Front] = [((0.0, 1.0),)] * len(graph.nodes)
     shared: dict[tuple[int, ...], Front] = {}
-    for node_id in kahn_order(dict(enumerate(graph.predecessors))):
+    for node_id in reversed(kahn_order(dict(enumerate(graph.successors)))):
         succs = graph.successors[node_id]
         if not succs:
             continue
@@ -259,7 +259,7 @@ class PlanResult:
     status: str
     alpha: float
     path: PathState | None
-    trace: object
+    trace: ExecutionTrace
     stats: SearchStats
 
     @property
@@ -275,13 +275,9 @@ class PlanResult:
         totals = None
         if self.path is not None:
             for step in self.path.steps:
-                node = graph.nodes[step.node_id]
                 path_rows.append(
                     {
-                        "tool": node.tool if not node.is_root else "ROOT",
-                        "subtask": node.kind,
-                        "argument": node.instance.argument if node.instance else None,
-                        "ordinal": node.instance.ordinal if node.instance else None,
+                        **graph.nodes[step.node_id].view(),
                         "c": step.time_seconds,
                         "q": step.quality,
                         "attempts": step.attempts,
@@ -377,7 +373,7 @@ def astar_search(
     label there is dropped; queued labels that a newer label dominates are
     skipped when popped.
     """
-    rec = TraceRecorder()
+    events: list[TraceEvent] = []
     alpha, threshold = cfg.alpha, cfg.quality_threshold
     fronts = bounds.fronts
     counter = itertools.count()
@@ -389,9 +385,7 @@ def astar_search(
     stats["peak_frontier"] = 1
 
     def finish(status: str, path: PathState | None) -> PlanResult:
-        result = PlanResult(
-            status=status, alpha=alpha, path=path, trace=rec.build(), stats=SearchStats(**stats)
-        )
+        result = PlanResult(status, alpha, path, ExecutionTrace(tuple(events)), SearchStats(**stats))
         logger.debug("search at alpha=%s %s: %s", alpha, status, result.stats)
         return result
 
@@ -418,7 +412,7 @@ def astar_search(
                     retry_time += outcome.time_seconds
                 if validate_quality(outcome, threshold):
                     break
-                rec.record(node, attempt, outcome, False)
+                events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
             else:
                 stats["dropped_after_retries"] += 1
                 continue
@@ -433,7 +427,9 @@ def astar_search(
                     label.time + first.time_seconds, label.quality * first.quality, alpha
                 ) + compute_g(retry_time, outcome.quality, alpha)
                 g_path = compute_g(cum_time, cum_quality, alpha)
-            rec.record(node, attempt, outcome, True, g_literal=g_literal, g_path=g_path)
+            events.append(
+                TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "pass", g_literal, g_path)
+            )
 
             step = PathStep(succ, first.time_seconds + retry_time, outcome.quality, attempt)
             succ_label = _admit(labels[succ], cum_time, cum_quality, step, label)

@@ -421,6 +421,34 @@ def test_graph_subgraph_json(data_dir, capsys):
     assert len(payload["nodes"]) == 5
 
 
+def test_plan_and_trace_name_nodes_as_graph_json(data_dir, tmp_path, capsys):
+    """Plan rows and trace events name each node as `graph --format json` does."""
+    tables = ["--mdt", str(data_dir / "mdt_full.json"), "--tree", str(data_dir / "tree_example2.json")]
+    assert main(["graph", *tables, "--format", "json"]) == 0
+    graph = json.loads(capsys.readouterr().out)
+    names = {n["id"]: {k: n[k] for k in ("tool", "subtask", "argument", "ordinal")} for n in graph["nodes"]}
+    successors = {i: [] for i in names}
+    for a, b in graph["edges"]:
+        successors[a].append(b)
+    out = tmp_path / "plan.json"
+    argv = ["plan", *tables, "--benchmark", str(data_dir / "benchmark_full.json"),
+            "--sim", "stochastic", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    events = json.loads(out.with_suffix(".json.trace.json").read_text())["events"]
+    assert any(e["attempt"] > 1 for e in events)  # the plan retries
+    for event in events:
+        assert {k: event[k] for k in names[event["node"]]} == names[event["node"]]
+    # Plan rows carry no id: each row after ROOT is the one successor of the
+    # previous row's node that bears its names.
+    rows = json.loads(out.read_text())["path"]
+    node = 0
+    assert {k: rows[0][k] for k in names[node]} == names[node]
+    for row in rows[1:]:
+        matches = [j for j in successors[node] if names[j] == {k: row[k] for k in names[j]}]
+        assert len(matches) == 1
+        node = matches[0]
+
+
 def test_graph_missing_tree_is_input_error(data_dir, capsys):
     code = main([
         "graph",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,20 +11,25 @@ from oracles import attempts_for
 from toolpath.errors import MissingBenchmark, ParseError, ScriptGap
 from toolpath.execution import (
     ExecutionOutcome,
+    ExecutionTrace,
     Simulator,
     SimulatorSpec,
-    TraceRecorder,
+    TraceEvent,
     execute,
     simulator_spec_from_json,
     validate_quality,
 )
-from toolpath.graphs import PlanNode
+from toolpath.graphs import PlanNode, _assemble
 from toolpath.planning import SubtaskInstance
 from toolpath.registry import BenchmarkRow, BenchmarkTable
 
 INST = SubtaskInstance(kind="Object Detection", argument="Cat", ordinal=1)
 NODE = PlanNode(node_id=3, tool="YOLOv7", kind="Object Detection", instance=INST, role="candidate")
 ROOT = PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root")
+# Node ids index the graph's node list, so ids 1 and 2 are filled with copies of NODE.
+GRAPH = _assemble(
+    [ROOT, *(replace(NODE, node_id=i) for i in (1, 2)), NODE], {(0, 1), (0, 2), (0, 3)}, {1, 2, 3}
+)
 BT = BenchmarkTable(rows={("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82, 0.82)})
 
 
@@ -143,29 +149,30 @@ def test_validate_quality_threshold_is_inclusive():
 
 
 def test_empty_trace_totals():
-    trace = TraceRecorder().build()
+    trace = ExecutionTrace(())
     assert trace.total_time == 0.0
     assert trace.events == ()
-    payload = trace.to_json_dict()
+    payload = trace.to_json_dict(GRAPH)
     assert payload["totals"] == {"events": 0, "time_seconds": 0.0, "retried_nodes": []}
 
 
 def test_trace_counts_attempts_and_retries():
-    rec = TraceRecorder()
-    rec.record(NODE, 1, ExecutionOutcome(0.5, 0.3, 1), False)
-    rec.record(NODE, 2, ExecutionOutcome(0.6, 0.4, 2), False)
-    rec.record(NODE, 3, ExecutionOutcome(0.7, 0.9, 3), True)
-    trace = rec.build()
+    trace = ExecutionTrace(
+        (
+            TraceEvent(NODE.node_id, 1, 0.5, 0.3, "fail"),
+            TraceEvent(NODE.node_id, 2, 0.6, 0.4, "fail"),
+            TraceEvent(NODE.node_id, 3, 0.7, 0.9, "pass"),
+        )
+    )
     assert attempts_for(trace, NODE.node_id) == 3
     assert trace.retried_nodes() == {NODE.node_id}
     assert trace.total_time == pytest.approx(1.8, abs=1e-12)
 
 
 def test_trace_json_field_order_stable():
-    rec = TraceRecorder()
-    rec.record(NODE, 1, ExecutionOutcome(0.5, 0.9, 1), True)
-    a = json.dumps(rec.build().to_json_dict(), sort_keys=True)
-    b = json.dumps(rec.build().to_json_dict(), sort_keys=True)
+    trace = ExecutionTrace((TraceEvent(NODE.node_id, 1, 0.5, 0.9, "pass"),))
+    a = json.dumps(trace.to_json_dict(GRAPH), sort_keys=True)
+    b = json.dumps(trace.to_json_dict(GRAPH), sort_keys=True)
     assert a == b
 
 

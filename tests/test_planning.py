@@ -72,7 +72,7 @@ def test_single_node_tree_is_root_and_leaf():
         json.dumps({"task": "x", "subtask_tree": [{"subtask": "Object Detection (Cat)(1)", "parent": []}]})
     )
     assert tree.roots() == list(tree.nodes)
-    assert tree.leaves() == list(tree.nodes)
+    assert tree.children() == {node: [] for node in tree.nodes}
 
 
 def test_dangling_parent_rejected():

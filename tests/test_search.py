@@ -375,7 +375,8 @@ def test_retry_updates_path_g_consistently():
     assert step.quality == 0.9
     assert res.path.g == pytest.approx(compute_g(2.5, 0.9, 1.0))
     # the trace keeps both the literal two-term sum and the path-consistent g
-    final_event = [e for e in res.trace.events if e.tool == "A"][-1]
+    node_a = next(n for n in graph.nodes if n.tool == "A")
+    final_event = [e for e in res.trace.events if e.node_id == node_a.node_id][-1]
     assert final_event.g_path == pytest.approx(res.path.g)
     assert final_event.g_literal == pytest.approx(
         compute_g(1.0, 0.5, 1.0) + compute_g(1.5, 0.9, 1.0)
@@ -415,13 +416,17 @@ def _suffix_extrema(graph, bt):
     n = len(graph.nodes)
     min_time = [0.0] * n
     max_quality = [1.0] * n
+    predecessors = [[] for _ in range(n)]
+    for i, succs in enumerate(graph.successors):
+        for j in succs:
+            predecessors[j].append(i)
     order = []
     outdeg = [len(s) for s in graph.successors]
     ready = [i for i in range(n) if outdeg[i] == 0]
     while ready:
         i = ready.pop()
         order.append(i)
-        for j in graph.predecessors[i]:
+        for j in predecessors[i]:
             outdeg[j] -= 1
             if outdeg[j] == 0:
                 ready.append(j)
@@ -584,7 +589,7 @@ def test_stochastic_replays_are_bit_stable(seed, sim_seed, alpha):
     for _ in range(2):
         sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=0.1), bt, sim_seed)
         res = _run(graph, bt, alpha=alpha, sim=sim, seed=sim_seed)
-        runs.append(json.dumps([res.to_json_dict(graph), res.trace.to_json_dict()], sort_keys=True))
+        runs.append(json.dumps([res.to_json_dict(graph), res.trace.to_json_dict(graph)], sort_keys=True))
     assert runs[0] == runs[1]
 
 
