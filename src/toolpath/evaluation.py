@@ -156,12 +156,12 @@ def sweep_alpha(
     """
     cfg0 = base_cfg if base_cfg is not None else SearchConfig()
     alphas = sorted(validate_alpha(a) for a in alphas)
-    bounds = suffix_bounds(graph, bt) if alphas else None
+    fronts = suffix_bounds(graph, bt) if alphas else None
     points: list[ParetoPoint] = []
     for alpha in alphas:
         cfg = replace(cfg0, alpha=alpha)
         simulator = Simulator(sim_spec, bt, cfg.seed)
-        result = astar_search(graph, bounds, simulator, cfg)
+        result = astar_search(graph, fronts, simulator, cfg)
         if not result.found:
             raise SearchExhausted(f"search at alpha={alpha} found no valid path")
         points.append(

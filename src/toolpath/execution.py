@@ -92,14 +92,11 @@ def execute(
     attempt: int,
     seed: int,
 ) -> ExecutionOutcome:
-    """Simulate one invocation of `node`; attempt counts from 1.
+    """Simulate one invocation of the tool `node`; attempt counts from 1.
 
-    The virtual root always yields (0, 1.0).  Stochastic time is lognormal
-    around the benchmark time, stochastic quality a clamped gaussian around
-    the benchmark quality.
+    Stochastic time is lognormal around the benchmark time, stochastic
+    quality a clamped gaussian around the benchmark quality.
     """
-    if node.is_root:
-        return ExecutionOutcome(time_seconds=0.0, quality=1.0, attempt=attempt)
     if spec.mode == "scripted":
         key = (node.tool, node.kind, attempt)
         if key not in spec.script:

@@ -5,16 +5,19 @@ resource of u matches some input resource of v; the `graph` command exports
 it.  A subtask tree is expanded into a tool subgraph by replacing each
 subtask instance with its candidate tools plus any prerequisite chains
 spliced in front of them, so that every root-to-leaf path is an executable
-toolpath.  Candidates and prerequisite producers are read from the
-registry's `by_subtask` and `producers` indexes; a producer follows the
-TDG's own rule (an output of it is a missing input, tools differ), and the
-TDG itself is never built for planning.
+toolpath.  A path ends at a node with no successors, and those sinks are
+exactly the candidate nodes of the tree's leaf instances: a candidate's own
+node is never shared with the same (tool, subtask) spliced in as another
+candidate's prerequisite.  Candidates and prerequisite producers are read
+from the registry's `by_subtask` and `producers` indexes; a producer
+follows the TDG's own rule (an output of it is a missing input, tools
+differ), and the TDG itself is never built for planning.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DependencyTooDeep, NoToolForSubtask, PathExplosion, UnsatisfiableDependency
 from .planning import SubtaskInstance, SubtaskTree, kahn_order, root_to_leaf_paths, topological_order
@@ -66,8 +69,6 @@ class PlanNode:
     kind: str | None
     instance: SubtaskInstance | None
     role: str  # "root" | "candidate" | "prerequisite"
-    input_keys: frozenset[str] = frozenset()
-    output_keys: frozenset[str] = frozenset()
 
     @property
     def is_root(self) -> bool:
@@ -86,22 +87,20 @@ class PlanNode:
 
 @dataclass(frozen=True)
 class ToolSubgraph:
+    """Nodes indexed by id and each node's successor ids in ascending order.
+
+    A node with no successors ends a path.
+    """
+
     nodes: tuple[PlanNode, ...]
-    edges: frozenset[tuple[int, int]]
-    leaves: frozenset[int]
-    successors: tuple[tuple[int, ...], ...] = field(compare=False)
+    successors: tuple[tuple[int, ...], ...]
 
 
-def _assemble(nodes: list[PlanNode], edges: set[tuple[int, int]], leaves: set[int]) -> ToolSubgraph:
+def _assemble(nodes: list[PlanNode], edges: set[tuple[int, int]]) -> ToolSubgraph:
     succ: list[list[int]] = [[] for _ in nodes]
     for a, b in edges:
         succ[a].append(b)
-    return ToolSubgraph(
-        nodes=tuple(nodes),
-        edges=frozenset(edges),
-        leaves=frozenset(leaves),
-        successors=tuple(tuple(sorted(s)) for s in succ),
-    )
+    return ToolSubgraph(nodes=tuple(nodes), successors=tuple(tuple(sorted(s)) for s in succ))
 
 
 def _resolve(
@@ -153,22 +152,17 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
     gets a prerequisite chain spliced in front of it.  Chains of one
     instance are merged on identical prefixes, so alternatives that share
     prerequisites (e.g. detection then segmentation) fan out only at the
-    point they actually diverge.  Consecutive instances are joined by
-    complete bipartite edges from the predecessor's terminal tools to the
-    successor's entry tools; the virtual root feeds every entry of the root
-    instances.
+    point they actually diverge; a candidate's own node is keyed apart from
+    the same pair spliced in as a prerequisite, so it is never merged with
+    one.  Consecutive instances are joined by complete bipartite edges from
+    the predecessor's terminal tools to the successor's entry tools; the
+    virtual root feeds every entry of the root instances.
     """
-    root = PlanNode(
-        node_id=ROOT_ID, tool=None, kind=None, instance=None, role="root",
-        output_keys=ROOT_OUTPUTS,
-    )
-    nodes: list[PlanNode] = [root]
+    nodes: list[PlanNode] = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None, role="root")]
     edges: set[tuple[int, int]] = set()
     avail_out: dict[SubtaskInstance, frozenset[str]] = {}
     terminals_of: dict[SubtaskInstance, list[int]] = {}
-    leaves: set[int] = set()
 
-    kids = tree.children()
     for inst in topological_order(tree):
         parents = tree.parents[inst]
         avail_in = set(ROOT_OUTPUTS)
@@ -183,7 +177,8 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
         if not candidates:
             raise NoToolForSubtask(f"no tool supports subtask {inst.kind!r}")
 
-        trie: dict[tuple[tuple[str, str], ...], int] = {}
+        # Keyed by (prefix, whether the prefix ends at the candidate itself).
+        trie: dict[tuple[tuple[tuple[str, str], ...], bool], int] = {}
         local_edges: set[tuple[int, int]] = set()
         terminals: list[int] = []
         produced_sets: list[frozenset[str]] = []
@@ -200,21 +195,13 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
             prev_id: int | None = None
             for rec in seq:
                 prefix = prefix + (rec.key,)
-                node_id = trie.get(prefix)
+                key = (prefix, rec is record)
+                node_id = trie.get(key)
                 if node_id is None:
                     node_id = len(nodes)
-                    nodes.append(
-                        PlanNode(
-                            node_id=node_id,
-                            tool=rec.tool,
-                            kind=rec.subtask,
-                            instance=inst,
-                            role="candidate" if rec.key == record.key else "prerequisite",
-                            input_keys=rec.input_keys,
-                            output_keys=rec.output_keys,
-                        )
-                    )
-                    trie[prefix] = node_id
+                    role = "candidate" if key[1] else "prerequisite"
+                    nodes.append(PlanNode(node_id, rec.tool, rec.subtask, inst, role))
+                    trie[key] = node_id
                 if prev_id is not None:
                     local_edges.add((prev_id, node_id))
                 prev_id = node_id
@@ -238,12 +225,8 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
         for s in produced_sets[1:]:
             guaranteed &= s
         avail_out[inst] = avail_in | guaranteed
-        if not kids[inst]:
-            leaves.update(terminals)
 
-    graph = _assemble(nodes, edges, leaves)
-    validate_dag(graph)
-    return graph
+    return _assemble(nodes, edges)
 
 
 def validate_dag(graph) -> None:
@@ -289,7 +272,7 @@ def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tu
 def subgraph_to_json(graph: ToolSubgraph) -> str:
     payload = {
         "nodes": [{"id": n.node_id, **n.view()} for n in graph.nodes],
-        "edges": sorted([a, b] for (a, b) in graph.edges),
+        "edges": [[a, b] for a, succs in enumerate(graph.successors) for b in succs],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -315,9 +298,9 @@ def subgraph_to_dot(graph: ToolSubgraph) -> str:
             label = ROOT_TOOL
         else:
             label = _dot_escape(n.tool) + "\\n" + _dot_escape(n.kind)
-        shape = "diamond" if n.is_root else ("doublecircle" if n.node_id in graph.leaves else "box")
+        shape = "diamond" if n.is_root else ("box" if graph.successors[n.node_id] else "doublecircle")
         lines.append(f'  n{n.node_id} [label="{label}", shape={shape}];')
-    for a, b in sorted(graph.edges):
-        lines.append(f"  n{a} -> n{b};")
+    for a, succs in enumerate(graph.successors):
+        lines.extend(f"  n{a} -> n{b};" for b in succs)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ queued at
     f = min over (t, q) in fronts[n] of g(T + t, Q * q)
 
 the best completion of the prefix under benchmark values.  It never
-exceeds the g of any completion at any alpha, and equals g at a leaf,
+exceeds the g of any completion at any alpha, and equals g at a sink,
 whose front is the single point (0, 1).  The paper's h stays available as
 `precompute_heuristics`.
 
@@ -129,11 +129,8 @@ def precompute_heuristics(
         best_hc = best_hq = 0.0
         for succ in succs:
             node = graph.nodes[succ]
-            if node.is_root:
-                c, q = 0.0, 1.0
-            else:
-                row = bt.row(node.tool, node.kind)
-                c, q = row.time_seconds, row.quality_norm
+            row = bt.row(node.tool, node.kind)
+            c, q = row.time_seconds, row.quality_norm
             sub = entries[succ]
             val = _pow(sub.h_C + c, alpha) * (2.0 - q * sub.h_Q) ** (2.0 - alpha)
             if best_val is None or val < best_val:
@@ -148,19 +145,8 @@ def precompute_heuristics(
 Front = tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class SuffixBounds:
-    """Per-node Pareto fronts of completions, indexed by node id.
-
-    `fronts[n]` lists the non-dominated (suffix time, suffix quality
-    product) pairs over every completion from node n.
-    """
-
-    fronts: tuple[Front, ...]
-
-
-def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
-    """Pareto front of suffix (time, quality product) of every node.
+def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> tuple[Front, ...]:
+    """Pareto front of suffix (time, quality product) of every node, by node id.
 
     One reverse-topological pass over benchmark values, independent of
     alpha; a sink's front is ((0, 1),).  A node merges its successors'
@@ -191,7 +177,7 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
                     kept.append((t, -neg_q))
             front = shared[succs] = tuple(kept)
         fronts[node_id] = front
-    return SuffixBounds(fronts=tuple(fronts))
+    return tuple(fronts)
 
 
 def _front_bound(front: Front, time: float, quality: float, alpha: float) -> float:
@@ -358,24 +344,23 @@ def _path(label: _Label, f: float, alpha: float) -> PathState:
 
 def astar_search(
     graph: ToolSubgraph,
-    bounds: SuffixBounds,
+    fronts: tuple[Front, ...],
     executor,
     cfg: SearchConfig,
 ) -> PlanResult:
-    """Best-first search returning the first leaf-ending path popped.
+    """Best-first search returning the first path popped that ends at a sink.
 
     Successors are executed when generated, up to 1 + max_retries times
     until an attempt meets the quality threshold; a successor that never
     passes is dropped without re-queueing.  Queue order is (f, insertion
     counter), so runs replay exactly; f is the admissible bound of the
-    module docstring, so the first leaf popped is optimal.  A prefix whose
-    (cum_time, cum_quality) label at its node is weakly dominated by a live
-    label there is dropped; queued labels that a newer label dominates are
-    skipped when popped.
+    module docstring, which is exact at a sink, so the first sink popped is
+    optimal.  A prefix whose (cum_time, cum_quality) label at its node is
+    weakly dominated by a live label there is dropped; queued labels that a
+    newer label dominates are skipped when popped.
     """
     events: list[TraceEvent] = []
     alpha, threshold = cfg.alpha, cfg.quality_threshold
-    fronts = bounds.fronts
     counter = itertools.count()
     stats = dict.fromkeys(SearchStats.__dataclass_fields__, 0)
     labels: list[list[_Label]] = [[] for _ in graph.nodes]
@@ -396,7 +381,7 @@ def astar_search(
             continue
         stats["expanded"] += 1
         last = label.step.node_id
-        if last in graph.leaves:
+        if not graph.successors[last]:
             return finish(STATUS_FOUND, _path(label, f, alpha))
         for succ in graph.successors[last]:
             node = graph.nodes[succ]

@@ -83,7 +83,7 @@ def dijkstra_min_time(graph, bt) -> float:
         d, i = heapq.heappop(heap)
         if d > dist.get(i, float("inf")):
             continue
-        if i in graph.leaves:
+        if not graph.successors[i]:
             best_leaf = min(best_leaf, d)
             continue
         for j in graph.successors[i]:
@@ -273,6 +273,16 @@ def load_json(path):
 def root_to_leaf_orderings(tree) -> list[tuple]:
     """Every root-to-leaf chain of a subtask tree, in deterministic label order."""
     return root_to_leaf_paths(sorted(tree.roots(), key=lambda n: n.label()), tree.children())
+
+
+def edge_set(graph) -> set[tuple[int, int]]:
+    """Every (node, successor) pair of a tool subgraph."""
+    return {(a, b) for a, succs in enumerate(graph.successors) for b in succs}
+
+
+def sinks(graph) -> set[int]:
+    """The node ids with no successors, where every path ends."""
+    return {i for i, succs in enumerate(graph.successors) if not succs}
 
 
 def attempts_for(trace, node_id: int) -> int:

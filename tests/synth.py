@@ -51,9 +51,7 @@ def random_plan_graph(
             k = int(rng.integers(1, min(3, len(earlier)) + 1))
             for j in rng.choice(earlier, size=k, replace=False):
                 edges.add((int(j), i))
-    graph_tmp = _assemble(nodes, edges, set())
-    leaves = {i for i in range(len(nodes)) if not graph_tmp.successors[i]}
-    graph = _assemble(nodes, edges, leaves)
+    graph = _assemble(nodes, edges)
 
     rows = {}
     for node in nodes[1:]:

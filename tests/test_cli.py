@@ -213,6 +213,51 @@ def test_verify_paths_cap_exit_3(data_dir, capsys):
     assert code == 3
 
 
+def _plan_and_verify(tables: list[str], tmp_path, capsys) -> tuple[dict, dict]:
+    out = tmp_path / "plan.json"
+    assert main(["plan", *tables, "--alpha", "1", "--out", str(out)]) == 0
+    assert main(["verify", *tables, "--alpha", "1", "--gap-tolerance", "0"]) == 0
+    return json.loads(out.read_text()), json.loads(capsys.readouterr().out)
+
+
+def _shared_end_tables(data_dir) -> list[str]:
+    return [
+        "--mdt", str(data_dir / "mdt_shared_end.json"),
+        "--benchmark", str(data_dir / "benchmark_shared_end.json"),
+        "--tree", str(data_dir / "tree_shared_end.json"),
+    ]
+
+
+def test_candidate_end_is_not_shared_with_a_prerequisite(data_dir, tmp_path, capsys):
+    """Bar is a candidate on its own and Foo's prerequisite: two nodes, both paths kept."""
+    tables = _shared_end_tables(data_dir)
+    plan, report = _plan_and_verify(tables, tmp_path, capsys)
+    assert [row["tool"] for row in plan["path"]] == ["ROOT", "Bar"]
+    assert plan["totals"]["g"] == pytest.approx(0.55)
+    assert report["paths_enumerated"] == 3 and report["gap"] == 0.0
+
+    assert main(["graph", "--mdt", tables[1], "--tree", tables[5], "--format", "json"]) == 0
+    graph = json.loads(capsys.readouterr().out)
+    tools = {n["id"]: n["tool"] for n in graph["nodes"]}
+    successors = {i: [b for a, b in graph["edges"] if a == i] for i in tools}
+    bars = [i for i, tool in tools.items() if tool == "Bar"]
+    # One Bar ends a plan (a sink), the other feeds Foo.
+    assert sorted([tools[j] for j in successors[i]] for i in bars) == [[], ["Foo"]]
+
+
+def test_lone_candidate_that_is_also_a_prerequisite_ends_a_plan(data_dir, tmp_path, capsys):
+    """Without Bar, YOLO is a candidate on its own and Foo's prerequisite."""
+    tables = _shared_end_tables(data_dir)
+    for name in ("mdt", "benchmark"):
+        rows = json.loads((data_dir / f"{name}_shared_end.json").read_text())
+        (tmp_path / f"{name}.json").write_text(json.dumps([r for r in rows if r["tool"] != "Bar"]))
+    tables[1], tables[3] = str(tmp_path / "mdt.json"), str(tmp_path / "benchmark.json")
+    plan, report = _plan_and_verify(tables, tmp_path, capsys)
+    assert [row["tool"] for row in plan["path"]] == ["ROOT", "YOLO"]
+    assert plan["totals"]["f"] == plan["totals"]["g"]
+    assert report["paths_enumerated"] == 2 and report["gap"] == 0.0
+
+
 def test_verify_manifest_hashes_the_quality_settings(data_dir, tmp_path):
     tables = [
         "--mdt", str(data_dir / "mdt_full.json"),

@@ -27,20 +27,13 @@ INST = SubtaskInstance(kind="Object Detection", argument="Cat", ordinal=1)
 NODE = PlanNode(node_id=3, tool="YOLOv7", kind="Object Detection", instance=INST, role="candidate")
 ROOT = PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root")
 # Node ids index the graph's node list, so ids 1 and 2 are filled with copies of NODE.
-GRAPH = _assemble(
-    [ROOT, *(replace(NODE, node_id=i) for i in (1, 2)), NODE], {(0, 1), (0, 2), (0, 3)}, {1, 2, 3}
-)
+GRAPH = _assemble([ROOT, *(replace(NODE, node_id=i) for i in (1, 2)), NODE], {(0, 1), (0, 2), (0, 3)})
 BT = BenchmarkTable(rows={("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82, 0.82)})
 
 
 def test_deterministic_playback():
     out = execute(SimulatorSpec(mode="deterministic"), BT, NODE, 1, seed=1)
     assert out == ExecutionOutcome(time_seconds=0.0062, quality=0.82, attempt=1)
-
-
-def test_root_convention_ignores_spec():
-    out = execute(SimulatorSpec(mode="scripted", script={("x", "y", 1): (1, 1)}), BT, ROOT, 5, seed=0)
-    assert out.time_seconds == 0.0 and out.quality == 1.0
 
 
 def test_missing_benchmark_raises():

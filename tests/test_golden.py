@@ -27,6 +27,7 @@ FIXTURES = (
     ("full", "example2"),
     ("full", "replacement"),
     ("full", "single_deblur"),
+    ("shared_end", "shared_end"),
     ("table1", "detection_choice"),
     ("table1", "example1"),
     ("table1", "replacement"),
@@ -109,6 +110,8 @@ GOLDEN = {
     'graph full/replacement json': '2f497fa7de464d6e8360210d6e9d403d58a3bdc63162bcb194d432f2a2df7a28',
     'graph full/single_deblur dot': '6e7c990fde1a2f9da3500f4b9beb987a0bb59e1c696577523816e02f87dd66a3',
     'graph full/single_deblur json': '49a9b040b5581c6ae83e0cb7501ded9e6ed28e07e38165d1c2ef736e1aa7247a',
+    'graph shared_end/shared_end dot': '6cc62ed93ad6623635788c28420f63ffda70e435773e4b88f84f6acdbca5af53',
+    'graph shared_end/shared_end json': '67f1398c7f46c1c33bbd057bfaac78ae40e48f6e29226f1891dabb9536451ab5',
     'graph table1/detection_choice dot': 'c4d938f97d838869a98f6798cbe0d1fd1bcb4826b340dd090d4c8ee57e772fe5',
     'graph table1/detection_choice json': '3e440acb9cfe0f6bcf6a9c0fdeccca5421c121448f3624c6170ff777b5e8eb9f',
     'graph table1/example1 dot': '9be1284c4149fd526e7308062cb62f2cac9967523b1c2710b761f2d76b3f2887',
@@ -145,6 +148,10 @@ GOLDEN = {
     'plan full/single_deblur alpha=0.5': 'c4aa2508fbd615e83fcacbc4d34aaa6c81847a08818e1da13eddf5b5a648cb89',
     'plan full/single_deblur alpha=1': 'eb662a1e6d8e1683d401e61358c70eba3956ad20a18a6497a19a5b59ab4438de',
     'plan full/single_deblur alpha=2': '91671e94ae8f4198949313a8bd75ab50a3d10a257a26d240b1bd350be8106825',
+    'plan shared_end/shared_end alpha=0': 'b1656e735533b452cfe9966452135f066939e573d66de360f56703ffa0bfd24d',
+    'plan shared_end/shared_end alpha=0.5': '44e63ab67525aba0e51cfb81aa5109245fa7166cb54fd5bc1ec0d886d827a691',
+    'plan shared_end/shared_end alpha=1': '4f3b48e30740bd4449826df162f5f54f3de3011b0b20c3f62b5b48931217f5e9',
+    'plan shared_end/shared_end alpha=2': '12ce6750158b46966255a54a1c7ae305a0f24e9e9613527045aa02c2be90ed3d',
     'plan table1/detection_choice alpha=0': 'eb00ea90f76927bcd17918d1f49cb8e32200f4bd1fbf0eb4bcd30a9a467c5138',
     'plan table1/detection_choice alpha=0.5': '76fe8c832b0da35b415dd2dcf73c1a3be6a32c2da3fe6c23a7ad9156dea88f38',
     'plan table1/detection_choice alpha=1': 'e40db30460ae45c4ead24276bade81df500facedc0c8e22d21a086aa899acf94',
@@ -163,6 +170,7 @@ GOLDEN = {
     'sweep full/example2': '8a494ca7998e1a2cf23251e2a72fe55a0e5f44926647a80d6d3a834bba07e37b',
     'sweep full/replacement': '8c271b3720e2c64b0c281987955ce267f13773741deea9f2e931f9c775e6a500',
     'sweep full/single_deblur': '1e0b53e0bf8bff4c1aaa5c2407de154a72c7003578666388d18d1d0248938041',
+    'sweep shared_end/shared_end': '0c862a39f8eb8d228093e210a5d82cb051361dab76f7fa788b0105a8cc339dc8',
     'sweep table1/detection_choice': '1288cb1fb3e4e934e9b19ae3faa06f96889984214d5ca040cc21d517e5df6011',
     'sweep table1/example1': 'cc3474b4d91e66d88bbcc9261932d0fde4a22437eb8933a18d7ac7dede8b5012',
     'sweep table1/replacement': '6af7b3c8c0a8f29d23482b440d6bdcd9624ea655130ee9e5ec04343f3161d0d5',
@@ -172,6 +180,7 @@ GOLDEN = {
     'verify full/example2': '32021953aa5c32948fe6a9ca8331601dceff33718542020b24d91830bc5db1df',
     'verify full/replacement': '15713b2a4ea7eb74d725df31321fe5624f46438181dbec62234881d88ecab661',
     'verify full/single_deblur': 'c58346e2178f95c561c13a5cdf2bbcd90db25d1623f24e5ab1d7689986a2e6d0',
+    'verify shared_end/shared_end': '764f74e414b873639bb2516baee55f625ba565e0ff1b24bfab2e3abc9e0dab77',
     'verify table1/detection_choice': '4cfa0ee5eb59c92d1e9b1a08da2e229a1c8b64521dac9276d72ab26c62466617',
     'verify table1/example1': '046bfaf1154353079d3ebd401fa7600382f9fed2c01d354f3647eab7a6be739f',
     'verify table1/replacement': '691557f0816e12a4ed349b4e0fcc0cf23b1064a88cf6bc40fe48c94d133fd46a',

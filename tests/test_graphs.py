@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_paths_dfs, expand_reference, load_json, pairwise_tdg_edges, root_to_leaf_orderings
+from oracles import (
+    count_paths_dfs,
+    edge_set,
+    expand_reference,
+    load_json,
+    pairwise_tdg_edges,
+    root_to_leaf_orderings,
+    sinks,
+)
 from synth import built_instance, random_pipeline_instance
+from test_golden import FIXTURES
 from toolpath.errors import (
     CycleDetected,
     NoToolForSubtask,
@@ -15,7 +24,7 @@ from toolpath.errors import (
     UnsatisfiableDependency,
 )
 from toolpath.graphs import (
-    ROOT_ID,
+    ROOT_OUTPUTS,
     build_tdg,
     build_tool_subgraph,
     count_paths,
@@ -149,8 +158,8 @@ def test_replacement_chain_on_table1(data_dir):
         ("DALL-E", "Object Replacement"),
         ("Stable Diffusion Inpaint", "Object Replacement"),
     ]
-    assert sorted(g.edges) == [(0, 1), (1, 2), (2, 3), (2, 4)]
-    assert g.leaves == {3, 4}
+    assert sorted(edge_set(g)) == [(0, 1), (1, 2), (2, 3), (2, 4)]
+    assert sinks(g) == {3, 4}
 
 
 def test_deblur_needs_no_prerequisites(data_dir, full_tables):
@@ -159,7 +168,7 @@ def test_deblur_needs_no_prerequisites(data_dir, full_tables):
     g = build_tool_subgraph(tree, mdt)
     assert len(g.nodes) == 2
     assert g.nodes[1].tool == "DeblurGAN"
-    assert g.edges == {(0, 1)}
+    assert edge_set(g) == {(0, 1)}
 
 
 def test_text_replacement_splices_full_chain(full_tables):
@@ -190,10 +199,10 @@ def test_example1_expansion_matches_reference(data_dir, full_tables):
         ("ROOT", None, None) if n.is_root else (n.instance.label(), n.tool, n.kind) for n in g.nodes
     )
     assert got_nodes == ref_nodes
-    assert len(g.edges) == ref_edge_count
+    assert len(edge_set(g)) == ref_edge_count
     assert count_paths(g) == ref_paths
     # frozen hand-derived sizes for this fixture
-    assert (len(g.nodes), len(g.edges), count_paths(g)) == (15, 26, 32)
+    assert (len(g.nodes), len(edge_set(g)), count_paths(g)) == (15, 26, 32)
 
 
 def test_example2_expansion_matches_reference(data_dir, full_tables):
@@ -208,9 +217,9 @@ def test_example2_expansion_matches_reference(data_dir, full_tables):
         ("ROOT", None, None) if n.is_root else (n.instance.label(), n.tool, n.kind) for n in g.nodes
     )
     assert got_nodes == ref_nodes
-    assert len(g.edges) == ref_edge_count
+    assert len(edge_set(g)) == ref_edge_count
     assert count_paths(g) == ref_paths
-    assert (len(g.nodes), len(g.edges), count_paths(g)) == (18, 24, 16)
+    assert (len(g.nodes), len(edge_set(g)), count_paths(g)) == (18, 24, 16)
 
 
 def test_no_tool_for_subtask(data_dir):
@@ -226,28 +235,30 @@ def test_unsatisfiable_dependency(data_dir):
         build_tool_subgraph(_single("Text Extraction"), mdt)
 
 
-def _path_is_sound(g, path) -> bool:
-    have = set(g.nodes[ROOT_ID].output_keys)
+def _path_is_sound(g, records, path) -> bool:
+    have = set(ROOT_OUTPUTS)
     for node_id in path:
         node = g.nodes[node_id]
         if node.is_root:
             continue
-        if not node.input_keys <= have:
+        record = records[(node.tool, node.kind)]
+        if not record.input_keys <= have:
             return False
-        have |= node.output_keys
+        have |= record.output_keys
     return True
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_subgraph_invariants(seed):
-    g, bt, tree, _ = built_instance(seed)
+    g, bt, tree, payload = built_instance(seed)
+    records = parse_mdt(json.dumps(payload["mdt"])).records
     validate_dag(g)
     orderings = {
         tuple(n.label() for n in chain) for chain in root_to_leaf_orderings(tree)
     }
     for path in enumerate_paths(g):
         # resource soundness along every root-to-leaf path
-        assert _path_is_sound(g, path)
+        assert _path_is_sound(g, records, path)
         # the instances visited form exactly one root-to-leaf tree ordering
         visited: list[str] = []
         for node_id in path[1:]:
@@ -256,7 +267,7 @@ def test_random_subgraph_invariants(seed):
                 visited.append(label)
         assert tuple(visited) in orderings
         # every maximal path ends at a leaf
-        assert path[-1] in g.leaves
+        assert path[-1] in sinks(g)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -274,6 +285,30 @@ def test_eq1_candidate_coverage(seed):
             assert n.role in ("candidate", "prerequisite")
 
 
+def _assert_ordered_with_candidate_sinks(g, tree) -> None:
+    """Every edge climbs in id, and the sinks are the leaf instances' candidates."""
+    assert all(a < b for a, b in edge_set(g))
+    kids = tree.children()
+    leaf_candidates = {
+        n.node_id for n in g.nodes if n.role == "candidate" and not kids[n.instance]
+    }
+    assert sinks(g) == leaf_candidates
+
+
+@pytest.mark.parametrize(("tables", "tree_stem"), FIXTURES)
+def test_bundled_subgraphs_are_ordered_with_candidate_sinks(tables, tree_stem, data_dir):
+    tree = parse_subtask_tree((data_dir / f"tree_{tree_stem}.json").read_text())
+    g = build_tool_subgraph(tree, load_mdt(data_dir / f"mdt_{tables}.json"))
+    _assert_ordered_with_candidate_sinks(g, tree)
+
+
+@pytest.mark.parametrize("unit_quality", [False, True])
+def test_random_subgraphs_are_ordered_with_candidate_sinks(unit_quality):
+    for seed in range(300):
+        g, _, tree, _ = built_instance(seed, unit_quality=unit_quality)
+        _assert_ordered_with_candidate_sinks(g, tree)
+
+
 # ---------------------------------------------------------------- DAG ops
 
 
@@ -281,7 +316,7 @@ def test_validate_dag_detects_injected_back_edge(detection_fixture):
     from toolpath.graphs import _assemble
 
     g, _ = detection_fixture
-    bad = _assemble(list(g.nodes), set(g.edges) | {(3, 0)}, set(g.leaves))
+    bad = _assemble(list(g.nodes), edge_set(g) | {(3, 0)})
     with pytest.raises(CycleDetected) as err:
         validate_dag(bad)
     assert err.value.cycle
@@ -337,7 +372,7 @@ def test_subgraph_json_export_is_deterministic(detection_fixture):
     assert a == b
     payload = json.loads(a)
     assert {n["id"] for n in payload["nodes"]} == {n.node_id for n in g.nodes}
-    assert sorted(tuple(e) for e in payload["edges"]) == sorted(g.edges)
+    assert sorted(tuple(e) for e in payload["edges"]) == sorted(edge_set(g))
 
 
 def test_dot_exports(data_dir, detection_fixture):

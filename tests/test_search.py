@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import attempts_for, dijkstra_min_time, reference_heuristic
+from oracles import attempts_for, dijkstra_min_time, reference_heuristic, sinks
 from synth import build_payload, built_instance, chain_instance, random_plan_graph
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import brute_force_optimal, path_objective
@@ -89,7 +89,7 @@ def test_heuristic_leaf_initialization(detection_fixture):
     graph, bt = detection_fixture
     for alpha in ALPHAS:
         h = precompute_heuristics(graph, bt, alpha)
-        for leaf in graph.leaves:
+        for leaf in sinks(graph):
             assert (h[leaf].h, h[leaf].h_C, h[leaf].h_Q) == (0.0, 0.0, 1.0)
 
 
@@ -103,7 +103,7 @@ def test_heuristic_single_successor_hand_value():
         PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root"),
         PlanNode(node_id=1, tool="Stable Diffusion Inpaint", kind="Object Removal", instance=inst, role="candidate"),
     ]
-    g = _assemble(nodes, {(0, 1)}, {1})
+    g = _assemble(nodes, {(0, 1)})
     bt = BenchmarkTable(rows={("Stable Diffusion Inpaint", "Object Removal"): BenchmarkRow(12.1, 0.93, 0.93)})
     h = precompute_heuristics(g, bt, 1.0)
     assert h[ROOT_ID].h == pytest.approx(12.947, abs=1e-12)
@@ -122,7 +122,7 @@ def test_heuristic_two_successor_hand_values():
         PlanNode(node_id=1, tool="YOLOv7", kind="Object Detection", instance=inst, role="candidate"),
         PlanNode(node_id=2, tool="Grounding DINO", kind="Object Detection", instance=inst, role="candidate"),
     ]
-    g = _assemble(nodes, {(0, 1), (0, 2)}, {1, 2})
+    g = _assemble(nodes, {(0, 1), (0, 2)})
     bt = BenchmarkTable(
         rows={
             ("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82, 0.82),
@@ -466,12 +466,12 @@ def test_suffix_bounds_match_independent_dp():
     for seed in range(40):
         graph, bt = random_plan_graph(seed)
         min_time, max_quality = _suffix_extrema(graph, bt)
-        fronts = suffix_bounds(graph, bt).fronts
+        fronts = suffix_bounds(graph, bt)
         got_min_time = [front[0][0] for front in fronts]
         got_max_quality = [front[-1][1] for front in fronts]
         assert got_min_time == pytest.approx(min_time, rel=1e-12, abs=1e-300)
         assert got_max_quality == pytest.approx(max_quality, rel=1e-12, abs=1e-300)
-        for leaf in graph.leaves:
+        for leaf in sinks(graph):
             assert fronts[leaf] == ((0.0, 1.0),)
 
 
@@ -501,7 +501,7 @@ def _enumerated_front(graph, bt, node_id):
 @given(seed=st.integers(min_value=0, max_value=299), unit_quality=st.booleans())
 def test_suffix_fronts_are_pareto_filters_of_enumerated_suffixes(seed, unit_quality):
     graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
-    fronts = suffix_bounds(graph, bt).fronts
+    fronts = suffix_bounds(graph, bt)
     for node_id in range(len(graph.nodes)):
         assert fronts[node_id] == _enumerated_front(graph, bt, node_id)
 
@@ -549,7 +549,7 @@ def test_dominated_queued_state_is_skipped_at_pop():
         for i, t in enumerate(tools, start=1)
     ]
     a, b, x, leaf, z = range(1, 6)
-    graph = _assemble(nodes, {(0, a), (0, b), (a, x), (a, z), (b, x), (x, leaf)}, {leaf, z})
+    graph = _assemble(nodes, {(0, a), (0, b), (a, x), (a, z), (b, x), (x, leaf)})
     rows = {"A": (1.0, 0.9), "B": (1.0, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0), "Z": (0.1, 0.5)}
     bt = BenchmarkTable(
         rows={(t, "Object Detection"): BenchmarkRow(c, q, q) for t, (c, q) in rows.items()}
@@ -607,7 +607,7 @@ def test_one_path_state_per_search(detection_fixture, monkeypatch):
     graph, bt = detection_fixture
     res = _run(graph, bt, alpha=1.0)
     assert built == [res.path]
-    assert res.path.node_ids[0] == 0 and res.path.node_ids[-1] in graph.leaves
+    assert res.path.node_ids[0] == 0 and res.path.node_ids[-1] in sinks(graph)
     assert [step.node_id for step in res.path.steps] == list(res.path.node_ids)
 
 
