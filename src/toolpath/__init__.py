@@ -20,7 +20,6 @@ from .graphs import (
     build_tdg,
     build_tool_subgraph,
     enumerate_paths,
-    validate_dag,
 )
 from .planning import (
     PlannerPrompt,
@@ -86,6 +85,5 @@ __all__ = [
     "suffix_bounds",
     "sweep_alpha",
     "task_accuracy",
-    "validate_dag",
     "validate_quality",
 ]

@@ -229,21 +229,6 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
     return _assemble(nodes, edges)
 
 
-def validate_dag(graph) -> None:
-    """Acyclicity check; raises CycleDetected with one cycle."""
-    if isinstance(graph, SubtaskTree):
-        topological_order(graph)
-    elif isinstance(graph, ToolSubgraph):
-        kahn_order(dict(enumerate(graph.successors)))
-    elif isinstance(graph, ToolDependencyGraph):
-        succ: dict[str, list[str]] = {t: [] for t in graph.nodes}
-        for u, v in graph.edges:
-            succ[u].append(v)
-        kahn_order(succ)
-    else:
-        raise TypeError(f"cannot validate object of type {type(graph).__name__}")
-
-
 def count_paths(graph: ToolSubgraph) -> int:
     """Number of root-to-leaf paths, via DP over a topological order."""
     counts = [0] * len(graph.nodes)

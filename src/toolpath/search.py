@@ -26,14 +26,22 @@ Paths are pruned by Pareto dominance: each node keeps the non-dominated
 searches NAMOA* (Mandow & Perez de la Cruz, JACM 2010) and BOA* (Hernandez
 et al., AIJ 2023).  Execution outcomes are keyed by node and attempt, not
 by the path taken, so a dominated prefix can never complete better than its
-dominator and the pruning is exact.  A label is the search's only state:
+dominator and the pruning is exact.  A label is the search's only path state:
 it links to the label of the prefix it extends, and the one path returned
 is rebuilt from those links.
 
-Each generated successor runs through one attempt loop: attempts 1 to
-1 + max_retries are executed until one meets the quality threshold.  A
-successor that never passes drops the path without re-queueing it, while
-other routes through the same node stay explorable.
+Tools run when the search pops them, not when they are generated, as in
+Lazy Weighted A* (Cohen, Phillips & Likhachev, SoCS 2014) and LazySP
+(Dellin & Srinivasa, ICAPS 2016).  Expanding a label queues one
+unexecuted edge per successor at the bound its benchmark row gives; the
+edge runs only when popped, through one attempt loop: attempts 1 to
+1 + max_retries are executed until one meets the quality threshold.  An
+edge that never passes drops the path without re-queueing it, while other
+routes through the same node stay explorable.  Under stochastic execution
+an edge is queued at its benchmark bound and its label at the realized
+one, so the search commits to a path without seeing the outcomes of
+siblings it never popped, and may return a path an eager search, which
+ran every sibling, would have beaten.
 """
 
 from __future__ import annotations
@@ -145,15 +153,29 @@ def precompute_heuristics(
 Front = tuple[tuple[float, float], ...]
 
 
-def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> tuple[Front, ...]:
-    """Pareto front of suffix (time, quality product) of every node, by node id.
+@dataclass(frozen=True)
+class SuffixBounds:
+    """By node id: the node's benchmark (time, quality) and its suffix front."""
+
+    rows: tuple[tuple[float, float], ...]
+    fronts: tuple[Front, ...]
+
+
+def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
+    """Benchmark row and Pareto front of suffix (time, quality product) of every node.
 
     One reverse-topological pass over benchmark values, independent of
-    alpha; a sink's front is ((0, 1),).  A node merges its successors'
-    fronts, each shifted by that successor's benchmark row, and keeps the
-    points no other point weakly dominates.  A front depends only on the
-    successors, so nodes with the same successors share one front.
+    alpha; a sink's front is ((0, 1),) and the root's row, which runs no
+    tool, is (0, 1).  A node merges its successors' fronts, each shifted by
+    that successor's row, and keeps the points no other point weakly
+    dominates.  A front depends only on the successors, so nodes with the
+    same successors share one front.
     """
+    rows = [(0.0, 1.0)] * len(graph.nodes)
+    for node in graph.nodes:
+        if not node.is_root:
+            row = bt.row(node.tool, node.kind)
+            rows[node.node_id] = (row.time_seconds, row.quality_norm)
     fronts: list[Front] = [((0.0, 1.0),)] * len(graph.nodes)
     shared: dict[tuple[int, ...], Front] = {}
     for node_id in reversed(kahn_order(dict(enumerate(graph.successors)))):
@@ -164,9 +186,7 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> tuple[Front, ...]:
         if front is None:
             points = []
             for succ in succs:
-                node = graph.nodes[succ]
-                row = bt.row(node.tool, node.kind)
-                c, r = row.time_seconds, row.quality_norm
+                c, r = rows[succ]
                 points += [(c + t, -(r * q)) for t, q in fronts[succ]]
             # Ascending time, higher quality first among equal times: a point
             # survives only if it beats the quality of every faster one.
@@ -177,7 +197,7 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> tuple[Front, ...]:
                     kept.append((t, -neg_q))
             front = shared[succs] = tuple(kept)
         fronts[node_id] = front
-    return tuple(fronts)
+    return SuffixBounds(tuple(rows), tuple(fronts))
 
 
 def _front_bound(front: Front, time: float, quality: float, alpha: float) -> float:
@@ -223,11 +243,14 @@ class PathState:
 class SearchStats:
     """Deterministic work counters of one search.
 
-    Every successor walked from an expanded path is one `generated` path
-    and one first execution, so `executions == generated + retries`.  A
-    generated path is then dropped after its retries, pruned by dominance,
-    or queued.  `stale_pops` are queued paths whose label a later label
-    dominated; they are skipped and not counted as `expanded`.
+    Expanding a label queues one unexecuted edge per successor.  Every edge
+    popped from a live label is one `generated` path and one first
+    execution, so `executions == generated + retries`, which is also the
+    number of trace events.  A generated path is then dropped after its
+    retries, pruned by dominance, or queued.  `stale_pops` are queued
+    labels and edges whose label a later label dominated; they are skipped,
+    so a stale label is not `expanded` and a stale edge never runs.
+    `peak_frontier` counts queued labels and edges together.
     """
 
     executions: int = 0
@@ -344,87 +367,100 @@ def _path(label: _Label, f: float, alpha: float) -> PathState:
 
 def astar_search(
     graph: ToolSubgraph,
-    fronts: tuple[Front, ...],
+    bounds: SuffixBounds,
     executor,
     cfg: SearchConfig,
 ) -> PlanResult:
     """Best-first search returning the first path popped that ends at a sink.
 
-    Successors are executed when generated, up to 1 + max_retries times
-    until an attempt meets the quality threshold; a successor that never
-    passes is dropped without re-queueing.  Queue order is (f, insertion
-    counter), so runs replay exactly; f is the admissible bound of the
-    module docstring, which is exact at a sink, so the first sink popped is
-    optimal.  A prefix whose (cum_time, cum_quality) label at its node is
-    weakly dominated by a live label there is dropped; queued labels that a
-    newer label dominates are skipped when popped.
+    The queue holds labels and unexecuted edges.  Popping a label that does
+    not end at a sink expands it: each successor's edge is queued at the
+    bound of the label extended by that successor's benchmark row.  Popping
+    an edge executes its successor, up to 1 + max_retries times until an
+    attempt meets the quality threshold; a successor that never passes is
+    dropped without re-queueing, and one that passes is queued as a new
+    label at the bound of its realized (cum_time, cum_quality).  Under
+    deterministic execution the two bounds agree, and a bound is exact at a
+    sink, so the first sink popped is optimal.  Queue order is (f,
+    insertion counter), so runs replay exactly.  A prefix whose label at
+    its node is weakly dominated by a live label there is dropped; queued
+    labels and edges whose label a newer label dominates are skipped when
+    popped.
     """
+    rows, fronts = bounds.rows, bounds.fronts
     events: list[TraceEvent] = []
     alpha, threshold = cfg.alpha, cfg.quality_threshold
     counter = itertools.count()
     stats = dict.fromkeys(SearchStats.__dataclass_fields__, 0)
     labels: list[list[_Label]] = [[] for _ in graph.nodes]
-    root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
-    f_root = _front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha)
-    heap: list[tuple[float, int, _Label]] = [(f_root, next(counter), root)]
-    stats["peak_frontier"] = 1
+    # (f, insertion counter, label, successor id of an unexecuted edge or None)
+    heap: list[tuple[float, int, _Label, int | None]] = []
+
+    def push(f: float, label: _Label, succ: int | None) -> None:
+        heappush(heap, (f, next(counter), label, succ))
+        stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
+        if len(heap) > cfg.queue_cap:
+            raise QueueOverflow(f"search queue exceeded its capacity of {cfg.queue_cap} entries")
 
     def finish(status: str, path: PathState | None) -> PlanResult:
         result = PlanResult(status, alpha, path, ExecutionTrace(tuple(events)), SearchStats(**stats))
         logger.debug("search at alpha=%s %s: %s", alpha, status, result.stats)
         return result
 
+    root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
+    push(_front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha), root, None)
     while heap:
-        f, _, label = heappop(heap)
+        f, _, label, succ = heappop(heap)
         if not label.alive:
             stats["stale_pops"] += 1
             continue
-        stats["expanded"] += 1
-        last = label.step.node_id
-        if not graph.successors[last]:
-            return finish(STATUS_FOUND, _path(label, f, alpha))
-        for succ in graph.successors[last]:
-            node = graph.nodes[succ]
-            stats["generated"] += 1
-            retry_time = 0.0
-            for attempt in range(1, cfg.max_retries + 2):
-                outcome = executor(node, attempt)
-                stats["executions"] += 1
-                if attempt == 1:
-                    first = outcome
-                else:
-                    stats["retries"] += 1
-                    retry_time += outcome.time_seconds
-                if validate_quality(outcome, threshold):
-                    break
-                events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
+        if succ is None:
+            stats["expanded"] += 1
+            last = label.step.node_id
+            if not graph.successors[last]:
+                return finish(STATUS_FOUND, _path(label, f, alpha))
+            for succ in graph.successors[last]:
+                c, q = rows[succ]
+                push(_front_bound(fronts[succ], label.time + c, label.quality * q, alpha), label, succ)
+            continue
+
+        node = graph.nodes[succ]
+        stats["generated"] += 1
+        retry_time = 0.0
+        for attempt in range(1, cfg.max_retries + 2):
+            outcome = executor(node, attempt)
+            stats["executions"] += 1
+            if attempt == 1:
+                first = outcome
             else:
-                stats["dropped_after_retries"] += 1
-                continue
+                stats["retries"] += 1
+                retry_time += outcome.time_seconds
+            if validate_quality(outcome, threshold):
+                break
+            events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
+        else:
+            stats["dropped_after_retries"] += 1
+            continue
 
-            # Retry times are summed apart from the first attempt, as the split
-            # in g_literal needs; a running total would round differently.
-            cum_time = label.time + first.time_seconds + retry_time
-            cum_quality = label.quality * outcome.quality
-            g_literal = g_path = None
-            if attempt > 1:
-                g_literal = compute_g(
-                    label.time + first.time_seconds, label.quality * first.quality, alpha
-                ) + compute_g(retry_time, outcome.quality, alpha)
-                g_path = compute_g(cum_time, cum_quality, alpha)
-            events.append(
-                TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "pass", g_literal, g_path)
-            )
+        # Retry times are summed apart from the first attempt, as the split
+        # in g_literal needs; a running total would round differently.
+        cum_time = label.time + first.time_seconds + retry_time
+        cum_quality = label.quality * outcome.quality
+        g_literal = g_path = None
+        if attempt > 1:
+            g_literal = compute_g(
+                label.time + first.time_seconds, label.quality * first.quality, alpha
+            ) + compute_g(retry_time, outcome.quality, alpha)
+            g_path = compute_g(cum_time, cum_quality, alpha)
+        events.append(
+            TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "pass", g_literal, g_path)
+        )
 
-            step = PathStep(succ, first.time_seconds + retry_time, outcome.quality, attempt)
-            succ_label = _admit(labels[succ], cum_time, cum_quality, step, label)
-            if succ_label is None:
-                stats["pruned_by_dominance"] += 1
-                continue
-            f = _front_bound(fronts[succ], cum_time, cum_quality, alpha)
-            heappush(heap, (f, next(counter), succ_label))
-            stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
-            if len(heap) > cfg.queue_cap:
-                raise QueueOverflow(f"search queue exceeded its capacity of {cfg.queue_cap} paths")
+        step = PathStep(succ, first.time_seconds + retry_time, outcome.quality, attempt)
+        succ_label = _admit(labels[succ], cum_time, cum_quality, step, label)
+        if succ_label is None:
+            stats["pruned_by_dominance"] += 1
+            continue
+        push(_front_bound(fronts[succ], cum_time, cum_quality, alpha), succ_label, None)
 
     return finish(STATUS_EXHAUSTED, None)

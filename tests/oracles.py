@@ -10,7 +10,23 @@ from __future__ import annotations
 import heapq
 import json
 
-from toolpath.planning import root_to_leaf_paths
+from toolpath.graphs import ToolDependencyGraph, ToolSubgraph
+from toolpath.planning import SubtaskTree, kahn_order, root_to_leaf_paths, topological_order
+
+
+def validate_dag(graph) -> None:
+    """Acyclicity check; raises CycleDetected with one cycle."""
+    if isinstance(graph, SubtaskTree):
+        topological_order(graph)
+    elif isinstance(graph, ToolSubgraph):
+        kahn_order(dict(enumerate(graph.successors)))
+    elif isinstance(graph, ToolDependencyGraph):
+        succ: dict[str, list[str]] = {t: [] for t in graph.nodes}
+        for u, v in graph.edges:
+            succ[u].append(v)
+        kahn_order(succ)
+    else:
+        raise TypeError(f"cannot validate object of type {type(graph).__name__}")
 
 
 def pairwise_tdg_edges(mdt_payload: list[dict]) -> set[tuple[str, str]]:

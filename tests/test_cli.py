@@ -314,12 +314,12 @@ _STOCHASTIC = ("--sim", "stochastic", "--seed", "0")
 _OPTION_CASES = {
     ("plan", "--alpha"): ((), "0", "2"),
     ("plan", "--quality-threshold"): ((), "0", "1"),
-    ("plan", "--max-retries"): (_STOCHASTIC, "0", "3"),
+    ("plan", "--max-retries"): ((*_STOCHASTIC, "--alpha", "2"), "0", "3"),
     ("plan", "--sim"): ((), "deterministic", "stochastic"),
     ("plan", "--seed"): (("--sim", "stochastic"), "1", "2"),
     ("sweep", "--alphas"): ((), "0", "2"),
     ("sweep", "--quality-threshold"): ((), "0", "1"),
-    ("sweep", "--max-retries"): (_STOCHASTIC, "0", "3"),
+    ("sweep", "--max-retries"): ((*_STOCHASTIC, "--alphas", "2"), "0", "3"),
     ("sweep", "--sim"): ((), "deterministic", "stochastic"),
     ("sweep", "--seed"): (("--sim", "stochastic"), "1", "2"),
     ("verify", "--alpha"): ((), "0", "2"),
@@ -477,7 +477,7 @@ def test_plan_and_trace_name_nodes_as_graph_json(data_dir, tmp_path, capsys):
         successors[a].append(b)
     out = tmp_path / "plan.json"
     argv = ["plan", *tables, "--benchmark", str(data_dir / "benchmark_full.json"),
-            "--sim", "stochastic", "--seed", "0", "--out", str(out)]
+            "--sim", "stochastic", "--seed", "0", "--alpha", "2", "--out", str(out)]
     assert main(argv) == 0
     events = json.loads(out.with_suffix(".json.trace.json").read_text())["events"]
     assert any(e["attempt"] > 1 for e in events)  # the plan retries

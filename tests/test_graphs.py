@@ -14,6 +14,7 @@ from oracles import (
     pairwise_tdg_edges,
     root_to_leaf_orderings,
     sinks,
+    validate_dag,
 )
 from synth import built_instance, random_pipeline_instance
 from test_golden import FIXTURES
@@ -32,7 +33,6 @@ from toolpath.graphs import (
     subgraph_to_dot,
     subgraph_to_json,
     tdg_to_dot,
-    validate_dag,
 )
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import load_mdt, parse_mdt, resource_keys

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from oracles import attempts_for, dijkstra_min_time, reference_heuristic, sinks
 from synth import build_payload, built_instance, chain_instance, random_plan_graph
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import brute_force_optimal, path_objective
-from toolpath.execution import Simulator, SimulatorSpec
+from toolpath.execution import ExecutionOutcome, Simulator, SimulatorSpec
 from toolpath.graphs import build_tool_subgraph, enumerate_paths
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import BenchmarkRow, BenchmarkTable
@@ -466,7 +467,7 @@ def test_suffix_bounds_match_independent_dp():
     for seed in range(40):
         graph, bt = random_plan_graph(seed)
         min_time, max_quality = _suffix_extrema(graph, bt)
-        fronts = suffix_bounds(graph, bt)
+        fronts = suffix_bounds(graph, bt).fronts
         got_min_time = [front[0][0] for front in fronts]
         got_max_quality = [front[-1][1] for front in fronts]
         assert got_min_time == pytest.approx(min_time, rel=1e-12, abs=1e-300)
@@ -501,7 +502,7 @@ def _enumerated_front(graph, bt, node_id):
 @given(seed=st.integers(min_value=0, max_value=299), unit_quality=st.booleans())
 def test_suffix_fronts_are_pareto_filters_of_enumerated_suffixes(seed, unit_quality):
     graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
-    fronts = suffix_bounds(graph, bt)
+    fronts = suffix_bounds(graph, bt).fronts
     for node_id in range(len(graph.nodes)):
         assert fronts[node_id] == _enumerated_front(graph, bt, node_id)
 
@@ -532,35 +533,89 @@ def test_label_rules():
     assert labels == [best]
 
 
-def test_dominated_queued_state_is_skipped_at_pop():
-    """ROOT -> {A, B} -> X -> L, and A -> Z with Z failing every attempt.
-
-    Z's optimistic suffix time lets A pop before B, so the path through A
-    queues its label at X first; B then reaches X with the same time and a
-    better quality, which kills the queued path.
-    """
+def _detection_graph(rows: dict[str, tuple[float, float]], edges):
+    """ROOT (id 0) plus one Object Detection candidate per tool of `rows`,
+    ids from 1 in order, and the (time, quality) benchmark table of `rows`."""
     from toolpath.graphs import PlanNode, _assemble
     from toolpath.planning import SubtaskInstance
 
     inst = SubtaskInstance(kind="Object Detection", argument="x", ordinal=1)
-    tools = ["A", "B", "X", "L", "Z"]
     nodes = [PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root")] + [
         PlanNode(node_id=i, tool=t, kind="Object Detection", instance=inst, role="candidate")
-        for i, t in enumerate(tools, start=1)
+        for i, t in enumerate(rows, start=1)
     ]
-    a, b, x, leaf, z = range(1, 6)
-    graph = _assemble(nodes, {(0, a), (0, b), (a, x), (a, z), (b, x), (x, leaf)})
-    rows = {"A": (1.0, 0.9), "B": (1.0, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0), "Z": (0.1, 0.5)}
     bt = BenchmarkTable(
         rows={(t, "Object Detection"): BenchmarkRow(c, q, q) for t, (c, q) in rows.items()}
     )
+    return _assemble(nodes, edges), bt
+
+
+def test_dominated_queued_state_is_skipped_at_pop():
+    """ROOT -> {A, B} -> X -> L, and A -> Z with Z failing every attempt.
+
+    Z's optimistic suffix time lets A pop before B, so the path through A
+    queues its label at X first and, at an exact f tie, expands it before
+    B's edge to X runs; B then reaches X with the same time and a better
+    quality, which kills that label, and its queued edge to L is skipped.
+    """
+    a, b, x, leaf, z = range(1, 6)
+    rows = {"A": (1.0, 0.9), "B": (1.0, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0), "Z": (0.1, 0.5)}
+    graph, bt = _detection_graph(rows, {(0, a), (0, b), (a, x), (a, z), (b, x), (x, leaf)})
     res = _run(graph, bt, alpha=2.0)
     assert res.path.node_ids == (0, b, x, leaf)
     assert res.stats.stale_pops == 1
-    assert res.stats.expanded == res.expanded_count == 5  # ROOT, A, B, X via B, L
+    assert res.stats.expanded == res.expanded_count == 6  # ROOT, A, B, X via A, X via B, L
     assert res.stats.dropped_after_retries == 1
     assert res.stats.retries == 3
     assert res.stats.executions == res.stats.generated + res.stats.retries == len(res.trace.events)
+    assert attempts_for(res.trace, leaf) == 1
+
+
+def test_edge_queued_from_a_dead_label_is_not_executed():
+    """ROOT -> {A, B} -> X -> {F, L}, alpha 2, F failing every attempt.
+
+    B's benchmark time is 3 but it runs in 1.  The path through A reaches X
+    first; expanding it queues X's edges, F drops, and the edge to L waits
+    behind B.  B then reaches X as fast and at a better quality, so the
+    label through A dies and its edge to L is popped stale, never run.
+    """
+    a, b, x, fail, leaf = range(1, 6)
+    rows = {"A": (1.0, 0.9), "B": (3.0, 1.0), "X": (1.0, 1.0), "F": (0.5, 0.5), "L": (4.0, 1.0)}
+    graph, bt = _detection_graph(rows, {(0, a), (0, b), (a, x), (b, x), (x, fail), (x, leaf)})
+    ran = {**rows, "B": (1.0, 1.0)}
+
+    def executor(node, attempt):
+        return ExecutionOutcome(*ran[node.tool], attempt)
+
+    res = _run(graph, bt, alpha=2.0, sim=executor)
+    assert res.path.node_ids == (0, b, x, leaf)
+    assert res.stats.stale_pops == 1
+    assert attempts_for(res.trace, leaf) == 1
+    assert [e.node_id for e in res.trace.events] == [a, x, *[fail] * 4, b, x, *[fail] * 4, leaf]
+    assert res.stats.executions == res.stats.generated + res.stats.retries == len(res.trace.events)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=299), alpha=st.floats(min_value=0.0, max_value=2.0))
+def test_search_runs_only_nodes_on_paths_no_worse_than_its_own(seed, alpha):
+    """An edge runs only when popped, at a bound no higher than the returned g.
+
+    So under deterministic execution every executed node lies on some path
+    whose objective is at most g.  Ties are allowed up to rounding: the
+    search sums a suffix from the sink up, `path_objective` from the root
+    down.
+    """
+    graph, bt, *_ = built_instance(seed)
+    res = _run(graph, bt, alpha=alpha)
+    assert res.found
+    best: dict[int, float] = {}
+    for path in enumerate_paths(graph):
+        objective = path_objective(graph, bt, path, alpha)
+        for node_id in path:
+            best[node_id] = min(best.get(node_id, math.inf), objective)
+    for event in res.trace.events:
+        objective = best[event.node_id]
+        assert objective <= res.path.g or math.isclose(objective, res.path.g, rel_tol=1e-12)
 
 
 def test_search_stats_logged_at_debug(detection_fixture, caplog):
@@ -612,15 +667,17 @@ def test_one_path_state_per_search(detection_fixture, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("alpha", "expanded", "executions"),
+    ("alpha", "expanded", "tool_nodes"),
     [(0.0, 25, 384), (0.5, 25, 384), (1.0, 25, 384), (1.5, 25, 384), (2.0, 25, 384)],
 )
-def test_deep_chain_counters(alpha, expanded, executions):
+def test_deep_chain_counters(alpha, expanded, tool_nodes):
     # 16**24 paths; before the labelled search this ran into the queue cap.
     # The exact suffix-front bound expands only the optimal path at every
-    # alpha: one expansion per stage plus the root, 16 executions per stage.
+    # alpha: one expansion per stage plus the root.  A tool runs only when
+    # its edge is popped, so of the 384 tool nodes one per stage is executed.
     graph, bt, *_ = build_payload(chain_instance(0, stages=24, tools=16))
+    assert len(graph.nodes) - 1 == tool_nodes
     res = _run(graph, bt, alpha=alpha)
     assert res.found
     assert res.expanded_count == expanded
-    assert res.stats.executions == executions
+    assert res.stats.executions == expanded - 1 == 24
