@@ -1,7 +1,8 @@
 """Command-line surface: plan, sweep, verify, and graph export.
 
-Exit codes: 0 success, 1 input/usage error, 2 no valid path (or a verify
-gap above the tolerance), 3 path-count explosion, 4 search queue overflow.
+Exit codes: 0 success, 1 input/usage or output error, 2 no valid path (or
+a verify gap above the tolerance), 3 path-count explosion, 4 search queue
+overflow.  A command returns its outputs as text, which `main` writes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy
 
 from . import __version__
-from .errors import ParseError, PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
+from .errors import OutputError, ParseError, PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
 from .evaluation import brute_force_optimal, pareto_csv, sweep_alpha
 from .execution import Simulator, SimulatorSpec, load_simulator_spec
 from .graphs import (
@@ -35,7 +36,7 @@ from .planning import (
     planner_client_from_env,
     request_tree,
 )
-from .registry import load_benchmark, load_mdt
+from .registry import load_benchmark, load_mdt, read_text
 from .search import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_QUALITY_THRESHOLD,
@@ -68,10 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -81,7 +78,7 @@ def build_manifest(argv: list[str], config: dict, input_paths: list[Path], seed:
     return {
         "command": argv,
         "config_hash": _sha256_text(json.dumps(config, sort_keys=True)),
-        "inputs": {str(p): _sha256_file(p) for p in sorted(set(input_paths))},
+        "inputs": {str(p): _sha256_text(read_text(p, "input")) for p in sorted(set(input_paths))},
         "seed": seed,
         "versions": {
             "toolpath": __version__,
@@ -93,27 +90,29 @@ def build_manifest(argv: list[str], config: dict, input_paths: list[Path], seed:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Every JSON output's encoding; a non-finite number in it is an OutputError."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise OutputError(f"output holds a non-finite number: {exc}") from None
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+def _write(text: str, out: str | None, suffix: str = "") -> None:
+    """Write one output to the file `out` + `suffix`, or to stdout when there is no `out`."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out + suffix).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write {out + suffix}: {exc.strerror or exc}") from None
 
 
-def _emit_manifest(out: str | None, manifest: dict) -> None:
-    if out:
-        Path(out).with_suffix(Path(out).suffix + ".manifest.json").write_text(
-            _dump_json(manifest), encoding="utf-8"
-        )
-
-
-def _sim_spec(value: str) -> SimulatorSpec:
+def _sim_spec(value: str) -> tuple[SimulatorSpec, list[Path]]:
+    """The --sim simulator and its spec file, if it has one."""
     if value in ("deterministic", "stochastic"):
-        return SimulatorSpec(mode=value)
-    return load_simulator_spec(value)
+        return SimulatorSpec(mode=value), []
+    return load_simulator_spec(value), [Path(value)]
 
 
 def _search_config(args) -> SearchConfig:
@@ -134,10 +133,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _load_tree_text(args) -> tuple[str, list[Path]]:
     """Tree text and its input files: from --tree, or else from the planner for plan's --task."""
     if args.tree:
-        path = Path(args.tree)
-        if not path.is_file():
-            raise ToolpathError(f"tree file not found: {path}")
-        return path.read_text(encoding="utf-8"), [path]
+        return read_text(args.tree, "tree"), [Path(args.tree)]
     client = planner_client_from_env(args.planner_endpoint)
     return request_tree(client, build_planner_prompt(args.task)), []
 
@@ -151,16 +147,18 @@ def _build_graph(args):
     return bt, graph, inputs
 
 
-def cmd_plan(args, argv: list[str]) -> int:
+# Exit code, outputs by file suffix (the main one under ""), and the manifest's config, inputs and seed.
+Outcome = tuple[int, dict[str, str], dict, list[Path], int]
+
+
+def cmd_plan(args) -> Outcome:
     bt, graph, inputs = _build_graph(args)
     cfg = _search_config(args)
-    simulator = Simulator(_sim_spec(args.sim), bt, cfg.seed)
-    result = astar_search(graph, suffix_bounds(graph, bt), simulator, cfg)
-    payload = result.to_json_dict(graph)
-    _write_or_print(_dump_json(payload), args.out)
+    spec, spec_inputs = _sim_spec(args.sim)
+    result = astar_search(graph, suffix_bounds(graph, bt), Simulator(spec, bt, cfg.seed), cfg)
+    texts = {"": _dump_json(result.to_json_dict(graph))}
     if args.out:
-        trace_path = Path(args.out).with_suffix(Path(args.out).suffix + ".trace.json")
-        trace_path.write_text(_dump_json(result.trace.to_json_dict(graph)), encoding="utf-8")
+        texts[".trace.json"] = _dump_json(result.trace.to_json_dict(graph))
     config = {
         "command": "plan",
         "alpha": cfg.alpha,
@@ -169,20 +167,18 @@ def cmd_plan(args, argv: list[str]) -> int:
         "sim": args.sim,
         "seed": cfg.seed,
     }
-    _emit_manifest(args.out, build_manifest(argv, config, inputs, cfg.seed))
-    return EXIT_OK if result.found else EXIT_NO_PATH
+    return EXIT_OK if result.found else EXIT_NO_PATH, texts, config, inputs + spec_inputs, cfg.seed
 
 
-def cmd_sweep(args, argv: list[str]) -> int:
+def cmd_sweep(args) -> Outcome:
     bt, graph, inputs = _build_graph(args)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"--alphas must be comma-separated numbers: {exc}") from exc
     cfg = _search_config(args)
-    points = sweep_alpha(graph, bt, _sim_spec(args.sim), alphas, base_cfg=cfg)
-    text = pareto_csv(points)
-    _write_or_print(text, args.csv or args.out)
+    spec, spec_inputs = _sim_spec(args.sim)
+    points = sweep_alpha(graph, bt, spec, alphas, base_cfg=cfg)
     config = {
         "command": "sweep",
         "alphas": sorted(alphas),
@@ -191,15 +187,13 @@ def cmd_sweep(args, argv: list[str]) -> int:
         "sim": args.sim,
         "seed": cfg.seed,
     }
-    _emit_manifest(args.csv or args.out, build_manifest(argv, config, inputs, cfg.seed))
-    return EXIT_OK
+    return EXIT_OK, {"": pareto_csv(points)}, config, inputs + spec_inputs, cfg.seed
 
 
-def cmd_verify(args, argv: list[str]) -> int:
+def cmd_verify(args) -> Outcome:
     bt, graph, inputs = _build_graph(args)
     cfg = _search_config(args)
     report = brute_force_optimal(graph, bt, args.alpha, cfg=cfg, cap=args.paths_cap)
-    _write_or_print(_dump_json({"alpha": args.alpha, **asdict(report)}), args.out)
     config = {
         "command": "verify",
         "alpha": args.alpha,
@@ -207,37 +201,28 @@ def cmd_verify(args, argv: list[str]) -> int:
         "max_retries": cfg.max_retries,
         "paths_cap": args.paths_cap,
     }
-    _emit_manifest(args.out, build_manifest(argv, config, inputs, cfg.seed))
+    code = EXIT_OK
     if args.gap_tolerance is not None and report.gap > args.gap_tolerance:
-        print(
-            f"gap {report.gap} exceeds tolerance {args.gap_tolerance}",
-            file=sys.stderr,
-        )
-        return EXIT_NO_PATH
-    return EXIT_OK
+        print(f"gap {report.gap} exceeds tolerance {args.gap_tolerance}", file=sys.stderr)
+        code = EXIT_NO_PATH
+    return code, {"": _dump_json({"alpha": args.alpha, **asdict(report)})}, config, inputs, cfg.seed
 
 
-def cmd_graph(args, argv: list[str]) -> int:
+def cmd_graph(args) -> Outcome:
     mdt = load_mdt(args.mdt)
     inputs = [Path(args.mdt)]
     if args.tree:
         tree_text, tree_inputs = _load_tree_text(args)
         graph = build_tool_subgraph(parse_subtask_tree(tree_text), mdt)
         inputs += tree_inputs
-        text = subgraph_to_json(graph) if args.format == "json" else subgraph_to_dot(graph)
+        text = _dump_json(subgraph_to_json(graph)) if args.format == "json" else subgraph_to_dot(graph)
     else:
         tdg = build_tdg(mdt)
         if args.format == "json":
-            payload = {"nodes": list(tdg.nodes), "edges": sorted([u, v] for u, v in tdg.edges)}
-            text = _dump_json(payload)
+            text = _dump_json({"nodes": list(tdg.nodes), "edges": sorted([u, v] for u, v in tdg.edges)})
         else:
             text = tdg_to_dot(tdg)
-    _write_or_print(text, args.out)
-    _emit_manifest(
-        args.out,
-        build_manifest(argv, {"command": "graph", "format": args.format}, inputs, 0),
-    )
-    return EXIT_OK
+    return EXIT_OK, {"": text}, {"command": "graph", "format": args.format}, inputs, 0
 
 
 def _build_parser() -> _Parser:
@@ -300,7 +285,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, argv)
+        code, texts, config, inputs, seed = args.func(args)
+        out = getattr(args, "csv", None) or args.out
+        for suffix, text in texts.items():
+            _write(text, out, suffix)
+        if out:
+            _write(_dump_json(build_manifest(argv, config, inputs, seed)), out, ".manifest.json")
+        return code
     except ToolpathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_INPUT_ERROR)

@@ -9,6 +9,10 @@ class ParseError(ToolpathError):
     """Input file or JSON payload does not match the expected schema."""
 
 
+class OutputError(ToolpathError):
+    """An output holds a non-finite number or cannot be written."""
+
+
 class UnknownSubtask(ToolpathError):
     """Subtask name outside the supported vocabulary."""
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-from .errors import EmptyRecord, InvalidScore, SearchExhausted
+from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
 from .execution import Simulator, SimulatorSpec
 from .graphs import DEFAULT_PATH_CAP, ToolSubgraph, enumerate_paths
 from .registry import BenchmarkTable
@@ -59,7 +60,7 @@ def brute_force_optimal(
     the oracle is independent of any executor.  The search side runs the
     planner with deterministic execution and scores its returned path the
     same way; the gap is search objective minus enumeration minimum and is
-    never negative.
+    never negative.  A search that finds no path raises SearchExhausted.
     """
     validate_alpha(alpha)
     paths = enumerate_paths(graph, cap=cap)
@@ -75,12 +76,10 @@ def brute_force_optimal(
         search_cfg = replace(search_cfg, alpha=alpha)
     simulator = Simulator(SimulatorSpec(mode="deterministic"), bt, search_cfg.seed)
     result = astar_search(graph, suffix_bounds(graph, bt), simulator, search_cfg)
-    if result.found:
-        astar_obj = path_objective(graph, bt, result.path.node_ids, alpha)
-        astar_path = result.path.node_ids
-    else:
-        astar_obj = float("inf")
-        astar_path = ()
+    if not result.found:
+        raise SearchExhausted(f"search at alpha={alpha} found no valid path")
+    astar_path = result.path.node_ids
+    astar_obj = path_objective(graph, bt, astar_path, alpha)
     return OracleReport(
         best_path=best_path,
         best_objective=best_obj,
@@ -176,6 +175,8 @@ def sweep_alpha(
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise OutputError(f"the sweep CSV cannot hold the non-finite value {x}")
     return format(x, ".9g")
 
 

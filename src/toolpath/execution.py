@@ -10,7 +10,6 @@ outcome of an unrelated node and replays are bit-stable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError, ScriptGap
 from .graphs import PlanNode, ToolSubgraph
-from .registry import BenchmarkTable, canonical_subtask
+from .registry import BenchmarkTable, canonical_subtask, json_field, parse_json, read_text
 
 MODES = ("deterministic", "stochastic", "scripted")
 
@@ -52,37 +51,29 @@ class SimulatorSpec:
 
 
 def simulator_spec_from_json(text: str) -> SimulatorSpec:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"simulator spec is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "mode" not in raw:
-        raise ParseError('simulator spec must be an object with a "mode" field')
+    raw = parse_json(text, "simulator spec")
+    mode = json_field(raw, "mode", str, "simulator spec")
     script = None
     if raw.get("script") is not None:
         script = {}
-        for i, row in enumerate(raw["script"]):
-            try:
-                key = (row["tool"], canonical_subtask(row["subtask"]), int(row["attempt"]))
-                outcome = (float(row["time"]), float(row["quality"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"script row {i} is malformed: {exc}") from exc
-            if not all(math.isfinite(v) for v in outcome):
-                raise ParseError(f"script row {i} has a non-finite time or quality")
-            script[key] = outcome
-    return SimulatorSpec(
-        mode=raw["mode"],
-        time_noise_sigma=float(raw.get("time_noise_sigma", DEFAULT_TIME_SIGMA)),
-        quality_noise_sigma=float(raw.get("quality_noise_sigma", DEFAULT_QUALITY_SIGMA)),
-        script=script,
-    )
+        for i, row in enumerate(json_field(raw, "script", list, "simulator spec")):
+            key = (
+                json_field(row, "tool", str, "script row", i),
+                canonical_subtask(json_field(row, "subtask", str, "script row", i)),
+                json_field(row, "attempt", int, "script row", i),
+            )
+            time_s = json_field(row, "time", float, "script row", i)
+            quality = json_field(row, "quality", float, "script row", i)
+            if time_s < 0 or not 0.0 <= quality <= 1.0:
+                raise ParseError(f"script row {i} needs a time >= 0 and a quality in [0, 1]")
+            script[key] = (time_s, quality)
+    names = ("time_noise_sigma", "quality_noise_sigma")
+    sigmas = {key: json_field(raw, key, float, "simulator spec") for key in names if key in raw}
+    return SimulatorSpec(mode=mode, script=script, **sigmas)
 
 
 def load_simulator_spec(path: str | Path) -> SimulatorSpec:
-    p = Path(path)
-    if not p.is_file():
-        raise ParseError(f"simulator spec file not found: {p}")
-    return simulator_spec_from_json(p.read_text(encoding="utf-8"))
+    return simulator_spec_from_json(read_text(path, "simulator spec"))
 
 
 def execute(

@@ -16,7 +16,6 @@ differ), and the TDG itself is never built for planning.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import DependencyTooDeep, NoToolForSubtask, PathExplosion, UnsatisfiableDependency
@@ -254,12 +253,12 @@ def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tu
     return root_to_leaf_paths((ROOT_ID,), graph.successors)
 
 
-def subgraph_to_json(graph: ToolSubgraph) -> str:
-    payload = {
+def subgraph_to_json(graph: ToolSubgraph) -> dict:
+    """The subgraph as a JSON-ready dict: each node's id and view, and its edges."""
+    return {
         "nodes": [{"id": n.node_id, **n.view()} for n in graph.nodes],
         "edges": [[a, b] for a, succs in enumerate(graph.successors) for b in succs],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _dot_escape(text: str) -> str:

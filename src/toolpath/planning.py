@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import urllib.error
 import urllib.request
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .errors import (
     TransportError,
     UnknownSubtask,
 )
-from .registry import PLANNER_SUBTASKS, canonical_subtask
+from .registry import PLANNER_SUBTASKS, STRINGS, canonical_subtask, json_field, parse_json
 
 PLANNER_URL_ENV = "COSTA_PLANNER_URL"
 
@@ -87,15 +86,18 @@ def parse_label(label: str) -> tuple[str, str, int | None]:
 
     The grammar is "<Kind> (<Argument>)(<ordinal>)" with the argument
     optional.  The trailing group counts as the ordinal only when it is all
-    digits; a label without one gets an ordinal assigned by the caller.
+    decimal digits; a label without one gets an ordinal assigned by the caller.
     """
     rest = label.strip()
     ordinal: int | None = None
     argument = ""
     split = _final_paren_group(rest)
-    if split is not None and split[1].strip().isdigit():
+    if split is not None and split[1].strip().isdecimal():
         rest, group = split
-        ordinal = int(group.strip())
+        try:
+            ordinal = int(group)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"the ordinal of label {rest!r} has too many digits") from None
         split = _final_paren_group(rest)
     if split is not None:
         rest, argument = split
@@ -113,28 +115,19 @@ def parse_subtask_tree(json_text: str) -> SubtaskTree:
     for names outside PLANNER_SUBTASKS, DanglingParent for unresolved parent
     references and CycleDetected when the parent relation is cyclic.
     """
-    try:
-        raw = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"subtask tree is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "subtask_tree" not in raw:
-        raise ParseError('subtask tree JSON must be an object with a "subtask_tree" field')
-    items = raw["subtask_tree"]
-    if not isinstance(items, list) or not items:
+    raw = parse_json(json_text, "subtask tree")
+    items = json_field(raw, "subtask_tree", list, "subtask tree")
+    if not items:
         raise ParseError('"subtask_tree" must be a non-empty array')
-    task_text = raw.get("task", "")
+    task_text = json_field(raw, "task", str, "subtask tree") if "task" in raw else ""
 
     by_label: dict[str, SubtaskInstance] = {}
     parent_labels: dict[SubtaskInstance, list[str]] = {}
     pending: list[tuple[str, str, str, list[str]]] = []
     used_ordinals: set[int] = set()
     for i, item in enumerate(items):
-        if not isinstance(item, dict) or "subtask" not in item or "parent" not in item:
-            raise ParseError(f'tree node {i} must have "subtask" and "parent" fields')
-        label = item["subtask"]
-        parents = item["parent"]
-        if not isinstance(label, str) or not isinstance(parents, list):
-            raise ParseError(f"tree node {i} has wrong field types")
+        label = json_field(item, "subtask", str, "tree node", i)
+        parents = json_field(item, "parent", STRINGS, "tree node", i)
         kind, argument, ordinal = parse_label(label)
         try:
             kind = canonical_subtask(kind)
@@ -308,17 +301,15 @@ class HttpPlannerClient:
 
     def generate(self, prompt_text: str) -> str:
         body = json.dumps({"prompt": prompt_text}).encode("utf-8")
-        req = urllib.request.Request(
-            self.base_url, data=body, headers={"Content-Type": "application/json"}
-        )
         try:
+            headers = {"Content-Type": "application/json"}
+            req = urllib.request.Request(self.base_url, data=body, headers=headers)
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+                payload = parse_json(resp.read().decode("utf-8"), "planner response")
+            return json_field(payload, "text", str, "planner response")
+        # URLError is an OSError; a bad URL and UnicodeDecodeError are ValueErrors.
+        except (OSError, ValueError, ParseError) as exc:
             raise TransportError(f"planner endpoint request failed: {exc}") from exc
-        if not isinstance(payload, dict) or "text" not in payload:
-            raise TransportError('planner endpoint response lacks a "text" field')
-        return payload["text"]
 
 
 def planner_client_from_env(url: str | None = None) -> HttpPlannerClient:

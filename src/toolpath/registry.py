@@ -5,6 +5,10 @@ perform and the resource types it consumes and produces.  The benchmark
 table (BT) attaches an expected execution time and a per-subtask normalized
 quality score to every (tool, subtask) pair.  Both tables are immutable
 after loading and safe to share across concurrent searches.
+
+Every input file, the tree and simulator spec included, is read by
+`read_text`, decoded by `parse_json` and has its fields checked by
+`json_field`, so any malformed input is a ParseError.
 """
 
 from __future__ import annotations
@@ -62,6 +66,62 @@ AUXILIARY_SUBTASKS: tuple[str, ...] = ("Text Style Detection",)
 
 ALL_SUBTASKS: tuple[str, ...] = PLANNER_SUBTASKS + AUXILIARY_SUBTASKS
 
+# STRINGS is the `json_field` kind of an array of strings; _KINDS names each
+# kind in error messages.
+STRINGS = list[str]
+_KINDS = {str: "a string", float: "a finite number", int: "an integer", dict: "an object", list: "an array",
+          STRINGS: "an array of strings"}
+_INF = math.inf
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the input file `path`, which `what` names in errors."""
+    p = Path(path)
+    try:
+        return p.read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"{what} file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{what} file {p} cannot be read: {exc}") from None
+
+
+def parse_json(text: str, what: str, kind: type = dict):
+    """Decode JSON text whose top level is a `kind`; anything else, deep nesting too, is a ParseError."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {_KINDS[kind]}")
+    return value
+
+
+def json_field(item, key: str, kind, where: str, index: int | None = None):
+    """`item[key]`, checked to be of `kind`: str, int, float, list or STRINGS.
+
+    A float field takes a finite JSON number, an integer one as a float; a
+    bool or a string is never a number.  Anything else, a missing field or
+    an `item` that is not an object is a ParseError naming `where` (and
+    `index`, the item's place in its array).
+    """
+    try:
+        value = item[key]
+        if type(value) is kind:
+            if kind is not float or -_INF < value < _INF:
+                return value
+        elif kind is float and type(value) is int:
+            return float(value)
+        elif kind == STRINGS and type(value) is list and all(type(x) is str for x in value):
+            return value
+    except (KeyError, TypeError, OverflowError):
+        pass
+    name = where if index is None else f"{where} {index}"
+    if not isinstance(item, dict):
+        raise ParseError(f"{name} is not an object")
+    if key not in item:
+        raise ParseError(f"{name} missing field {key!r}")
+    raise ParseError(f"{name} field {key!r} must be {_KINDS[kind]}")
+
 
 def _squash(name: str) -> str:
     return " ".join(name.split())
@@ -111,8 +171,6 @@ class ToolRecord:
 
     tool: str
     subtask: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
     input_keys: frozenset[str]
     output_keys: frozenset[str]
 
@@ -135,31 +193,17 @@ class ModelDescriptionTable:
     tool_io: dict[str, tuple[frozenset[str], frozenset[str]]]
     by_subtask: dict[str, tuple[ToolRecord, ...]] = field(compare=False)
     producers: dict[str, tuple[ToolRecord, ...]] = field(compare=False)
-    coverage_gaps: tuple[str, ...] = ()
 
 
-def _parse_row(i: int, item) -> tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """One MDT row as (tool, canonical subtasks, inputs, outputs)."""
-    if not isinstance(item, dict):
-        raise ParseError(f"MDT entry {i} is not an object")
-    try:
-        tool = item["tool"]
-        subtasks = item["subtasks"]
-        inputs = item["inputs"]
-        outputs = item["outputs"]
-    except KeyError as exc:
-        raise ParseError(f"MDT entry {i} missing field {exc}") from exc
-    if not isinstance(tool, str) or not tool.strip():
+def _parse_row(i: int, item) -> tuple[str, tuple[str, ...], frozenset[str], frozenset[str]]:
+    """One MDT row as (tool, canonical subtasks, input keys, output keys)."""
+    tool = json_field(item, "tool", str, "MDT entry", i)
+    if not tool.strip():
         raise ParseError(f"MDT entry {i} has an empty tool name")
-    for fname, val in (("subtasks", subtasks), ("inputs", inputs), ("outputs", outputs)):
-        if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-            raise ParseError(f"MDT entry {i} field {fname!r} must be a list of strings")
-    return (
-        _squash(tool),
-        tuple(canonical_subtask(s) for s in subtasks),
-        tuple(_squash(x) for x in inputs),
-        tuple(_squash(x) for x in outputs),
-    )
+    subtasks = json_field(item, "subtasks", STRINGS, "MDT entry", i)
+    input_keys = resource_keys(json_field(item, "inputs", STRINGS, "MDT entry", i))
+    output_keys = resource_keys(json_field(item, "outputs", STRINGS, "MDT entry", i))
+    return _squash(tool), tuple(map(canonical_subtask, subtasks)), input_keys, output_keys
 
 
 def _build_table(raw: list) -> ModelDescriptionTable:
@@ -167,15 +211,14 @@ def _build_table(raw: list) -> ModelDescriptionTable:
     records: dict[tuple[str, str], ToolRecord] = {}
     tool_io: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
     rows = [_parse_row(i, item) for i, item in enumerate(raw)]  # every row is valid before any is indexed
-    for tool, subtasks, inputs, outputs in rows:
-        input_keys, output_keys = resource_keys(inputs), resource_keys(outputs)
+    for tool, subtasks, input_keys, output_keys in rows:
         ins, outs = tool_io.get(tool, (frozenset(), frozenset()))
         tool_io[tool] = (ins | input_keys, outs | output_keys)
         for sub in subtasks:
             key = (tool, sub)
             if key in records:
                 raise DuplicateEntry(f"duplicate (tool, subtask) pair {key}")
-            records[key] = ToolRecord(tool, sub, inputs, outputs, input_keys, output_keys)
+            records[key] = ToolRecord(tool, sub, input_keys, output_keys)
     by_subtask: dict[str, list[ToolRecord]] = {}
     producers: dict[str, list[ToolRecord]] = {}
     for key in sorted(records):
@@ -191,26 +234,16 @@ def _build_table(raw: list) -> ModelDescriptionTable:
         tool_io=tool_io,
         by_subtask={sub: tuple(recs) for sub, recs in by_subtask.items()},
         producers={res: tuple(recs) for res, recs in producers.items()},
-        coverage_gaps=gaps,
     )
 
 
 def parse_mdt(text: str) -> ModelDescriptionTable:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"MDT is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise ParseError("MDT must be a JSON array of entries")
-    return _build_table(raw)
+    return _build_table(parse_json(text, "MDT", list))
 
 
 def load_mdt(path: str | Path) -> ModelDescriptionTable:
     """Load and validate a model description table from a JSON file."""
-    p = Path(path)
-    if not p.is_file():
-        raise ParseError(f"MDT file not found: {p}")
-    return parse_mdt(p.read_text(encoding="utf-8"))
+    return parse_mdt(read_text(path, "MDT"))
 
 
 def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:
@@ -251,29 +284,14 @@ def normalize_quality(raw: dict[tuple[str, str], float]) -> dict[tuple[str, str]
 
 
 def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"benchmark table is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise ParseError("benchmark table must be a JSON array of rows")
+    raw = parse_json(text, "benchmark table", list)
     times: dict[tuple[str, str], float] = {}
     qualities: dict[tuple[str, str], float] = {}
     for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ParseError(f"benchmark row {i} is not an object")
-        try:
-            tool = _squash(item["tool"])
-            subtask = canonical_subtask(item["subtask"])
-            time_s = float(item["time_seconds"])
-            quality = float(item["quality"])
-        except KeyError as exc:
-            raise ParseError(f"benchmark row {i} missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"benchmark row {i} has a non-numeric value: {exc}") from exc
-        if not (math.isfinite(time_s) and math.isfinite(quality)):
-            raise ParseError(f"benchmark row {i} has a non-finite time or quality")
-        key = (tool, subtask)
+        tool = _squash(json_field(item, "tool", str, "benchmark row", i))
+        key = (tool, canonical_subtask(json_field(item, "subtask", str, "benchmark row", i)))
+        time_s = json_field(item, "time_seconds", float, "benchmark row", i)
+        quality = json_field(item, "quality", float, "benchmark row", i)
         if key not in mdt.records:
             raise ParseError(f"benchmark row {i} references {key}, which is not in the MDT")
         if key in times:
@@ -295,7 +313,4 @@ def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
 
 def load_benchmark(path: str | Path, mdt: ModelDescriptionTable) -> BenchmarkTable:
     """Load the benchmark table, checking full coverage of the MDT pairs."""
-    p = Path(path)
-    if not p.is_file():
-        raise ParseError(f"benchmark file not found: {p}")
-    return parse_benchmark(p.read_text(encoding="utf-8"), mdt)
+    return parse_benchmark(read_text(path, "benchmark"), mdt)

@@ -106,7 +106,10 @@ def compute_g(cum_time: float, cum_quality: float, alpha: float) -> float:
     """Realized prefix objective; a zero-time prefix (the bare root) is 0."""
     if cum_time == 0.0:
         return 0.0
-    return cum_time**alpha * (2.0 - cum_quality) ** (2.0 - alpha)
+    try:
+        return cum_time**alpha * (2.0 - cum_quality) ** (2.0 - alpha)
+    except OverflowError:  # a time beyond the float range
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,10 @@ def _front_bound(front: Front, time: float, quality: float, alpha: float) -> flo
     best = math.inf
     for t, q in front:
         total = time + t
-        if total**alpha * floor >= best:
+        try:
+            if total**alpha * floor >= best:
+                break
+        except OverflowError:  # g is infinite here and at every later, larger total
             break
         g = compute_g(total, quality * q, alpha)
         if g < best:

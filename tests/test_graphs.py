@@ -370,7 +370,7 @@ def test_subgraph_json_export_is_deterministic(detection_fixture):
     a = subgraph_to_json(g)
     b = subgraph_to_json(g)
     assert a == b
-    payload = json.loads(a)
+    payload = a
     assert {n["id"] for n in payload["nodes"]} == {n.node_id for n in g.nodes}
     assert sorted(tuple(e) for e in payload["edges"]) == sorted(edge_set(g))
 

@@ -50,7 +50,7 @@ def test_normalize_resource_stems_trailing_plural():
 def test_load_full_mdt(data_dir):
     mdt = load_mdt(data_dir / "mdt_full.json")
     assert len(mdt.records) == 32
-    assert mdt.coverage_gaps == ()
+    assert set(mdt.by_subtask) >= set(PLANNER_SUBTASKS)  # no coverage gap
     # one row per (tool, subtask) pairing
     assert len({r.key for r in mdt.records.values()}) == 32
 
@@ -59,8 +59,8 @@ def test_load_table1_excerpt(data_dir):
     mdt = load_mdt(data_dir / "mdt_table1.json")
     assert len(mdt.tool_io) == 5  # five rows, one tool each
     sam = mdt.records[("SAM", "Object Segmentation")]
-    assert sam.inputs == ("Bounding Boxes",)
-    assert sam.outputs == ("Segmentation Masks",)
+    assert sam.input_keys == {normalize_resource("Bounding Boxes")}
+    assert sam.output_keys == {normalize_resource("Segmentation Masks")}
     assert lookup_models(mdt, "Object Detection") == {"YOLO"}
 
 
@@ -70,7 +70,7 @@ def test_empty_mdt_warns_about_all_24_subtasks(caplog):
     with caplog.at_level(logging.WARNING, logger="toolpath.registry"):
         mdt = parse_mdt("[]")
     assert mdt.records == {} and mdt.tool_io == {}
-    assert set(mdt.coverage_gaps) == set(PLANNER_SUBTASKS)
+    assert all(sub in caplog.text for sub in PLANNER_SUBTASKS)
     assert any("no tool supports 24 subtask(s)" in rec.getMessage() for rec in caplog.records)
 
 
