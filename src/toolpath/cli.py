@@ -69,16 +69,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def build_manifest(argv: list[str], config: dict, digests: dict[str, str], seed: int) -> dict:
+    """Provenance record written next to every output artifact.
 
-
-def build_manifest(argv: list[str], config: dict, input_paths: list[Path], seed: int) -> dict:
-    """Provenance record written next to every output artifact."""
+    `digests` maps each input file to the SHA-256 of the bytes the command parsed.
+    """
     return {
         "command": argv,
-        "config_hash": _sha256_text(json.dumps(config, sort_keys=True)),
-        "inputs": {str(p): _sha256_text(read_text(p, "input")) for p in sorted(set(input_paths))},
+        "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest(),
+        "inputs": dict(sorted(digests.items())),
         "seed": seed,
         "versions": {
             "toolpath": __version__,
@@ -108,11 +107,11 @@ def _write(text: str, out: str | None, suffix: str = "") -> None:
         raise OutputError(f"cannot write {out + suffix}: {exc.strerror or exc}") from None
 
 
-def _sim_spec(value: str) -> tuple[SimulatorSpec, list[Path]]:
-    """The --sim simulator and its spec file, if it has one."""
+def _sim_spec(value: str, digests: dict[str, str]) -> SimulatorSpec:
+    """The --sim simulator, read from its spec file unless it names a mode."""
     if value in ("deterministic", "stochastic"):
-        return SimulatorSpec(mode=value), []
-    return load_simulator_spec(value), [Path(value)]
+        return SimulatorSpec(mode=value)
+    return load_simulator_spec(value, digests)
 
 
 def _search_config(args) -> SearchConfig:
@@ -130,31 +129,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file (stdout when omitted)")
 
 
-def _load_tree_text(args) -> tuple[str, list[Path]]:
-    """Tree text and its input files: from --tree, or else from the planner for plan's --task."""
+def _load_tree_text(args, digests: dict[str, str]) -> str:
+    """Tree text: from --tree, or else from the planner for plan's --task."""
     if args.tree:
-        return read_text(args.tree, "tree"), [Path(args.tree)]
+        return read_text(args.tree, "tree", digests)
     client = planner_client_from_env(args.planner_endpoint)
-    return request_tree(client, build_planner_prompt(args.task)), []
+    return request_tree(client, build_planner_prompt(args.task))
 
 
-def _build_graph(args):
-    mdt = load_mdt(args.mdt)
-    bt = load_benchmark(args.benchmark, mdt)
-    tree_text, extra_inputs = _load_tree_text(args)
-    graph = build_tool_subgraph(parse_subtask_tree(tree_text), mdt)
-    inputs = [Path(args.mdt), Path(args.benchmark)] + extra_inputs
-    return bt, graph, inputs
+def _build_graph(args, digests: dict[str, str]):
+    mdt = load_mdt(args.mdt, digests)
+    bt = load_benchmark(args.benchmark, mdt, digests)
+    graph = build_tool_subgraph(parse_subtask_tree(_load_tree_text(args, digests)), mdt)
+    return bt, graph
 
 
-# Exit code, outputs by file suffix (the main one under ""), and the manifest's config, inputs and seed.
-Outcome = tuple[int, dict[str, str], dict, list[Path], int]
+# Exit code, outputs by file suffix (the main one under ""), and the manifest's config,
+# input digests and seed.
+Outcome = tuple[int, dict[str, str], dict, dict[str, str], int]
 
 
 def cmd_plan(args) -> Outcome:
-    bt, graph, inputs = _build_graph(args)
+    digests: dict[str, str] = {}
+    bt, graph = _build_graph(args, digests)
     cfg = _search_config(args)
-    spec, spec_inputs = _sim_spec(args.sim)
+    spec = _sim_spec(args.sim, digests)
     result = astar_search(graph, suffix_bounds(graph, bt), Simulator(spec, bt, cfg.seed), cfg)
     texts = {"": _dump_json(result.to_json_dict(graph))}
     if args.out:
@@ -167,17 +166,18 @@ def cmd_plan(args) -> Outcome:
         "sim": args.sim,
         "seed": cfg.seed,
     }
-    return EXIT_OK if result.found else EXIT_NO_PATH, texts, config, inputs + spec_inputs, cfg.seed
+    return EXIT_OK if result.found else EXIT_NO_PATH, texts, config, digests, cfg.seed
 
 
 def cmd_sweep(args) -> Outcome:
-    bt, graph, inputs = _build_graph(args)
+    digests: dict[str, str] = {}
+    bt, graph = _build_graph(args, digests)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"--alphas must be comma-separated numbers: {exc}") from exc
     cfg = _search_config(args)
-    spec, spec_inputs = _sim_spec(args.sim)
+    spec = _sim_spec(args.sim, digests)
     points = sweep_alpha(graph, bt, spec, alphas, base_cfg=cfg)
     config = {
         "command": "sweep",
@@ -187,11 +187,12 @@ def cmd_sweep(args) -> Outcome:
         "sim": args.sim,
         "seed": cfg.seed,
     }
-    return EXIT_OK, {"": pareto_csv(points)}, config, inputs + spec_inputs, cfg.seed
+    return EXIT_OK, {"": pareto_csv(points)}, config, digests, cfg.seed
 
 
 def cmd_verify(args) -> Outcome:
-    bt, graph, inputs = _build_graph(args)
+    digests: dict[str, str] = {}
+    bt, graph = _build_graph(args, digests)
     cfg = _search_config(args)
     report = brute_force_optimal(graph, bt, args.alpha, cfg=cfg, cap=args.paths_cap)
     config = {
@@ -205,16 +206,14 @@ def cmd_verify(args) -> Outcome:
     if args.gap_tolerance is not None and report.gap > args.gap_tolerance:
         print(f"gap {report.gap} exceeds tolerance {args.gap_tolerance}", file=sys.stderr)
         code = EXIT_NO_PATH
-    return code, {"": _dump_json({"alpha": args.alpha, **asdict(report)})}, config, inputs, cfg.seed
+    return code, {"": _dump_json({"alpha": args.alpha, **asdict(report)})}, config, digests, cfg.seed
 
 
 def cmd_graph(args) -> Outcome:
-    mdt = load_mdt(args.mdt)
-    inputs = [Path(args.mdt)]
+    digests: dict[str, str] = {}
+    mdt = load_mdt(args.mdt, digests)
     if args.tree:
-        tree_text, tree_inputs = _load_tree_text(args)
-        graph = build_tool_subgraph(parse_subtask_tree(tree_text), mdt)
-        inputs += tree_inputs
+        graph = build_tool_subgraph(parse_subtask_tree(_load_tree_text(args, digests)), mdt)
         text = _dump_json(subgraph_to_json(graph)) if args.format == "json" else subgraph_to_dot(graph)
     else:
         tdg = build_tdg(mdt)
@@ -222,7 +221,7 @@ def cmd_graph(args) -> Outcome:
             text = _dump_json({"nodes": list(tdg.nodes), "edges": sorted([u, v] for u, v in tdg.edges)})
         else:
             text = tdg_to_dot(tdg)
-    return EXIT_OK, {"": text}, {"command": "graph", "format": args.format}, inputs, 0
+    return EXIT_OK, {"": text}, {"command": "graph", "format": args.format}, digests, 0
 
 
 def _build_parser() -> _Parser:
@@ -285,12 +284,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, texts, config, inputs, seed = args.func(args)
+        code, texts, config, digests, seed = args.func(args)
         out = getattr(args, "csv", None) or args.out
         for suffix, text in texts.items():
             _write(text, out, suffix)
         if out:
-            _write(_dump_json(build_manifest(argv, config, inputs, seed)), out, ".manifest.json")
+            _write(_dump_json(build_manifest(argv, config, digests, seed)), out, ".manifest.json")
         return code
     except ToolpathError as exc:
         print(f"error: {exc}", file=sys.stderr)

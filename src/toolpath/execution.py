@@ -30,7 +30,6 @@ DEFAULT_QUALITY_SIGMA = 0.05
 class ExecutionOutcome:
     time_seconds: float
     quality: float
-    attempt: int
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,8 @@ def simulator_spec_from_json(text: str) -> SimulatorSpec:
     return SimulatorSpec(mode=mode, script=script, **sigmas)
 
 
-def load_simulator_spec(path: str | Path) -> SimulatorSpec:
-    return simulator_spec_from_json(read_text(path, "simulator spec"))
+def load_simulator_spec(path: str | Path, digests: dict[str, str] | None = None) -> SimulatorSpec:
+    return simulator_spec_from_json(read_text(path, "simulator spec", digests))
 
 
 def execute(
@@ -93,16 +92,18 @@ def execute(
         if key not in spec.script:
             raise ScriptGap(f"script has no entry for {key}")
         time_s, quality = spec.script[key]
-        return ExecutionOutcome(time_seconds=time_s, quality=quality, attempt=attempt)
+        return ExecutionOutcome(time_s, quality)
     row = bt.row(node.tool, node.kind)
     if spec.mode == "deterministic":
-        return ExecutionOutcome(row.time_seconds, row.quality_norm, attempt)
+        return ExecutionOutcome(row.time_seconds, row.quality_norm)
     rng = np.random.default_rng(
         np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, node.node_id, attempt])
     )
-    time_s = row.time_seconds * float(np.exp(rng.normal(0.0, spec.time_noise_sigma)))
+    # A huge sigma can overflow exp to inf; the output check reports that, not numpy.
+    with np.errstate(over="ignore"):
+        time_s = row.time_seconds * float(np.exp(rng.normal(0.0, spec.time_noise_sigma)))
     quality = float(np.clip(row.quality_norm + rng.normal(0.0, spec.quality_noise_sigma), 0.0, 1.0))
-    return ExecutionOutcome(time_seconds=time_s, quality=quality, attempt=attempt)
+    return ExecutionOutcome(time_s, quality)
 
 
 class Simulator:

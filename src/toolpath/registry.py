@@ -8,11 +8,14 @@ after loading and safe to share across concurrent searches.
 
 Every input file, the tree and simulator spec included, is read by
 `read_text`, decoded by `parse_json` and has its fields checked by
-`json_field`, so any malformed input is a ParseError.
+`json_field`, so any malformed input is a ParseError.  A caller that wants
+each file's SHA-256 digest passes a `digests` dict to the loader, and
+`read_text` records the digest of the bytes it decoded.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -74,15 +77,23 @@ _KINDS = {str: "a string", float: "a finite number", int: "an integer", dict: "a
 _INF = math.inf
 
 
-def read_text(path: str | Path, what: str) -> str:
-    """The UTF-8 text of the input file `path`, which `what` names in errors."""
+def read_text(path: str | Path, what: str, digests: dict[str, str] | None = None) -> str:
+    """The UTF-8 text of the input file `path`, which `what` names in errors.
+
+    When `digests` is given, the SHA-256 of the file's bytes goes into it
+    under `str(path)`.
+    """
     p = Path(path)
     try:
-        return p.read_bytes().decode("utf-8")
+        data = p.read_bytes()
+        text = data.decode("utf-8")
     except FileNotFoundError:
         raise ParseError(f"{what} file not found: {p}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{what} file {p} cannot be read: {exc}") from None
+    if digests is not None:
+        digests[str(p)] = hashlib.sha256(data).hexdigest()
+    return text
 
 
 def parse_json(text: str, what: str, kind: type = dict):
@@ -241,9 +252,9 @@ def parse_mdt(text: str) -> ModelDescriptionTable:
     return _build_table(parse_json(text, "MDT", list))
 
 
-def load_mdt(path: str | Path) -> ModelDescriptionTable:
+def load_mdt(path: str | Path, digests: dict[str, str] | None = None) -> ModelDescriptionTable:
     """Load and validate a model description table from a JSON file."""
-    return parse_mdt(read_text(path, "MDT"))
+    return parse_mdt(read_text(path, "MDT", digests))
 
 
 def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:
@@ -311,6 +322,8 @@ def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
     return BenchmarkTable(rows=rows)
 
 
-def load_benchmark(path: str | Path, mdt: ModelDescriptionTable) -> BenchmarkTable:
+def load_benchmark(
+    path: str | Path, mdt: ModelDescriptionTable, digests: dict[str, str] | None = None
+) -> BenchmarkTable:
     """Load the benchmark table, checking full coverage of the MDT pairs."""
-    return parse_benchmark(read_text(path, "benchmark"), mdt)
+    return parse_benchmark(read_text(path, "benchmark", digests), mdt)

@@ -33,15 +33,17 @@ is rebuilt from those links.
 Tools run when the search pops them, not when they are generated, as in
 Lazy Weighted A* (Cohen, Phillips & Likhachev, SoCS 2014) and LazySP
 (Dellin & Srinivasa, ICAPS 2016).  Expanding a label queues one
-unexecuted edge per successor at the bound its benchmark row gives; the
-edge runs only when popped, through one attempt loop: attempts 1 to
-1 + max_retries are executed until one meets the quality threshold.  An
-edge that never passes drops the path without re-queueing it, while other
-routes through the same node stay explorable.  Under stochastic execution
-an edge is queued at its benchmark bound and its label at the realized
-one, so the search commits to a path without seeing the outcomes of
-siblings it never popped, and may return a path an eager search, which
-ran every sibling, would have beaten.
+unexecuted edge per successor at the bound its benchmark row gives, and a
+popped edge runs one attempt.  An attempt below the quality threshold
+re-prices its edge, as the paper's recovery step does: the edge is queued
+again, its bound now counting the time its attempts have already cost, so
+a sibling that has become cheaper runs before the retry.  Attempts run
+from 1 to 1 + max_retries; an edge whose last attempt fails drops the path
+without being queued again, while other routes through the same node stay
+explorable.  Under stochastic execution an edge is queued at its benchmark
+bound and its label at the realized one, so the search commits to a path
+without seeing the outcomes of siblings it never popped, and may return a
+path an eager search, which ran every sibling, would have beaten.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
-from .execution import ExecutionTrace, TraceEvent, validate_quality
+from .execution import ExecutionOutcome, ExecutionTrace, TraceEvent, validate_quality
 from .graphs import ROOT_ID, ToolSubgraph
 from .planning import kahn_order
 from .registry import BenchmarkTable
@@ -249,14 +251,17 @@ class PathState:
 class SearchStats:
     """Deterministic work counters of one search.
 
-    Expanding a label queues one unexecuted edge per successor.  Every edge
-    popped from a live label is one `generated` path and one first
-    execution, so `executions == generated + retries`, which is also the
-    number of trace events.  A generated path is then dropped after its
-    retries, pruned by dominance, or queued.  `stale_pops` are queued
-    labels and edges whose label a later label dominated; they are skipped,
-    so a stale label is not `expanded` and a stale edge never runs.
-    `peak_frontier` counts queued labels and edges together.
+    Expanding a label queues one unexecuted edge per successor.  Popping an
+    edge runs one attempt: the first attempt of an edge is one `generated`
+    path, and each later one, popped after a failed attempt queued the edge
+    again, is one of the `retries`.  So `executions == generated +
+    retries`, which is also the number of trace events.  A generated path
+    is then dropped after its retries, pruned by dominance, queued, or left
+    waiting for a retry that goes stale.  `stale_pops` are queued labels
+    and edges whose label a later label dominated; they are skipped, so a
+    stale label is not `expanded` and a stale edge, first attempt or
+    retry, never runs.  `peak_frontier` counts queued labels and edges
+    together.
     """
 
     executions: int = 0
@@ -312,6 +317,9 @@ class PlanResult:
             "expanded_count": self.expanded_count,
             "stats": asdict(self.stats),
         }
+
+
+_Edge = tuple[int, int, ExecutionOutcome | None, float]
 
 
 class _Label:
@@ -382,16 +390,18 @@ def astar_search(
     The queue holds labels and unexecuted edges.  Popping a label that does
     not end at a sink expands it: each successor's edge is queued at the
     bound of the label extended by that successor's benchmark row.  Popping
-    an edge executes its successor, up to 1 + max_retries times until an
-    attempt meets the quality threshold; a successor that never passes is
-    dropped without re-queueing, and one that passes is queued as a new
-    label at the bound of its realized (cum_time, cum_quality).  Under
-    deterministic execution the two bounds agree, and a bound is exact at a
-    sink, so the first sink popped is optimal.  Queue order is (f,
-    insertion counter), so runs replay exactly.  A prefix whose label at
-    its node is weakly dominated by a live label there is dropped; queued
-    labels and edges whose label a newer label dominates are skipped when
-    popped.
+    an edge runs one attempt of its successor.  An attempt that meets the
+    quality threshold is queued as a new label at the bound of its realized
+    (cum_time, cum_quality).  A failed attempt, if fewer than 1 +
+    max_retries have run, queues the edge again with its next attempt
+    number, at the bound of the label extended by the time spent on the
+    successor so far plus its benchmark row; after the last attempt the
+    successor is dropped.  Under deterministic execution an edge's bound
+    and its label's agree, and a bound is exact at a sink, so the first
+    sink popped is optimal.  Queue order is (f, insertion counter), so runs
+    replay exactly.  A prefix whose label at its node is weakly dominated
+    by a live label there is dropped; queued labels and edges whose label a
+    newer label dominates are skipped when popped.
     """
     rows, fronts = bounds.rows, bounds.fronts
     events: list[TraceEvent] = []
@@ -399,11 +409,12 @@ def astar_search(
     counter = itertools.count()
     stats = dict.fromkeys(SearchStats.__dataclass_fields__, 0)
     labels: list[list[_Label]] = [[] for _ in graph.nodes]
-    # (f, insertion counter, label, successor id of an unexecuted edge or None)
-    heap: list[tuple[float, int, _Label, int | None]] = []
+    # (f, insertion counter, label, edge or None).  An edge is (successor id,
+    # next attempt, first attempt's outcome or None, time of later attempts).
+    heap: list[tuple[float, int, _Label, _Edge | None]] = []
 
-    def push(f: float, label: _Label, succ: int | None) -> None:
-        heappush(heap, (f, next(counter), label, succ))
+    def push(f: float, label: _Label, edge: _Edge | None) -> None:
+        heappush(heap, (f, next(counter), label, edge))
         stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
         if len(heap) > cfg.queue_cap:
             raise QueueOverflow(f"search queue exceeded its capacity of {cfg.queue_cap} entries")
@@ -416,36 +427,40 @@ def astar_search(
     root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
     push(_front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha), root, None)
     while heap:
-        f, _, label, succ = heappop(heap)
+        f, _, label, edge = heappop(heap)
         if not label.alive:
             stats["stale_pops"] += 1
             continue
-        if succ is None:
+        if edge is None:
             stats["expanded"] += 1
             last = label.step.node_id
             if not graph.successors[last]:
                 return finish(STATUS_FOUND, _path(label, f, alpha))
             for succ in graph.successors[last]:
                 c, q = rows[succ]
-                push(_front_bound(fronts[succ], label.time + c, label.quality * q, alpha), label, succ)
+                f_edge = _front_bound(fronts[succ], label.time + c, label.quality * q, alpha)
+                push(f_edge, label, (succ, 1, None, 0.0))
             continue
 
-        node = graph.nodes[succ]
-        stats["generated"] += 1
-        retry_time = 0.0
-        for attempt in range(1, cfg.max_retries + 2):
-            outcome = executor(node, attempt)
-            stats["executions"] += 1
-            if attempt == 1:
-                first = outcome
-            else:
-                stats["retries"] += 1
-                retry_time += outcome.time_seconds
-            if validate_quality(outcome, threshold):
-                break
-            events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
+        succ, attempt, first, retry_time = edge
+        outcome = executor(graph.nodes[succ], attempt)
+        stats["executions"] += 1
+        if attempt == 1:
+            stats["generated"] += 1
+            first = outcome
         else:
-            stats["dropped_after_retries"] += 1
+            stats["retries"] += 1
+            retry_time += outcome.time_seconds
+        if not validate_quality(outcome, threshold):
+            events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
+            if attempt > cfg.max_retries:
+                stats["dropped_after_retries"] += 1
+                continue
+            # The retry waits its turn, priced with the time this node has already cost.
+            c, q = rows[succ]
+            spent = label.time + first.time_seconds + retry_time
+            retry = (succ, attempt + 1, first, retry_time)
+            push(_front_bound(fronts[succ], spent + c, label.quality * q, alpha), label, retry)
             continue
 
         # Retry times are summed apart from the first attempt, as the split

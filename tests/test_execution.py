@@ -33,7 +33,7 @@ BT = BenchmarkTable(rows={("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0
 
 def test_deterministic_playback():
     out = execute(SimulatorSpec(mode="deterministic"), BT, NODE, 1, seed=1)
-    assert out == ExecutionOutcome(time_seconds=0.0062, quality=0.82, attempt=1)
+    assert out == ExecutionOutcome(time_seconds=0.0062, quality=0.82)
 
 
 def test_missing_benchmark_raises():
@@ -136,9 +136,9 @@ def test_spec_json_rejects_non_finite_values(value):
 
 
 def test_validate_quality_threshold_is_inclusive():
-    assert validate_quality(ExecutionOutcome(1.0, 0.9, 1), 0.8)
-    assert validate_quality(ExecutionOutcome(1.0, 0.8, 1), 0.8)
-    assert not validate_quality(ExecutionOutcome(1.0, 0.79, 1), 0.8)
+    assert validate_quality(ExecutionOutcome(1.0, 0.9), 0.8)
+    assert validate_quality(ExecutionOutcome(1.0, 0.8), 0.8)
+    assert not validate_quality(ExecutionOutcome(1.0, 0.79), 0.8)
 
 
 def test_empty_trace_totals():

@@ -4,10 +4,12 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -101,6 +103,20 @@ def test_bad_input_or_output_exits_1_with_one_error_line(probe, tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())  # nothing written
 
 
+def test_overflowing_noise_is_one_error_line_and_no_warning(tmp_path, capsys):
+    # exp of a draw with sigma 1e308 overflows; the output check reports the
+    # infinite time, and numpy must not warn first (or raise, as here).
+    paths = _write_inputs(tmp_path, {"sim": b'{"mode": "stochastic", "time_noise_sigma": 1e308}'})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_argv("plan", paths)) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: output holds a non-finite number: Out of range float values are not JSON compliant: inf"
+    ]
+    assert "Warning" not in err
+
+
 # Every path holds a tool whose normalized quality (0.5) is below the 0.8
 # threshold: Y directly, or Z spliced in to make X's depth map.
 _EXHAUSTED_TABLES = {
@@ -150,6 +166,25 @@ def test_manifest_holds_the_simulator_spec_digest(command, tmp_path):
         assert set(inputs) == {str(p) for p in paths.values()}
         digests.append(inputs[str(paths["sim"])])
     assert digests[0] != digests[1]
+
+
+def test_plan_reads_each_input_file_once(tmp_path, monkeypatch):
+    paths = _write_inputs(tmp_path)
+    reads: dict[str, int] = {}
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(self):
+        reads[str(self)] = reads.get(str(self), 0) + 1
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    out = tmp_path / "out"
+    assert main(_argv("plan", paths, ["--out", str(out)])) == 0
+    monkeypatch.undo()
+    assert reads == {str(p): 1 for p in paths.values()}
+    # The digests are those of the files' bytes, as when the manifest read each file again.
+    inputs = json.loads(Path(f"{out}.manifest.json").read_text())["inputs"]
+    assert inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths.values()}
 
 
 class _CannedHandler(BaseHTTPRequestHandler):

@@ -384,6 +384,33 @@ def test_retry_updates_path_g_consistently():
     )
 
 
+def test_cheaper_sibling_runs_between_attempts_of_a_failing_node():
+    """ROOT -> {A, B}, alpha 1: A is cheaper on paper (1 s against 2.5 s).
+
+    A's first attempt takes 2 s and fails, so its retry is queued at
+    2 + 1 = 3 s, behind B.  B runs next and passes, but slowly (4 s), so
+    its label waits behind A's retry, which passes in 0.5 s: A is returned
+    after 2.5 s, and B ran between A's two attempts.
+    """
+    a, b = 1, 2
+    graph, bt = _detection_graph({"A": (1.0, 1.0), "B": (2.5, 1.0)}, {(0, a), (0, b)})
+    ran = {("A", 1): (2.0, 0.5), ("A", 2): (0.5, 0.9), ("B", 1): (4.0, 1.0)}
+
+    def executor(node, attempt):
+        return ExecutionOutcome(*ran[node.tool, attempt])
+
+    res = _run(graph, bt, alpha=1.0, sim=executor, quality_threshold=0.8)
+    assert [(e.node_id, e.attempt, e.decision) for e in res.trace.events] == [
+        (a, 1, "fail"),
+        (b, 1, "pass"),
+        (a, 2, "pass"),
+    ]
+    assert res.path.node_ids == (0, a)
+    assert res.path.steps[-1] == PathStep(a, 2.5, 0.9, 2)
+    assert res.path.g == compute_g(2.5, 0.9, 1.0)
+    assert (res.stats.generated, res.stats.retries, res.stats.executions) == (2, 1, 3)
+
+
 def test_all_paths_failing_exhausts():
     graph, bt = _scripted_two_branch()
     script = {("A", "Object Detection", k): (1.0, 0.1) for k in range(1, 5)}
@@ -585,7 +612,7 @@ def test_edge_queued_from_a_dead_label_is_not_executed():
     ran = {**rows, "B": (1.0, 1.0)}
 
     def executor(node, attempt):
-        return ExecutionOutcome(*ran[node.tool], attempt)
+        return ExecutionOutcome(*ran[node.tool])
 
     res = _run(graph, bt, alpha=2.0, sim=executor)
     assert res.path.node_ids == (0, b, x, leaf)
@@ -637,13 +664,27 @@ def test_search_matches_oracle_at_any_alpha(seed, alpha):
     seed=st.integers(min_value=0, max_value=299),
     sim_seed=st.integers(min_value=0, max_value=2**32 - 1),
     alpha=st.floats(min_value=0.0, max_value=2.0),
+    max_retries=st.integers(min_value=0, max_value=3),
 )
-def test_stochastic_replays_are_bit_stable(seed, sim_seed, alpha):
+def test_stochastic_replays_are_bit_stable(seed, sim_seed, alpha, max_retries):
+    """Failed checks re-queue their edges, and the search still accounts for every attempt.
+
+    Each run keeps executions == generated + retries == trace events, no
+    step takes more than 1 + max_retries attempts, every step on the path
+    meets the threshold, and a second run with the same seed writes the
+    same plan and trace JSON.
+    """
     graph, bt, *_ = built_instance(seed)
     runs = []
     for _ in range(2):
         sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=0.1), bt, sim_seed)
-        res = _run(graph, bt, alpha=alpha, sim=sim, seed=sim_seed)
+        res = _run(graph, bt, alpha=alpha, sim=sim, seed=sim_seed, max_retries=max_retries)
+        stats = res.stats
+        assert stats.executions == stats.generated + stats.retries == len(res.trace.events)
+        assert all(e.attempt <= max_retries + 1 for e in res.trace.events)
+        if res.found:
+            assert all(1 <= step.attempts <= max_retries + 1 for step in res.path.steps[1:])
+            assert all(step.quality >= 0.8 for step in res.path.steps[1:])
         runs.append(json.dumps([res.to_json_dict(graph), res.trace.to_json_dict(graph)], sort_keys=True))
     assert runs[0] == runs[1]
 
