@@ -29,7 +29,6 @@ class OracleReport:
     astar_objective: float
     gap: float
     paths_enumerated: int
-    astar_status: str
     astar_path: tuple[int, ...] = ()
 
 
@@ -86,7 +85,6 @@ def brute_force_optimal(
         astar_objective=astar_obj,
         gap=astar_obj - best_obj,
         paths_enumerated=len(paths),
-        astar_status=result.status,
         astar_path=astar_path,
     )
 

@@ -101,7 +101,8 @@ def execute(
     )
     # A huge sigma can overflow exp to inf; the output check reports that, not numpy.
     with np.errstate(over="ignore"):
-        time_s = row.time_seconds * float(np.exp(rng.normal(0.0, spec.time_noise_sigma)))
+        factor = float(np.exp(rng.normal(0.0, spec.time_noise_sigma)))
+    time_s = row.time_seconds * factor if row.time_seconds else 0.0  # not 0 * inf = nan
     quality = float(np.clip(row.quality_norm + rng.normal(0.0, spec.quality_noise_sigma), 0.0, 1.0))
     return ExecutionOutcome(time_s, quality)
 
@@ -132,8 +133,7 @@ class TraceEvent:
     time_seconds: float
     quality: float
     decision: str  # "pass" | "fail"
-    g_literal: float | None = None
-    g_path: float | None = None
+    g_path: float | None = None  # on a passing retry: realized g of the path through it
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,6 @@ class ExecutionTrace:
                     "time_seconds": e.time_seconds,
                     "quality": e.quality,
                     "decision": e.decision,
-                    "g_literal": e.g_literal,
                     "g_path": e.g_path,
                 }
                 for e in self.events

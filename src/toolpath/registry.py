@@ -265,7 +265,6 @@ def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:
 @dataclass(frozen=True)
 class BenchmarkRow:
     time_seconds: float
-    quality_raw: float
     quality_norm: float
 
 
@@ -315,10 +314,7 @@ def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
     if missing:
         raise MissingBenchmark(f"MDT pairs without benchmark rows: {missing}")
     norm = normalize_quality(qualities)
-    rows = {
-        key: BenchmarkRow(time_seconds=times[key], quality_raw=qualities[key], quality_norm=norm[key])
-        for key in times
-    }
+    rows = {key: BenchmarkRow(time_seconds=times[key], quality_norm=norm[key]) for key in times}
     return BenchmarkTable(rows=rows)
 
 

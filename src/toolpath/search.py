@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
-from .execution import ExecutionOutcome, ExecutionTrace, TraceEvent, validate_quality
+from .execution import ExecutionTrace, TraceEvent, validate_quality
 from .graphs import ROOT_ID, ToolSubgraph
 from .planning import kahn_order
 from .registry import BenchmarkTable
@@ -319,7 +319,7 @@ class PlanResult:
         }
 
 
-_Edge = tuple[int, int, ExecutionOutcome | None, float]
+_Edge = tuple[int, int, float]
 
 
 class _Label:
@@ -390,15 +390,17 @@ def astar_search(
     The queue holds labels and unexecuted edges.  Popping a label that does
     not end at a sink expands it: each successor's edge is queued at the
     bound of the label extended by that successor's benchmark row.  Popping
-    an edge runs one attempt of its successor.  An attempt that meets the
-    quality threshold is queued as a new label at the bound of its realized
-    (cum_time, cum_quality).  A failed attempt, if fewer than 1 +
-    max_retries have run, queues the edge again with its next attempt
-    number, at the bound of the label extended by the time spent on the
-    successor so far plus its benchmark row; after the last attempt the
-    successor is dropped.  Under deterministic execution an edge's bound
-    and its label's agree, and a bound is exact at a sink, so the first
-    sink popped is optimal.  Queue order is (f, insertion counter), so runs
+    an edge runs one attempt of its successor and adds its time to the one
+    running total the edge carries: the time spent on the successor so far.
+    An attempt that meets the quality threshold is queued as a new label at
+    the bound of its realized (cum_time, cum_quality), the label's time plus
+    that total; a passing retry's trace event records the realized g of that
+    label as `g_path`.  A failed attempt, if fewer than 1 + max_retries have
+    run, queues the edge again with its next attempt number, at the bound of
+    the label extended by the time spent so far plus the successor's
+    benchmark row; after the last attempt the successor is dropped.  Under
+    deterministic execution an edge's bound and its label's agree, and a
+    bound is exact at a sink, so the first sink popped is optimal.  Queue order is (f, insertion counter), so runs
     replay exactly.  A prefix whose label at its node is weakly dominated
     by a live label there is dropped; queued labels and edges whose label a
     newer label dominates are skipped when popped.
@@ -410,7 +412,7 @@ def astar_search(
     stats = dict.fromkeys(SearchStats.__dataclass_fields__, 0)
     labels: list[list[_Label]] = [[] for _ in graph.nodes]
     # (f, insertion counter, label, edge or None).  An edge is (successor id,
-    # next attempt, first attempt's outcome or None, time of later attempts).
+    # next attempt, time its earlier attempts have spent on the successor).
     heap: list[tuple[float, int, _Label, _Edge | None]] = []
 
     def push(f: float, label: _Label, edge: _Edge | None) -> None:
@@ -439,18 +441,14 @@ def astar_search(
             for succ in graph.successors[last]:
                 c, q = rows[succ]
                 f_edge = _front_bound(fronts[succ], label.time + c, label.quality * q, alpha)
-                push(f_edge, label, (succ, 1, None, 0.0))
+                push(f_edge, label, (succ, 1, 0.0))
             continue
 
-        succ, attempt, first, retry_time = edge
+        succ, attempt, spent = edge
         outcome = executor(graph.nodes[succ], attempt)
         stats["executions"] += 1
-        if attempt == 1:
-            stats["generated"] += 1
-            first = outcome
-        else:
-            stats["retries"] += 1
-            retry_time += outcome.time_seconds
+        stats["generated" if attempt == 1 else "retries"] += 1
+        spent += outcome.time_seconds
         if not validate_quality(outcome, threshold):
             events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
             if attempt > cfg.max_retries:
@@ -458,26 +456,16 @@ def astar_search(
                 continue
             # The retry waits its turn, priced with the time this node has already cost.
             c, q = rows[succ]
-            spent = label.time + first.time_seconds + retry_time
-            retry = (succ, attempt + 1, first, retry_time)
-            push(_front_bound(fronts[succ], spent + c, label.quality * q, alpha), label, retry)
+            f_retry = _front_bound(fronts[succ], label.time + spent + c, label.quality * q, alpha)
+            push(f_retry, label, (succ, attempt + 1, spent))
             continue
 
-        # Retry times are summed apart from the first attempt, as the split
-        # in g_literal needs; a running total would round differently.
-        cum_time = label.time + first.time_seconds + retry_time
+        cum_time = label.time + spent
         cum_quality = label.quality * outcome.quality
-        g_literal = g_path = None
-        if attempt > 1:
-            g_literal = compute_g(
-                label.time + first.time_seconds, label.quality * first.quality, alpha
-            ) + compute_g(retry_time, outcome.quality, alpha)
-            g_path = compute_g(cum_time, cum_quality, alpha)
-        events.append(
-            TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "pass", g_literal, g_path)
-        )
+        g_path = compute_g(cum_time, cum_quality, alpha) if attempt > 1 else None
+        events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "pass", g_path))
 
-        step = PathStep(succ, first.time_seconds + retry_time, outcome.quality, attempt)
+        step = PathStep(succ, spent, outcome.quality, attempt)
         succ_label = _admit(labels[succ], cum_time, cum_quality, step, label)
         if succ_label is None:
             stats["pruned_by_dominance"] += 1

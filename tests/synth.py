@@ -57,9 +57,7 @@ def random_plan_graph(
     for node in nodes[1:]:
         time = 0.0 if rng.random() < zero_time_fraction else float(rng.uniform(0.001, 20.0))
         quality = float(rng.uniform(0.05, 1.0))
-        rows[(node.tool, node.kind)] = BenchmarkRow(
-            time_seconds=time, quality_raw=quality, quality_norm=quality
-        )
+        rows[(node.tool, node.kind)] = BenchmarkRow(time_seconds=time, quality_norm=quality)
     return graph, BenchmarkTable(rows=rows)
 
 

@@ -28,7 +28,7 @@ NODE = PlanNode(node_id=3, tool="YOLOv7", kind="Object Detection", instance=INST
 ROOT = PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root")
 # Node ids index the graph's node list, so ids 1 and 2 are filled with copies of NODE.
 GRAPH = _assemble([ROOT, *(replace(NODE, node_id=i) for i in (1, 2)), NODE], {(0, 1), (0, 2), (0, 3)})
-BT = BenchmarkTable(rows={("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82, 0.82)})
+BT = BenchmarkTable(rows={("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82)})
 
 
 def test_deterministic_playback():
@@ -70,7 +70,7 @@ def test_stochastic_keying_is_order_independent():
 
 
 def test_stochastic_quality_clamped():
-    rows = {("T", "Object Detection"): BenchmarkRow(1.0, 0.99, 0.99)}
+    rows = {("T", "Object Detection"): BenchmarkRow(1.0, 0.99)}
     node = PlanNode(node_id=1, tool="T", kind="Object Detection", instance=INST, role="candidate")
     spec = SimulatorSpec(mode="stochastic", quality_noise_sigma=0.8)
     sim = Simulator(spec, BenchmarkTable(rows=rows), seed=5)

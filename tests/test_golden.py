@@ -34,7 +34,7 @@ FIXTURES = (
 )
 PLAN_ALPHAS = ("0", "0.5", "1", "2")
 # Stochastic plans on these fixtures retry and pass, so their traces carry
-# a non-null g_literal; deterministic plans never pass a retry.
+# a non-null g_path; deterministic plans never pass a retry.
 STOCHASTIC_FIXTURES = (("full", "detection_choice"), ("full", "example1"), ("full", "example2"))
 STOCHASTIC_SEEDS = ("0", "2")
 TDG_MDTS = ("detection_choice", "full", "table1")
@@ -99,7 +99,9 @@ def _digest(case: str, workdir: Path) -> str:
 # bound were re-recorded with it; their totals did not change.  The plan
 # digests whose search ran fewer tools once a tool ran only when its edge
 # was popped were re-recorded again: deterministic paths and totals did not
-# change, four stochastic plans chose another path.
+# change, four stochastic plans chose another path.  Every plan and verify
+# digest was re-recorded once trace events lost `g_literal` and the verify
+# report `astar_status`; no plan JSON changed.
 GOLDEN = {
     'graph detection_choice/detection_choice dot': '32339f08c117246ecf5884d68b137bc044e29f4dea4acb6277d55cc71999e4c0',
     'graph detection_choice/detection_choice json': 'e56552e15dbfe3a0b38fb02a6d888f2dad4e75b8a03cc78b4a801747131a2511',
@@ -127,46 +129,46 @@ GOLDEN = {
     'graph tdg full json': '7a4e9475b744393102d91c9bcb9baecb3d9484e259614627856acc2e3451acc8',
     'graph tdg table1 dot': '4f30085d0fe7b228c583313d8a1ae303a62aab01a900744e975780dc1cc4760a',
     'graph tdg table1 json': 'b7f481bf4075dd9644a2000d1a8fb9f839310daa4ef229830cb23f0685fcb7ba',
-    'plan detection_choice/detection_choice alpha=0': 'e0d9055fff06f8b0b4ca45922e6e5bfe92e675548f013ae3f8682fe1812b5223',
-    'plan detection_choice/detection_choice alpha=0.5': '084f68819438842a71cbc92d419af63ad5b64e961321d73f57a3d143baf764e7',
-    'plan detection_choice/detection_choice alpha=1': '5cb46b8b81227d5ee86ab0bd7106c075003ca4c7fa9497a55711d290669387bd',
-    'plan detection_choice/detection_choice alpha=2': 'd0ea10f58dcc0afd55286c2ba4d7a4764bb5207db36d9498665c6b7539f906fd',
-    'plan full/detection_choice alpha=0': '84e15c96ee68ec937bce78e2b6a680a4bccb9bbd424c3772d7b677ca6eea4f72',
-    'plan full/detection_choice alpha=0.5': 'ddf9f7d1948f2c6461f795f6b0554f86991fc4427a71ab55ef4e7384750d6415',
-    'plan full/detection_choice alpha=1': '55bcaf9c6d307184185c0ef918207ab40ba6425f9f05299c1cd341b2bc60ee0e',
-    'plan full/detection_choice alpha=2': '9ba85dd91515e0a76275a809d59b3d565711eb21d3c2d28225c41b1fc0012a9d',
-    'plan full/example1 alpha=0': 'ebab70ab7b01a5db2e7eabb7675577bd9847b021c1f4752bf66b9e478d0cf5d1',
-    'plan full/example1 alpha=0.5': '64c26656947a61bafeb22ac912a8b0e307435b88db1631c9817f7c3dfd09406c',
-    'plan full/example1 alpha=1': 'fd9520ec85638805f753b054832e2966ca39276c63ab0fe5cf31021004ead3d5',
-    'plan full/example1 alpha=2': '105a93dc2a502ba3e0d05a37d25f552324ff8b2daff17f0652a5206ceba9179d',
-    'plan full/example2 alpha=0': 'c53ac581d6db434544a32640f4dbe2173cc1102afe517135acabd7edec092896',
-    'plan full/example2 alpha=0.5': '42d226c9c0ea53291cab8d037ab2885b60fcf28b273a0dc5a2492a3c60160835',
-    'plan full/example2 alpha=1': '42e2ceece60feaed4d834d2387da0f12cdfb72111e9531811d56093febe4b990',
-    'plan full/example2 alpha=2': 'b60159d1a3fce69d179ddc4b866254e18f78fc77cd7ab245297ea137aa8a48bd',
-    'plan full/replacement alpha=0': '76ef3b58e9785698be58f651fdf87f973db559d52fe12bfdc68793254db1c68b',
-    'plan full/replacement alpha=0.5': 'dcd6dc0559272acea5eb4c4f8bc931853ffa93e8f1b2a6af0d759a2beac265f2',
-    'plan full/replacement alpha=1': '7eee8377d865020c02e6fd3fa661301712c29c5b53f6fe96bbba32136b364000',
-    'plan full/replacement alpha=2': '5c40fd09fae7e8c951606834bd6f8a4ed5a45f47019f0a8ee94a9131e98e0f79',
-    'plan full/single_deblur alpha=0': '3f5983ee5afa73184c8a26ea80a5b5e2cc9ea23bcffed721c8c9ab772ce97d01',
-    'plan full/single_deblur alpha=0.5': 'c4aa2508fbd615e83fcacbc4d34aaa6c81847a08818e1da13eddf5b5a648cb89',
-    'plan full/single_deblur alpha=1': 'eb662a1e6d8e1683d401e61358c70eba3956ad20a18a6497a19a5b59ab4438de',
-    'plan full/single_deblur alpha=2': '91671e94ae8f4198949313a8bd75ab50a3d10a257a26d240b1bd350be8106825',
-    'plan shared_end/shared_end alpha=0': 'b1656e735533b452cfe9966452135f066939e573d66de360f56703ffa0bfd24d',
-    'plan shared_end/shared_end alpha=0.5': '9d89b4391e09796d69010d19591158b2de8d8a59e031c0b77d83b8cd29b60f15',
-    'plan shared_end/shared_end alpha=1': '4ceea97653c4c9edfd12cb5d44918a50ddd8f08ad5a77ed49d809e4a592676fa',
-    'plan shared_end/shared_end alpha=2': '9246af60a5120b7912e8992bfb5e0ee80dc675f78a1ef3f9b4761215ea87e91e',
-    'plan table1/detection_choice alpha=0': 'eb00ea90f76927bcd17918d1f49cb8e32200f4bd1fbf0eb4bcd30a9a467c5138',
-    'plan table1/detection_choice alpha=0.5': '76fe8c832b0da35b415dd2dcf73c1a3be6a32c2da3fe6c23a7ad9156dea88f38',
-    'plan table1/detection_choice alpha=1': 'e40db30460ae45c4ead24276bade81df500facedc0c8e22d21a086aa899acf94',
-    'plan table1/detection_choice alpha=2': '35b15d1bbde2060bb4f30b185779ea4efe71fa0b28776bd5371c0f4b2988da9d',
-    'plan table1/example1 alpha=0': 'bff6411218e5b6404aabf4c377ee30c04cb8a60609c58f50d56bd76239d8c228',
-    'plan table1/example1 alpha=0.5': '2133da666f37e063ac7dafd2504347e9dc61ee9520b1ccfc2b963bfe33100822',
-    'plan table1/example1 alpha=1': '8e6b8c29ec1ce0a8c4a4bcefc3a9dcf5b923d6bc5028b668aa62527b14ed686f',
-    'plan table1/example1 alpha=2': 'a215bbe2a044c3208abd9d7d0faf95f92e2f0d9ad56977070926d6b38d23ebc4',
-    'plan table1/replacement alpha=0': '8bf6a86de38b61ed36f45d6c5071ac05be2a7427e83efdcaf9e9e13e806e4bc2',
-    'plan table1/replacement alpha=0.5': '69e8727f2686a5fff740f5382215dfb314d00aeb61f268f83b69ddd7973f2d58',
-    'plan table1/replacement alpha=1': 'f7f9e11f5c541370c5923daf2db4f9a3f09acc8981fb071db49682f60836ea2c',
-    'plan table1/replacement alpha=2': '2f84b29065b9c283dd51600bcb246a9a3b7f2d739e1b2cc0d21d6aa647df5f6e',
+    'plan detection_choice/detection_choice alpha=0': '1f81bf4e8f4582edae77b8a725a7ef8e0631696ee33559c1b86a778d5236b7f6',
+    'plan detection_choice/detection_choice alpha=0.5': 'a965f97f0b7814ae4bcf5038ba8f4f28280ee64fd23d547a4a0cbac0b314e681',
+    'plan detection_choice/detection_choice alpha=1': '62aaf30fcd3ec9eeea371ca75fa9077a81ed5f59c8427f55bf1bd9ed33e0f61b',
+    'plan detection_choice/detection_choice alpha=2': '95186dd886094ad4a1fecbc2dcf3e793bd68cf29f9f91c32f7e94f6dd554b6e7',
+    'plan full/detection_choice alpha=0': '22ce7182d162b8c325f70c107258eeff986994ffdb8180c1f781a73feb78a40e',
+    'plan full/detection_choice alpha=0.5': '580d31528def9ba454cc6b5ecf5b04c55d0336d0b43105caf603ac4286f5c28d',
+    'plan full/detection_choice alpha=1': '065ebf4502f568d487a7167cad3509209a4a286a21492f0ef9f8972e691c24e7',
+    'plan full/detection_choice alpha=2': '9a51a7dca0185fff81f064b6258145ab21cc742f8e7c557e2137a0cb41225930',
+    'plan full/example1 alpha=0': 'd57452ef7a82bbe3451a1f26ed79ea54a555214d153a2a470a397453257b73ba',
+    'plan full/example1 alpha=0.5': '1f4aebbd445b70180f070dde0d1661f6a176a2ec1a0c012195f705c5ce8fed90',
+    'plan full/example1 alpha=1': 'b8d3417adfc208a8f6162e1317b400cf493dab9d491c2246585333fbb0ed1c72',
+    'plan full/example1 alpha=2': '21f83f01d0c444a76ce980ebf596a5e59e5efc08b64bed0c389f457a3c8dd3ac',
+    'plan full/example2 alpha=0': 'dbe76d6dfe7cc8ba9ab297eda14d92d2bf36a3ffcdafb16d497c833119fae626',
+    'plan full/example2 alpha=0.5': 'b4c8a5ec2814e3fb8792d998aed574675579ba986e425e1de0a002a543f8b6df',
+    'plan full/example2 alpha=1': 'f7733a21edbcf8838bda4d953a676d1d52dfe47c6d0b6c513d246642d4feb39c',
+    'plan full/example2 alpha=2': 'cec115f1eddbe47464136d5f578801bdb8ff9716ac5d3355163710bb84e867f3',
+    'plan full/replacement alpha=0': '2260b0fd39698bd9c424c000d0c2f87c47a5a3c22c7c8b9e764160452bbf0263',
+    'plan full/replacement alpha=0.5': '01f3b1d87353e3245fb98c2c93de7d62a7249c819a655296b847cc8df6ac389c',
+    'plan full/replacement alpha=1': 'b7c8b0f5964357df38dcf858b48693e6786055f688bde49ec2b7a772f090b89a',
+    'plan full/replacement alpha=2': '92888a6998aa87bf2ffb79c51490a32355f5cd945be997183355282d239eaaa7',
+    'plan full/single_deblur alpha=0': '1a9350437d9bab193d28f53a1fac4769368301849a8afc03d32e6af763c1dad8',
+    'plan full/single_deblur alpha=0.5': '0510e120b807fca349ba02fb7f12dcc17423e9e43057a98eeba9328eba1a6085',
+    'plan full/single_deblur alpha=1': 'b373d8b998dcb74065d2595fc4387688504c977cc2d1cfa09ff8113156b4c4d5',
+    'plan full/single_deblur alpha=2': 'afa46fd97d27e0393ca9c7439d94dea27f8a3b9810321b63ba57ef5f66464e8e',
+    'plan shared_end/shared_end alpha=0': '86bcdb989745d31383d8963888c6e4c271b21860e29b1eedfa764c071b3f0bda',
+    'plan shared_end/shared_end alpha=0.5': '5635c7023bb55db44a65fb31e61c0f97f9b2ceb36e29abe8774c4660d31dde11',
+    'plan shared_end/shared_end alpha=1': '734610176b662ea3e226028b959051ebdf10789c9202c5a1013113379b2d6fa1',
+    'plan shared_end/shared_end alpha=2': '70bdb200205ddf11966678ea7559a8b3d45b3b96dc4b06f366027694ec3c7e29',
+    'plan table1/detection_choice alpha=0': '84b8ec216b9d3add58d098ddd013d1e668b963e80fb358bdce604d2ce48d95b7',
+    'plan table1/detection_choice alpha=0.5': 'af6ae29ec13211a60b74cac9c8b37cb782610336c7a889a2851e5869f37a09d4',
+    'plan table1/detection_choice alpha=1': '788d58dd904254a56a3ed0c2f48ba1b2b7b496466974d687722180ee7a2319b1',
+    'plan table1/detection_choice alpha=2': 'b8223c2c1cfbf56583370efd0ca5673654d3a603ecd381c1b43a40210660277d',
+    'plan table1/example1 alpha=0': '73e869a33f36ae8c832170d50fc924f7dd7f19188decefb6f8bbf536c3218189',
+    'plan table1/example1 alpha=0.5': 'b9fcccecac7121a06799b006aae9cf0f4a72c3ee9c67fde0f1aae6649831f71c',
+    'plan table1/example1 alpha=1': 'f8a86ad22bab6884f0d5d2b2b8b88076bdfd82386a00ad473841e2254b83749f',
+    'plan table1/example1 alpha=2': '13c1e7cdb22cceeb2387dd9f3d0e799f2e28a3b87a0dd0c8124997b1fd03960e',
+    'plan table1/replacement alpha=0': 'c22627a66d199cb9e04acc78d74123961f59cd0ae0e6fede39951e2718b55c0a',
+    'plan table1/replacement alpha=0.5': 'e40e94cf280494d902f476d6c8f764dbe8220e30f7b28f8fd34c205d677868b1',
+    'plan table1/replacement alpha=1': '1e90c24a602b6013947952d0ce467fc29ea8e16a8e33a82e850a1481e793ff4c',
+    'plan table1/replacement alpha=2': 'f357d30e441517a563174da3e482903691d178fb2545aaa0184fb9c8dd7304dd',
     'sweep detection_choice/detection_choice': '2147cd71f3315dec4c129925c94192ffa5c0596b4b0369e8bf1dcda2956d6839',
     'sweep full/detection_choice': 'a69a7dcc01f0b20253bd79f9ee363caedb5a89427d8d0875ba6cca0ae6efe298',
     'sweep full/example1': '904ca8ed052fbc73202a963206daf9f14ffdcb4c3f4f83c7de9f94b6cdbfee92',
@@ -177,43 +179,43 @@ GOLDEN = {
     'sweep table1/detection_choice': '1288cb1fb3e4e934e9b19ae3faa06f96889984214d5ca040cc21d517e5df6011',
     'sweep table1/example1': 'cc3474b4d91e66d88bbcc9261932d0fde4a22437eb8933a18d7ac7dede8b5012',
     'sweep table1/replacement': '6af7b3c8c0a8f29d23482b440d6bdcd9624ea655130ee9e5ec04343f3161d0d5',
-    'verify detection_choice/detection_choice': '36ebbe4cfb814977ced2f905908184d41bc680f8a7868006e6550bbee94253d7',
-    'verify full/detection_choice': '7e592d62310e7b3e147ef94c25db7984ebd438ff60a6ba48150507f21afd1043',
-    'verify full/example1': '47f1f8571c664e86a41d75612b99e55ac32b2f7217a11a67589190df02e9aed2',
-    'verify full/example2': '32021953aa5c32948fe6a9ca8331601dceff33718542020b24d91830bc5db1df',
-    'verify full/replacement': '15713b2a4ea7eb74d725df31321fe5624f46438181dbec62234881d88ecab661',
-    'verify full/single_deblur': 'c58346e2178f95c561c13a5cdf2bbcd90db25d1623f24e5ab1d7689986a2e6d0',
-    'verify shared_end/shared_end': '764f74e414b873639bb2516baee55f625ba565e0ff1b24bfab2e3abc9e0dab77',
-    'verify table1/detection_choice': '4cfa0ee5eb59c92d1e9b1a08da2e229a1c8b64521dac9276d72ab26c62466617',
-    'verify table1/example1': '046bfaf1154353079d3ebd401fa7600382f9fed2c01d354f3647eab7a6be739f',
-    'verify table1/replacement': '691557f0816e12a4ed349b4e0fcc0cf23b1064a88cf6bc40fe48c94d133fd46a',
+    'verify detection_choice/detection_choice': 'a78d637497f53f9a02f5370f1f365283ae2916a542d4d277e3a1924e0c35688a',
+    'verify full/detection_choice': '37f94ffef978cbda29df5437d76223d1b57f5ed4c3bd698a5e19c7fd418d9af8',
+    'verify full/example1': 'af0eaa242a7d31878ba6aae44fd7d978c509312d28752bfe26e363859e203dfc',
+    'verify full/example2': '4920b74871b459fb3bb5204e8898e1b1b3a7d661f737f18c2d89fe0467fddb54',
+    'verify full/replacement': 'f049495e8fa9fee131b3f81a76152bdc6c79ae1fd7ca5151bbc12319fbb618e8',
+    'verify full/single_deblur': 'e0850e64c0e1a82ed0cd85f49aa90e510c98bed4a3072d03e5c50a19f1613b96',
+    'verify shared_end/shared_end': 'e508d295e6e1d8391a8a950f8dfef588827cf8e45238db1d628e744967f7ad94',
+    'verify table1/detection_choice': 'b02f51cac5165544d3edf25affb7a5f19d37357642b4be8bdede8e444befd3ed',
+    'verify table1/example1': 'bb4583a76b19ab5bb26d2b9188547e4d59a5767421a54f740a2975b3c251338d',
+    'verify table1/replacement': '6a103cb3f6420d34fc3d43a313b7cf9438127792f03b3c32cb056e844c75139c',
     # Recorded before the search kept parent-linked labels and one attempt loop.
     # full/example2 at alpha=2 was re-recorded for both seeds once a failed
     # attempt re-queued its edge: a sibling ran before the retry.
-    'plan full/detection_choice stochastic seed=0 alpha=0': '8af55d386478c2286d93f0f2389c295694ba1ce1dba2d9a2f97cfa09216fcbd4',
-    'plan full/detection_choice stochastic seed=0 alpha=0.5': 'ba98655cfb15fcf8300c0acd3cb4ad3315d92cdbd3ae40aa1bd287a35afe2211',
-    'plan full/detection_choice stochastic seed=0 alpha=1': '83c2602a6f29fdd989c22211adef29635e6b0375d6d9c3fc2bb9d2278e6baaa9',
-    'plan full/detection_choice stochastic seed=0 alpha=2': 'baf9c03193819af348535ca9e154224bf3b8399f57e7ce9383cde76b8dde988a',
-    'plan full/detection_choice stochastic seed=2 alpha=0': 'c0fbee49bb4049dc14a5f77016a4547650967c849bf826a67e02d74ab9f834c1',
-    'plan full/detection_choice stochastic seed=2 alpha=0.5': '2e29ec86891d6cb01e57e878945b4b88044d5c745e96377919217b76bf13fa43',
-    'plan full/detection_choice stochastic seed=2 alpha=1': '6ccc0644acd2729d8a10f5996490ab88172a1677316556c4c8faa82ff285a953',
-    'plan full/detection_choice stochastic seed=2 alpha=2': '7fe6236885d69b298afebcac0473c3cf01437026f46001fd54d337309e5bf502',
-    'plan full/example1 stochastic seed=0 alpha=0': '6f3fbcf278a7f5b80f764930b82c54d2ce34dfeeb6975b2e32033771fad61dbf',
-    'plan full/example1 stochastic seed=0 alpha=0.5': '6c0a5b33ea6090edb2fdc844f54efa07518f17665b6358a21022fed7c3a40300',
-    'plan full/example1 stochastic seed=0 alpha=1': 'c23d726d85cca8f2e85b2b98c960a0f98c069ca9daccbb8f047ca5c704c8e307',
-    'plan full/example1 stochastic seed=0 alpha=2': 'f0822fefb16850314f6f16a84843dbd291829d73fcb06cfc33101f8b1438f4e7',
-    'plan full/example1 stochastic seed=2 alpha=0': '7d515115549918fdbdbc533fe815978eaa6c55b133ef56c7f99e7dff9eae38b4',
-    'plan full/example1 stochastic seed=2 alpha=0.5': '1ce85096dc18bd7cde1b703558734ca55f2c5f1c5ac56fbe3a18dbf9a50b9c0b',
-    'plan full/example1 stochastic seed=2 alpha=1': 'f3f2d0a2e6cac17e6b3211a573b5651287ab64a1fd6e78d7036c53e0035deb10',
-    'plan full/example1 stochastic seed=2 alpha=2': '9b539607de259cbe4ae31cdd4b634aeacb9764ab2e53bc99a0bd2cb277a5667c',
-    'plan full/example2 stochastic seed=0 alpha=0': '1aad7457f9c65d43cb197a5755a9ffaaf5bcf16008b14310539468f3e6f6d2b4',
-    'plan full/example2 stochastic seed=0 alpha=0.5': 'd9cbc733a84cee60063678f0a5a6fc877bc06b5b9d910d8fe351b9e1fa11a18f',
-    'plan full/example2 stochastic seed=0 alpha=1': '6145e8101e5dd6831a900fe874aef2d89629a896e41f7c5b50f3bf74eef6e366',
-    'plan full/example2 stochastic seed=0 alpha=2': '8795cb78c5993f65cafac03f8c7d933326d3242c58c98aebabfc20896596e81e',
-    'plan full/example2 stochastic seed=2 alpha=0': 'a09351d6736242b2a8db0a48045bf296ff0ed6b5606fc0af24392ae64f3e0e75',
-    'plan full/example2 stochastic seed=2 alpha=0.5': '671f6bccce8674d9531960ab9d56c7c3114b518acad4cdcf26910d912a071d2f',
-    'plan full/example2 stochastic seed=2 alpha=1': '885852d5fd220a5d0020ffc0a7a72fc6abbb1d149709525df5664ee84e7d3cfc',
-    'plan full/example2 stochastic seed=2 alpha=2': 'b67b18e07374375f9a1f3e42425ae3fd0739fc6a11cbfc2f8485cba01fb24946',
+    'plan full/detection_choice stochastic seed=0 alpha=0': '10a6102bf694c1c4aa3cb9a6a93b1987e6a74486580fc3605153aca01f01917b',
+    'plan full/detection_choice stochastic seed=0 alpha=0.5': 'b3bcb6a691c92d1d313e4e83180bef59ad7468f1e1c73d9e6e3268278f8dfb2c',
+    'plan full/detection_choice stochastic seed=0 alpha=1': 'd21446ed39b781779525a212fcba43d92c40d4b8bad2dbc014c47852f1d1a82b',
+    'plan full/detection_choice stochastic seed=0 alpha=2': '57d5be9ad400d55a418a541b95f971dcdde310eca2f293ba83918ca45f8a8843',
+    'plan full/detection_choice stochastic seed=2 alpha=0': '2e7ce6099d051b2aa24784bfb86a57c2273cc9ba5c3bce25e4bfc61eee6e6da2',
+    'plan full/detection_choice stochastic seed=2 alpha=0.5': '7e347b2d4f8e2a40d382b8a83e5d823a2933eb5c39e6d60372515505dbb74d2d',
+    'plan full/detection_choice stochastic seed=2 alpha=1': '691fa30198c4e31f95a35921642716d9dbf719cfcfa57e74adb373e20619f48c',
+    'plan full/detection_choice stochastic seed=2 alpha=2': 'f58dfd02af43676fdac3f7f82d7c27ec07dc2823e580e91bd037b5212e036ede',
+    'plan full/example1 stochastic seed=0 alpha=0': '18bd6696923a6db5027ba41cdddcf7f95dde9babb05bd2c3439a2233ff0f061a',
+    'plan full/example1 stochastic seed=0 alpha=0.5': '62e1c1c48e521ff89889cc094a304c31be036697f73b33636e1afc7255c9b96a',
+    'plan full/example1 stochastic seed=0 alpha=1': '5b9dfcd482e7edfefbcf20b8aabe0b9d9a2b321948b148d9f6847deea3547f11',
+    'plan full/example1 stochastic seed=0 alpha=2': '7fe7a7e351b52fd22e8a965e270bed6d3333acbd3092612d0928ca6c710cceb7',
+    'plan full/example1 stochastic seed=2 alpha=0': '4bef222b595a7f8f933b95e2f6632e5e5e5292611c0ba706385414c451775fa6',
+    'plan full/example1 stochastic seed=2 alpha=0.5': 'b7483f9b59878c4b3c24739683661c9becc4cdb44ab97235416db7e73e259862',
+    'plan full/example1 stochastic seed=2 alpha=1': '55d772e64936f51cebcca2a0b9e2c4f0d92de035886c3dca29ad863f4885869d',
+    'plan full/example1 stochastic seed=2 alpha=2': '538b8f7df1320410bced06582671755e60e6215732572e7d68d5698572794d48',
+    'plan full/example2 stochastic seed=0 alpha=0': 'df9f752fde057bdf293f5da1bf95e5867c90f8b2075f95337c67b93772d3f64c',
+    'plan full/example2 stochastic seed=0 alpha=0.5': 'e1297b35d85a1caa322c40f9782dc06156a61ee52b9a63a19d28be4da9b5ade5',
+    'plan full/example2 stochastic seed=0 alpha=1': 'f29cec10c494af5a8dee708d81e3ee54caad49bcef0d6daeec5849b5996d0a45',
+    'plan full/example2 stochastic seed=0 alpha=2': '54dc6e311e72c2bb5f2df0c59efbb61b9a2e293462f49a0fcfcd56e391d5c692',
+    'plan full/example2 stochastic seed=2 alpha=0': 'f3aa5cbd7c3ed9b7f3861772675d1d097ce765f2094f6b58180e9ca4a4c2a498',
+    'plan full/example2 stochastic seed=2 alpha=0.5': '1f8dc868ed6c096a77ea03e2d5dad91dd79319206ba27ddd4cec24e2ba95e105',
+    'plan full/example2 stochastic seed=2 alpha=1': '8ee0c49984096280c5c5775edf30fe884d99998f45080efe8fe2b803bdf4d831',
+    'plan full/example2 stochastic seed=2 alpha=2': 'eab28d270868a1cab019c2915ca14b208f5c04fcaa06e6de70dd4d22765395f9',
 }
 
 
@@ -222,13 +224,25 @@ def test_cli_output_digest(case, tmp_path):
     assert _digest(case, tmp_path) == GOLDEN[case]
 
 
-def test_stochastic_plan_trace_holds_a_passing_retry(tmp_path):
-    # Without a passing retry the stochastic digests would not pin g_literal.
+def _retrying_plan_trace(workdir: Path) -> list[dict]:
+    """Trace events of a stochastic plan that retries and passes."""
     argv, _ = CASES["plan full/example2 stochastic seed=0 alpha=2"]
-    out = tmp_path / "out"
+    out = workdir / "out"
     assert main([str(out) if a == "OUT" else a for a in argv]) == 0
-    trace = json.loads(Path(f"{out}.trace.json").read_text(encoding="utf-8"))
-    assert sum(e["g_literal"] is not None for e in trace["events"]) >= 1
+    return json.loads(Path(f"{out}.trace.json").read_text(encoding="utf-8"))["events"]
+
+
+def test_stochastic_plan_trace_holds_a_passing_retry(tmp_path):
+    # Without a passing retry the stochastic digests would not pin g_path.
+    assert sum(e["g_path"] is not None for e in _retrying_plan_trace(tmp_path)) >= 1
+
+
+def test_trace_events_carry_one_g(tmp_path):
+    events = _retrying_plan_trace(tmp_path)
+    keys = {"node", "tool", "subtask", "argument", "ordinal", "attempt", "time_seconds", "quality", "decision", "g_path"}
+    assert all(e.keys() == keys for e in events)
+    # g_path is set exactly on a passing retry
+    assert all((e["g_path"] is not None) == (e["decision"] == "pass" and e["attempt"] > 1) for e in events)
 
 
 if __name__ == "__main__":

@@ -117,6 +117,24 @@ def test_overflowing_noise_is_one_error_line_and_no_warning(tmp_path, capsys):
     assert "Warning" not in err
 
 
+def test_zero_time_rows_stay_zero_under_overflowing_noise(tmp_path):
+    # A 0 s row times an overflowing lognormal factor must not give 0 * inf = nan.
+    rows = json.loads((DATA_DIR / "benchmark_full.json").read_text())
+    for row in rows:
+        row["time_seconds"] = 0
+    benchmark, sim, out = tmp_path / "benchmark.json", tmp_path / "sim.json", tmp_path / "plan.json"
+    benchmark.write_text(json.dumps(rows))
+    sim.write_text('{"mode": "stochastic", "time_noise_sigma": 1e308}')
+    argv = ["plan", "--mdt", str(DATA_DIR / "mdt_full.json"), "--tree", str(DATA_DIR / "tree_example1.json"),
+            "--benchmark", str(benchmark), "--sim", str(sim), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    plan = json.loads(out.read_text())
+    assert plan["totals"]["time"] == 0.0
+    assert all(step["c"] == 0.0 for step in plan["path"])
+
+
 # Every path holds a tool whose normalized quality (0.5) is below the 0.8
 # threshold: Y directly, or Z spliced in to make X's depth map.
 _EXHAUSTED_TABLES = {

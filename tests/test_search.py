@@ -34,7 +34,7 @@ ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 def _unit_bt(bt: BenchmarkTable) -> BenchmarkTable:
     return BenchmarkTable(
         rows={
-            k: BenchmarkRow(r.time_seconds, 1.0, 1.0) for k, r in bt.rows.items()
+            k: BenchmarkRow(r.time_seconds, 1.0) for k, r in bt.rows.items()
         }
     )
 
@@ -105,7 +105,7 @@ def test_heuristic_single_successor_hand_value():
         PlanNode(node_id=1, tool="Stable Diffusion Inpaint", kind="Object Removal", instance=inst, role="candidate"),
     ]
     g = _assemble(nodes, {(0, 1)})
-    bt = BenchmarkTable(rows={("Stable Diffusion Inpaint", "Object Removal"): BenchmarkRow(12.1, 0.93, 0.93)})
+    bt = BenchmarkTable(rows={("Stable Diffusion Inpaint", "Object Removal"): BenchmarkRow(12.1, 0.93)})
     h = precompute_heuristics(g, bt, 1.0)
     assert h[ROOT_ID].h == pytest.approx(12.947, abs=1e-12)
     assert h[ROOT_ID].h_C == pytest.approx(12.1)
@@ -126,8 +126,8 @@ def test_heuristic_two_successor_hand_values():
     g = _assemble(nodes, {(0, 1), (0, 2)})
     bt = BenchmarkTable(
         rows={
-            ("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82, 0.82),
-            ("Grounding DINO", "Object Detection"): BenchmarkRow(0.119, 1.0, 1.0),
+            ("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82),
+            ("Grounding DINO", "Object Detection"): BenchmarkRow(0.119, 1.0),
         }
     )
     h2 = precompute_heuristics(g, bt, 2.0)
@@ -243,7 +243,7 @@ def test_time_scale_invariance_of_returned_path(detection_fixture):
         for k in (0.5, 2.0, 10.0):
             scaled = BenchmarkTable(
                 rows={
-                    key: BenchmarkRow(r.time_seconds * k, r.quality_raw, r.quality_norm)
+                    key: BenchmarkRow(r.time_seconds * k, r.quality_norm)
                     for key, r in bt.rows.items()
                 }
             )
@@ -375,13 +375,10 @@ def test_retry_updates_path_g_consistently():
     assert step.time_seconds == pytest.approx(2.5)  # both attempts on the path
     assert step.quality == 0.9
     assert res.path.g == pytest.approx(compute_g(2.5, 0.9, 1.0))
-    # the trace keeps both the literal two-term sum and the path-consistent g
+    # the passing retry's trace event carries the realized g of the path
     node_a = next(n for n in graph.nodes if n.tool == "A")
     final_event = [e for e in res.trace.events if e.node_id == node_a.node_id][-1]
     assert final_event.g_path == pytest.approx(res.path.g)
-    assert final_event.g_literal == pytest.approx(
-        compute_g(1.0, 0.5, 1.0) + compute_g(1.5, 0.9, 1.0)
-    )
 
 
 def test_cheaper_sibling_runs_between_attempts_of_a_failing_node():
@@ -572,7 +569,7 @@ def _detection_graph(rows: dict[str, tuple[float, float]], edges):
         for i, t in enumerate(rows, start=1)
     ]
     bt = BenchmarkTable(
-        rows={(t, "Object Detection"): BenchmarkRow(c, q, q) for t, (c, q) in rows.items()}
+        rows={(t, "Object Detection"): BenchmarkRow(c, q) for t, (c, q) in rows.items()}
     )
     return _assemble(nodes, edges), bt
 
