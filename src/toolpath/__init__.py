@@ -21,14 +21,7 @@ from .graphs import (
     build_tool_subgraph,
     enumerate_paths,
 )
-from .planning import (
-    PlannerPrompt,
-    SubtaskInstance,
-    SubtaskTree,
-    build_planner_prompt,
-    parse_subtask_tree,
-    request_tree,
-)
+from .planning import SubtaskInstance, SubtaskTree, build_planner_prompt, parse_subtask_tree
 from .registry import (
     BenchmarkTable,
     ModelDescriptionTable,
@@ -55,7 +48,6 @@ __all__ = [
     "ParetoPoint",
     "PlanNode",
     "PlanResult",
-    "PlannerPrompt",
     "SearchConfig",
     "SearchStats",
     "Simulator",
@@ -81,7 +73,6 @@ __all__ = [
     "pareto_filter",
     "parse_subtask_tree",
     "precompute_heuristics",
-    "request_tree",
     "suffix_bounds",
     "sweep_alpha",
     "task_accuracy",

@@ -30,12 +30,7 @@ from .graphs import (
     subgraph_to_json,
     tdg_to_dot,
 )
-from .planning import (
-    build_planner_prompt,
-    parse_subtask_tree,
-    planner_client_from_env,
-    request_tree,
-)
+from .planning import build_planner_prompt, parse_subtask_tree, planner_client_from_env
 from .registry import load_benchmark, load_mdt, read_text
 from .search import (
     DEFAULT_MAX_RETRIES,
@@ -133,8 +128,7 @@ def _load_tree_text(args, digests: dict[str, str]) -> str:
     """Tree text: from --tree, or else from the planner for plan's --task."""
     if args.tree:
         return read_text(args.tree, "tree", digests)
-    client = planner_client_from_env(args.planner_endpoint)
-    return request_tree(client, build_planner_prompt(args.task))
+    return planner_client_from_env(args.planner_endpoint).generate(build_planner_prompt(args.task))
 
 
 def _build_graph(args, digests: dict[str, str]):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError, ScriptGap
 from .graphs import PlanNode, ToolSubgraph
-from .registry import BenchmarkTable, canonical_subtask, json_field, parse_json, read_text
+from .registry import BenchmarkTable, _squash, canonical_subtask, json_field, parse_json, read_text
 
 MODES = ("deterministic", "stochastic", "scripted")
 
@@ -57,7 +57,7 @@ def simulator_spec_from_json(text: str) -> SimulatorSpec:
         script = {}
         for i, row in enumerate(json_field(raw, "script", list, "simulator spec")):
             key = (
-                json_field(row, "tool", str, "script row", i),
+                _squash(json_field(row, "tool", str, "script row", i)),
                 canonical_subtask(json_field(row, "subtask", str, "script row", i)),
                 json_field(row, "attempt", int, "script row", i),
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DependencyTooDeep, NoToolForSubtask, PathExplosion, UnsatisfiableDependency
-from .planning import SubtaskInstance, SubtaskTree, kahn_order, root_to_leaf_paths, topological_order
+from .planning import SubtaskInstance, SubtaskTree, kahn_order, root_to_leaf_paths
 from .registry import ModelDescriptionTable, ToolRecord, normalize_resource
 
 ROOT_ID = 0
@@ -162,7 +162,7 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
     avail_out: dict[SubtaskInstance, frozenset[str]] = {}
     terminals_of: dict[SubtaskInstance, list[int]] = {}
 
-    for inst in topological_order(tree):
+    for inst in tree.nodes:
         parents = tree.parents[inst]
         avail_in = set(ROOT_OUTPUTS)
         if parents:

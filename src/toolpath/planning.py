@@ -48,21 +48,10 @@ class SubtaskInstance:
 
 @dataclass(frozen=True)
 class SubtaskTree:
+    """Nodes in Kahn order, ready nodes taken by label, and each node's parents."""
+
     nodes: tuple[SubtaskInstance, ...]
     parents: dict[SubtaskInstance, tuple[SubtaskInstance, ...]]
-    task_text: str
-
-    def roots(self) -> list[SubtaskInstance]:
-        return [n for n in self.nodes if not self.parents[n]]
-
-    def children(self) -> dict[SubtaskInstance, list[SubtaskInstance]]:
-        out: dict[SubtaskInstance, list[SubtaskInstance]] = {n: [] for n in self.nodes}
-        for node, parents in self.parents.items():
-            for p in parents:
-                out[p].append(node)
-        for lst in out.values():
-            lst.sort(key=lambda n: n.label())
-        return out
 
 
 def _final_paren_group(text: str) -> tuple[str, str] | None:
@@ -111,20 +100,20 @@ def parse_label(label: str) -> tuple[str, str, int | None]:
 def parse_subtask_tree(json_text: str) -> SubtaskTree:
     """Parse a planner-format JSON subtask tree and verify it is a DAG.
 
-    Raises ParseError for malformed JSON or duplicate labels, UnknownSubtask
-    for names outside PLANNER_SUBTASKS, DanglingParent for unresolved parent
-    references and CycleDetected when the parent relation is cyclic.
+    Raises ParseError for malformed JSON or a label or instance that repeats,
+    UnknownSubtask for names outside PLANNER_SUBTASKS, DanglingParent for
+    unresolved parent references and CycleDetected when the parent relation
+    is cyclic.  An unnumbered label gets the next ordinal after the largest
+    explicit one, in input order.
     """
     raw = parse_json(json_text, "subtask tree")
     items = json_field(raw, "subtask_tree", list, "subtask tree")
     if not items:
         raise ParseError('"subtask_tree" must be a non-empty array')
-    task_text = json_field(raw, "task", str, "subtask tree") if "task" in raw else ""
+    if "task" in raw:
+        json_field(raw, "task", str, "subtask tree")
 
-    by_label: dict[str, SubtaskInstance] = {}
-    parent_labels: dict[SubtaskInstance, list[str]] = {}
-    pending: list[tuple[str, str, str, list[str]]] = []
-    used_ordinals: set[int] = set()
+    rows = []
     for i, item in enumerate(items):
         label = json_field(item, "subtask", str, "tree node", i)
         parents = json_field(item, "parent", STRINGS, "tree node", i)
@@ -135,42 +124,33 @@ def parse_subtask_tree(json_text: str) -> SubtaskTree:
                 raise UnknownSubtask(kind)
         except UnknownSubtask:
             raise UnknownSubtask(f"tree node {i}: unknown subtask kind in label {label!r}") from None
-        if ordinal is not None:
-            used_ordinals.add(ordinal)
-        pending.append((label, kind, argument, list(parents)))
-        if ordinal is not None:
-            _register(by_label, parent_labels, label, kind, argument, ordinal, parents)
+        rows.append((label, kind, argument, ordinal, parents))
 
-    next_ordinal = max(used_ordinals, default=0) + 1
-    for label, kind, argument, parents in pending:
-        if label in by_label:
-            continue
-        _register(by_label, parent_labels, label, kind, argument, next_ordinal, parents)
-        next_ordinal += 1
+    next_ordinal = max(ordinal or 0 for _, _, _, ordinal, _ in rows) + 1
+    by_label: dict[str, SubtaskInstance] = {}  # as written, which parent lists use
+    by_name: dict[str, SubtaskInstance] = {}  # by SubtaskInstance.label()
+    for label, kind, argument, ordinal, _ in rows:
+        if ordinal is None:
+            ordinal, next_ordinal = next_ordinal, next_ordinal + 1
+        node = SubtaskInstance(kind=kind, argument=argument, ordinal=ordinal)
+        if label in by_label or node.label() in by_name:
+            raise ParseError(f"duplicate node label {label!r}")
+        by_label[label] = by_name[node.label()] = node
 
+    # Keyed by node label, so Kahn's algorithm takes ready nodes in label order.
+    successors: dict[str, list[str]] = {name: [] for name in by_name}
     parents_resolved: dict[SubtaskInstance, tuple[SubtaskInstance, ...]] = {}
-    for node, labels in parent_labels.items():
-        resolved = []
-        for lab in labels:
+    for label, *_, parent_labels in rows:
+        node = by_label[label]
+        for lab in parent_labels:
             if lab not in by_label:
                 raise DanglingParent(f"node {node.label()!r} references missing parent {lab!r}")
-            resolved.append(by_label[lab])
-        parents_resolved[node] = tuple(resolved)
-
-    nodes = tuple(by_label[p[0]] for p in pending)
-    tree = SubtaskTree(nodes=nodes, parents=parents_resolved, task_text=task_text)
-    if not tree.roots():
+            successors[by_label[lab].label()].append(node.label())
+        parents_resolved[node] = tuple(by_label[lab] for lab in parent_labels)
+    if all(parents_resolved.values()):
         raise CycleDetected("subtask tree has no root (every node has a parent)")
-    topological_order(tree)
-    return tree
-
-
-def _register(by_label, parent_labels, label, kind, argument, ordinal, parents):
-    node = SubtaskInstance(kind=kind, argument=argument, ordinal=ordinal)
-    if label in by_label or node in parent_labels:
-        raise ParseError(f"duplicate node label {label!r}")
-    by_label[label] = node
-    parent_labels[node] = list(parents)
+    nodes = tuple(by_name[name] for name in kahn_order(successors))
+    return SubtaskTree(nodes=nodes, parents=parents_resolved)
 
 
 def kahn_order(successors: Mapping[Node, Sequence[Node]]) -> list[Node]:
@@ -245,19 +225,6 @@ def root_to_leaf_paths(roots: Iterable[Node], successors) -> list[tuple[Node, ..
     return out
 
 
-def topological_order(tree: SubtaskTree) -> list[SubtaskInstance]:
-    """Kahn order with ready nodes taken in label order, so it is stable."""
-    kids = tree.children()
-    by_label = {n.label(): n for n in tree.nodes}
-    order = kahn_order({n.label(): [c.label() for c in kids[n]] for n in tree.nodes})
-    return [by_label[label] for label in order]
-
-
-@dataclass(frozen=True)
-class PlannerPrompt:
-    text: str
-
-
 _PROMPT_TEMPLATE = """You are a planning model that decomposes an image editing request into a
 subtask tree.  Each tree node is one atomic operation on the image; an edge
 means the child may only run after its parent.
@@ -283,13 +250,11 @@ Request: {task}
 """
 
 
-def build_planner_prompt(task_text: str) -> PlannerPrompt:
+def build_planner_prompt(task_text: str) -> str:
     """Assemble the planner prompt for a task.  Deterministic per input."""
     if not task_text or not task_text.strip():
         raise EmptyTask("task description is empty")
-    return PlannerPrompt(
-        text=_PROMPT_TEMPLATE.format(subtasks=", ".join(PLANNER_SUBTASKS), task=task_text.strip())
-    )
+    return _PROMPT_TEMPLATE.format(subtasks=", ".join(PLANNER_SUBTASKS), task=task_text.strip())
 
 
 class HttpPlannerClient:
@@ -319,10 +284,3 @@ def planner_client_from_env(url: str | None = None) -> HttpPlannerClient:
             f"no planner endpoint configured; set {PLANNER_URL_ENV} or pass a URL"
         )
     return HttpPlannerClient(endpoint)
-
-
-def request_tree(client, prompt: PlannerPrompt) -> str:
-    """Single-attempt call to the planner; returns the raw response text."""
-    if client is None:
-        raise EndpointUnavailable("planner client is not configured")
-    return client.generate(prompt.text)

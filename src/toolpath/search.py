@@ -101,7 +101,10 @@ def _pow(base: float, exponent: float) -> float:
     # 0 ** 0 is taken as 1; only degenerate zero-time inputs reach it.
     if base == 0.0 and exponent == 0.0:
         return 1.0
-    return base**exponent
+    try:
+        return base**exponent
+    except OverflowError:  # a time beyond the float range, as in compute_g
+        return math.inf
 
 
 def compute_g(cum_time: float, cum_quality: float, alpha: float) -> float:

@@ -11,13 +11,13 @@ import heapq
 import json
 
 from toolpath.graphs import ToolDependencyGraph, ToolSubgraph
-from toolpath.planning import SubtaskTree, kahn_order, root_to_leaf_paths, topological_order
+from toolpath.planning import SubtaskTree, kahn_order, root_to_leaf_paths
 
 
 def validate_dag(graph) -> None:
     """Acyclicity check; raises CycleDetected with one cycle."""
     if isinstance(graph, SubtaskTree):
-        topological_order(graph)
+        kahn_order(tree_children(graph))
     elif isinstance(graph, ToolSubgraph):
         kahn_order(dict(enumerate(graph.successors)))
     elif isinstance(graph, ToolDependencyGraph):
@@ -286,9 +286,25 @@ def load_json(path):
 # package code, so they are checks of convenience, not independent ones.
 
 
+def tree_roots(tree) -> list:
+    """The nodes of a subtask tree without parents, in `tree.nodes` order."""
+    return [n for n in tree.nodes if not tree.parents[n]]
+
+
+def tree_children(tree) -> dict:
+    """Each node of a subtask tree mapped to its children, in label order."""
+    out: dict = {n: [] for n in tree.nodes}
+    for node, parents in tree.parents.items():
+        for p in parents:
+            out[p].append(node)
+    for kids in out.values():
+        kids.sort(key=lambda n: n.label())
+    return out
+
+
 def root_to_leaf_orderings(tree) -> list[tuple]:
     """Every root-to-leaf chain of a subtask tree, in deterministic label order."""
-    return root_to_leaf_paths(sorted(tree.roots(), key=lambda n: n.label()), tree.children())
+    return root_to_leaf_paths(sorted(tree_roots(tree), key=lambda n: n.label()), tree_children(tree))
 
 
 def edge_set(graph) -> set[tuple[int, int]]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from synth import deep_chain_instance, deep_prerequisite_instance, random_pipeline_instance, write_instance
+from test_planning import REPEATED_LABEL_TREES
 from toolpath import cli
 from toolpath.cli import EXIT_QUEUE_OVERFLOW, main
 from toolpath.search import SearchConfig
@@ -75,6 +76,35 @@ def test_plan_scripted_always_fail_exits_2(data_dir, tmp_path):
     spec_path.write_text(json.dumps({"mode": "scripted", "script": script}))
     code = main(["plan", *_args_detection(data_dir), "--sim", str(spec_path)])
     assert code == 2
+
+
+def test_plan_script_tool_names_collapse_whitespace(data_dir, tmp_path):
+    # The MDT and benchmark loaders collapse whitespace in tool names; so does a script.
+    rows = json.loads((data_dir / "benchmark_detection_choice.json").read_text())
+    script = [
+        {"tool": f" {row['tool']} ", "subtask": row["subtask"], "attempt": 1, "time": 1.0, "quality": 0.9}
+        for row in rows
+    ]
+    spec_path = tmp_path / "sim.json"
+    spec_path.write_text(json.dumps({"mode": "scripted", "script": script}))
+    out = tmp_path / "plan.json"
+    assert main(["plan", *_args_detection(data_dir), "--sim", str(spec_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "found"
+
+
+@pytest.mark.parametrize("name", REPEATED_LABEL_TREES)
+def test_plan_repeated_tree_label_is_input_error(name, data_dir, tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"task": "x", "subtask_tree": REPEATED_LABEL_TREES[name]}))
+    code = main([
+        "plan",
+        "--mdt", str(data_dir / "mdt_full.json"),
+        "--benchmark", str(data_dir / "benchmark_full.json"),
+        "--tree", str(tree),
+    ])
+    assert code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: duplicate node label ")
 
 
 def test_plan_queue_overflow_exits_4(data_dir, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from oracles import (
     pairwise_tdg_edges,
     root_to_leaf_orderings,
     sinks,
+    tree_children,
     validate_dag,
 )
 from synth import built_instance, random_pipeline_instance
@@ -288,7 +289,7 @@ def test_eq1_candidate_coverage(seed):
 def _assert_ordered_with_candidate_sinks(g, tree) -> None:
     """Every edge climbs in id, and the sinks are the leaf instances' candidates."""
     assert all(a < b for a, b in edge_set(g))
-    kids = tree.children()
+    kids = tree_children(tree)
     leaf_candidates = {
         n.node_id for n in g.nodes if n.role == "candidate" and not kids[n.instance]
     }

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from oracles import root_to_leaf_orderings
+from oracles import root_to_leaf_orderings, tree_children, tree_roots
 from synth import deep_chain_instance
 from toolpath.errors import (
     CycleDetected,
@@ -19,13 +19,10 @@ from toolpath.errors import (
 )
 from toolpath.planning import (
     HttpPlannerClient,
-    PlannerPrompt,
     build_planner_prompt,
     parse_label,
     parse_subtask_tree,
     planner_client_from_env,
-    request_tree,
-    topological_order,
 )
 from toolpath.registry import PLANNER_SUBTASKS
 
@@ -64,15 +61,15 @@ def test_parse_example2(data_dir):
     tree = parse_subtask_tree((data_dir / "tree_example2.json").read_text())
     assert len(tree.nodes) == 6
     assert len(root_to_leaf_orderings(tree)) == 2
-    assert [n.ordinal for n in tree.roots()] == [1]
+    assert [n.ordinal for n in tree_roots(tree)] == [1]
 
 
 def test_single_node_tree_is_root_and_leaf():
     tree = parse_subtask_tree(
         json.dumps({"task": "x", "subtask_tree": [{"subtask": "Object Detection (Cat)(1)", "parent": []}]})
     )
-    assert tree.roots() == list(tree.nodes)
-    assert tree.children() == {node: [] for node in tree.nodes}
+    assert tree_roots(tree) == list(tree.nodes)
+    assert tree_children(tree) == {node: [] for node in tree.nodes}
 
 
 def test_dangling_parent_rejected():
@@ -127,14 +124,41 @@ def test_malformed_tree_rejected():
 
 
 def test_duplicate_label_rejected():
-    payload = {
-        "task": "x",
-        "subtask_tree": [
-            {"subtask": "Object Detection (A)(1)", "parent": []},
-            {"subtask": "Object Detection (A)(1)", "parent": []},
-        ],
-    }
-    with pytest.raises(ParseError):
+    # The second spelling differs in case and spacing, but names the same instance.
+    for second in ("Object Detection (A)(1)", "object  detection (A)(1)"):
+        payload = {
+            "task": "x",
+            "subtask_tree": [
+                {"subtask": "Object Detection (A)(1)", "parent": []},
+                {"subtask": second, "parent": []},
+            ],
+        }
+        with pytest.raises(ParseError, match="duplicate node label"):
+            parse_subtask_tree(json.dumps(payload))
+
+
+# A label repeated without an ordinal names one node twice, so it is an
+# error as a repeated numbered label is; merging the two would drop the
+# second parent list (the removal under the detection, or the cycle).
+REPEATED_LABEL_TREES = {
+    "two parents": [
+        {"subtask": "Image Deblurring", "parent": []},
+        {"subtask": "Object Detection (Car)", "parent": []},
+        {"subtask": "Object Removal (Car)", "parent": ["Image Deblurring"]},
+        {"subtask": "Object Removal (Car)", "parent": ["Object Detection (Car)"]},
+    ],
+    "cycle": [
+        {"subtask": "Object Detection (Car)", "parent": []},
+        {"subtask": "Object Segmentation (Car)", "parent": ["Object Detection (Car)"]},
+        {"subtask": "Object Detection (Car)", "parent": ["Object Segmentation (Car)"]},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", REPEATED_LABEL_TREES)
+def test_repeated_unnumbered_label_rejected(name):
+    payload = {"task": "x", "subtask_tree": REPEATED_LABEL_TREES[name]}
+    with pytest.raises(ParseError, match="^duplicate node label "):
         parse_subtask_tree(json.dumps(payload))
 
 
@@ -160,14 +184,15 @@ def test_multiple_roots_allowed():
         ],
     }
     tree = parse_subtask_tree(json.dumps(payload))
-    assert len(tree.roots()) == 2
+    assert len(tree_roots(tree)) == 2
     assert len(root_to_leaf_orderings(tree)) == 2
 
 
 def test_topological_order_lists_every_node_once(data_dir):
     tree = parse_subtask_tree((data_dir / "tree_example1.json").read_text())
-    order = topological_order(tree)
-    assert sorted(n.label() for n in order) == sorted(n.label() for n in tree.nodes)
+    order = tree.nodes
+    assert len(order) == len(tree.parents) == 6
+    assert set(order) == set(tree.parents)
     pos = {n: i for i, n in enumerate(order)}
     for node in tree.nodes:
         for parent in tree.parents[node]:
@@ -186,7 +211,7 @@ def test_topological_order_takes_ready_nodes_in_label_order():
         ],
     }
     tree = parse_subtask_tree(json.dumps(payload))
-    assert [n.label() for n in topological_order(tree)] == [
+    assert [n.label() for n in tree.nodes] == [
         "Object Detection (X)(10)",
         "Object Detection (X)(2)",
         "Object Removal (X)(11)",
@@ -202,30 +227,30 @@ def test_root_to_leaf_orderings_on_deep_chain():
 
 def test_ordering_count_matches_bruteforce_dfs(data_dir):
     tree = parse_subtask_tree((data_dir / "tree_example2.json").read_text())
-    kids = tree.children()
+    kids = tree_children(tree)
 
     def count(n):
         if not kids[n]:
             return 1
         return sum(count(c) for c in kids[n])
 
-    assert len(root_to_leaf_orderings(tree)) == sum(count(r) for r in tree.roots())
+    assert len(root_to_leaf_orderings(tree)) == sum(count(r) for r in tree_roots(tree))
 
 
 def test_build_planner_prompt_contains_vocabulary_and_task():
     prompt = build_planner_prompt("remove the car")
-    assert "remove the car" in prompt.text
-    assert "Supported Subtasks" in prompt.text
+    assert "remove the car" in prompt
+    assert "Supported Subtasks" in prompt
     for name in PLANNER_SUBTASKS:
-        assert name in prompt.text
-    listing = next(line for line in prompt.text.splitlines() if line.startswith("Supported Subtasks:"))
+        assert name in prompt
+    listing = next(line for line in prompt.splitlines() if line.startswith("Supported Subtasks:"))
     assert len(listing.split(": ", 1)[1].split(", ")) == 24
 
 
 def test_build_planner_prompt_deterministic():
     a = build_planner_prompt("replace the cat with a dog")
     b = build_planner_prompt("replace the cat with a dog")
-    assert a.text == b.text
+    assert a == b
 
 
 def test_build_planner_prompt_empty_task():
@@ -247,7 +272,7 @@ def test_request_tree_file_stub(tmp_path, data_dir):
     canned = tmp_path / "canned.json"
     canned.write_text((data_dir / "tree_example2.json").read_text(), encoding="utf-8")
     client = _FilePlannerClient(canned)
-    text = request_tree(client, PlannerPrompt(text="ignored"))
+    text = client.generate("ignored")
     assert text == canned.read_text()
     tree = parse_subtask_tree(text)
     assert len(tree.nodes) == 6
@@ -257,8 +282,6 @@ def test_request_tree_unconfigured(monkeypatch):
     monkeypatch.delenv("COSTA_PLANNER_URL", raising=False)
     with pytest.raises(EndpointUnavailable):
         planner_client_from_env()
-    with pytest.raises(EndpointUnavailable):
-        request_tree(None, PlannerPrompt(text="x"))
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
@@ -294,7 +317,7 @@ def planner_server(data_dir):
 def test_request_tree_http_roundtrip(planner_server, monkeypatch):
     monkeypatch.setenv("COSTA_PLANNER_URL", planner_server)
     client = planner_client_from_env()
-    text = request_tree(client, build_planner_prompt("detect things"))
+    text = client.generate(build_planner_prompt("detect things"))
     tree = parse_subtask_tree(text)
     assert len(tree.nodes) == 6
 
@@ -302,4 +325,4 @@ def test_request_tree_http_roundtrip(planner_server, monkeypatch):
 def test_request_tree_transport_error():
     client = HttpPlannerClient("http://127.0.0.1:1", timeout=0.2)
     with pytest.raises(TransportError):
-        request_tree(client, PlannerPrompt(text="x"))
+        client.generate("x")

@@ -150,6 +150,14 @@ def test_heuristic_matches_reference_on_random_dags(alpha):
             assert got[node_id].h_Q == pytest.approx(hq, rel=1e-12, abs=1e-300)
 
 
+def test_heuristic_overflowing_times_are_infinite():
+    # (1e308 s) ** 1.5 overflows; the estimate is infinite, as compute_g gives.
+    graph, bt = random_plan_graph(3)
+    huge = BenchmarkTable(rows={key: BenchmarkRow(1e308, row.quality_norm) for key, row in bt.rows.items()})
+    h = precompute_heuristics(graph, huge, 1.5)
+    assert all(h[n].h == math.inf for n, succs in enumerate(graph.successors) if succs)
+
+
 def test_heuristic_missing_benchmark():
     graph, bt = random_plan_graph(0)
     rows = dict(bt.rows)
