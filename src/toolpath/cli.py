@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy
 
 from . import __version__
-from .errors import OutputError, ParseError, PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
+from .errors import InvalidConfig, OutputError, ParseError, PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
 from .evaluation import brute_force_optimal, pareto_csv, sweep_alpha
 from .execution import Simulator, SimulatorSpec, load_simulator_spec
 from .graphs import (
@@ -64,16 +64,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
-def build_manifest(argv: list[str], config: dict, digests: dict[str, str], seed: int) -> dict:
+# argparse's handler and the options that name a file or an address; input files are
+# covered by their digests, and every other option is a setting that the config hash covers.
+_NOT_SETTINGS = {"func", "mdt", "benchmark", "tree", "out", "planner_endpoint"}
+
+
+def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str, str]) -> dict:
     """Provenance record written next to every output artifact.
 
-    `digests` maps each input file to the SHA-256 of the bytes the command parsed.
+    `digests` maps each input file, and a planner reply, to the SHA-256 of the bytes parsed.
     """
+    settings = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
     return {
         "command": argv,
-        "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest(),
+        "config_hash": hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest(),
         "inputs": dict(sorted(digests.items())),
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "versions": {
             "toolpath": __version__,
             "python": platform.python_version(),
@@ -128,7 +134,9 @@ def _load_tree_text(args, digests: dict[str, str]) -> str:
     """Tree text: from --tree, or else from the planner for plan's --task."""
     if args.tree:
         return read_text(args.tree, "tree", digests)
-    return planner_client_from_env(args.planner_endpoint).generate(build_planner_prompt(args.task))
+    text = planner_client_from_env(args.planner_endpoint).generate(build_planner_prompt(args.task))
+    digests["planner reply"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text
 
 
 def _build_graph(args, digests: dict[str, str]):
@@ -138,13 +146,11 @@ def _build_graph(args, digests: dict[str, str]):
     return bt, graph
 
 
-# Exit code, outputs by file suffix (the main one under ""), and the manifest's config,
-# input digests and seed.
-Outcome = tuple[int, dict[str, str], dict, dict[str, str], int]
+# Exit code and outputs by file suffix (the main one under "").
+Outcome = tuple[int, dict[str, str]]
 
 
-def cmd_plan(args) -> Outcome:
-    digests: dict[str, str] = {}
+def cmd_plan(args, digests: dict[str, str]) -> Outcome:
     bt, graph = _build_graph(args, digests)
     cfg = _search_config(args)
     spec = _sim_spec(args.sim, digests)
@@ -152,59 +158,36 @@ def cmd_plan(args) -> Outcome:
     texts = {"": _dump_json(result.to_json_dict(graph))}
     if args.out:
         texts[".trace.json"] = _dump_json(result.trace.to_json_dict(graph))
-    config = {
-        "command": "plan",
-        "alpha": cfg.alpha,
-        "quality_threshold": cfg.quality_threshold,
-        "max_retries": cfg.max_retries,
-        "sim": args.sim,
-        "seed": cfg.seed,
-    }
-    return EXIT_OK if result.found else EXIT_NO_PATH, texts, config, digests, cfg.seed
+    return EXIT_OK if result.found else EXIT_NO_PATH, texts
 
 
-def cmd_sweep(args) -> Outcome:
-    digests: dict[str, str] = {}
+def cmd_sweep(args, digests: dict[str, str]) -> Outcome:
     bt, graph = _build_graph(args, digests)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"--alphas must be comma-separated numbers: {exc}") from exc
     cfg = _search_config(args)
-    spec = _sim_spec(args.sim, digests)
-    points = sweep_alpha(graph, bt, spec, alphas, base_cfg=cfg)
-    config = {
-        "command": "sweep",
-        "alphas": sorted(alphas),
-        "quality_threshold": cfg.quality_threshold,
-        "max_retries": cfg.max_retries,
-        "sim": args.sim,
-        "seed": cfg.seed,
-    }
-    return EXIT_OK, {"": pareto_csv(points)}, config, digests, cfg.seed
+    points = sweep_alpha(graph, bt, _sim_spec(args.sim, digests), alphas, base_cfg=cfg)
+    return EXIT_OK, {"": pareto_csv(points)}
 
 
-def cmd_verify(args) -> Outcome:
-    digests: dict[str, str] = {}
+def cmd_verify(args, digests: dict[str, str]) -> Outcome:
+    # A graph has at least one path, and a gap is never negative.
+    if args.paths_cap < 1:
+        raise InvalidConfig(f"--paths-cap must be at least 1, got {args.paths_cap}")
+    if args.gap_tolerance is not None and not args.gap_tolerance >= 0.0:
+        raise InvalidConfig(f"--gap-tolerance must be a number >= 0, got {args.gap_tolerance}")
     bt, graph = _build_graph(args, digests)
-    cfg = _search_config(args)
-    report = brute_force_optimal(graph, bt, args.alpha, cfg=cfg, cap=args.paths_cap)
-    config = {
-        "command": "verify",
-        "alpha": args.alpha,
-        "quality_threshold": cfg.quality_threshold,
-        "max_retries": cfg.max_retries,
-        "paths_cap": args.paths_cap,
-    }
+    report = brute_force_optimal(graph, bt, args.alpha, cfg=_search_config(args), cap=args.paths_cap)
     code = EXIT_OK
     if args.gap_tolerance is not None and report.gap > args.gap_tolerance:
         print(f"gap {report.gap} exceeds tolerance {args.gap_tolerance}", file=sys.stderr)
         code = EXIT_NO_PATH
-    return code, {"": _dump_json({"alpha": args.alpha, **asdict(report)})}, config, digests, cfg.seed
+    return code, {"": _dump_json({"alpha": args.alpha, **asdict(report)})}
 
 
-def cmd_graph(args) -> Outcome:
-    digests: dict[str, str] = {}
+def cmd_graph(args, digests: dict[str, str]) -> Outcome:
     mdt = load_mdt(args.mdt, digests)
     if args.tree:
         graph = build_tool_subgraph(parse_subtask_tree(_load_tree_text(args, digests)), mdt)
@@ -215,7 +198,7 @@ def cmd_graph(args) -> Outcome:
             text = _dump_json({"nodes": list(tdg.nodes), "edges": sorted([u, v] for u, v in tdg.edges)})
         else:
             text = tdg_to_dot(tdg)
-    return EXIT_OK, {"": text}, {"command": "graph", "format": args.format}, digests, 0
+    return EXIT_OK, {"": text}
 
 
 def _build_parser() -> _Parser:
@@ -232,7 +215,7 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="search once per alpha and emit a Pareto CSV")
     _add_common(p_sweep)
     p_sweep.add_argument("--alphas", default="0,0.5,1,1.5,2", help="comma-separated alphas")
-    p_sweep.add_argument("--csv", help="CSV output file (stdout when omitted)")
+    p_sweep.add_argument("--csv", dest="out", help="same as --out")
     p_sweep.set_defaults(func=cmd_sweep)
 
     # verify always replays benchmark values, so only plan and sweep take a simulator and its seed.
@@ -278,12 +261,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, texts, config, digests, seed = args.func(args)
-        out = getattr(args, "csv", None) or args.out
+        digests: dict[str, str] = {}
+        code, texts = args.func(args, digests)
         for suffix, text in texts.items():
-            _write(text, out, suffix)
-        if out:
-            _write(_dump_json(build_manifest(argv, config, digests, seed)), out, ".manifest.json")
+            _write(text, args.out, suffix)
+        if args.out:
+            _write(_dump_json(build_manifest(argv, args, digests)), args.out, ".manifest.json")
         return code
     except ToolpathError as exc:
         print(f"error: {exc}", file=sys.stderr)

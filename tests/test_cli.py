@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
+import shutil
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -172,6 +174,16 @@ def test_sweep_csv(data_dir, tmp_path):
     assert float(a2[2]) <= float(a0[2])  # quality_product
 
 
+def test_sweep_csv_is_a_second_name_for_out(data_dir, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for first, second in ((a, b), (b, a)):
+        argv = ["sweep", *_args_detection(data_dir), "--csv", str(first), "--out", str(second)]
+        assert main(argv) == 0
+        assert second.is_file() and not first.exists()
+        second.unlink()
+        second.with_suffix(".csv.manifest.json").unlink()
+
+
 def test_sweep_duplicate_alphas(data_dir, capsys):
     code = main(["sweep", *_args_detection(data_dir), "--alphas", "1,1"])
     assert code == 0
@@ -243,6 +255,32 @@ def test_verify_paths_cap_exit_3(data_dir, capsys):
     assert code == 3
 
 
+def _full_example1(data_dir) -> list[str]:
+    return [
+        "--mdt", str(data_dir / "mdt_full.json"),
+        "--benchmark", str(data_dir / "benchmark_full.json"),
+        "--tree", str(data_dir / "tree_example1.json"),
+    ]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--gap-tolerance", "nan"),
+    ("--gap-tolerance", "-1"),
+    ("--paths-cap", "0"),
+    ("--paths-cap", "-5"),
+])
+def test_verify_setting_that_can_never_apply_is_input_error(option, value, data_dir, tmp_path, capsys):
+    # On full/example1 at a threshold of 1 the gap is 0.777, so a NaN tolerance that
+    # turned the check off would exit 0, and a cap below 1 would exit 3.
+    out = tmp_path / "verify.json"
+    argv = ["verify", *_full_example1(data_dir), "--quality-threshold", "1", option, value, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {option} must be ")
+    assert captured.out == "" and not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
 def _plan_and_verify(tables: list[str], tmp_path, capsys) -> tuple[dict, dict]:
     out = tmp_path / "plan.json"
     assert main(["plan", *tables, "--alpha", "1", "--out", str(out)]) == 0
@@ -295,14 +333,15 @@ def test_verify_manifest_hashes_the_quality_settings(data_dir, tmp_path):
         "--tree", str(data_dir / "tree_example1.json"),
         "--alpha", "1",
     ]
-    reports, hashes = [], []
+    reports, manifests = [], []
     for threshold in ("0.8", "1.0"):
         out = tmp_path / f"verify-{threshold}.json"
         assert main(["verify", *tables, "--quality-threshold", threshold, "--out", str(out)]) == 0
         reports.append(json.loads(out.read_text()))
-        hashes.append(json.loads(out.with_suffix(".json.manifest.json").read_text())["config_hash"])
+        manifests.append(json.loads(out.with_suffix(".json.manifest.json").read_text()))
     assert reports[0]["gap"] == 0.0 and reports[1]["gap"] > 0.0
-    assert hashes[0] != hashes[1]
+    assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+    assert manifests[0]["seed"] is None  # verify takes no --seed
 
 
 def test_verify_rejects_sim(data_dir, capsys):
@@ -403,6 +442,36 @@ def test_setting_option_is_read(command, option, data_dir, tmp_path, capsys):
     argv = [command, *(mdt if command == "graph" else tables), *extra, option]
     out = tmp_path / "out"
     assert _outputs([*argv, first], out) != _outputs([*argv, second], out)
+
+
+@pytest.mark.parametrize("command, option", sorted(_OPTION_CASES))
+def test_setting_option_is_hashed(command, option):
+    # The hash is taken from the parsed options, so no file is read: a run that
+    # fails writes no manifest, as --paths-cap 1 does.
+    extra, first, second = _OPTION_CASES[command, option]
+    tables = ["--mdt", "m.json"]
+    if command != "graph":
+        tables += ["--benchmark", "b.json", "--tree", "t.json"]
+    hashes = set()
+    for value in (first, second):
+        argv = [command, *tables, *extra, option, value]
+        hashes.add(cli.build_manifest(argv, cli._PARSER.parse_args(argv), {})["config_hash"])
+    assert len(hashes) == 2
+
+
+def test_config_hash_ignores_where_the_inputs_live(data_dir, tmp_path):
+    manifests = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        tables = _full_example1(data_dir)
+        for i in (1, 3, 5):
+            tables[i] = shutil.copy(tables[i], tmp_path / name)
+        out = tmp_path / name / "plan.json"
+        assert main(["plan", *tables, "--alpha", "0.5", "--out", str(out)]) == 0
+        manifests.append(json.loads(out.with_suffix(".json.manifest.json").read_text()))
+    assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+    assert list(manifests[0]["inputs"].values()) == list(manifests[1]["inputs"].values())
+    assert manifests[0]["inputs"] != manifests[1]["inputs"]
 
 
 def test_verify_random_corner_instances(tmp_path):
@@ -564,18 +633,25 @@ def test_plan_via_planner_endpoint(data_dir, tmp_path, monkeypatch):
     thread.start()
     try:
         monkeypatch.setenv("COSTA_PLANNER_URL", f"http://127.0.0.1:{server.server_port}")
-        out = tmp_path / "plan.json"
-        code = main([
-            "plan",
-            "--mdt", str(data_dir / "mdt_detection_choice.json"),
-            "--benchmark", str(data_dir / "benchmark_detection_choice.json"),
-            "--task", "detect the car and remove it",
-            "--alpha", "2",
-            "--out", str(out),
-        ])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["path"][1]["tool"] == "YOLOv7"
+        manifests = []
+        for task in ("detect the car and remove it", "remove the car"):
+            out = tmp_path / "plan.json"
+            code = main([
+                "plan",
+                "--mdt", str(data_dir / "mdt_detection_choice.json"),
+                "--benchmark", str(data_dir / "benchmark_detection_choice.json"),
+                "--task", task,
+                "--alpha", "2",
+                "--out", str(out),
+            ])
+            assert code == 0
+            payload = json.loads(out.read_text())
+            assert payload["path"][1]["tool"] == "YOLOv7"
+            manifests.append(json.loads(out.with_suffix(".json.manifest.json").read_text()))
+        reply = hashlib.sha256(_PlannerHandler.canned.encode("utf-8")).hexdigest()
+        assert manifests[0]["inputs"]["planner reply"] == reply
+        assert manifests[0]["inputs"] == manifests[1]["inputs"]
+        assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
     finally:
         server.shutdown()
         server.server_close()
@@ -598,4 +674,4 @@ def test_graph_out_file_and_manifest(data_dir, tmp_path):
     code = main(["graph", "--mdt", str(data_dir / "mdt_full.json"), "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("digraph")
-    assert out.with_suffix(".dot.manifest.json").is_file()
+    assert json.loads(out.with_suffix(".dot.manifest.json").read_text())["seed"] is None

@@ -258,26 +258,6 @@ def test_build_planner_prompt_empty_task():
         build_planner_prompt("   ")
 
 
-class _FilePlannerClient:
-    """Planner stub that replays a canned response file."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def generate(self, prompt_text: str) -> str:
-        return self.path.read_text(encoding="utf-8")
-
-
-def test_request_tree_file_stub(tmp_path, data_dir):
-    canned = tmp_path / "canned.json"
-    canned.write_text((data_dir / "tree_example2.json").read_text(), encoding="utf-8")
-    client = _FilePlannerClient(canned)
-    text = client.generate("ignored")
-    assert text == canned.read_text()
-    tree = parse_subtask_tree(text)
-    assert len(tree.nodes) == 6
-
-
 def test_request_tree_unconfigured(monkeypatch):
     monkeypatch.delenv("COSTA_PLANNER_URL", raising=False)
     with pytest.raises(EndpointUnavailable):
