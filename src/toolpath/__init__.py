@@ -36,7 +36,6 @@ from .search import (
     SearchStats,
     astar_search,
     compute_g,
-    precompute_heuristics,
     suffix_bounds,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "overall_accuracy",
     "pareto_filter",
     "parse_subtask_tree",
-    "precompute_heuristics",
     "suffix_bounds",
     "sweep_alpha",
     "task_accuracy",

@@ -67,6 +67,7 @@ class _Parser(argparse.ArgumentParser):
 # argparse's handler and the options that name a file or an address; input files are
 # covered by their digests, and every other option is a setting that the config hash covers.
 _NOT_SETTINGS = {"func", "mdt", "benchmark", "tree", "out", "planner_endpoint"}
+_SIM_MODES = ("deterministic", "stochastic")
 
 
 def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str, str]) -> dict:
@@ -75,6 +76,8 @@ def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str,
     `digests` maps each input file, and a planner reply, to the SHA-256 of the bytes parsed.
     """
     settings = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
+    if "sim" in settings and settings["sim"] not in _SIM_MODES:
+        settings["sim"] = None  # a spec file, covered by its digest like the other inputs
     return {
         "command": argv,
         "config_hash": hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest(),
@@ -110,7 +113,7 @@ def _write(text: str, out: str | None, suffix: str = "") -> None:
 
 def _sim_spec(value: str, digests: dict[str, str]) -> SimulatorSpec:
     """The --sim simulator, read from its spec file unless it names a mode."""
-    if value in ("deterministic", "stochastic"):
+    if value in _SIM_MODES:
         return SimulatorSpec(mode=value)
     return load_simulator_spec(value, digests)
 

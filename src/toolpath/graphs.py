@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DependencyTooDeep, NoToolForSubtask, PathExplosion, UnsatisfiableDependency
-from .planning import SubtaskInstance, SubtaskTree, kahn_order, root_to_leaf_paths
+from .planning import SubtaskInstance, SubtaskTree, kahn_order
 from .registry import ModelDescriptionTable, ToolRecord, normalize_resource
 
 ROOT_ID = 0
@@ -114,11 +114,14 @@ def _resolve(
     resolving each missing input resource to a producer chain.  Producers
     are ranked by total spliced node count, ties broken by (tool, subtask)
     name.  Resources accumulate: once some chain element produces a
-    resource, later elements may consume it without a direct edge.
+    resource, later elements may consume it without a direct edge, and no
+    second chain is spliced for it.
     """
     chain: list[ToolRecord] = []
     avail = set(available)
     for resource in sorted(record.input_keys - avail):
+        if resource in avail:  # an earlier chain produced it
+            continue
         best: tuple[tuple[int, str, str], list[ToolRecord], ToolRecord] | None = None
         for producer in mdt.producers.get(resource, ()):
             # Self-tool producers are never eligible: the TDG carries no self-edges.
@@ -245,12 +248,28 @@ def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tu
     """All root-to-leaf node-id paths in lexicographic node-id order.
 
     Raises PathExplosion when the DP count exceeds the cap, without
-    materializing anything.
+    materializing anything.  Successors are sorted, so a depth-first walk
+    yields the paths in order; it keeps its own stack, so the depth of the
+    graph is not bounded by recursion.
     """
     total = count_paths(graph)
     if total > cap:
         raise PathExplosion(f"{total} root-to-leaf paths exceed the cap of {cap}")
-    return root_to_leaf_paths((ROOT_ID,), graph.successors)
+    paths: list[tuple[int, ...]] = []
+    path: list[int] = []
+    stack = [iter((ROOT_ID,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            if path:
+                path.pop()
+        elif graph.successors[node]:
+            path.append(node)
+            stack.append(iter(graph.successors[node]))
+        else:
+            paths.append((*path, node))
+    return paths
 
 
 def subgraph_to_json(graph: ToolSubgraph) -> dict:

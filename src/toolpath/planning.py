@@ -12,7 +12,7 @@ import heapq
 import json
 import os
 import urllib.request
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -199,30 +199,6 @@ def _find_cycle(successors: Mapping[Node, Sequence[Node]], left: list[Node]) -> 
     cycle = walk[walk.index(node) :] + [node]
     cycle.reverse()
     return cycle
-
-
-def root_to_leaf_paths(roots: Iterable[Node], successors) -> list[tuple[Node, ...]]:
-    """Every path from a root to a node without successors, depth first.
-
-    `successors[node]` lists the successors of `node`; roots and successors
-    are taken in the order given.  The walk keeps its own stack, so the
-    depth of the graph is not bounded by recursion.
-    """
-    out: list[tuple[Node, ...]] = []
-    path: list[Node] = []
-    stack = [iter(roots)]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            if path:
-                path.pop()
-        elif successors[node]:
-            path.append(node)
-            stack.append(iter(successors[node]))
-        else:
-            out.append(tuple(path) + (node,))
-    return out
 
 
 _PROMPT_TEMPLATE = """You are a planning model that decomposes an image editing request into a

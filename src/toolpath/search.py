@@ -7,8 +7,9 @@ The realized prefix objective of a path is
 alpha in [0, 2] trades time against quality: 2 is pure time, 0 pure
 quality.  g never falls when time rises or quality falls, for every alpha.
 
-The paper orders paths by f = g + h, with the suffix estimate h of
-`precompute_heuristics`.  That sum overestimates the best completion when
+The paper orders paths by f = g + h, where h at a node is the objective of
+the suffix through the successor that minimizes it, built in reverse
+topological order.  That sum overestimates the best completion when
 alpha < 1, so the search here orders by an exact bound instead:
 `suffix_bounds` gives, per node, the Pareto front of (suffix time, suffix
 quality product) over benchmark values, and a prefix (T, Q) at node n is
@@ -18,8 +19,7 @@ queued at
 
 the best completion of the prefix under benchmark values.  It never
 exceeds the g of any completion at any alpha, and equals g at a sink,
-whose front is the single point (0, 1).  The paper's h stays available as
-`precompute_heuristics`.
+whose front is the single point (0, 1).
 
 Paths are pruned by Pareto dominance: each node keeps the non-dominated
 (cum_time, cum_quality) labels that reached it, as in the label-setting
@@ -97,16 +97,6 @@ class SearchConfig:
             raise InvalidConfig(f"queue_cap must be positive, got {self.queue_cap}")
 
 
-def _pow(base: float, exponent: float) -> float:
-    # 0 ** 0 is taken as 1; only degenerate zero-time inputs reach it.
-    if base == 0.0 and exponent == 0.0:
-        return 1.0
-    try:
-        return base**exponent
-    except OverflowError:  # a time beyond the float range, as in compute_g
-        return math.inf
-
-
 def compute_g(cum_time: float, cum_quality: float, alpha: float) -> float:
     """Realized prefix objective; a zero-time prefix (the bare root) is 0."""
     if cum_time == 0.0:
@@ -115,46 +105,6 @@ def compute_g(cum_time: float, cum_quality: float, alpha: float) -> float:
         return cum_time**alpha * (2.0 - cum_quality) ** (2.0 - alpha)
     except OverflowError:  # a time beyond the float range
         return math.inf
-
-
-@dataclass(frozen=True)
-class HeuristicEntry:
-    h: float
-    h_C: float
-    h_Q: float
-
-
-def precompute_heuristics(
-    graph: ToolSubgraph, bt: BenchmarkTable, alpha: float
-) -> dict[int, HeuristicEntry]:
-    """Best-case suffix estimates for every node, in reverse topological order.
-
-    Sink nodes get (h=0, h_C=0, h_Q=1) exactly.  Elsewhere the minimizing
-    successor hands its accumulated (h_C + C, Q * h_Q) upward; among equal
-    values the smallest successor id wins, which makes the table
-    deterministic.
-    """
-    validate_alpha(alpha)
-    entries: dict[int, HeuristicEntry] = {}
-    for node_id in reversed(kahn_order(dict(enumerate(graph.successors)))):
-        succs = graph.successors[node_id]
-        if not succs:
-            entries[node_id] = HeuristicEntry(h=0.0, h_C=0.0, h_Q=1.0)
-            continue
-        best_val = None
-        best_hc = best_hq = 0.0
-        for succ in succs:
-            node = graph.nodes[succ]
-            row = bt.row(node.tool, node.kind)
-            c, q = row.time_seconds, row.quality_norm
-            sub = entries[succ]
-            val = _pow(sub.h_C + c, alpha) * (2.0 - q * sub.h_Q) ** (2.0 - alpha)
-            if best_val is None or val < best_val:
-                best_val = val
-                best_hc = sub.h_C + c
-                best_hq = q * sub.h_Q
-        entries[node_id] = HeuristicEntry(h=best_val, h_C=best_hc, h_Q=best_hq)
-    return entries
 
 
 # (suffix time, suffix quality product) pairs, ascending in both.
@@ -247,7 +197,6 @@ class PathState:
     cum_time: float
     cum_quality: float
     g: float
-    f: float
 
 
 @dataclass(frozen=True)
@@ -310,7 +259,8 @@ class PlanResult:
                 "time": self.path.cum_time,
                 "quality_product": self.path.cum_quality,
                 "g": self.path.g,
-                "f": self.path.f,
+                # A sink's front is ((0, 1),), so the bound a path was popped at is its g.
+                "f": self.path.g,
             }
         return {
             "status": self.status,
@@ -364,7 +314,7 @@ def _admit(
     return new
 
 
-def _path(label: _Label, f: float, alpha: float) -> PathState:
+def _path(label: _Label, alpha: float) -> PathState:
     """The path ending at `label`, rebuilt by walking its parent links."""
     steps = []
     link = label
@@ -378,7 +328,6 @@ def _path(label: _Label, f: float, alpha: float) -> PathState:
         cum_time=label.time,
         cum_quality=label.quality,
         g=compute_g(label.time, label.quality, alpha),
-        f=f,
     )
 
 
@@ -432,7 +381,7 @@ def astar_search(
     root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
     push(_front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha), root, None)
     while heap:
-        f, _, label, edge = heappop(heap)
+        _, _, label, edge = heappop(heap)
         if not label.alive:
             stats["stale_pops"] += 1
             continue
@@ -440,7 +389,7 @@ def astar_search(
             stats["expanded"] += 1
             last = label.step.node_id
             if not graph.successors[last]:
-                return finish(STATUS_FOUND, _path(label, f, alpha))
+                return finish(STATUS_FOUND, _path(label, alpha))
             for succ in graph.successors[last]:
                 c, q = rows[succ]
                 f_edge = _front_bound(fronts[succ], label.time + c, label.quality * q, alpha)

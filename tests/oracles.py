@@ -11,7 +11,7 @@ import heapq
 import json
 
 from toolpath.graphs import ToolDependencyGraph, ToolSubgraph
-from toolpath.planning import SubtaskTree, kahn_order, root_to_leaf_paths
+from toolpath.planning import SubtaskTree, kahn_order
 
 
 def validate_dag(graph) -> None:
@@ -52,42 +52,27 @@ def pairwise_tdg_edges(mdt_payload: list[dict]) -> set[tuple[str, str]]:
     return edges
 
 
-def reference_heuristic(graph, bt, alpha: float) -> dict[int, tuple[float, float, float]]:
-    """Memoized recursion computing (h, h_C, h_Q) per node.
+def reference_fronts(graph, bt) -> list[tuple[tuple[float, float], ...]]:
+    """Memoized recursion computing each node's front of (suffix time, suffix quality product).
 
-    Same tie rule as the planner: among equal values the smallest successor
-    id provides the propagated components.
+    A node's candidates are every successor's front shifted by that
+    successor's benchmark row; a candidate survives unless another one is
+    at least as fast and at least as good.  A sink's front is ((0, 1),).
+    Each front is returned in ascending time.
     """
-    memo: dict[int, tuple[float, float, float]] = {}
+    memo: dict[int, tuple[tuple[float, float], ...]] = {}
 
-    def powz(base, exp):
-        return 1.0 if base == 0.0 and exp == 0.0 else base**exp
+    def visit(i: int) -> tuple[tuple[float, float], ...]:
+        if i not in memo:
+            points = set()
+            for j in graph.successors[i]:
+                row = bt.row(graph.nodes[j].tool, graph.nodes[j].kind)
+                points |= {(row.time_seconds + t, row.quality_norm * q) for t, q in visit(j)}
+            kept = [p for p in points if not any(o != p and o[0] <= p[0] and o[1] >= p[1] for o in points)]
+            memo[i] = tuple(sorted(kept)) if kept else ((0.0, 1.0),)
+        return memo[i]
 
-    def visit(i: int) -> tuple[float, float, float]:
-        if i in memo:
-            return memo[i]
-        succs = graph.successors[i]
-        if not succs:
-            memo[i] = (0.0, 0.0, 1.0)
-            return memo[i]
-        best = None
-        for j in succs:
-            node = graph.nodes[j]
-            if node.is_root:
-                c, q = 0.0, 1.0
-            else:
-                row = bt.row(node.tool, node.kind)
-                c, q = row.time_seconds, row.quality_norm
-            _, hc, hq = visit(j)
-            val = powz(hc + c, alpha) * (2.0 - q * hq) ** (2.0 - alpha)
-            if best is None or val < best[0]:
-                best = (val, hc + c, q * hq)
-        memo[i] = best
-        return best
-
-    for i in range(len(graph.nodes)):
-        visit(i)
-    return memo
+    return [visit(i) for i in range(len(graph.nodes))]
 
 
 def dijkstra_min_time(graph, bt) -> float:
@@ -152,6 +137,8 @@ def expand_reference(tree_payload: dict, mdt_payload: list[dict]):
         chain = []
         have = set(avail)
         for res in sorted(rec["in"] - have):
+            if res in have:
+                continue
             options = []
             for prod in records:
                 if res not in prod["out"] or prod["tool"] == rec["tool"]:
@@ -303,8 +290,21 @@ def tree_children(tree) -> dict:
 
 
 def root_to_leaf_orderings(tree) -> list[tuple]:
-    """Every root-to-leaf chain of a subtask tree, in deterministic label order."""
-    return root_to_leaf_paths(sorted(tree_roots(tree), key=lambda n: n.label()), tree_children(tree))
+    """Every root-to-leaf chain of a subtask tree, in deterministic label order.
+
+    A stack of whole chains, the next one to extend on top, so deep trees
+    do not hit the recursion limit.
+    """
+    kids = tree_children(tree)
+    stack = [(r,) for r in sorted(tree_roots(tree), key=lambda n: n.label(), reverse=True)]
+    out = []
+    while stack:
+        chain = stack.pop()
+        if kids[chain[-1]]:
+            stack.extend(chain + (c,) for c in reversed(kids[chain[-1]]))
+        else:
+            out.append(chain)
+    return out
 
 
 def edge_set(graph) -> set[tuple[int, int]]:

@@ -1,7 +1,7 @@
 """Seeded random instance generators shared by the test modules.
 
 Two shapes are produced: arbitrary layered DAGs for exercising the
-heuristic recursion, and pipeline-shaped instances (MDT + benchmark +
+suffix-front recursion, and pipeline-shaped instances (MDT + benchmark +
 subtask tree JSON payloads) that go through the real loaders and builder.
 """
 

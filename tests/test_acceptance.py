@@ -2,8 +2,6 @@
 
 Each test prints a single "criterion N: PASS <summary>" line on success, so
 `pytest tests/test_acceptance.py -v -s` doubles as the acceptance report.
-Criterion 5 includes the fractional-alpha case that the shipped search
-cannot satisfy; see that test's docstring for the analysis.
 """
 
 from __future__ import annotations
@@ -13,7 +11,14 @@ import time
 
 import pytest
 
-from oracles import attempts_for, load_json, pairwise_tdg_edges, reference_heuristic, root_to_leaf_orderings
+from oracles import (
+    attempts_for,
+    load_json,
+    pairwise_tdg_edges,
+    reference_fronts,
+    root_to_leaf_orderings,
+    sinks,
+)
 from synth import built_instance, random_plan_graph, random_pipeline_instance, write_instance
 from toolpath.cli import main
 from toolpath.errors import CycleDetected, DanglingParent
@@ -25,10 +30,10 @@ from toolpath.evaluation import (
     task_accuracy,
 )
 from toolpath.execution import Simulator, SimulatorSpec
-from toolpath.graphs import build_tdg, build_tool_subgraph, enumerate_paths
+from toolpath.graphs import ROOT_ID, build_tdg, build_tool_subgraph, enumerate_paths
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import load_mdt
-from toolpath.search import SearchConfig, astar_search, compute_g, precompute_heuristics, suffix_bounds
+from toolpath.search import SearchConfig, _front_bound, astar_search, compute_g, suffix_bounds
 
 
 def _report(n: int, summary: str) -> None:
@@ -81,27 +86,26 @@ def test_criterion_02_subtask_tree_parsing(data_dir):
 
 
 def test_criterion_03_heuristic_correctness():
+    """The search's suffix estimate: per node, the Pareto front of (suffix
+    time, suffix quality product), and the bound it puts on the root."""
     start = time.monotonic()
     alphas = (0.0, 0.5, 1.0, 1.5, 2.0)
     checked = 0
     for seed in range(100):
         graph, bt = random_plan_graph(seed, max_nodes=40)
         assert len(graph.nodes) <= 40
+        fronts = suffix_bounds(graph, bt).fronts
+        want = reference_fronts(graph, bt)
+        assert list(fronts) == want
+        checked += len(want)
+        for node_id in sinks(graph):
+            assert fronts[node_id] == ((0.0, 1.0),)
         for alpha in alphas:
-            got = precompute_heuristics(graph, bt, alpha)
-            want = reference_heuristic(graph, bt, alpha)
-            for node_id, (h, hc, hq) in want.items():
-                assert got[node_id].h == pytest.approx(h, rel=1e-12, abs=1e-300)
-                assert got[node_id].h_C == pytest.approx(hc, rel=1e-12, abs=1e-300)
-                assert got[node_id].h_Q == pytest.approx(hq, rel=1e-12, abs=1e-300)
-                checked += 1
-            for node_id in range(len(graph.nodes)):
-                if not graph.successors[node_id]:
-                    entry = got[node_id]
-                    assert (entry.h, entry.h_C, entry.h_Q) == (0.0, 0.0, 1.0)
+            least = min(compute_g(t, q, alpha) for t, q in want[ROOT_ID])
+            assert _front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha) == least
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
-    _report(3, f"{checked} node entries match the from-scratch recomputation ({elapsed:.1f}s)")
+    _report(3, f"{checked} node fronts match the from-scratch recomputation ({elapsed:.1f}s)")
 
 
 def test_criterion_04_objective_spot_checks():
@@ -118,16 +122,13 @@ def test_criterion_04_objective_spot_checks():
 def test_criterion_05_reducible_corner(alpha):
     """Unit-quality corner: the search must match the enumeration oracle.
 
-    For alpha >= 1 the suffix estimate is a true underestimate of the
-    remaining objective (power superadditivity), so the first-popped leaf
-    is exactly optimal and the oracle gap is 0 on every instance.  For
-    alpha < 1 the f = g + h decomposition overestimates (subadditivity),
-    the estimate is inadmissible, and a strictly positive gap occurs on
-    some instances; at alpha = 0 every path has the identical objective so
-    the gap is trivially 0 while total time is unconstrained.  The
-    fractional case is asserted anyway because it is part of the shipped
-    contract; its failure is a measured property of the search formulas,
-    not of this implementation (see the project decision log).
+    The search orders its queue by the exact suffix-front bound, which never
+    exceeds the objective of any completion at any alpha and equals it at a
+    sink, so under deterministic execution the first sink popped is optimal
+    and the oracle gap is 0 on every instance.  At alpha = 0 every path has
+    the same objective, so only the gap is checked; for alpha >= 1 the
+    returned path's total time is also checked against the enumeration
+    minimum.
     """
     start = time.monotonic()
     violations: list[tuple[int, float]] = []
@@ -155,7 +156,7 @@ def test_criterion_05_reducible_corner(alpha):
     assert elapsed < 60.0
     assert not violations, (
         f"alpha={alpha}: {len(violations)}/200 instances returned a suboptimal path "
-        f"(sample: {violations[:5]}); the suffix estimate is inadmissible for alpha < 1"
+        f"(sample: {violations[:5]})"
     )
     _report(5, f"alpha={alpha}: gap 0 on all 200 unit-quality subgraphs ({elapsed:.1f}s)")
 

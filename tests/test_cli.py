@@ -474,6 +474,21 @@ def test_config_hash_ignores_where_the_inputs_live(data_dir, tmp_path):
     assert manifests[0]["inputs"] != manifests[1]["inputs"]
 
 
+def test_config_hash_ignores_where_the_sim_spec_lives(data_dir, tmp_path):
+    manifests = []
+    for name in ("a", "b"):
+        spec = tmp_path / name / "sim.json"
+        spec.parent.mkdir()
+        spec.write_text('{"mode": "stochastic"}')
+        out = tmp_path / name / "plan.json"
+        assert main(["plan", *_full_example1(data_dir), "--sim", str(spec), "--out", str(out)]) == 0
+        manifests.append(json.loads(out.with_suffix(".json.manifest.json").read_text()))
+    assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+    assert manifests[0]["inputs"][str(tmp_path / "a" / "sim.json")] == manifests[1]["inputs"][
+        str(tmp_path / "b" / "sim.json")
+    ]
+
+
 def test_verify_random_corner_instances(tmp_path):
     for seed in (0, 1, 2):
         payload = random_pipeline_instance(seed, unit_quality=True)

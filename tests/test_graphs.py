@@ -188,6 +188,23 @@ def test_text_replacement_splices_full_chain(full_tables):
     assert count_paths(g) == 1
 
 
+def test_input_produced_by_an_earlier_chain_is_not_spliced_again():
+    # P yields both inputs R lacks; resolving the bounding box splices P, which
+    # also yields the label, so the label needs no second chain.
+    mdt_payload = [
+        {"tool": "P", "subtasks": ["Object Detection"], "inputs": ["Input Image"],
+         "outputs": ["Bounding Box", "Label"]},
+        {"tool": "R", "subtasks": ["Object Removal"], "inputs": ["Input Image", "Bounding Box", "Label"],
+         "outputs": ["Image"]},
+    ]
+    tree_payload = {"task": "t", "subtask_tree": [{"subtask": "Object Removal (X)(1)", "parent": []}]}
+    g = build_tool_subgraph(_tree(tree_payload), parse_mdt(json.dumps(mdt_payload)))
+    assert [n.tool for n in g.nodes[1:]] == ["P", "R"]
+    assert sorted(edge_set(g)) == [(0, 1), (1, 2)]
+    ref_nodes, ref_edge_count, ref_paths = expand_reference(tree_payload, mdt_payload)
+    assert (len(ref_nodes), ref_edge_count, ref_paths) == (3, 2, 1)
+
+
 def test_example1_expansion_matches_reference(data_dir, full_tables):
     mdt, _ = full_tables
     tree_payload = load_json(data_dir / "tree_example1.json")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import attempts_for, dijkstra_min_time, reference_heuristic, sinks
+from oracles import attempts_for, dijkstra_min_time, sinks
 from synth import build_payload, built_instance, chain_instance, random_plan_graph
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import brute_force_optimal, path_objective
@@ -23,7 +23,6 @@ from toolpath.search import (
     _admit,
     astar_search,
     compute_g,
-    precompute_heuristics,
     suffix_bounds,
     validate_alpha,
 )
@@ -81,89 +80,6 @@ def test_search_config_rejects_bad_settings(kwargs):
     with pytest.raises(InvalidConfig) as info:
         SearchConfig(**kwargs)
     assert isinstance(info.value, ValueError)
-
-
-# ---------------------------------------------------------------- heuristics
-
-
-def test_heuristic_leaf_initialization(detection_fixture):
-    graph, bt = detection_fixture
-    for alpha in ALPHAS:
-        h = precompute_heuristics(graph, bt, alpha)
-        for leaf in sinks(graph):
-            assert (h[leaf].h, h[leaf].h_C, h[leaf].h_Q) == (0.0, 0.0, 1.0)
-
-
-def test_heuristic_single_successor_hand_value():
-    # node -> leaf with C=12.1, Q=0.93 at alpha=1: (0+12.1) * (2-0.93) = 12.947
-    from toolpath.graphs import ROOT_ID, PlanNode, _assemble
-    from toolpath.planning import SubtaskInstance
-
-    inst = SubtaskInstance(kind="Object Removal", argument="Car", ordinal=1)
-    nodes = [
-        PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root"),
-        PlanNode(node_id=1, tool="Stable Diffusion Inpaint", kind="Object Removal", instance=inst, role="candidate"),
-    ]
-    g = _assemble(nodes, {(0, 1)})
-    bt = BenchmarkTable(rows={("Stable Diffusion Inpaint", "Object Removal"): BenchmarkRow(12.1, 0.93)})
-    h = precompute_heuristics(g, bt, 1.0)
-    assert h[ROOT_ID].h == pytest.approx(12.947, abs=1e-12)
-    assert h[ROOT_ID].h_C == pytest.approx(12.1)
-    assert h[ROOT_ID].h_Q == pytest.approx(0.93)
-
-
-def test_heuristic_two_successor_hand_values():
-    # YOLO vs DINO as leaf successors of one node (Table values)
-    from toolpath.graphs import PlanNode, _assemble
-    from toolpath.planning import SubtaskInstance
-
-    inst = SubtaskInstance(kind="Object Detection", argument="Cat", ordinal=1)
-    nodes = [
-        PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root"),
-        PlanNode(node_id=1, tool="YOLOv7", kind="Object Detection", instance=inst, role="candidate"),
-        PlanNode(node_id=2, tool="Grounding DINO", kind="Object Detection", instance=inst, role="candidate"),
-    ]
-    g = _assemble(nodes, {(0, 1), (0, 2)})
-    bt = BenchmarkTable(
-        rows={
-            ("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82),
-            ("Grounding DINO", "Object Detection"): BenchmarkRow(0.119, 1.0),
-        }
-    )
-    h2 = precompute_heuristics(g, bt, 2.0)
-    assert h2[0].h == pytest.approx(0.0062**2, rel=1e-12)  # YOLO branch wins on time
-    assert h2[0].h_C == pytest.approx(0.0062)
-    h0 = precompute_heuristics(g, bt, 0.0)
-    assert h0[0].h == pytest.approx(1.0, rel=1e-12)  # DINO branch wins on quality
-    assert h0[0].h_Q == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_heuristic_matches_reference_on_random_dags(alpha):
-    for seed in range(40):
-        graph, bt = random_plan_graph(seed)
-        got = precompute_heuristics(graph, bt, alpha)
-        want = reference_heuristic(graph, bt, alpha)
-        for node_id, (h, hc, hq) in want.items():
-            assert got[node_id].h == pytest.approx(h, rel=1e-12, abs=1e-300)
-            assert got[node_id].h_C == pytest.approx(hc, rel=1e-12, abs=1e-300)
-            assert got[node_id].h_Q == pytest.approx(hq, rel=1e-12, abs=1e-300)
-
-
-def test_heuristic_overflowing_times_are_infinite():
-    # (1e308 s) ** 1.5 overflows; the estimate is infinite, as compute_g gives.
-    graph, bt = random_plan_graph(3)
-    huge = BenchmarkTable(rows={key: BenchmarkRow(1e308, row.quality_norm) for key, row in bt.rows.items()})
-    h = precompute_heuristics(graph, huge, 1.5)
-    assert all(h[n].h == math.inf for n, succs in enumerate(graph.successors) if succs)
-
-
-def test_heuristic_missing_benchmark():
-    graph, bt = random_plan_graph(0)
-    rows = dict(bt.rows)
-    rows.popitem()
-    with pytest.raises(MissingBenchmark):
-        precompute_heuristics(graph, BenchmarkTable(rows=rows), 1.0)
 
 
 # ---------------------------------------------------------------- search
@@ -441,7 +357,7 @@ def test_plan_result_json_shape(detection_fixture):
     assert payload["expanded_count"] == res.expanded_count
 
 
-# ------------------------------------------------- exponent boundary forms
+# ------------------------------------------------- suffix bounds and labels
 
 
 def _suffix_extrema(graph, bt):
@@ -475,24 +391,6 @@ def _suffix_extrema(graph, bt):
         min_time[i] = min(times)
         max_quality[i] = max(qualities)
     return min_time, max_quality
-
-
-def test_heuristic_closed_forms_at_exponent_boundaries():
-    # alpha=2 reduces the estimate to (min suffix time)^2; alpha=0 reduces it
-    # to (2 - max suffix quality product)^2.  Both checked against a plain DP.
-    for seed in range(25):
-        graph, bt = random_plan_graph(seed)
-        min_time, max_quality = _suffix_extrema(graph, bt)
-        h2 = precompute_heuristics(graph, bt, 2.0)
-        h0 = precompute_heuristics(graph, bt, 0.0)
-        for i in range(len(graph.nodes)):
-            if not graph.successors[i]:
-                continue
-            assert h2[i].h == pytest.approx(min_time[i] ** 2, rel=1e-12, abs=1e-300)
-            assert h0[i].h == pytest.approx((2.0 - max_quality[i]) ** 2, rel=1e-12)
-
-
-# ------------------------------------------------- suffix bounds and labels
 
 
 def test_suffix_bounds_match_independent_dp():
