@@ -1,4 +1,8 @@
-"""Verification oracle, accuracy aggregation, and Pareto sweep utilities."""
+"""Verification oracle, accuracy aggregation, and Pareto sweep utilities.
+
+The oracle scores all root-to-leaf paths in one prefix-sharing walk whose
+objectives are bit-identical to `path_objective` on each path alone.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +11,8 @@ from dataclasses import dataclass, replace
 
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
 from .execution import Simulator, SimulatorSpec
-from .graphs import DEFAULT_PATH_CAP, ToolSubgraph, enumerate_paths
-from .registry import BenchmarkTable
+from .graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolSubgraph, count_paths
+from .registry import BenchmarkRow, BenchmarkTable
 from .search import (
     SearchConfig,
     astar_search,
@@ -55,21 +59,39 @@ def brute_force_optimal(
 ) -> OracleReport:
     """Exhaustive path enumeration against which the search is measured.
 
-    Every root-to-leaf path is scored with benchmark (expected) values, so
-    the oracle is independent of any executor.  The search side runs the
-    planner with deterministic execution and scores its returned path the
-    same way; the gap is search objective minus enumeration minimum and is
-    never negative.  A search that finds no path raises SearchExhausted.
+    Paths are scored with benchmark rows, independent of any executor and of
+    the search's bounds.  After the cap check, one depth-first walk carries
+    each prefix's running (time, quality), adding and multiplying rows in
+    the order `path_objective` does, so objectives are bit-identical; paths
+    come in lexicographic node-id order, so `<` keeps the first of a tie.
+    The search runs deterministically; the gap (its objective minus the
+    minimum) is never negative.  A search with no path raises SearchExhausted.
     """
     validate_alpha(alpha)
-    paths = enumerate_paths(graph, cap=cap)
+    paths_enumerated = count_paths(graph, cap)
     best_path: tuple[int, ...] = ()
     best_obj = float("inf")
-    for path in paths:
-        obj = path_objective(graph, bt, path, alpha)
-        if obj < best_obj:
-            best_obj = obj
-            best_path = path
+    path: list[int] = []
+    rows = {ROOT_ID: BenchmarkRow(0.0, 1.0)}  # node id -> row, read from bt on the node's first visit
+    # (successors left to visit, time and quality of the prefix they extend)
+    stack = [(iter((ROOT_ID,)), 0.0, 1.0)]
+    while stack:
+        successors, time, quality = stack[-1]
+        node_id = next(successors, None)
+        if node_id is None:
+            stack.pop()
+            del path[-1:]
+            continue
+        if node_id not in rows:
+            node = graph.nodes[node_id]
+            rows[node_id] = bt.row(node.tool, node.kind)
+        row = rows[node_id]
+        time, quality = time + row.time_seconds, quality * row.quality_norm
+        if graph.successors[node_id]:
+            path.append(node_id)
+            stack.append((iter(graph.successors[node_id]), time, quality))
+        elif (obj := compute_g(time, quality, alpha)) < best_obj:
+            best_obj, best_path = obj, (*path, node_id)
     search_cfg = cfg if cfg is not None else SearchConfig(alpha=alpha)
     if search_cfg.alpha != alpha:
         search_cfg = replace(search_cfg, alpha=alpha)
@@ -84,7 +106,7 @@ def brute_force_optimal(
         best_objective=best_obj,
         astar_objective=astar_obj,
         gap=astar_obj - best_obj,
-        paths_enumerated=len(paths),
+        paths_enumerated=paths_enumerated,
         astar_path=astar_path,
     )
 

@@ -231,8 +231,11 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
     return _assemble(nodes, edges)
 
 
-def count_paths(graph: ToolSubgraph) -> int:
-    """Number of root-to-leaf paths, via DP over a topological order."""
+def count_paths(graph: ToolSubgraph, cap: int | None = None) -> int:
+    """Number of root-to-leaf paths, via DP over a topological order.
+
+    Raises PathExplosion when a cap is given and the count exceeds it.
+    """
     counts = [0] * len(graph.nodes)
     counts[ROOT_ID] = 1
     total = 0
@@ -241,6 +244,8 @@ def count_paths(graph: ToolSubgraph) -> int:
             total += counts[i]
         for j in graph.successors[i]:
             counts[j] += counts[i]
+    if cap is not None and total > cap:
+        raise PathExplosion(f"{total} root-to-leaf paths exceed the cap of {cap}")
     return total
 
 
@@ -252,9 +257,7 @@ def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tu
     yields the paths in order; it keeps its own stack, so the depth of the
     graph is not bounded by recursion.
     """
-    total = count_paths(graph)
-    if total > cap:
-        raise PathExplosion(f"{total} root-to-leaf paths exceed the cap of {cap}")
+    count_paths(graph, cap)
     paths: list[tuple[int, ...]] = []
     path: list[int] = []
     stack = [iter((ROOT_ID,))]

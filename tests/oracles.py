@@ -10,7 +10,8 @@ from __future__ import annotations
 import heapq
 import json
 
-from toolpath.graphs import ToolDependencyGraph, ToolSubgraph
+from toolpath.evaluation import path_objective
+from toolpath.graphs import DEFAULT_PATH_CAP, ToolDependencyGraph, ToolSubgraph, enumerate_paths
 from toolpath.planning import SubtaskTree, kahn_order
 
 
@@ -95,6 +96,23 @@ def dijkstra_min_time(graph, bt) -> float:
                 dist[j] = nd
                 heapq.heappush(heap, (nd, j))
     return best_leaf
+
+
+def enumerate_then_score(graph, bt, alpha: float, cap: int = DEFAULT_PATH_CAP):
+    """(best path, best objective, path count) with every path scored alone.
+
+    Each path from `enumerate_paths` is scored from the root by
+    `path_objective`; the strict `<` keeps the first of equal objectives.
+    This is the loop the prefix-sharing oracle walk replaced.
+    """
+    paths = enumerate_paths(graph, cap=cap)
+    best_path: tuple[int, ...] = ()
+    best_obj = float("inf")
+    for path in paths:
+        obj = path_objective(graph, bt, path, alpha)
+        if obj < best_obj:
+            best_path, best_obj = path, obj
+    return best_path, best_obj, len(paths)
 
 
 def count_paths_dfs(graph) -> int:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import built_instance
-from toolpath.errors import EmptyRecord, InvalidScore, PathExplosion, SearchExhausted
+from oracles import enumerate_then_score
+from synth import build_payload, built_instance, chain_instance
+from toolpath.errors import EmptyRecord, InvalidScore, MissingBenchmark, PathExplosion, SearchExhausted
 from toolpath.evaluation import (
     SCORE_VOCABULARY,
     ParetoPoint,
@@ -13,13 +14,14 @@ from toolpath.evaluation import (
     overall_accuracy,
     pareto_csv,
     pareto_filter,
+    path_objective,
     sweep_alpha,
     task_accuracy,
 )
 from toolpath.execution import SimulatorSpec
-from toolpath.graphs import build_tool_subgraph
+from toolpath.graphs import build_tool_subgraph, count_paths, enumerate_paths
 from toolpath.planning import parse_subtask_tree
-from toolpath.registry import load_benchmark, load_mdt
+from toolpath.registry import BenchmarkTable, load_benchmark, load_mdt
 
 
 # ---------------------------------------------------------------- oracle
@@ -64,6 +66,66 @@ def test_oracle_path_cap(detection_fixture):
     graph, bt = detection_fixture
     with pytest.raises(PathExplosion):
         brute_force_optimal(graph, bt, 1.0, cap=1)
+
+
+# (stages, tools per stage) of chain instances: 512, 625, 1,024, 729 and 4,096 paths.
+_CHAIN_SHAPES = ((3, 8), (4, 5), (5, 4), (6, 3), (4, 8))
+
+_instances = st.one_of(
+    st.builds(built_instance, st.integers(0, 999), st.booleans()),
+    st.builds(
+        lambda seed, shape: build_payload(chain_instance(seed, *shape)),
+        st.integers(0, 999),
+        st.sampled_from(_CHAIN_SHAPES),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_instances, alpha=st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 2.0)))
+def test_oracle_walk_matches_enumerate_then_score(instance, alpha):
+    """The prefix walk finds the same path, objective (bit for bit) and count as scoring each path alone."""
+    graph, bt, *_ = instance
+    rep = brute_force_optimal(graph, bt, alpha)
+    assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == enumerate_then_score(graph, bt, alpha)
+
+
+def _tied_chain() -> dict:
+    """Two stages of two tools; both first-stage tools have identical rows.
+
+    The second stage has a slow and a fast tool, so at alpha > 0 the two
+    paths through the fast tool tie exactly and beat the other two.
+    """
+    payload = chain_instance(0, stages=2, tools=2)
+    times = {"ChainTool-00-00": 2.0, "ChainTool-00-01": 2.0, "ChainTool-01-00": 5.0, "ChainTool-01-01": 1.0}
+    for row in payload["benchmark"]:
+        row["time_seconds"], row["quality"] = times[row["tool"]], 0.95
+    return payload
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_oracle_tie_keeps_the_lexicographically_first_path(alpha):
+    graph, bt, *_ = build_payload(_tied_chain())
+    objectives = {path: path_objective(graph, bt, path, alpha) for path in enumerate_paths(graph)}
+    tied = sorted(path for path, obj in objectives.items() if obj == min(objectives.values()))
+    assert len(tied) == 2
+    assert [graph.nodes[i].tool for i in tied[0][1:]] == ["ChainTool-00-00", "ChainTool-01-01"]
+    rep = brute_force_optimal(graph, bt, alpha)
+    assert rep.best_path == tied[0]
+    assert rep.best_objective == objectives[tied[0]]
+
+
+def test_oracle_cap_boundary():
+    graph, bt, *_ = build_payload(chain_instance(3, stages=3, tools=3))
+    count = count_paths(graph)
+    assert count == 27
+    assert brute_force_optimal(graph, bt, 1.0, cap=count).paths_enumerated == count
+    # With no benchmark rows, scoring before the cap check would raise MissingBenchmark.
+    empty = BenchmarkTable(rows={})
+    with pytest.raises(PathExplosion, match="^27 root-to-leaf paths exceed the cap of 26$"):
+        brute_force_optimal(graph, empty, 1.0, cap=count - 1)
+    with pytest.raises(MissingBenchmark):
+        brute_force_optimal(graph, empty, 1.0, cap=count)
 
 
 # ---------------------------------------------------------------- accuracy
