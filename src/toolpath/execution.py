@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ScriptGap
+from .errors import DuplicateEntry, ParseError, ScriptGap
 from .graphs import PlanNode, ToolSubgraph
 from .registry import BenchmarkTable, _squash, canonical_subtask, json_field, parse_json, read_text
 
@@ -65,6 +65,10 @@ def simulator_spec_from_json(text: str) -> SimulatorSpec:
             quality = json_field(row, "quality", float, "script row", i)
             if time_s < 0 or not 0.0 <= quality <= 1.0:
                 raise ParseError(f"script row {i} needs a time >= 0 and a quality in [0, 1]")
+            if key[2] < 1:
+                raise ParseError(f"script row {i} has attempt {key[2]}; attempts count from 1")
+            if key in script:
+                raise DuplicateEntry(f"duplicate script row for {key}")
             script[key] = (time_s, quality)
     names = ("time_noise_sigma", "quality_noise_sigma")
     sigmas = {key: json_field(raw, key, float, "simulator spec") for key in names if key in raw}

@@ -11,6 +11,14 @@ Every input file, the tree and simulator spec included, is read by
 `json_field`, so any malformed input is a ParseError.  A caller that wants
 each file's SHA-256 digest passes a `digests` dict to the loader, and
 `read_text` records the digest of the bytes it decoded.
+
+The two tables are parsed in one pass over their rows.  A row whose fields
+all have the exact types `json_field` accepts (finite floats, strings,
+arrays of strings) is taken as it is, and its names are normalized through
+memos that live for one parse: each distinct subtasks, inputs or outputs
+list, and each benchmark subtask name, is normalized once.  Any other row
+goes through the field-by-field `json_field` checks, so every error keeps
+its type, message and row index.
 """
 
 from __future__ import annotations
@@ -172,6 +180,19 @@ def resource_keys(names) -> frozenset[str]:
     return frozenset(normalize_resource(n) for n in names)
 
 
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass `cls` with its fields set at once.
+
+    The generated `__init__` assigns each field through `object.__setattr__`;
+    filling the instance dict instead gives an equal object, with the same
+    hash and `asdict`, at about a third of the cost.  Only for classes
+    without defaults or `__post_init__`.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class ToolRecord:
     """One (tool, subtask) pair of an MDT row.
@@ -207,7 +228,7 @@ class ModelDescriptionTable:
 
 
 def _parse_row(i: int, item) -> tuple[str, tuple[str, ...], frozenset[str], frozenset[str]]:
-    """One MDT row as (tool, canonical subtasks, input keys, output keys)."""
+    """One MDT row as (tool, canonical subtasks, input keys, output keys), checked field by field."""
     tool = json_field(item, "tool", str, "MDT entry", i)
     if not tool.strip():
         raise ParseError(f"MDT entry {i} has an empty tool name")
@@ -217,19 +238,60 @@ def _parse_row(i: int, item) -> tuple[str, tuple[str, ...], frozenset[str], froz
     return _squash(tool), tuple(map(canonical_subtask, subtasks)), input_keys, output_keys
 
 
+def _strings(value, memo: dict) -> tuple[str, ...] | None:
+    """`value` as a tuple if it is an array of strings, else None; a key of `memo` is one already."""
+    if type(value) is list:
+        names = tuple(value)
+        try:
+            if names in memo or all(type(x) is str for x in names):
+                return names
+        except TypeError:  # an unhashable element
+            pass
+    return None
+
+
+def _quick_row(item, canon: dict, keys: dict):
+    """`_parse_row`'s result for a row whose every field is well typed, else None.
+
+    `canon` maps a subtasks tuple to its canonical subtasks and `keys` a
+    name tuple to its resource keys, so each distinct list is normalized
+    once per parse.  The subtasks are resolved after every field has passed,
+    as in `_parse_row`.
+    """
+    try:
+        tool, subtasks, inputs, outputs = item["tool"], item["subtasks"], item["inputs"], item["outputs"]
+    except (KeyError, TypeError):
+        return None
+    if type(tool) is not str or not tool.strip():
+        return None
+    subtasks, inputs, outputs = _strings(subtasks, canon), _strings(inputs, keys), _strings(outputs, keys)
+    if subtasks is None or inputs is None or outputs is None:
+        return None
+    for names in (inputs, outputs):
+        if names not in keys:
+            keys[names] = resource_keys(names)
+    if subtasks not in canon:
+        canon[subtasks] = tuple(map(canonical_subtask, subtasks))
+    return _squash(tool), canon[subtasks], keys[inputs], keys[outputs]
+
+
 def _build_table(raw: list) -> ModelDescriptionTable:
     """Parse every row once and index its records."""
     records: dict[tuple[str, str], ToolRecord] = {}
     tool_io: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
-    rows = [_parse_row(i, item) for i, item in enumerate(raw)]  # every row is valid before any is indexed
+    canon: dict[tuple[str, ...], tuple[str, ...]] = {}
+    keys: dict[tuple[str, ...], frozenset[str]] = {}
+    # Every row is valid before any is indexed; an ill-typed row goes through
+    # `_parse_row` for its error.
+    rows = [_quick_row(item, canon, keys) or _parse_row(i, item) for i, item in enumerate(raw)]
     for tool, subtasks, input_keys, output_keys in rows:
-        ins, outs = tool_io.get(tool, (frozenset(), frozenset()))
-        tool_io[tool] = (ins | input_keys, outs | output_keys)
+        io = tool_io.get(tool)
+        tool_io[tool] = (input_keys, output_keys) if io is None else (io[0] | input_keys, io[1] | output_keys)
         for sub in subtasks:
             key = (tool, sub)
             if key in records:
                 raise DuplicateEntry(f"duplicate (tool, subtask) pair {key}")
-            records[key] = ToolRecord(tool, sub, input_keys, output_keys)
+            records[key] = _frozen(ToolRecord, tool=tool, subtask=sub, input_keys=input_keys, output_keys=output_keys)
     by_subtask: dict[str, list[ToolRecord]] = {}
     producers: dict[str, list[ToolRecord]] = {}
     for key in sorted(records):
@@ -293,15 +355,42 @@ def normalize_quality(raw: dict[tuple[str, str], float]) -> dict[tuple[str, str]
     return {key: value / maxima[key[1]] for key, value in raw.items()}
 
 
+def _benchmark_row(i: int, item) -> tuple[str, str, float, float]:
+    """One benchmark row as (tool, canonical subtask, time, quality), checked field by field."""
+    tool = json_field(item, "tool", str, "benchmark row", i)
+    subtask = canonical_subtask(json_field(item, "subtask", str, "benchmark row", i))
+    time_s = json_field(item, "time_seconds", float, "benchmark row", i)
+    quality = json_field(item, "quality", float, "benchmark row", i)
+    return tool, subtask, time_s, quality
+
+
+def _quick_benchmark_row(item, canon: dict[str, str]):
+    """`_benchmark_row`'s result for a row whose every field is well typed, else None.
+
+    A number must be a finite float; an integer takes the checked path,
+    which converts it.  `canon` maps each subtask name to its canonical one.
+    """
+    try:
+        tool, name, time_s, quality = item["tool"], item["subtask"], item["time_seconds"], item["quality"]
+    except (KeyError, TypeError):
+        return None
+    if not (type(tool) is type(name) is str and type(time_s) is type(quality) is float
+            and -_INF < time_s < _INF and -_INF < quality < _INF):
+        return None
+    subtask = canon.get(name)
+    if subtask is None:
+        subtask = canon[name] = canonical_subtask(name)
+    return tool, subtask, time_s, quality
+
+
 def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
     raw = parse_json(text, "benchmark table", list)
     times: dict[tuple[str, str], float] = {}
     qualities: dict[tuple[str, str], float] = {}
+    canon: dict[str, str] = {}
     for i, item in enumerate(raw):
-        tool = _squash(json_field(item, "tool", str, "benchmark row", i))
-        key = (tool, canonical_subtask(json_field(item, "subtask", str, "benchmark row", i)))
-        time_s = json_field(item, "time_seconds", float, "benchmark row", i)
-        quality = json_field(item, "quality", float, "benchmark row", i)
+        tool, subtask, time_s, quality = _quick_benchmark_row(item, canon) or _benchmark_row(i, item)
+        key = (_squash(tool), subtask)
         if key not in mdt.records:
             raise ParseError(f"benchmark row {i} references {key}, which is not in the MDT")
         if key in times:
@@ -310,11 +399,11 @@ def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
             raise NegativeTime(f"negative time {time_s} for {key}")
         times[key] = time_s
         qualities[key] = quality
-    missing = sorted(set(mdt.records) - set(times))
-    if missing:
+    if len(times) < len(mdt.records):  # every key of `times` is a distinct MDT pair
+        missing = sorted(set(mdt.records) - set(times))
         raise MissingBenchmark(f"MDT pairs without benchmark rows: {missing}")
     norm = normalize_quality(qualities)
-    rows = {key: BenchmarkRow(time_seconds=times[key], quality_norm=norm[key]) for key in times}
+    rows = {key: _frozen(BenchmarkRow, time_seconds=times[key], quality_norm=norm[key]) for key in times}
     return BenchmarkTable(rows=rows)
 
 

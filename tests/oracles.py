@@ -10,9 +10,24 @@ from __future__ import annotations
 import heapq
 import json
 
+from toolpath.errors import DuplicateEntry, MissingBenchmark, NegativeTime, ParseError
 from toolpath.evaluation import path_objective
 from toolpath.graphs import DEFAULT_PATH_CAP, ToolDependencyGraph, ToolSubgraph, enumerate_paths
 from toolpath.planning import SubtaskTree, kahn_order
+from toolpath.registry import (
+    PLANNER_SUBTASKS,
+    STRINGS,
+    BenchmarkRow,
+    BenchmarkTable,
+    ModelDescriptionTable,
+    ToolRecord,
+    _squash,
+    canonical_subtask,
+    json_field,
+    normalize_quality,
+    parse_json,
+    resource_keys,
+)
 
 
 def validate_dag(graph) -> None:
@@ -338,3 +353,71 @@ def sinks(graph) -> set[int]:
 def attempts_for(trace, node_id: int) -> int:
     """Number of executions a trace records for one node."""
     return sum(1 for e in trace.events if e.node_id == node_id)
+
+
+def reference_parse_mdt(text: str) -> tuple[ModelDescriptionTable, tuple[str, ...]]:
+    """The MDT parse with every row checked field by field, as before the one-pass parse.
+
+    Returns the table and the subtasks its coverage warning would name.
+    """
+
+    def parse_row(i, item):
+        tool = json_field(item, "tool", str, "MDT entry", i)
+        if not tool.strip():
+            raise ParseError(f"MDT entry {i} has an empty tool name")
+        subtasks = json_field(item, "subtasks", STRINGS, "MDT entry", i)
+        input_keys = resource_keys(json_field(item, "inputs", STRINGS, "MDT entry", i))
+        output_keys = resource_keys(json_field(item, "outputs", STRINGS, "MDT entry", i))
+        return _squash(tool), tuple(map(canonical_subtask, subtasks)), input_keys, output_keys
+
+    records: dict[tuple[str, str], ToolRecord] = {}
+    tool_io: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+    rows = [parse_row(i, item) for i, item in enumerate(parse_json(text, "MDT", list))]
+    for tool, subtasks, input_keys, output_keys in rows:
+        ins, outs = tool_io.get(tool, (frozenset(), frozenset()))
+        tool_io[tool] = (ins | input_keys, outs | output_keys)
+        for sub in subtasks:
+            key = (tool, sub)
+            if key in records:
+                raise DuplicateEntry(f"duplicate (tool, subtask) pair {key}")
+            records[key] = ToolRecord(tool, sub, input_keys, output_keys)
+    by_subtask: dict[str, list[ToolRecord]] = {}
+    producers: dict[str, list[ToolRecord]] = {}
+    for key in sorted(records):
+        rec = records[key]
+        by_subtask.setdefault(rec.subtask, []).append(rec)
+        for resource in rec.output_keys:
+            producers.setdefault(resource, []).append(rec)
+    table = ModelDescriptionTable(
+        records=records,
+        tool_io=tool_io,
+        by_subtask={sub: tuple(recs) for sub, recs in by_subtask.items()},
+        producers={res: tuple(recs) for res, recs in producers.items()},
+    )
+    return table, tuple(s for s in PLANNER_SUBTASKS if s not in by_subtask)
+
+
+def reference_parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
+    """The benchmark parse with every row checked field by field, as before the one-pass parse."""
+    raw = parse_json(text, "benchmark table", list)
+    times: dict[tuple[str, str], float] = {}
+    qualities: dict[tuple[str, str], float] = {}
+    for i, item in enumerate(raw):
+        tool = _squash(json_field(item, "tool", str, "benchmark row", i))
+        key = (tool, canonical_subtask(json_field(item, "subtask", str, "benchmark row", i)))
+        time_s = json_field(item, "time_seconds", float, "benchmark row", i)
+        quality = json_field(item, "quality", float, "benchmark row", i)
+        if key not in mdt.records:
+            raise ParseError(f"benchmark row {i} references {key}, which is not in the MDT")
+        if key in times:
+            raise DuplicateEntry(f"duplicate benchmark row for {key}")
+        if time_s < 0:
+            raise NegativeTime(f"negative time {time_s} for {key}")
+        times[key] = time_s
+        qualities[key] = quality
+    missing = sorted(set(mdt.records) - set(times))
+    if missing:
+        raise MissingBenchmark(f"MDT pairs without benchmark rows: {missing}")
+    norm = normalize_quality(qualities)
+    rows = {key: BenchmarkRow(time_seconds=times[key], quality_norm=norm[key]) for key in times}
+    return BenchmarkTable(rows=rows)

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import attempts_for
-from toolpath.errors import MissingBenchmark, ParseError, ScriptGap
+from toolpath.errors import DuplicateEntry, MissingBenchmark, ParseError, ScriptGap
 from toolpath.execution import (
     ExecutionOutcome,
     ExecutionTrace,
@@ -133,6 +134,26 @@ def test_spec_json_rejects_non_finite_values(value):
         row[field] = value
         with pytest.raises(ParseError):
             simulator_spec_from_json(json.dumps({"mode": "scripted", "script": [row]}))
+
+
+def _script_spec(*rows):
+    return json.dumps({"mode": "scripted", "script": [
+        {"tool": "YOLOv7", "subtask": "Object Detection", "attempt": 1, "time": 0.5, "quality": 0.3, **row}
+        for row in rows
+    ]})
+
+
+def test_spec_json_rejects_a_repeated_script_row():
+    text = _script_spec({}, {"tool": " YOLOv7", "subtask": "object detection", "time": 5.0, "quality": 0.1})
+    with pytest.raises(DuplicateEntry, match=re.escape("duplicate script row for ('YOLOv7', 'Object Detection', 1)")):
+        simulator_spec_from_json(text)
+    assert len(simulator_spec_from_json(_script_spec({}, {"attempt": 2})).script) == 2
+
+
+@pytest.mark.parametrize("attempt", [0, -1])
+def test_spec_json_rejects_attempts_below_one(attempt):
+    with pytest.raises(ParseError, match=re.escape(f"script row 1 has attempt {attempt}; attempts count from 1")):
+        simulator_spec_from_json(_script_spec({}, {"attempt": attempt}))
 
 
 def test_validate_quality_threshold_is_inclusive():

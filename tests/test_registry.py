@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import re
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from oracles import reference_parse_benchmark, reference_parse_mdt
+from toolpath import registry
 
 from toolpath.errors import (
     DuplicateEntry,
@@ -16,7 +23,10 @@ from toolpath.errors import (
     UnknownSubtask,
 )
 from toolpath.registry import (
+    ALL_SUBTASKS,
     PLANNER_SUBTASKS,
+    BenchmarkRow,
+    ToolRecord,
     _squash,
     canonical_subtask,
     load_mdt,
@@ -229,3 +239,255 @@ _WHITESPACE = "".join(
 @given(st.text(alphabet=st.one_of(st.sampled_from(_WHITESPACE), st.characters())))
 def test_squash_matches_the_regex_form(name):
     assert _squash(name) == re.sub(r"\s+", " ", name.strip())
+
+
+# Pinned registry errors: (table, rows, exact error type, exact message).  A
+# row value "@" is replaced by the raw JSON literal given with the case, so a
+# case can hold 1e400 or an integer beyond float range; an error type of None
+# means the table parses.
+_ROW = {"tool": "X", "subtasks": ["Object Detection"], "inputs": ["Input Image"], "outputs": ["Bounding Boxes"]}
+_BENCH_MDT = json.dumps([dict(_ROW, tool=t) for t in ("X", "Y")])
+
+
+def _bench(tool="X", **fields):
+    return {"tool": tool, "subtask": "Object Detection", "time_seconds": 1.0, "quality": 0.5, **fields}
+
+
+def _mdt(**fields):
+    return dict(_ROW, **fields)
+
+
+def _without(row, key):
+    return {k: v for k, v in row.items() if k != key}
+
+
+_NUMBER = "field {!r} must be a finite number"
+_ERROR_CASES = {
+    "mdt-row-not-object": ("mdt", [5], ParseError, "MDT entry 0 is not an object"),
+    "mdt-row-is-array": ("mdt", [["X"]], ParseError, "MDT entry 0 is not an object"),
+    "mdt-missing-field": ("mdt", [_without(_ROW, "outputs")], ParseError, "MDT entry 0 missing field 'outputs'"),
+    "mdt-tool-not-string": ("mdt", [_mdt(tool=5)], ParseError, "MDT entry 0 field 'tool' must be a string"),
+    "mdt-empty-tool": ("mdt", [_mdt(tool="")], ParseError, "MDT entry 0 has an empty tool name"),
+    "mdt-whitespace-tool": ("mdt", [_mdt(tool=" \t　")], ParseError, "MDT entry 0 has an empty tool name"),
+    "mdt-subtasks-string": (
+        "mdt", [_mdt(subtasks="Object Detection")], ParseError,
+        "MDT entry 0 field 'subtasks' must be an array of strings",
+    ),
+    "mdt-int-in-subtasks": (
+        "mdt", [_mdt(subtasks=[1])], ParseError, "MDT entry 0 field 'subtasks' must be an array of strings"
+    ),
+    "mdt-null-in-inputs": (
+        "mdt", [_mdt(inputs=["Input Image", None])], ParseError,
+        "MDT entry 0 field 'inputs' must be an array of strings",
+    ),
+    "mdt-array-in-outputs": (
+        "mdt", [_mdt(outputs=[["Bounding Boxes"]])], ParseError,
+        "MDT entry 0 field 'outputs' must be an array of strings",
+    ),
+    "mdt-unknown-subtask": (
+        "mdt", [_mdt(subtasks=["Object Teleportation"])], UnknownSubtask, "unknown subtask 'Object Teleportation'"
+    ),
+    "mdt-duplicate-pair": (
+        "mdt", [_ROW, _mdt(tool=" X ", subtasks=["object  detection"])], DuplicateEntry,
+        "duplicate (tool, subtask) pair ('X', 'Object Detection')",
+    ),
+    # Two faults in one row: the first check in row order names the error.
+    "mdt-empty-tool-and-subtasks-string": (
+        "mdt", [_mdt(tool="", subtasks="Object Detection")], ParseError, "MDT entry 0 has an empty tool name"
+    ),
+    "mdt-unknown-subtask-and-outputs-string": (
+        "mdt", [_mdt(subtasks=["Object Teleportation"], outputs="Bounding Boxes")], ParseError,
+        "MDT entry 0 field 'outputs' must be an array of strings",
+    ),
+    "mdt-bad-row-after-good": (
+        "mdt", [_ROW, _mdt(tool="Y", inputs="Input Image")], ParseError,
+        "MDT entry 1 field 'inputs' must be an array of strings",
+    ),
+    "bench-row-not-object": ("bench", ["X", _bench("Y")], ParseError, "benchmark row 0 is not an object"),
+    "bench-missing-field": (
+        "bench", [_without(_bench(), "quality"), _bench("Y")], ParseError, "benchmark row 0 missing field 'quality'"
+    ),
+    "bench-bool-time": (
+        "bench", [_bench(time_seconds=True), _bench("Y")], ParseError,
+        "benchmark row 0 " + _NUMBER.format("time_seconds"),
+    ),
+    "bench-string-quality": (
+        "bench", [_bench(quality="0.5"), _bench("Y")], ParseError, "benchmark row 0 " + _NUMBER.format("quality")
+    ),
+    "bench-int-time": ("bench", [_bench(time_seconds=2), _bench("Y", quality=1)], None, None),
+    "bench-1e400-time": (
+        "bench", [_bench(time_seconds="@"), _bench("Y")], ParseError,
+        "benchmark row 0 " + _NUMBER.format("time_seconds"), "1e400",
+    ),
+    "bench-huge-int-quality": (
+        "bench", [_bench(quality="@"), _bench("Y")], ParseError,
+        "benchmark row 0 " + _NUMBER.format("quality"), "1" + "0" * 400,
+    ),
+    "bench-nan-time": (
+        "bench", [_bench(time_seconds=math.nan), _bench("Y")], ParseError,
+        "benchmark row 0 " + _NUMBER.format("time_seconds"),
+    ),
+    "bench-infinity-quality": (
+        "bench", [_bench(quality=math.inf), _bench("Y")], ParseError, "benchmark row 0 " + _NUMBER.format("quality")
+    ),
+    "bench-minus-infinity-time": (
+        "bench", [_bench(time_seconds=-math.inf), _bench("Y")], ParseError,
+        "benchmark row 0 " + _NUMBER.format("time_seconds"),
+    ),
+    "bench-tool-not-string": (
+        "bench", [_bench(tool=None), _bench("Y")], ParseError, "benchmark row 0 field 'tool' must be a string"
+    ),
+    "bench-empty-tool": (
+        "bench", [_bench(tool=" "), _bench("Y")], ParseError,
+        "benchmark row 0 references ('', 'Object Detection'), which is not in the MDT",
+    ),
+    "bench-unknown-subtask": (
+        "bench", [_bench(subtask="Object Teleportation"), _bench("Y")], UnknownSubtask,
+        "unknown subtask 'Object Teleportation'",
+    ),
+    "bench-duplicate-row": (
+        "bench", [_bench(), _bench("X ", subtask="object detection")], DuplicateEntry,
+        "duplicate benchmark row for ('X', 'Object Detection')",
+    ),
+    "bench-negative-time": (
+        "bench", [_bench(time_seconds=-0.5), _bench("Y")], NegativeTime,
+        "negative time -0.5 for ('X', 'Object Detection')",
+    ),
+    "bench-zero-quality": (
+        "bench", [_bench(quality=0.0), _bench("Y")], NonPositiveQuality,
+        "quality for ('X', 'Object Detection') must be > 0, got 0.0",
+    ),
+    "bench-missing-pair": (
+        "bench", [_bench()], MissingBenchmark, "MDT pairs without benchmark rows: [('Y', 'Object Detection')]"
+    ),
+    # Two faults in one row: the subtask is resolved before the time is checked.
+    "bench-unknown-subtask-and-string-time": (
+        "bench", [_bench(subtask="Object Teleportation", time_seconds="1"), _bench("Y")], UnknownSubtask,
+        "unknown subtask 'Object Teleportation'",
+    ),
+    "bench-bad-row-after-good": (
+        "bench", [_bench(), _bench("Y", quality=False)], ParseError, "benchmark row 1 " + _NUMBER.format("quality")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ERROR_CASES), ids=list(_ERROR_CASES))
+def test_registry_errors_are_pinned(case):
+    table, rows, error, message, *literal = _ERROR_CASES[case]
+    text = json.dumps(rows)
+    if literal:
+        text = text.replace('"@"', literal[0])
+    parse = parse_mdt if table == "mdt" else lambda t: parse_benchmark(t, parse_mdt(_BENCH_MDT))
+    if error is None:
+        bt = parse(text)
+        assert [(r.time_seconds, r.quality_norm) for r in bt.rows.values()] == [(2.0, 0.5), (1.0, 1.0)]
+        assert all(type(r.time_seconds) is float and type(r.quality_norm) is float for r in bt.rows.values())
+        return
+    with pytest.raises(error) as caught:
+        parse(text)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_parsed_rows_equal_constructed_ones():
+    mdt = parse_mdt(_BENCH_MDT)
+    rec = mdt.records[("X", "Object Detection")]
+    built = ToolRecord("X", "Object Detection", frozenset({"input image"}), frozenset({"bounding boxe"}))
+    assert rec == built and hash(rec) == hash(built) and dataclasses.asdict(rec) == dataclasses.asdict(built)
+    row = parse_benchmark(json.dumps([_bench(), _bench("Y", quality=1.0)]), mdt).row("X", "Object Detection")
+    assert row == BenchmarkRow(1.0, 0.5) and hash(row) == hash(BenchmarkRow(1.0, 0.5))
+    assert dataclasses.asdict(row) == {"time_seconds": 1.0, "quality_norm": 0.5}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.tool = "Y"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.time_seconds = 2.0
+
+
+def test_parse_normalizes_each_distinct_list_once(monkeypatch):
+    ios = [["Input Image"], ["Bounding Boxes", "input  image"], ["Segmentation Masks"]]
+    subtasks = [["Object Detection"], ["object  segmentation"], ["Object Removal", "Outpainting"]]
+
+    def calls(n):
+        mdt = [
+            {"tool": f"T{i}", "subtasks": subtasks[i % 3], "inputs": ios[i % 3], "outputs": ios[(i + 1) % 3]}
+            for i in range(n)
+        ]
+        bench = [
+            {"tool": f"T{i}", "subtask": sub, "time_seconds": 1.0, "quality": 0.5}
+            for i in range(n)
+            for sub in subtasks[i % 3]
+        ]
+        counts.clear()
+        parse_benchmark(json.dumps(bench), parse_mdt(json.dumps(mdt)))
+        return dict(counts)
+
+    counts: Counter[str] = Counter()
+    for name in ("canonical_subtask", "normalize_resource"):
+        original = getattr(registry, name)
+        monkeypatch.setattr(registry, name, lambda x, f=original, name=name: counts.update([name]) or f(x))
+    small, large = calls(3), calls(400)
+    assert set(small) == {"canonical_subtask", "normalize_resource"}
+    assert all(large[name] <= small[name] for name in small), (small, large)
+
+
+def _variant(names, case=(str, str.lower, str.upper)):
+    """A name from `names` with its case changed and its spaces padded, doubled or turned to tabs."""
+    return st.builds(
+        lambda name, f, pad, gap: pad + f(name).replace(" ", gap) + pad,
+        st.sampled_from(names),
+        st.sampled_from(case),
+        st.sampled_from(["", " ", "\n"]),
+        st.sampled_from([" ", "  ", "\t"]),
+    )
+
+
+_TOOL = _variant([f"Tool {c}" for c in "ABCDEFGHIJ"], case=(str, str.lower))
+_SUBTASK = _variant(ALL_SUBTASKS[:7] + ("Text Style Detection",))
+_RESOURCE = _variant(["Input Image", "Bounding Box", "Bounding Boxes", "Segmentation Mask", "Text", "Texts"])
+_TIME = st.one_of(st.floats(-1, 100, allow_nan=False), st.integers(-1, 100))
+_QUALITY = st.one_of(st.floats(0.01, 1.0), st.integers(1, 5))
+
+
+def _outcome(parse, *args):
+    """What `parse` returns, or the exact type and message of what it raises."""
+    try:
+        return parse(*args)
+    except Exception as exc:  # the error itself is compared
+        return (type(exc), str(exc))
+
+
+@given(st.data())
+def test_one_pass_parse_matches_the_field_by_field_parse(data):
+    pool = data.draw(st.lists(st.lists(_RESOURCE, max_size=3), min_size=1, max_size=4))
+    io = st.one_of(st.sampled_from(pool), st.lists(_RESOURCE, max_size=3))
+    row = st.fixed_dictionaries({"tool": _TOOL, "subtasks": st.lists(_SUBTASK, max_size=2), "inputs": io, "outputs": io})
+    mdt_text = json.dumps(data.draw(st.lists(row, max_size=10)))
+    expected = _outcome(reference_parse_mdt, mdt_text)
+    with mock.patch.object(registry.logger, "warning") as warning:
+        mdt = _outcome(parse_mdt, mdt_text)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert mdt == expected
+        return
+    ref, gaps = expected
+    for index in ("records", "tool_io", "by_subtask", "producers"):
+        assert list(getattr(mdt, index).items()) == list(getattr(ref, index).items())
+    if gaps:
+        warning.assert_called_once_with("no tool supports %d subtask(s): %s", len(gaps), ", ".join(gaps))
+    else:
+        warning.assert_not_called()
+
+    bench = [
+        {
+            "tool": data.draw(st.sampled_from(["", " "])) + tool.replace(" ", data.draw(st.sampled_from([" ", "  "]))),
+            "subtask": data.draw(_variant([sub])),
+            "time_seconds": data.draw(_TIME),
+            "quality": data.draw(_QUALITY),
+        }
+        for tool, sub in ref.records
+    ]
+    bench_text = json.dumps(data.draw(st.permutations(bench)))
+    expected = _outcome(reference_parse_benchmark, bench_text, ref)
+    bt = _outcome(parse_benchmark, bench_text, mdt)
+    if isinstance(expected, tuple):
+        assert bt == expected
+    else:
+        assert repr(list(bt.rows.items())) == repr(list(expected.rows.items()))
