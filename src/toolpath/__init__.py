@@ -12,14 +12,13 @@ from .evaluation import (
     sweep_alpha,
     task_accuracy,
 )
-from .execution import ExecutionTrace, Simulator, SimulatorSpec, execute, validate_quality
+from .execution import ExecutionTrace, Simulator, SimulatorSpec, validate_quality
 from .graphs import (
     PlanNode,
     ToolDependencyGraph,
     ToolSubgraph,
     build_tdg,
     build_tool_subgraph,
-    enumerate_paths,
 )
 from .planning import SubtaskInstance, SubtaskTree, build_planner_prompt, parse_subtask_tree
 from .registry import (
@@ -27,7 +26,6 @@ from .registry import (
     ModelDescriptionTable,
     load_benchmark,
     load_mdt,
-    lookup_models,
     normalize_quality,
 )
 from .search import (
@@ -62,11 +60,8 @@ __all__ = [
     "build_tdg",
     "build_tool_subgraph",
     "compute_g",
-    "enumerate_paths",
-    "execute",
     "load_benchmark",
     "load_mdt",
-    "lookup_models",
     "normalize_quality",
     "overall_accuracy",
     "pareto_filter",

@@ -21,7 +21,7 @@ import numpy
 from . import __version__
 from .errors import InvalidConfig, OutputError, ParseError, PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
 from .evaluation import brute_force_optimal, pareto_csv, sweep_alpha
-from .execution import Simulator, SimulatorSpec, load_simulator_spec
+from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, load_simulator_spec
 from .graphs import (
     DEFAULT_PATH_CAP,
     build_tdg,
@@ -35,7 +35,6 @@ from .registry import load_benchmark, load_mdt, read_text
 from .search import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_QUALITY_THRESHOLD,
-    DEFAULT_SEED,
     SearchConfig,
     astar_search,
     suffix_bounds,
@@ -120,7 +119,7 @@ def _sim_spec(value: str, digests: dict[str, str]) -> SimulatorSpec:
 
 def _search_config(args) -> SearchConfig:
     """Search settings from whichever of them the command takes; the rest keep their defaults."""
-    names = ("alpha", "quality_threshold", "max_retries", "seed")
+    names = ("alpha", "quality_threshold", "max_retries")
     return SearchConfig(**{name: getattr(args, name) for name in names if hasattr(args, name)})
 
 
@@ -157,7 +156,7 @@ def cmd_plan(args, digests: dict[str, str]) -> Outcome:
     bt, graph = _build_graph(args, digests)
     cfg = _search_config(args)
     spec = _sim_spec(args.sim, digests)
-    result = astar_search(graph, suffix_bounds(graph, bt), Simulator(spec, bt, cfg.seed), cfg)
+    result = astar_search(graph, suffix_bounds(graph, bt), Simulator(spec, bt, args.seed), cfg)
     texts = {"": _dump_json(result.to_json_dict(graph))}
     if args.out:
         texts[".trace.json"] = _dump_json(result.trace.to_json_dict(graph))
@@ -171,7 +170,8 @@ def cmd_sweep(args, digests: dict[str, str]) -> Outcome:
     except ValueError as exc:
         raise ParseError(f"--alphas must be comma-separated numbers: {exc}") from exc
     cfg = _search_config(args)
-    points = sweep_alpha(graph, bt, _sim_spec(args.sim, digests), alphas, base_cfg=cfg)
+    simulator = Simulator(_sim_spec(args.sim, digests), bt, args.seed)
+    points = sweep_alpha(graph, bt, simulator, alphas, base_cfg=cfg)
     return EXIT_OK, {"": pareto_csv(points)}
 
 

@@ -1,7 +1,7 @@
 """Verification oracle, accuracy aggregation, and Pareto sweep utilities.
 
 The oracle scores all root-to-leaf paths in one prefix-sharing walk whose
-objectives are bit-identical to `path_objective` on each path alone.
+objectives are bit-identical to scoring each path alone from the root.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
-from .execution import Simulator, SimulatorSpec
+from .execution import DEFAULT_SEED, Simulator, SimulatorSpec
 from .graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolSubgraph, count_paths
 from .registry import BenchmarkRow, BenchmarkTable
 from .search import (
@@ -36,20 +36,6 @@ class OracleReport:
     astar_path: tuple[int, ...] = ()
 
 
-def path_objective(graph: ToolSubgraph, bt: BenchmarkTable, path, alpha: float) -> float:
-    """Benchmark-valued objective of one root-to-leaf path."""
-    total_time = 0.0
-    quality = 1.0
-    for node_id in path:
-        node = graph.nodes[node_id]
-        if node.is_root:
-            continue
-        row = bt.row(node.tool, node.kind)
-        total_time += row.time_seconds
-        quality *= row.quality_norm
-    return compute_g(total_time, quality, alpha)
-
-
 def brute_force_optimal(
     graph: ToolSubgraph,
     bt: BenchmarkTable,
@@ -61,11 +47,15 @@ def brute_force_optimal(
 
     Paths are scored with benchmark rows, independent of any executor and of
     the search's bounds.  After the cap check, one depth-first walk carries
-    each prefix's running (time, quality), adding and multiplying rows in
-    the order `path_objective` does, so objectives are bit-identical; paths
-    come in lexicographic node-id order, so `<` keeps the first of a tie.
-    The search runs deterministically; the gap (its objective minus the
-    minimum) is never negative.  A search with no path raises SearchExhausted.
+    each prefix's running (time, quality), adding times from 0.0 and
+    multiplying qualities from 1.0 in path order, so each objective is
+    bit-identical to scoring its path alone from the root; paths come in
+    lexicographic node-id order, so `<` keeps the first of a tie.  The
+    search runs under deterministic playback, where every step of the
+    returned path passed on its first attempt, so the path's g sums and
+    multiplies the same rows in the same order and is its objective; the
+    gap (that objective minus the minimum) is never negative.  A search
+    with no path raises SearchExhausted.
     """
     validate_alpha(alpha)
     paths_enumerated = count_paths(graph, cap)
@@ -95,19 +85,18 @@ def brute_force_optimal(
     search_cfg = cfg if cfg is not None else SearchConfig(alpha=alpha)
     if search_cfg.alpha != alpha:
         search_cfg = replace(search_cfg, alpha=alpha)
-    simulator = Simulator(SimulatorSpec(mode="deterministic"), bt, search_cfg.seed)
+    # Deterministic playback reads no seed.
+    simulator = Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
     result = astar_search(graph, suffix_bounds(graph, bt), simulator, search_cfg)
     if not result.found:
         raise SearchExhausted(f"search at alpha={alpha} found no valid path")
-    astar_path = result.path.node_ids
-    astar_obj = path_objective(graph, bt, astar_path, alpha)
     return OracleReport(
         best_path=best_path,
         best_objective=best_obj,
-        astar_objective=astar_obj,
-        gap=astar_obj - best_obj,
+        astar_objective=result.path.g,
+        gap=result.path.g - best_obj,
         paths_enumerated=paths_enumerated,
-        astar_path=astar_path,
+        astar_path=result.path.node_ids,
     )
 
 
@@ -165,13 +154,15 @@ def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:
 def sweep_alpha(
     graph: ToolSubgraph,
     bt: BenchmarkTable,
-    sim_spec: SimulatorSpec,
+    executor,
     alphas,
     base_cfg: SearchConfig | None = None,
 ) -> list[ParetoPoint]:
-    """One deterministic search per alpha; output sorted by alpha.
+    """One search per alpha, all with `executor`; output sorted by alpha.
 
     The suffix bounds do not depend on alpha, so they are computed once.
+    A simulator keys its outcomes by (seed, node, attempt), so sharing one
+    across alphas gives each search the outcomes a fresh one would.
     """
     cfg0 = base_cfg if base_cfg is not None else SearchConfig()
     alphas = sorted(validate_alpha(a) for a in alphas)
@@ -179,8 +170,7 @@ def sweep_alpha(
     points: list[ParetoPoint] = []
     for alpha in alphas:
         cfg = replace(cfg0, alpha=alpha)
-        simulator = Simulator(sim_spec, bt, cfg.seed)
-        result = astar_search(graph, bounds, simulator, cfg)
+        result = astar_search(graph, bounds, executor, cfg)
         if not result.found:
             raise SearchExhausted(f"search at alpha={alpha} found no valid path")
         points.append(

@@ -22,6 +22,7 @@ from .registry import BenchmarkTable, _squash, canonical_subtask, json_field, pa
 
 MODES = ("deterministic", "stochastic", "scripted")
 
+DEFAULT_SEED = 0xC057A
 DEFAULT_TIME_SIGMA = 0.1
 DEFAULT_QUALITY_SIGMA = 0.05
 
@@ -79,38 +80,6 @@ def load_simulator_spec(path: str | Path, digests: dict[str, str] | None = None)
     return simulator_spec_from_json(read_text(path, "simulator spec", digests))
 
 
-def execute(
-    spec: SimulatorSpec,
-    bt: BenchmarkTable,
-    node: PlanNode,
-    attempt: int,
-    seed: int,
-) -> ExecutionOutcome:
-    """Simulate one invocation of the tool `node`; attempt counts from 1.
-
-    Stochastic time is lognormal around the benchmark time, stochastic
-    quality a clamped gaussian around the benchmark quality.
-    """
-    if spec.mode == "scripted":
-        key = (node.tool, node.kind, attempt)
-        if key not in spec.script:
-            raise ScriptGap(f"script has no entry for {key}")
-        time_s, quality = spec.script[key]
-        return ExecutionOutcome(time_s, quality)
-    row = bt.row(node.tool, node.kind)
-    if spec.mode == "deterministic":
-        return ExecutionOutcome(row.time_seconds, row.quality_norm)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, node.node_id, attempt])
-    )
-    # A huge sigma can overflow exp to inf; the output check reports that, not numpy.
-    with np.errstate(over="ignore"):
-        factor = float(np.exp(rng.normal(0.0, spec.time_noise_sigma)))
-    time_s = row.time_seconds * factor if row.time_seconds else 0.0  # not 0 * inf = nan
-    quality = float(np.clip(row.quality_norm + rng.normal(0.0, spec.quality_noise_sigma), 0.0, 1.0))
-    return ExecutionOutcome(time_s, quality)
-
-
 class Simulator:
     """Executor handle binding a spec, benchmark table, and base seed."""
 
@@ -120,7 +89,30 @@ class Simulator:
         self.seed = seed
 
     def __call__(self, node: PlanNode, attempt: int) -> ExecutionOutcome:
-        return execute(self.spec, self.bt, node, attempt, self.seed)
+        """Simulate one invocation of the tool `node`; attempt counts from 1.
+
+        Stochastic time is lognormal around the benchmark time, stochastic
+        quality a clamped gaussian around the benchmark quality.
+        """
+        spec = self.spec
+        if spec.mode == "scripted":
+            key = (node.tool, node.kind, attempt)
+            if key not in spec.script:
+                raise ScriptGap(f"script has no entry for {key}")
+            time_s, quality = spec.script[key]
+            return ExecutionOutcome(time_s, quality)
+        row = self.bt.row(node.tool, node.kind)
+        if spec.mode == "deterministic":
+            return ExecutionOutcome(row.time_seconds, row.quality_norm)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, node.node_id, attempt])
+        )
+        # A huge sigma can overflow exp to inf; the output check reports that, not numpy.
+        with np.errstate(over="ignore"):
+            factor = float(np.exp(rng.normal(0.0, spec.time_noise_sigma)))
+        time_s = row.time_seconds * factor if row.time_seconds else 0.0  # not 0 * inf = nan
+        quality = float(np.clip(row.quality_norm + rng.normal(0.0, spec.quality_noise_sigma), 0.0, 1.0))
+        return ExecutionOutcome(time_s, quality)
 
 
 def validate_quality(outcome: ExecutionOutcome, threshold: float) -> bool:

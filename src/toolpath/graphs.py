@@ -249,32 +249,6 @@ def count_paths(graph: ToolSubgraph, cap: int | None = None) -> int:
     return total
 
 
-def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tuple[int, ...]]:
-    """All root-to-leaf node-id paths in lexicographic node-id order.
-
-    Raises PathExplosion when the DP count exceeds the cap, without
-    materializing anything.  Successors are sorted, so a depth-first walk
-    yields the paths in order; it keeps its own stack, so the depth of the
-    graph is not bounded by recursion.
-    """
-    count_paths(graph, cap)
-    paths: list[tuple[int, ...]] = []
-    path: list[int] = []
-    stack = [iter((ROOT_ID,))]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            if path:
-                path.pop()
-        elif graph.successors[node]:
-            path.append(node)
-            stack.append(iter(graph.successors[node]))
-        else:
-            paths.append((*path, node))
-    return paths
-
-
 def subgraph_to_json(graph: ToolSubgraph) -> dict:
     """The subgraph as a JSON-ready dict: each node's id and view, and its edges."""
     return {

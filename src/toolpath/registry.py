@@ -319,11 +319,6 @@ def load_mdt(path: str | Path, digests: dict[str, str] | None = None) -> ModelDe
     return parse_mdt(read_text(path, "MDT", digests))
 
 
-def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:
-    """Tools able to perform the given subtask.  Empty set when none can."""
-    return {rec.tool for rec in mdt.by_subtask.get(canonical_subtask(subtask), ())}
-
-
 @dataclass(frozen=True)
 class BenchmarkRow:
     time_seconds: float

@@ -60,10 +60,10 @@ from .graphs import ROOT_ID, ToolSubgraph
 from .planning import kahn_order
 from .registry import BenchmarkTable
 
-DEFAULT_SEED = 0xC057A
 DEFAULT_QUALITY_THRESHOLD = 0.8
 DEFAULT_MAX_RETRIES = 3
-DEFAULT_QUEUE_CAP = 100_000
+# Most labels and edges the search queue may hold; read at each push.
+QUEUE_CAP = 100_000
 
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
@@ -82,8 +82,6 @@ class SearchConfig:
     alpha: float = 1.0
     quality_threshold: float = DEFAULT_QUALITY_THRESHOLD
     max_retries: int = DEFAULT_MAX_RETRIES
-    queue_cap: int = DEFAULT_QUEUE_CAP
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         validate_alpha(self.alpha)
@@ -93,8 +91,6 @@ class SearchConfig:
             )
         if self.max_retries < 0:
             raise InvalidConfig(f"max_retries must be non-negative, got {self.max_retries}")
-        if self.queue_cap < 1:
-            raise InvalidConfig(f"queue_cap must be positive, got {self.queue_cap}")
 
 
 def compute_g(cum_time: float, cum_quality: float, alpha: float) -> float:
@@ -370,8 +366,8 @@ def astar_search(
     def push(f: float, label: _Label, edge: _Edge | None) -> None:
         heappush(heap, (f, next(counter), label, edge))
         stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
-        if len(heap) > cfg.queue_cap:
-            raise QueueOverflow(f"search queue exceeded its capacity of {cfg.queue_cap} entries")
+        if len(heap) > QUEUE_CAP:
+            raise QueueOverflow(f"search queue exceeded its capacity of {QUEUE_CAP} entries")
 
     def finish(status: str, path: PathState | None) -> PlanResult:
         result = PlanResult(status, alpha, path, ExecutionTrace(tuple(events)), SearchStats(**stats))

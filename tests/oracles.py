@@ -1,8 +1,14 @@
-"""Independent reference implementations the tests check the package against.
+"""Reference implementations the tests check the package against.
 
-Everything here is deliberately written from scratch against the same
-definitions, with different data structures than the production code, so a
-shared bug is unlikely to hide.
+The oracles at the top are deliberately written from scratch against the
+same definitions, with different data structures than the production code,
+so a shared bug is unlikely to hide.  The helpers at the bottom reuse
+package code; besides small views of trees, graphs and traces they hold
+the test-only library helpers no command calls:
+
+- `enumerate_paths`: every root-to-leaf path of a tool subgraph, in order;
+- `path_objective`: the benchmark-valued objective of one path;
+- `lookup_models`: the tools that can perform one subtask.
 """
 
 from __future__ import annotations
@@ -11,8 +17,7 @@ import heapq
 import json
 
 from toolpath.errors import DuplicateEntry, MissingBenchmark, NegativeTime, ParseError
-from toolpath.evaluation import path_objective
-from toolpath.graphs import DEFAULT_PATH_CAP, ToolDependencyGraph, ToolSubgraph, enumerate_paths
+from toolpath.graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolDependencyGraph, ToolSubgraph, count_paths
 from toolpath.planning import SubtaskTree, kahn_order
 from toolpath.registry import (
     PLANNER_SUBTASKS,
@@ -28,6 +33,7 @@ from toolpath.registry import (
     parse_json,
     resource_keys,
 )
+from toolpath.search import compute_g
 
 
 def validate_dag(graph) -> None:
@@ -304,6 +310,51 @@ def load_json(path):
 
 # Test-side helpers over package types; unlike the oracles above they reuse
 # package code, so they are checks of convenience, not independent ones.
+
+
+def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tuple[int, ...]]:
+    """All root-to-leaf node-id paths in lexicographic node-id order.
+
+    Raises PathExplosion when the DP count exceeds the cap, without
+    materializing anything.  Successors are sorted, so a depth-first walk
+    yields the paths in order; it keeps its own stack, so the depth of the
+    graph is not bounded by recursion.
+    """
+    count_paths(graph, cap)
+    paths: list[tuple[int, ...]] = []
+    path: list[int] = []
+    stack = [iter((ROOT_ID,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            if path:
+                path.pop()
+        elif graph.successors[node]:
+            path.append(node)
+            stack.append(iter(graph.successors[node]))
+        else:
+            paths.append((*path, node))
+    return paths
+
+
+def path_objective(graph: ToolSubgraph, bt: BenchmarkTable, path, alpha: float) -> float:
+    """Benchmark-valued objective of one root-to-leaf path."""
+    total_time = 0.0
+    quality = 1.0
+    for node_id in path:
+        node = graph.nodes[node_id]
+        if node.is_root:
+            continue
+        row = bt.row(node.tool, node.kind)
+        total_time += row.time_seconds
+        quality *= row.quality_norm
+    return compute_g(total_time, quality, alpha)
+
+
+def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:
+    """Tools able to perform the given subtask.  Empty set when none can."""
+    return {rec.tool for rec in mdt.by_subtask.get(canonical_subtask(subtask), ())}
 
 
 def tree_roots(tree) -> list:

@@ -13,8 +13,10 @@ import pytest
 
 from oracles import (
     attempts_for,
+    enumerate_paths,
     load_json,
     pairwise_tdg_edges,
+    path_objective,
     reference_fronts,
     root_to_leaf_orderings,
     sinks,
@@ -25,12 +27,11 @@ from toolpath.errors import CycleDetected, DanglingParent
 from toolpath.evaluation import (
     brute_force_optimal,
     overall_accuracy,
-    path_objective,
     sweep_alpha,
     task_accuracy,
 )
-from toolpath.execution import Simulator, SimulatorSpec
-from toolpath.graphs import ROOT_ID, build_tdg, build_tool_subgraph, enumerate_paths
+from toolpath.execution import DEFAULT_SEED, Simulator, SimulatorSpec
+from toolpath.graphs import ROOT_ID, build_tdg, build_tool_subgraph
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import load_mdt
 from toolpath.search import SearchConfig, _front_bound, astar_search, compute_g, suffix_bounds
@@ -163,11 +164,10 @@ def test_criterion_05_reducible_corner(alpha):
 
 def test_criterion_06_alpha_tradeoff_fixture(detection_fixture):
     graph, bt = detection_fixture
+    sim = Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
 
     def run(alpha):
-        cfg = SearchConfig(alpha=alpha)
-        sim = Simulator(SimulatorSpec(mode="deterministic"), bt, cfg.seed)
-        return astar_search(graph, suffix_bounds(graph, bt), sim, cfg)
+        return astar_search(graph, suffix_bounds(graph, bt), sim, SearchConfig(alpha=alpha))
 
     fast = run(2.0)
     good = run(0.0)
@@ -177,7 +177,7 @@ def test_criterion_06_alpha_tradeoff_fixture(detection_fixture):
         objectives = {p: path_objective(graph, bt, p, alpha) for p in enumerate_paths(graph)}
         assert objectives[res.path.node_ids] == min(objectives.values())
 
-    points = sweep_alpha(graph, bt, SimulatorSpec(mode="deterministic"), [0, 2])
+    points = sweep_alpha(graph, bt, sim, [0, 2])
     assert points[1].total_time <= points[0].total_time
     assert points[1].quality_product <= points[0].quality_product
     _report(6, "alpha=2 picks the fast detector, alpha=0 the accurate one; sweep direction holds")

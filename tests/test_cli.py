@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import shutil
@@ -12,9 +11,8 @@ from pathlib import Path
 import pytest
 from synth import deep_chain_instance, deep_prerequisite_instance, random_pipeline_instance, write_instance
 from test_planning import REPEATED_LABEL_TREES
-from toolpath import cli
+from toolpath import cli, search
 from toolpath.cli import EXIT_QUEUE_OVERFLOW, main
-from toolpath.search import SearchConfig
 
 
 def _args_detection(data_dir, extra=()):
@@ -110,7 +108,7 @@ def test_plan_repeated_tree_label_is_input_error(name, data_dir, tmp_path, capsy
 
 
 def test_plan_queue_overflow_exits_4(data_dir, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "SearchConfig", functools.partial(SearchConfig, queue_cap=1))
+    monkeypatch.setattr(search, "QUEUE_CAP", 1)
     code = main(["plan", *_args_detection(data_dir), "--alpha", "1"])
     assert code == EXIT_QUEUE_OVERFLOW == 4
     assert capsys.readouterr().err.startswith("error: search queue exceeded")

@@ -6,11 +6,11 @@ import json
 
 import pytest
 
-from oracles import attempts_for, root_to_leaf_orderings, validate_dag
+from oracles import attempts_for, enumerate_paths, path_objective, root_to_leaf_orderings, validate_dag
 from toolpath.errors import UnsatisfiableDependency
-from toolpath.evaluation import brute_force_optimal, path_objective
-from toolpath.execution import Simulator, SimulatorSpec
-from toolpath.graphs import build_tool_subgraph, enumerate_paths
+from toolpath.evaluation import brute_force_optimal
+from toolpath.execution import DEFAULT_SEED, Simulator, SimulatorSpec
+from toolpath.graphs import build_tool_subgraph
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import parse_mdt
 from toolpath.search import SearchConfig, astar_search, suffix_bounds
@@ -27,7 +27,7 @@ def _expand(full_tables, tree_json: dict):
 
 def _search(graph, bt, alpha, **cfg_kwargs):
     cfg = SearchConfig(alpha=alpha, **cfg_kwargs)
-    sim = Simulator(SimulatorSpec(mode="deterministic"), bt, cfg.seed)
+    sim = Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
     return astar_search(graph, suffix_bounds(graph, bt), sim, cfg)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_then_score
+from oracles import enumerate_paths, enumerate_then_score, path_objective
 from synth import build_payload, built_instance, chain_instance
 from toolpath.errors import EmptyRecord, InvalidScore, MissingBenchmark, PathExplosion, SearchExhausted
 from toolpath.evaluation import (
@@ -14,14 +14,14 @@ from toolpath.evaluation import (
     overall_accuracy,
     pareto_csv,
     pareto_filter,
-    path_objective,
     sweep_alpha,
     task_accuracy,
 )
-from toolpath.execution import SimulatorSpec
-from toolpath.graphs import build_tool_subgraph, count_paths, enumerate_paths
+from toolpath.execution import DEFAULT_SEED, Simulator, SimulatorSpec
+from toolpath.graphs import build_tool_subgraph, count_paths
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import BenchmarkTable, load_benchmark, load_mdt
+from toolpath.search import SearchConfig, astar_search, suffix_bounds
 
 
 # ---------------------------------------------------------------- oracle
@@ -84,10 +84,14 @@ _instances = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(instance=_instances, alpha=st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 2.0)))
 def test_oracle_walk_matches_enumerate_then_score(instance, alpha):
-    """The prefix walk finds the same path, objective (bit for bit) and count as scoring each path alone."""
+    """The prefix walk finds the same path, objective (bit for bit) and count as scoring each path alone.
+
+    The search's objective, its returned path's g, is that path's score bit for bit too.
+    """
     graph, bt, *_ = instance
     rep = brute_force_optimal(graph, bt, alpha)
     assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == enumerate_then_score(graph, bt, alpha)
+    assert rep.astar_objective == path_objective(graph, bt, rep.astar_path, alpha)
 
 
 def _tied_chain() -> dict:
@@ -218,9 +222,13 @@ def test_pareto_filter_survivors_mutually_nondominating(raw):
 # ---------------------------------------------------------------- sweep
 
 
+def _playback(bt: BenchmarkTable) -> Simulator:
+    return Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
+
+
 def test_sweep_detection_fixture_direction(detection_fixture):
     graph, bt = detection_fixture
-    points = sweep_alpha(graph, bt, SimulatorSpec(mode="deterministic"), [0, 2])
+    points = sweep_alpha(graph, bt, _playback(bt), [0, 2])
     assert [p.alpha for p in points] == [0.0, 2.0]
     fast = points[1]
     good = points[0]
@@ -230,24 +238,22 @@ def test_sweep_detection_fixture_direction(detection_fixture):
 
 def test_sweep_duplicate_alphas_identical_rows(detection_fixture):
     graph, bt = detection_fixture
-    points = sweep_alpha(graph, bt, SimulatorSpec(mode="deterministic"), [1, 1])
+    points = sweep_alpha(graph, bt, _playback(bt), [1, 1])
     assert points[0] == points[1]
 
 
 def test_sweep_empty():
-    assert sweep_alpha(None, None, SimulatorSpec(mode="deterministic"), []) == []
+    assert sweep_alpha(None, None, None, []) == []
 
 
 def test_sweep_unsorted_input_is_ordered_by_alpha(detection_fixture):
     graph, bt = detection_fixture
-    points = sweep_alpha(graph, bt, SimulatorSpec(mode="deterministic"), [2, 0, 1])
+    points = sweep_alpha(graph, bt, _playback(bt), [2, 0, 1])
     assert [p.alpha for p in points] == [0.0, 1.0, 2.0]
 
 
 def test_sweep_exhaustion_raises(detection_fixture):
     graph, bt = detection_fixture
-    from toolpath.search import SearchConfig
-
     # every tool fails every attempt, so no alpha can find a valid path
     script = {
         (tool, kind, attempt): (1.0, 0.1)
@@ -258,7 +264,7 @@ def test_sweep_exhaustion_raises(detection_fixture):
         sweep_alpha(
             graph,
             bt,
-            SimulatorSpec(mode="scripted", script=script),
+            Simulator(SimulatorSpec(mode="scripted", script=script), bt, DEFAULT_SEED),
             [2],
             base_cfg=SearchConfig(max_retries=1),
         )
@@ -266,7 +272,7 @@ def test_sweep_exhaustion_raises(detection_fixture):
 
 def test_pareto_csv_formatting(detection_fixture):
     graph, bt = detection_fixture
-    points = sweep_alpha(graph, bt, SimulatorSpec(mode="deterministic"), [0, 2])
+    points = sweep_alpha(graph, bt, _playback(bt), [0, 2])
     text = pareto_csv(points)
     lines = text.strip().splitlines()
     assert lines[0] == "alpha,total_time,quality_product,g_final,non_dominated"
@@ -276,8 +282,23 @@ def test_pareto_csv_formatting(detection_fixture):
 
 
 def test_stochastic_sweep_is_replayable(detection_fixture):
+    """A sweep replays, and its one simulator gives each alpha the search a fresh one would.
+
+    At threshold 0.9 the alpha=2 search retries a failed attempt, so retry draws are shared too.
+    """
     graph, bt = detection_fixture
     spec = SimulatorSpec(mode="stochastic")
-    a = sweep_alpha(graph, bt, spec, [0.5, 1.5])
-    b = sweep_alpha(graph, bt, spec, [0.5, 1.5])
+    alphas = [0.0, 0.5, 1.0, 1.5, 2.0]
+    base = SearchConfig(quality_threshold=0.9)
+    a = sweep_alpha(graph, bt, Simulator(spec, bt, DEFAULT_SEED), alphas, base_cfg=base)
+    b = sweep_alpha(graph, bt, Simulator(spec, bt, DEFAULT_SEED), alphas, base_cfg=base)
     assert a == b
+    bounds = suffix_bounds(graph, bt)
+    retries = 0
+    for point in a:
+        cfg = SearchConfig(alpha=point.alpha, quality_threshold=0.9)
+        result = astar_search(graph, bounds, Simulator(spec, bt, DEFAULT_SEED), cfg)
+        path = result.path
+        assert (point.total_time, point.quality_product, point.g_final) == (path.cum_time, path.cum_quality, path.g)
+        retries += result.stats.retries
+    assert retries > 0

@@ -16,7 +16,6 @@ from toolpath.execution import (
     Simulator,
     SimulatorSpec,
     TraceEvent,
-    execute,
     simulator_spec_from_json,
     validate_quality,
 )
@@ -33,30 +32,30 @@ BT = BenchmarkTable(rows={("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0
 
 
 def test_deterministic_playback():
-    out = execute(SimulatorSpec(mode="deterministic"), BT, NODE, 1, seed=1)
+    out = Simulator(SimulatorSpec(mode="deterministic"), BT, seed=1)(NODE, 1)
     assert out == ExecutionOutcome(time_seconds=0.0062, quality=0.82)
 
 
 def test_missing_benchmark_raises():
     other = PlanNode(node_id=4, tool="SAM", kind="Object Segmentation", instance=INST, role="candidate")
     with pytest.raises(MissingBenchmark):
-        execute(SimulatorSpec(mode="deterministic"), BT, other, 1, seed=1)
+        Simulator(SimulatorSpec(mode="deterministic"), BT, seed=1)(other, 1)
 
 
 def test_zero_noise_stochastic_equals_deterministic():
     spec = SimulatorSpec(mode="stochastic", time_noise_sigma=0.0, quality_noise_sigma=0.0)
-    out = execute(spec, BT, NODE, 1, seed=42)
+    out = Simulator(spec, BT, seed=42)(NODE, 1)
     assert out.time_seconds == 0.0062
     assert out.quality == 0.82
 
 
 def test_stochastic_replay_is_bit_stable():
     spec = SimulatorSpec(mode="stochastic")
-    a = execute(spec, BT, NODE, 2, seed=99)
-    b = execute(spec, BT, NODE, 2, seed=99)
+    a = Simulator(spec, BT, seed=99)(NODE, 2)
+    b = Simulator(spec, BT, seed=99)(NODE, 2)
     assert a == b
-    c = execute(spec, BT, NODE, 3, seed=99)
-    d = execute(spec, BT, NODE, 2, seed=100)
+    c = Simulator(spec, BT, seed=99)(NODE, 3)
+    d = Simulator(spec, BT, seed=100)(NODE, 2)
     assert c != a and d != a
 
 
@@ -97,10 +96,10 @@ def test_scripted_mode_and_gap():
         mode="scripted",
         script={("YOLOv7", "Object Detection", 1): (0.5, 0.3)},
     )
-    out = execute(spec, BT, NODE, 1, seed=0)
+    out = Simulator(spec, BT, seed=0)(NODE, 1)
     assert (out.time_seconds, out.quality) == (0.5, 0.3)
     with pytest.raises(ScriptGap):
-        execute(spec, BT, NODE, 2, seed=0)
+        Simulator(spec, BT, seed=0)(NODE, 2)
 
 
 def test_spec_json_roundtrip():

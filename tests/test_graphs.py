@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     count_paths_dfs,
     edge_set,
+    enumerate_paths,
     expand_reference,
     load_json,
     pairwise_tdg_edges,
@@ -30,7 +31,6 @@ from toolpath.graphs import (
     build_tdg,
     build_tool_subgraph,
     count_paths,
-    enumerate_paths,
     subgraph_to_dot,
     subgraph_to_json,
     tdg_to_dot,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import reference_parse_benchmark, reference_parse_mdt
+from oracles import lookup_models, reference_parse_benchmark, reference_parse_mdt
 from toolpath import registry
 
 from toolpath.errors import (
@@ -30,7 +30,6 @@ from toolpath.registry import (
     _squash,
     canonical_subtask,
     load_mdt,
-    lookup_models,
     normalize_quality,
     normalize_resource,
     parse_benchmark,

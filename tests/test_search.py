@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import attempts_for, dijkstra_min_time, sinks
+from oracles import attempts_for, dijkstra_min_time, enumerate_paths, path_objective, sinks
 from synth import build_payload, built_instance, chain_instance, random_plan_graph
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
-from toolpath.evaluation import brute_force_optimal, path_objective
-from toolpath.execution import ExecutionOutcome, Simulator, SimulatorSpec
-from toolpath.graphs import build_tool_subgraph, enumerate_paths
+from toolpath.evaluation import brute_force_optimal
+from toolpath.execution import DEFAULT_SEED, ExecutionOutcome, Simulator, SimulatorSpec
+from toolpath.graphs import build_tool_subgraph
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import BenchmarkRow, BenchmarkTable
 from toolpath.search import (
@@ -40,7 +40,7 @@ def _unit_bt(bt: BenchmarkTable) -> BenchmarkTable:
 
 def _run(graph, bt, alpha=1.0, sim=None, **cfg_kwargs):
     cfg = SearchConfig(alpha=alpha, **cfg_kwargs)
-    simulator = sim if sim is not None else Simulator(SimulatorSpec(mode="deterministic"), bt, cfg.seed)
+    simulator = sim if sim is not None else Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
     return astar_search(graph, suffix_bounds(graph, bt), simulator, cfg)
 
 
@@ -74,7 +74,7 @@ def test_validate_alpha_domain():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"quality_threshold": 1.5}, {"quality_threshold": float("nan")}, {"max_retries": -1}, {"queue_cap": 0}],
+    [{"quality_threshold": 1.5}, {"quality_threshold": float("nan")}, {"max_retries": -1}],
 )
 def test_search_config_rejects_bad_settings(kwargs):
     with pytest.raises(InvalidConfig) as info:
@@ -174,10 +174,13 @@ def test_time_scale_invariance_of_returned_path(detection_fixture):
             assert _run(graph, scaled, alpha=alpha).path.node_ids == base
 
 
-def test_queue_overflow(detection_fixture):
+def test_queue_overflow(detection_fixture, monkeypatch):
+    import toolpath.search as search
+
     graph, bt = detection_fixture
+    monkeypatch.setattr(search, "QUEUE_CAP", 1)
     with pytest.raises(QueueOverflow):
-        _run(graph, bt, alpha=1.0, queue_cap=1)
+        _run(graph, bt, alpha=1.0)
 
 
 # ---------------------------------------------------------------- retries
@@ -581,7 +584,7 @@ def test_stochastic_replays_are_bit_stable(seed, sim_seed, alpha, max_retries):
     runs = []
     for _ in range(2):
         sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=0.1), bt, sim_seed)
-        res = _run(graph, bt, alpha=alpha, sim=sim, seed=sim_seed, max_retries=max_retries)
+        res = _run(graph, bt, alpha=alpha, sim=sim, max_retries=max_retries)
         stats = res.stats
         assert stats.executions == stats.generated + stats.retries == len(res.trace.events)
         assert all(e.attempt <= max_retries + 1 for e in res.trace.events)
