@@ -8,6 +8,7 @@ overflow.  A command returns its outputs as text, which `main` writes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
@@ -15,8 +16,6 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy
 
 from . import __version__
 from .errors import InvalidConfig, OutputError, ParseError, PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
@@ -69,6 +68,14 @@ _NOT_SETTINGS = {"func", "mdt", "benchmark", "tree", "out", "planner_endpoint"}
 _SIM_MODES = ("deterministic", "stochastic")
 
 
+@functools.cache
+def _numpy_version() -> str:
+    """numpy's installed version, read from its metadata once per process without importing numpy."""
+    from importlib.metadata import version
+
+    return version("numpy")
+
+
 def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str, str]) -> dict:
     """Provenance record written next to every output artifact.
 
@@ -85,7 +92,7 @@ def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str,
         "versions": {
             "toolpath": __version__,
             "python": platform.python_version(),
-            "numpy": numpy.__version__,
+            "numpy": _numpy_version(),
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

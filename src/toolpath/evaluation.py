@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
 from .execution import DEFAULT_SEED, Simulator, SimulatorSpec
 from .graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolSubgraph, count_paths
-from .registry import BenchmarkRow, BenchmarkTable
+from .registry import BenchmarkTable
 from .search import (
     SearchConfig,
     astar_search,
@@ -46,11 +46,13 @@ def brute_force_optimal(
     """Exhaustive path enumeration against which the search is measured.
 
     Paths are scored with benchmark rows, independent of any executor and of
-    the search's bounds.  After the cap check, one depth-first walk carries
-    each prefix's running (time, quality), adding times from 0.0 and
-    multiplying qualities from 1.0 in path order, so each objective is
-    bit-identical to scoring its path alone from the root; paths come in
-    lexicographic node-id order, so `<` keeps the first of a tie.  The
+    the search's bounds.  After the cap check, each node's row is read once,
+    and one depth-first walk carries each prefix's running (time, quality),
+    adding times from 0.0 and multiplying qualities from 1.0 in path order,
+    so each objective is bit-identical to scoring its path alone from the
+    root; paths come in lexicographic node-id order, so `<` keeps the first
+    of a tie.  A node whose successors all end paths scores them in one
+    loop, with the same sums and products in the same order.  The
     search runs under deterministic playback, where every step of the
     returned path passed on its first attempt, so the path's g sums and
     multiplies the same rows in the same order and is its objective; the
@@ -59,29 +61,49 @@ def brute_force_optimal(
     """
     validate_alpha(alpha)
     paths_enumerated = count_paths(graph, cap)
+    successors = graph.successors
+    # Node id -> benchmark (time, quality), read in the walk's first-visit order,
+    # so a missing row names the node that scoring the paths one by one meets first.
+    rows: list[tuple[float, float] | None] = [None] * len(graph.nodes)
+    rows[ROOT_ID] = (0.0, 1.0)
+    unread = [iter(successors[ROOT_ID])]
+    while unread:
+        node_id = next(unread[-1], None)
+        if node_id is None:
+            unread.pop()
+        elif rows[node_id] is None:
+            node = graph.nodes[node_id]
+            row = bt.row(node.tool, node.kind)
+            rows[node_id] = (row.time_seconds, row.quality_norm)
+            unread.append(iter(successors[node_id]))
+    # Nodes whose successors all end a path: the walk scores those ends in one loop.
+    last_hop = [bool(succ) and not any(successors[j] for j in succ) for succ in successors]
     best_path: tuple[int, ...] = ()
     best_obj = float("inf")
     path: list[int] = []
-    rows = {ROOT_ID: BenchmarkRow(0.0, 1.0)}  # node id -> row, read from bt on the node's first visit
     # (successors left to visit, time and quality of the prefix they extend)
     stack = [(iter((ROOT_ID,)), 0.0, 1.0)]
     while stack:
-        successors, time, quality = stack[-1]
-        node_id = next(successors, None)
+        left, time, quality = stack[-1]
+        node_id = next(left, None)
         if node_id is None:
             stack.pop()
             del path[-1:]
             continue
-        if node_id not in rows:
-            node = graph.nodes[node_id]
-            rows[node_id] = bt.row(node.tool, node.kind)
-        row = rows[node_id]
-        time, quality = time + row.time_seconds, quality * row.quality_norm
-        if graph.successors[node_id]:
+        t, q = rows[node_id]
+        time, quality = time + t, quality * q
+        succ = successors[node_id]
+        if not succ:
+            if (obj := compute_g(time, quality, alpha)) < best_obj:
+                best_obj, best_path = obj, (*path, node_id)
+        elif last_hop[node_id]:
+            for sink in succ:
+                t, q = rows[sink]
+                if (obj := compute_g(time + t, quality * q, alpha)) < best_obj:
+                    best_obj, best_path = obj, (*path, node_id, sink)
+        else:
             path.append(node_id)
-            stack.append((iter(graph.successors[node_id]), time, quality))
-        elif (obj := compute_g(time, quality, alpha)) < best_obj:
-            best_obj, best_path = obj, (*path, node_id)
+            stack.append((iter(succ), time, quality))
     search_cfg = cfg if cfg is not None else SearchConfig(alpha=alpha)
     if search_cfg.alpha != alpha:
         search_cfg = replace(search_cfg, alpha=alpha)

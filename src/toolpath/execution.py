@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DuplicateEntry, ParseError, ScriptGap
 from .graphs import PlanNode, ToolSubgraph
 from .registry import BenchmarkTable, _squash, canonical_subtask, json_field, parse_json, read_text
@@ -104,6 +102,8 @@ class Simulator:
         row = self.bt.row(node.tool, node.kind)
         if spec.mode == "deterministic":
             return ExecutionOutcome(row.time_seconds, row.quality_norm)
+        import numpy as np  # only stochastic draws need numpy, so only they load it
+
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, node.node_id, attempt])
         )

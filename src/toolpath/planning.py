@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import urllib.request
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
@@ -241,6 +240,8 @@ class HttpPlannerClient:
         self.timeout = timeout
 
     def generate(self, prompt_text: str) -> str:
+        import urllib.request  # loaded only by a call that asks the planner
+
         body = json.dumps({"prompt": prompt_text}).encode("utf-8")
         try:
             headers = {"Content-Type": "application/json"}

@@ -16,9 +16,9 @@ The two tables are parsed in one pass over their rows.  A row whose fields
 all have the exact types `json_field` accepts (finite floats, strings,
 arrays of strings) is taken as it is, and its names are normalized through
 memos that live for one parse: each distinct subtasks, inputs or outputs
-list, and each benchmark subtask name, is normalized once.  Any other row
-goes through the field-by-field `json_field` checks, so every error keeps
-its type, message and row index.
+list, each resource name in them, and each benchmark subtask name, is
+normalized once.  Any other row goes through the field-by-field
+`json_field` checks, so every error keeps its type, message and row index.
 """
 
 from __future__ import annotations
@@ -250,11 +250,12 @@ def _strings(value, memo: dict) -> tuple[str, ...] | None:
     return None
 
 
-def _quick_row(item, canon: dict, keys: dict):
+def _quick_row(item, canon: dict, keys: dict, resources: dict):
     """`_parse_row`'s result for a row whose every field is well typed, else None.
 
-    `canon` maps a subtasks tuple to its canonical subtasks and `keys` a
-    name tuple to its resource keys, so each distinct list is normalized
+    `canon` maps a subtasks tuple to its canonical subtasks, `keys` a name
+    tuple to its resource keys and `resources` a name to its resource key,
+    so each distinct list, and each distinct name in them, is normalized
     once per parse.  The subtasks are resolved after every field has passed,
     as in `_parse_row`.
     """
@@ -269,7 +270,10 @@ def _quick_row(item, canon: dict, keys: dict):
         return None
     for names in (inputs, outputs):
         if names not in keys:
-            keys[names] = resource_keys(names)
+            for name in names:
+                if name not in resources:
+                    resources[name] = normalize_resource(name)
+            keys[names] = frozenset(resources[name] for name in names)
     if subtasks not in canon:
         canon[subtasks] = tuple(map(canonical_subtask, subtasks))
     return _squash(tool), canon[subtasks], keys[inputs], keys[outputs]
@@ -281,9 +285,10 @@ def _build_table(raw: list) -> ModelDescriptionTable:
     tool_io: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
     canon: dict[tuple[str, ...], tuple[str, ...]] = {}
     keys: dict[tuple[str, ...], frozenset[str]] = {}
+    resources: dict[str, str] = {}
     # Every row is valid before any is indexed; an ill-typed row goes through
     # `_parse_row` for its error.
-    rows = [_quick_row(item, canon, keys) or _parse_row(i, item) for i, item in enumerate(raw)]
+    rows = [_quick_row(item, canon, keys, resources) or _parse_row(i, item) for i, item in enumerate(raw)]
     for tool, subtasks, input_keys, output_keys in rows:
         io = tool_io.get(tool)
         tool_io[tool] = (input_keys, output_keys) if io is None else (io[0] | input_keys, io[1] | output_keys)

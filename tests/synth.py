@@ -241,6 +241,18 @@ def deep_prerequisite_instance(depth: int) -> dict:
     }
 
 
+def detection_graph(rows: dict[str, tuple[float, float]], edges):
+    """ROOT (id 0) plus one Object Detection candidate per tool of `rows`,
+    ids from 1 in order, and the (time, quality) benchmark table of `rows`."""
+    inst = SubtaskInstance(kind="Object Detection", argument="x", ordinal=1)
+    nodes = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None, role="root")] + [
+        PlanNode(node_id=i, tool=t, kind="Object Detection", instance=inst, role="candidate")
+        for i, t in enumerate(rows, start=1)
+    ]
+    bt = BenchmarkTable(rows={(t, "Object Detection"): BenchmarkRow(c, q) for t, (c, q) in rows.items()})
+    return _assemble(nodes, edges), bt
+
+
 def built_instance(seed: int, unit_quality: bool = False):
     """Instance materialized through the real parsers and builder."""
     return build_payload(random_pipeline_instance(seed, unit_quality=unit_quality))

@@ -3,7 +3,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -688,3 +691,41 @@ def test_graph_out_file_and_manifest(data_dir, tmp_path):
     assert code == 0
     assert out.read_text().startswith("digraph")
     assert json.loads(out.with_suffix(".dot.manifest.json").read_text())["seed"] is None
+
+
+# Run in a fresh interpreter: this session has imported numpy already (synth.py uses it).
+_IMPORTS_PROBE = """
+import json, sys
+from toolpath.cli import main
+
+def loaded():
+    return [name for name in ("numpy", "urllib.request", "importlib.metadata") if name in sys.modules]
+
+seen = {"import": loaded()}
+inputs, out = sys.argv[1:4], sys.argv[4]
+flags = ["--mdt", inputs[0], "--benchmark", inputs[1], "--tree", inputs[2]]
+seen["plan"] = [main(["plan", *flags, "--out", out + ".det"]), loaded()]
+seen["stochastic"] = [main(["plan", *flags, "--sim", "stochastic", "--seed", "3", "--out", out + ".sto"]), loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_a_call_imports_only_what_it_runs(data_dir, tmp_path):
+    """numpy loads only for stochastic draws, urllib only for --task, package metadata only for a manifest."""
+    import numpy
+
+    src = Path(cli.__file__).resolve().parents[1]
+    inputs = [str(data_dir / name) for name in ("mdt_full.json", "benchmark_full.json", "tree_example1.json")]
+    out = tmp_path / "plan.json"
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_PROBE, *inputs, str(out)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout)
+    assert seen["import"] == []
+    assert seen["plan"] == [0, ["importlib.metadata"]]
+    assert seen["stochastic"] == [0, ["numpy", "importlib.metadata"]]
+    for suffix in (".det", ".sto"):
+        manifest = json.loads((tmp_path / f"plan.json{suffix}.manifest.json").read_text())
+        assert manifest["versions"]["numpy"] == numpy.__version__

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_paths, enumerate_then_score, path_objective
-from synth import build_payload, built_instance, chain_instance
+from synth import build_payload, built_instance, chain_instance, detection_graph
 from toolpath.errors import EmptyRecord, InvalidScore, MissingBenchmark, PathExplosion, SearchExhausted
 from toolpath.evaluation import (
     SCORE_VOCABULARY,
@@ -130,6 +132,38 @@ def test_oracle_cap_boundary():
         brute_force_optimal(graph, empty, 1.0, cap=count - 1)
     with pytest.raises(MissingBenchmark):
         brute_force_optimal(graph, empty, 1.0, cap=count)
+
+
+def test_oracle_names_the_missing_row_that_path_scoring_meets_first():
+    """Rows of ChainTool-01-02 (node 6) and ChainTool-02-00 (node 7) are missing.
+
+    Scoring the paths in order meets node 7 first, on the first path (0, 1, 4, 7);
+    reading rows in node-id order would name node 6.
+    """
+    graph, bt, *_ = build_payload(chain_instance(3, stages=3, tools=3))
+    missing = {("ChainTool-01-02", "Depth Estimation"), ("ChainTool-02-00", "Text Replacement")}
+    assert {(graph.nodes[i].tool, graph.nodes[i].kind) for i in (6, 7)} == missing
+    partial = BenchmarkTable(rows={key: row for key, row in bt.rows.items() if key not in missing})
+    with pytest.raises(MissingBenchmark) as expected:
+        enumerate_then_score(graph, partial, 1.0)
+    assert "ChainTool-02-00" in str(expected.value)
+    with pytest.raises(MissingBenchmark, match=f"^{re.escape(str(expected.value))}$"):
+        brute_force_optimal(graph, partial, 1.0)
+
+
+@pytest.mark.parametrize("alpha, best", [(0.0, (0, 1, 3, 4)), (1.0, (0, 1, 2)), (2.0, (0, 1, 2))])
+def test_oracle_node_with_ending_and_continuing_successors(alpha, best):
+    """A's successors are S1 (ends), C (goes on to D) and S2 (ends, S1's twin).
+
+    C's one successor ends a path, so the walk scores it in C's loop, while
+    A's ends are scored one walk step each; S1's path keeps the tie with S2's.
+    """
+    rows = {"A": (1.0, 0.9), "S1": (2.0, 0.8), "C": (1.0, 1.0), "D": (1.5, 0.95), "S2": (2.0, 0.8)}
+    a, s1, c, d, s2 = range(1, 6)
+    graph, bt = detection_graph(rows, {(0, a), (a, s1), (a, c), (c, d), (a, s2)})
+    rep = brute_force_optimal(graph, bt, alpha)
+    assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == enumerate_then_score(graph, bt, alpha)
+    assert rep.best_path == best
 
 
 # ---------------------------------------------------------------- accuracy

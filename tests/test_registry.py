@@ -402,7 +402,8 @@ def test_parsed_rows_equal_constructed_ones():
 
 
 def test_parse_normalizes_each_distinct_list_once(monkeypatch):
-    ios = [["Input Image"], ["Bounding Boxes", "input  image"], ["Segmentation Masks"]]
+    """Each distinct list is normalized once per parse, and so is each resource name, shared lists or not."""
+    ios = [["Input Image"], ["Bounding Boxes", "input  image"], ["Segmentation Masks", "Input Image"]]
     subtasks = [["Object Detection"], ["object  segmentation"], ["Object Removal", "Outpainting"]]
 
     def calls(n):
@@ -417,15 +418,17 @@ def test_parse_normalizes_each_distinct_list_once(monkeypatch):
         ]
         counts.clear()
         parse_benchmark(json.dumps(bench), parse_mdt(json.dumps(mdt)))
-        return dict(counts)
+        return Counter(name for name, _ in counts.elements()), counts.copy()
 
-    counts: Counter[str] = Counter()
+    counts: Counter[tuple[str, str]] = Counter()
     for name in ("canonical_subtask", "normalize_resource"):
         original = getattr(registry, name)
-        monkeypatch.setattr(registry, name, lambda x, f=original, name=name: counts.update([name]) or f(x))
-    small, large = calls(3), calls(400)
+        monkeypatch.setattr(registry, name, lambda x, f=original, name=name: counts.update([(name, x)]) or f(x))
+    (small, _), (large, by_argument) = calls(3), calls(400)
     assert set(small) == {"canonical_subtask", "normalize_resource"}
     assert all(large[name] <= small[name] for name in small), (small, large)
+    resources = {x: n for (name, x), n in by_argument.items() if name == "normalize_resource"}
+    assert resources == dict.fromkeys({x for names in ios for x in names}, 1)
 
 
 def _variant(names, case=(str, str.lower, str.upper)):

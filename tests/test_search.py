@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import attempts_for, dijkstra_min_time, enumerate_paths, path_objective, sinks
-from synth import build_payload, built_instance, chain_instance, random_plan_graph
+from synth import build_payload, built_instance, chain_instance, detection_graph, random_plan_graph
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import brute_force_optimal
 from toolpath.execution import DEFAULT_SEED, ExecutionOutcome, Simulator, SimulatorSpec
@@ -317,7 +317,7 @@ def test_cheaper_sibling_runs_between_attempts_of_a_failing_node():
     after 2.5 s, and B ran between A's two attempts.
     """
     a, b = 1, 2
-    graph, bt = _detection_graph({"A": (1.0, 1.0), "B": (2.5, 1.0)}, {(0, a), (0, b)})
+    graph, bt = detection_graph({"A": (1.0, 1.0), "B": (2.5, 1.0)}, {(0, a), (0, b)})
     ran = {("A", 1): (2.0, 0.5), ("A", 2): (0.5, 0.9), ("B", 1): (4.0, 1.0)}
 
     def executor(node, attempt):
@@ -466,23 +466,6 @@ def test_label_rules():
     assert labels == [best]
 
 
-def _detection_graph(rows: dict[str, tuple[float, float]], edges):
-    """ROOT (id 0) plus one Object Detection candidate per tool of `rows`,
-    ids from 1 in order, and the (time, quality) benchmark table of `rows`."""
-    from toolpath.graphs import PlanNode, _assemble
-    from toolpath.planning import SubtaskInstance
-
-    inst = SubtaskInstance(kind="Object Detection", argument="x", ordinal=1)
-    nodes = [PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root")] + [
-        PlanNode(node_id=i, tool=t, kind="Object Detection", instance=inst, role="candidate")
-        for i, t in enumerate(rows, start=1)
-    ]
-    bt = BenchmarkTable(
-        rows={(t, "Object Detection"): BenchmarkRow(c, q) for t, (c, q) in rows.items()}
-    )
-    return _assemble(nodes, edges), bt
-
-
 def test_dominated_queued_state_is_skipped_at_pop():
     """ROOT -> {A, B} -> X -> L, and A -> Z with Z failing every attempt.
 
@@ -493,7 +476,7 @@ def test_dominated_queued_state_is_skipped_at_pop():
     """
     a, b, x, leaf, z = range(1, 6)
     rows = {"A": (1.0, 0.9), "B": (1.0, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0), "Z": (0.1, 0.5)}
-    graph, bt = _detection_graph(rows, {(0, a), (0, b), (a, x), (a, z), (b, x), (x, leaf)})
+    graph, bt = detection_graph(rows, {(0, a), (0, b), (a, x), (a, z), (b, x), (x, leaf)})
     res = _run(graph, bt, alpha=2.0)
     assert res.path.node_ids == (0, b, x, leaf)
     assert res.stats.stale_pops == 1
@@ -514,7 +497,7 @@ def test_edge_queued_from_a_dead_label_is_not_executed():
     """
     a, b, x, fail, leaf = range(1, 6)
     rows = {"A": (1.0, 0.9), "B": (3.0, 1.0), "X": (1.0, 1.0), "F": (0.5, 0.5), "L": (4.0, 1.0)}
-    graph, bt = _detection_graph(rows, {(0, a), (0, b), (a, x), (b, x), (x, fail), (x, leaf)})
+    graph, bt = detection_graph(rows, {(0, a), (0, b), (a, x), (b, x), (x, fail), (x, leaf)})
     ran = {**rows, "B": (1.0, 1.0)}
 
     def executor(node, attempt):
