@@ -11,10 +11,9 @@ import argparse
 import functools
 import hashlib
 import json
-import platform
+import math
 import sys
-from dataclasses import asdict
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from . import __version__
@@ -76,6 +75,18 @@ def _numpy_version() -> str:
     return version("numpy")
 
 
+def _utc_timestamp(seconds: float) -> str:
+    """`datetime.fromtimestamp(seconds, timezone.utc).isoformat()` for a non-negative instant,
+    without importing datetime: microseconds rounded half to even, and no fraction when they are 0.
+    """
+    fraction, whole = math.modf(seconds)
+    micros = round(fraction * 1e6)
+    if micros == 1_000_000:
+        whole, micros = whole + 1, 0
+    text = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(whole)[:6]
+    return f"{text}.{micros:06d}+00:00" if micros else f"{text}+00:00"
+
+
 def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str, str]) -> dict:
     """Provenance record written next to every output artifact.
 
@@ -91,10 +102,10 @@ def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str,
         "seed": getattr(args, "seed", None),
         "versions": {
             "toolpath": __version__,
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],
             "numpy": _numpy_version(),
         },
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _utc_timestamp(time.time()),
     }
 
 
@@ -194,7 +205,7 @@ def cmd_verify(args, digests: dict[str, str]) -> Outcome:
     if args.gap_tolerance is not None and report.gap > args.gap_tolerance:
         print(f"gap {report.gap} exceeds tolerance {args.gap_tolerance}", file=sys.stderr)
         code = EXIT_NO_PATH
-    return code, {"": _dump_json({"alpha": args.alpha, **asdict(report)})}
+    return code, {"": _dump_json({"alpha": args.alpha, **report._asdict()})}
 
 
 def cmd_graph(args, digests: dict[str, str]) -> Outcome:

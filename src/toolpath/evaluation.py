@@ -7,7 +7,7 @@ objectives are bit-identical to scoring each path alone from the root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
 from .execution import DEFAULT_SEED, Simulator, SimulatorSpec
@@ -26,8 +26,7 @@ from .search import (
 SCORE_VOCABULARY = (0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     best_path: tuple[int, ...]
     best_objective: float
     astar_objective: float
@@ -104,9 +103,7 @@ def brute_force_optimal(
         else:
             path.append(node_id)
             stack.append((iter(succ), time, quality))
-    search_cfg = cfg if cfg is not None else SearchConfig(alpha=alpha)
-    if search_cfg.alpha != alpha:
-        search_cfg = replace(search_cfg, alpha=alpha)
+    search_cfg = (cfg if cfg is not None else SearchConfig()).with_alpha(alpha)
     # Deterministic playback reads no seed.
     simulator = Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
     result = astar_search(graph, suffix_bounds(graph, bt), simulator, search_cfg)
@@ -141,8 +138,7 @@ def overall_accuracy(task_scores) -> float:
     return sum(values) / len(values)
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
+class ParetoPoint(NamedTuple):
     alpha: float
     total_time: float
     quality_product: float
@@ -191,7 +187,7 @@ def sweep_alpha(
     bounds = suffix_bounds(graph, bt) if alphas else None
     points: list[ParetoPoint] = []
     for alpha in alphas:
-        cfg = replace(cfg0, alpha=alpha)
+        cfg = cfg0.with_alpha(alpha)
         result = astar_search(graph, bounds, executor, cfg)
         if not result.found:
             raise SearchExhausted(f"search at alpha={alpha} found no valid path")

@@ -11,8 +11,8 @@ outcome of an unrelated node and replays are bit-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DuplicateEntry, ParseError, ScriptGap
 from .graphs import PlanNode, ToolSubgraph
@@ -25,27 +25,34 @@ DEFAULT_TIME_SIGMA = 0.1
 DEFAULT_QUALITY_SIGMA = 0.05
 
 
-@dataclass(frozen=True)
-class ExecutionOutcome:
+class ExecutionOutcome(NamedTuple):
     time_seconds: float
     quality: float
 
 
-@dataclass(frozen=True)
 class SimulatorSpec:
-    mode: str = "deterministic"
-    time_noise_sigma: float = DEFAULT_TIME_SIGMA
-    quality_noise_sigma: float = DEFAULT_QUALITY_SIGMA
-    script: dict[tuple[str, str, int], tuple[float, float]] | None = None
+    """A simulator's mode, noise and script, checked each time one is built."""
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ParseError(f"unknown simulator mode {self.mode!r}; expected one of {MODES}")
-        for sigma in (self.time_noise_sigma, self.quality_noise_sigma):
+    __slots__ = ("mode", "time_noise_sigma", "quality_noise_sigma", "script")
+
+    def __init__(
+        self,
+        mode: str = "deterministic",
+        time_noise_sigma: float = DEFAULT_TIME_SIGMA,
+        quality_noise_sigma: float = DEFAULT_QUALITY_SIGMA,
+        script: dict[tuple[str, str, int], tuple[float, float]] | None = None,
+    ):
+        if mode not in MODES:
+            raise ParseError(f"unknown simulator mode {mode!r}; expected one of {MODES}")
+        for sigma in (time_noise_sigma, quality_noise_sigma):
             if not (math.isfinite(sigma) and sigma >= 0):
                 raise ParseError("noise sigmas must be finite and non-negative")
-        if self.mode == "scripted" and not self.script:
+        if mode == "scripted" and not script:
             raise ParseError("scripted mode requires a script")
+        self.mode = mode
+        self.time_noise_sigma = time_noise_sigma
+        self.quality_noise_sigma = quality_noise_sigma
+        self.script = script
 
 
 def simulator_spec_from_json(text: str) -> SimulatorSpec:
@@ -120,8 +127,7 @@ def validate_quality(outcome: ExecutionOutcome, threshold: float) -> bool:
     return outcome.quality >= threshold
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One executed attempt as the search observed it; names come from the graph at output."""
 
     node_id: int
@@ -132,8 +138,7 @@ class TraceEvent:
     g_path: float | None = None  # on a passing retry: realized g of the path through it
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     events: tuple[TraceEvent, ...]
 
     @property

@@ -16,7 +16,7 @@ differ), and the TDG itself is never built for planning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DependencyTooDeep, NoToolForSubtask, PathExplosion, UnsatisfiableDependency
 from .planning import SubtaskInstance, SubtaskTree, kahn_order
@@ -32,8 +32,7 @@ ROOT_OUTPUTS = frozenset({normalize_resource("Input Image")})
 DEFAULT_PATH_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class ToolDependencyGraph:
+class ToolDependencyGraph(NamedTuple):
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
@@ -54,8 +53,7 @@ def build_tdg(mdt: ModelDescriptionTable) -> ToolDependencyGraph:
     return ToolDependencyGraph(nodes=tuple(sorted(io)), edges=frozenset(edges))
 
 
-@dataclass(frozen=True)
-class PlanNode:
+class PlanNode(NamedTuple):
     """One search node: a tool applied for a subtask instance.
 
     Spliced prerequisite nodes keep their own executable subtask kind (that
@@ -84,8 +82,7 @@ class PlanNode:
         }
 
 
-@dataclass(frozen=True)
-class ToolSubgraph:
+class ToolSubgraph(NamedTuple):
     """Nodes indexed by id and each node's successor ids in ascending order.
 
     A node with no successors ends a path.

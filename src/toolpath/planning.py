@@ -12,8 +12,7 @@ import heapq
 import json
 import os
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .errors import (
     CycleDetected,
@@ -31,8 +30,7 @@ PLANNER_URL_ENV = "COSTA_PLANNER_URL"
 Node = TypeVar("Node")
 
 
-@dataclass(frozen=True, order=True)
-class SubtaskInstance:
+class SubtaskInstance(NamedTuple):
     """A single labeled occurrence of a subtask within one tree."""
 
     kind: str
@@ -45,8 +43,7 @@ class SubtaskInstance:
         return f"{self.kind}({self.ordinal})"
 
 
-@dataclass(frozen=True)
-class SubtaskTree:
+class SubtaskTree(NamedTuple):
     """Nodes in Kahn order, ready nodes taken by label, and each node's parents."""
 
     nodes: tuple[SubtaskInstance, ...]

@@ -27,8 +27,8 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     DuplicateEntry,
@@ -180,21 +180,7 @@ def resource_keys(names) -> frozenset[str]:
     return frozenset(normalize_resource(n) for n in names)
 
 
-def _frozen(cls, **fields):
-    """An instance of the frozen dataclass `cls` with its fields set at once.
-
-    The generated `__init__` assigns each field through `object.__setattr__`;
-    filling the instance dict instead gives an equal object, with the same
-    hash and `asdict`, at about a third of the cost.  Only for classes
-    without defaults or `__post_init__`.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-@dataclass(frozen=True)
-class ToolRecord:
+class ToolRecord(NamedTuple):
     """One (tool, subtask) pair of an MDT row.
 
     Rows listing several subtasks share their I/O sets, but each pair gets
@@ -211,8 +197,7 @@ class ToolRecord:
         return (self.tool, self.subtask)
 
 
-@dataclass(frozen=True)
-class ModelDescriptionTable:
+class ModelDescriptionTable(NamedTuple):
     """The parsed MDT: its (tool, subtask) records and the indexes over them.
 
     `tool_io` maps each tool to its (input keys, output keys), unioned over
@@ -223,8 +208,8 @@ class ModelDescriptionTable:
 
     records: dict[tuple[str, str], ToolRecord]
     tool_io: dict[str, tuple[frozenset[str], frozenset[str]]]
-    by_subtask: dict[str, tuple[ToolRecord, ...]] = field(compare=False)
-    producers: dict[str, tuple[ToolRecord, ...]] = field(compare=False)
+    by_subtask: dict[str, tuple[ToolRecord, ...]]
+    producers: dict[str, tuple[ToolRecord, ...]]
 
 
 def _parse_row(i: int, item) -> tuple[str, tuple[str, ...], frozenset[str], frozenset[str]]:
@@ -296,7 +281,7 @@ def _build_table(raw: list) -> ModelDescriptionTable:
             key = (tool, sub)
             if key in records:
                 raise DuplicateEntry(f"duplicate (tool, subtask) pair {key}")
-            records[key] = _frozen(ToolRecord, tool=tool, subtask=sub, input_keys=input_keys, output_keys=output_keys)
+            records[key] = ToolRecord(tool, sub, input_keys, output_keys)
     by_subtask: dict[str, list[ToolRecord]] = {}
     producers: dict[str, list[ToolRecord]] = {}
     for key in sorted(records):
@@ -324,15 +309,13 @@ def load_mdt(path: str | Path, digests: dict[str, str] | None = None) -> ModelDe
     return parse_mdt(read_text(path, "MDT", digests))
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
+class BenchmarkRow(NamedTuple):
     time_seconds: float
     quality_norm: float
 
 
-@dataclass(frozen=True)
-class BenchmarkTable:
-    rows: dict[tuple[str, str], BenchmarkRow] = field(compare=False)
+class BenchmarkTable(NamedTuple):
+    rows: dict[tuple[str, str], BenchmarkRow]
 
     def row(self, tool: str, subtask: str) -> BenchmarkRow:
         try:
@@ -403,7 +386,7 @@ def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
         missing = sorted(set(mdt.records) - set(times))
         raise MissingBenchmark(f"MDT pairs without benchmark rows: {missing}")
     norm = normalize_quality(qualities)
-    rows = {key: _frozen(BenchmarkRow, time_seconds=times[key], quality_norm=norm[key]) for key in times}
+    rows = {key: BenchmarkRow(times[key], norm[key]) for key in times}
     return BenchmarkTable(rows=rows)
 
 

@@ -51,8 +51,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
 from .execution import ExecutionTrace, TraceEvent, validate_quality
@@ -77,20 +77,28 @@ def validate_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-@dataclass(frozen=True)
 class SearchConfig:
-    alpha: float = 1.0
-    quality_threshold: float = DEFAULT_QUALITY_THRESHOLD
-    max_retries: int = DEFAULT_MAX_RETRIES
+    """Search settings, checked each time one is built, copies included."""
 
-    def __post_init__(self):
-        validate_alpha(self.alpha)
-        if not 0.0 <= self.quality_threshold <= 1.0:
-            raise InvalidConfig(
-                f"quality_threshold must lie in [0, 1], got {self.quality_threshold}"
-            )
-        if self.max_retries < 0:
-            raise InvalidConfig(f"max_retries must be non-negative, got {self.max_retries}")
+    __slots__ = ("alpha", "quality_threshold", "max_retries")
+
+    def __init__(
+        self,
+        alpha: float = 1.0,
+        quality_threshold: float = DEFAULT_QUALITY_THRESHOLD,
+        max_retries: int = DEFAULT_MAX_RETRIES,
+    ):
+        validate_alpha(alpha)
+        if not 0.0 <= quality_threshold <= 1.0:
+            raise InvalidConfig(f"quality_threshold must lie in [0, 1], got {quality_threshold}")
+        if max_retries < 0:
+            raise InvalidConfig(f"max_retries must be non-negative, got {max_retries}")
+        self.alpha = alpha
+        self.quality_threshold = quality_threshold
+        self.max_retries = max_retries
+
+    def with_alpha(self, alpha: float) -> SearchConfig:
+        return SearchConfig(alpha, self.quality_threshold, self.max_retries)
 
 
 def compute_g(cum_time: float, cum_quality: float, alpha: float) -> float:
@@ -107,8 +115,7 @@ def compute_g(cum_time: float, cum_quality: float, alpha: float) -> float:
 Front = tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class SuffixBounds:
+class SuffixBounds(NamedTuple):
     """By node id: the node's benchmark (time, quality) and its suffix front."""
 
     rows: tuple[tuple[float, float], ...]
@@ -176,16 +183,14 @@ def _front_bound(front: Front, time: float, quality: float, alpha: float) -> flo
     return best
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     node_id: int
     time_seconds: float  # all attempts for this node on this path
     quality: float  # quality of the final (accepted) attempt
     attempts: int
 
 
-@dataclass(frozen=True)
-class PathState:
+class PathState(NamedTuple):
     """A returned root-to-leaf path; the search itself keeps `_Label`s."""
 
     node_ids: tuple[int, ...]
@@ -195,8 +200,7 @@ class PathState:
     g: float
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Deterministic work counters of one search.
 
     Expanding a label queues one unexecuted edge per successor.  Popping an
@@ -222,8 +226,7 @@ class SearchStats:
     peak_frontier: int = 0
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(NamedTuple):
     status: str
     alpha: float
     path: PathState | None
@@ -264,7 +267,7 @@ class PlanResult:
             "path": path_rows,
             "totals": totals,
             "expanded_count": self.expanded_count,
-            "stats": asdict(self.stats),
+            "stats": self.stats._asdict(),
         }
 
 
@@ -357,7 +360,7 @@ def astar_search(
     events: list[TraceEvent] = []
     alpha, threshold = cfg.alpha, cfg.quality_threshold
     counter = itertools.count()
-    stats = dict.fromkeys(SearchStats.__dataclass_fields__, 0)
+    stats = dict.fromkeys(SearchStats._fields, 0)
     labels: list[list[_Label]] = [[] for _ in graph.nodes]
     # (f, insertion counter, label, edge or None).  An edge is (successor id,
     # next attempt, time its earlier attempts have spent on the successor).

@@ -4,14 +4,19 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import shutil
+import site
 import subprocess
 import sys
 import threading
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from synth import deep_chain_instance, deep_prerequisite_instance, random_pipeline_instance, write_instance
 from test_planning import REPEATED_LABEL_TREES
 from toolpath import cli, search
@@ -695,37 +700,70 @@ def test_graph_out_file_and_manifest(data_dir, tmp_path):
 
 # Run in a fresh interpreter: this session has imported numpy already (synth.py uses it).
 _IMPORTS_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 from toolpath.cli import main
 
-def loaded():
-    return [name for name in ("numpy", "urllib.request", "importlib.metadata") if name in sys.modules]
+# Imported by a call that needs them; never imported by toolpath.
+ON_DEMAND = ("numpy", "urllib.request", "importlib.metadata")
+NEVER = ("dataclasses", "inspect", "platform", "datetime")
 
-seen = {"import": loaded()}
+def loaded(names=ON_DEMAND):
+    return [name for name in names if name in sys.modules]
+
+seen = {"import": [loaded(), loaded(NEVER)]}
 inputs, out = sys.argv[1:4], sys.argv[4]
 flags = ["--mdt", inputs[0], "--benchmark", inputs[1], "--tree", inputs[2]]
-seen["plan"] = [main(["plan", *flags, "--out", out + ".det"]), loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["stdout"] = [main(["plan", *flags]), loaded(), loaded(NEVER)]
+seen["plan"] = [main(["plan", *flags, "--out", out + ".det"]), loaded(), loaded(NEVER)]
 seen["stochastic"] = [main(["plan", *flags, "--sim", "stochastic", "--seed", "3", "--out", out + ".sto"]), loaded()]
 print(json.dumps(seen))
 """
 
 
 def test_a_call_imports_only_what_it_runs(data_dir, tmp_path):
-    """numpy loads only for stochastic draws, urllib only for --task, package metadata only for a manifest."""
+    """numpy loads only for stochastic draws, urllib only for --task, package metadata only for a manifest.
+
+    No call imports dataclasses, inspect, platform or datetime for toolpath.  The probe runs
+    under -S, so that no .pth file in site-packages preloads a module and hides its import.
+    """
     import numpy
 
     src = Path(cli.__file__).resolve().parents[1]
     inputs = [str(data_dir / name) for name in ("mdt_full.json", "benchmark_full.json", "tree_example1.json")]
     out = tmp_path / "plan.json"
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORTS_PROBE, *inputs, str(out)],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-S", "-c", _IMPORTS_PROBE, *inputs, str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), *site.getsitepackages(), site.getusersitepackages()])},
     )
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout)
-    assert seen["import"] == []
-    assert seen["plan"] == [0, ["importlib.metadata"]]
+    assert seen["import"] == [[], []]
+    assert seen["stdout"] == [0, [], []]
+    # importlib.metadata, which reads numpy's version for the manifest, imports datetime
+    # itself (through email.utils); no toolpath module imports it (tests/test_source.py).
+    assert seen["plan"] == [0, ["importlib.metadata"], ["datetime"]]
     assert seen["stochastic"] == [0, ["numpy", "importlib.metadata"]]
     for suffix in (".det", ".sto"):
         manifest = json.loads((tmp_path / f"plan.json{suffix}.manifest.json").read_text())
         assert manifest["versions"]["numpy"] == numpy.__version__
+
+
+def test_manifest_names_the_python_version_and_a_utc_instant(data_dir, tmp_path):
+    out = tmp_path / "plan.json"
+    assert main(["plan", *_args_detection(data_dir), "--out", str(out)]) == 0
+    manifest = json.loads(out.with_suffix(".json.manifest.json").read_text())
+    assert manifest["versions"]["python"] == platform.python_version()
+    assert datetime.fromisoformat(manifest["timestamp"]).utcoffset() == timedelta(0)
+
+
+@given(st.floats(min_value=0.0, max_value=2.0**34))
+@example(0.0)
+@example(1_700_000_000.0)  # no fraction is written when the microsecond is 0
+@example(1_700_000_000.25)
+@example(1_700_000_000.000001)
+@example(1_700_000_000.9999996)  # rounds up into the next second
+@example(951_782_399.9999999)  # rounds up into a leap day
+def test_utc_timestamp_matches_datetime_isoformat(seconds):
+    assert cli._utc_timestamp(seconds) == datetime.fromtimestamp(seconds, timezone.utc).isoformat()

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from oracles import enumerate_paths, enumerate_then_score, path_objective
 from synth import build_payload, built_instance, chain_instance, detection_graph
-from toolpath.errors import EmptyRecord, InvalidScore, MissingBenchmark, PathExplosion, SearchExhausted
+from toolpath.errors import (
+    AlphaOutOfRange,
+    EmptyRecord,
+    InvalidConfig,
+    InvalidScore,
+    MissingBenchmark,
+    ParseError,
+    PathExplosion,
+    SearchExhausted,
+)
 from toolpath.evaluation import (
     SCORE_VOCABULARY,
     ParetoPoint,
@@ -302,6 +311,22 @@ def test_sweep_exhaustion_raises(detection_fixture):
             [2],
             base_cfg=SearchConfig(max_retries=1),
         )
+
+
+def test_configs_are_checked_on_every_construction(detection_fixture):
+    """The per-alpha copies of a config are built, and so checked, like any other config."""
+    graph, bt = detection_fixture
+    with pytest.raises(AlphaOutOfRange):
+        sweep_alpha(graph, bt, _playback(bt), [0.5, 2.5])
+    base = SearchConfig(quality_threshold=0.9, max_retries=1)
+    with pytest.raises(AlphaOutOfRange):
+        base.with_alpha(2.5)
+    copy = base.with_alpha(2.0)
+    assert (copy.alpha, copy.quality_threshold, copy.max_retries) == (2.0, 0.9, 1)
+    with pytest.raises(InvalidConfig):
+        SearchConfig(quality_threshold=1.5)
+    with pytest.raises(ParseError):
+        SimulatorSpec(mode="stochastic", time_noise_sigma=-0.1)
 
 
 def test_pareto_csv_formatting(detection_fixture):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ INST = SubtaskInstance(kind="Object Detection", argument="Cat", ordinal=1)
 NODE = PlanNode(node_id=3, tool="YOLOv7", kind="Object Detection", instance=INST, role="candidate")
 ROOT = PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root")
 # Node ids index the graph's node list, so ids 1 and 2 are filled with copies of NODE.
-GRAPH = _assemble([ROOT, *(replace(NODE, node_id=i) for i in (1, 2)), NODE], {(0, 1), (0, 2), (0, 3)})
+GRAPH = _assemble([ROOT, *(NODE._replace(node_id=i) for i in (1, 2)), NODE], {(0, 1), (0, 2), (0, 3)})
 BT = BenchmarkTable(rows={("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82)})
 
 

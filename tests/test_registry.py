@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -391,13 +390,13 @@ def test_parsed_rows_equal_constructed_ones():
     mdt = parse_mdt(_BENCH_MDT)
     rec = mdt.records[("X", "Object Detection")]
     built = ToolRecord("X", "Object Detection", frozenset({"input image"}), frozenset({"bounding boxe"}))
-    assert rec == built and hash(rec) == hash(built) and dataclasses.asdict(rec) == dataclasses.asdict(built)
+    assert rec == built and hash(rec) == hash(built) and rec._asdict() == built._asdict()
     row = parse_benchmark(json.dumps([_bench(), _bench("Y", quality=1.0)]), mdt).row("X", "Object Detection")
     assert row == BenchmarkRow(1.0, 0.5) and hash(row) == hash(BenchmarkRow(1.0, 0.5))
-    assert dataclasses.asdict(row) == {"time_seconds": 1.0, "quality_norm": 0.5}
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert row._asdict() == {"time_seconds": 1.0, "quality_norm": 0.5}
+    with pytest.raises(AttributeError):
         rec.tool = "Y"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         row.time_seconds = 2.0
 
 

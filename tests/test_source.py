@@ -34,3 +34,26 @@ def test_every_definition_is_used_or_exported():
             if len(re.findall(rf"(?<!\w){re.escape(name)}(?!\w)", source)) < 2:
                 unused.append(name)
     assert unused == []
+
+
+# Imported only inside the function whose call needs them.
+ON_DEMAND = {"importlib.metadata", "numpy", "urllib.request"}
+# Never imported: each costs a fresh process milliseconds to load.
+NEVER = {"dataclasses", "inspect", "platform", "datetime"}
+
+
+def test_imports_stay_at_module_level():
+    """No module imports a NEVER module, and only ON_DEMAND modules are imported inside a function."""
+    top, nested = set(), set()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module}
+            else:
+                continue
+            (top if node in tree.body else nested).update(names)
+    assert not (top | nested) & NEVER
+    assert nested == ON_DEMAND
