@@ -68,17 +68,18 @@ _SIM_MODES = ("deterministic", "stochastic")
 
 
 @functools.cache
-def _numpy_version() -> str:
-    """numpy's installed version, read from its metadata once per process without importing numpy."""
-    from importlib.metadata import version
-
-    return version("numpy")
+def _numpy_version() -> str | None:
+    """numpy's version (None if absent) from its first dist-info on sys.path, read without importing it."""
+    for entry in sys.path:
+        for info in Path(entry or ".").glob("numpy-*.dist-info"):
+            with open(info / "METADATA", encoding="utf-8") as metadata:
+                return next((line.partition(":")[2].strip() for line in metadata if line.startswith("Version:")), None)
+    return None
 
 
 def _utc_timestamp(seconds: float) -> str:
-    """`datetime.fromtimestamp(seconds, timezone.utc).isoformat()` for a non-negative instant,
-    without importing datetime: microseconds rounded half to even, and no fraction when they are 0.
-    """
+    """`datetime.fromtimestamp(seconds, timezone.utc).isoformat()` for an instant >= 0, without
+    datetime: microseconds rounded half to even, and no fraction when they are 0."""
     fraction, whole = math.modf(seconds)
     micros = round(fraction * 1e6)
     if micros == 1_000_000:
@@ -137,8 +138,7 @@ def _sim_spec(value: str, digests: dict[str, str]) -> SimulatorSpec:
 
 def _search_config(args) -> SearchConfig:
     """Search settings from whichever of them the command takes; the rest keep their defaults."""
-    names = ("alpha", "quality_threshold", "max_retries")
-    return SearchConfig(**{name: getattr(args, name) for name in names if hasattr(args, name)})
+    return SearchConfig(**{name: getattr(args, name) for name in SearchConfig.__slots__ if hasattr(args, name)})
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

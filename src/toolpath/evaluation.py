@@ -151,22 +151,16 @@ def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:
     A point survives unless some other point is at least as good on both
     coordinates and strictly better on one; exact duplicates all survive.
     """
-    survivors = []
-    for i, p in enumerate(points):
-        dominated = False
-        for j, q in enumerate(points):
-            if i == j:
-                continue
-            if (
-                q.total_time <= p.total_time
-                and q.quality_product >= p.quality_product
-                and (q.total_time < p.total_time or q.quality_product > p.quality_product)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            survivors.append(p)
-    return survivors
+    return [
+        p
+        for p in points
+        if not any(
+            q.total_time <= p.total_time
+            and q.quality_product >= p.quality_product
+            and (q.total_time < p.total_time or q.quality_product > p.quality_product)
+            for q in points  # strictly better on one coordinate, so never p itself
+        )
+    ]
 
 
 def sweep_alpha(

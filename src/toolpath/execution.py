@@ -30,7 +30,18 @@ class ExecutionOutcome(NamedTuple):
     quality: float
 
 
-class SimulatorSpec:
+class Frozen:
+    """Base of a settings class whose `__init__` checks its values: no field is set or deleted later."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
+
+
+class SimulatorSpec(Frozen):
     """A simulator's mode, noise and script, checked each time one is built."""
 
     __slots__ = ("mode", "time_noise_sigma", "quality_noise_sigma", "script")
@@ -49,10 +60,8 @@ class SimulatorSpec:
                 raise ParseError("noise sigmas must be finite and non-negative")
         if mode == "scripted" and not script:
             raise ParseError("scripted mode requires a script")
-        self.mode = mode
-        self.time_noise_sigma = time_noise_sigma
-        self.quality_noise_sigma = quality_noise_sigma
-        self.script = script
+        for name, value in zip(self.__slots__, (mode, time_noise_sigma, quality_noise_sigma, script)):
+            object.__setattr__(self, name, value)
 
 
 def simulator_spec_from_json(text: str) -> SimulatorSpec:
@@ -143,7 +152,11 @@ class ExecutionTrace(NamedTuple):
 
     @property
     def total_time(self) -> float:
-        return sum(e.time_seconds for e in self.events)
+        # Added left to right on every Python: sum() compensates float rounding from 3.12 on.
+        total = 0
+        for e in self.events:
+            total += e.time_seconds
+        return total
 
     def retried_nodes(self) -> set[int]:
         return {e.node_id for e in self.events if e.attempt > 1}

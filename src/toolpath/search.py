@@ -55,7 +55,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
-from .execution import ExecutionTrace, TraceEvent, validate_quality
+from .execution import ExecutionTrace, Frozen, TraceEvent, validate_quality
 from .graphs import ROOT_ID, ToolSubgraph
 from .planning import kahn_order
 from .registry import BenchmarkTable
@@ -77,7 +77,7 @@ def validate_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-class SearchConfig:
+class SearchConfig(Frozen):
     """Search settings, checked each time one is built, copies included."""
 
     __slots__ = ("alpha", "quality_threshold", "max_retries")
@@ -93,9 +93,8 @@ class SearchConfig:
             raise InvalidConfig(f"quality_threshold must lie in [0, 1], got {quality_threshold}")
         if max_retries < 0:
             raise InvalidConfig(f"max_retries must be non-negative, got {max_retries}")
-        self.alpha = alpha
-        self.quality_threshold = quality_threshold
-        self.max_retries = max_retries
+        for name, value in zip(self.__slots__, (alpha, quality_threshold, max_retries)):
+            object.__setattr__(self, name, value)
 
     def with_alpha(self, alpha: float) -> SearchConfig:
         return SearchConfig(alpha, self.quality_threshold, self.max_retries)

@@ -704,8 +704,8 @@ import contextlib, io, json, sys
 from toolpath.cli import main
 
 # Imported by a call that needs them; never imported by toolpath.
-ON_DEMAND = ("numpy", "urllib.request", "importlib.metadata")
-NEVER = ("dataclasses", "inspect", "platform", "datetime")
+ON_DEMAND = ("numpy", "urllib.request")
+NEVER = ("dataclasses", "inspect", "platform", "datetime", "importlib.metadata")
 
 def loaded(names=ON_DEMAND):
     return [name for name in names if name in sys.modules]
@@ -722,10 +722,11 @@ print(json.dumps(seen))
 
 
 def test_a_call_imports_only_what_it_runs(data_dir, tmp_path):
-    """numpy loads only for stochastic draws, urllib only for --task, package metadata only for a manifest.
+    """numpy loads only for stochastic draws and urllib only for --task.
 
-    No call imports dataclasses, inspect, platform or datetime for toolpath.  The probe runs
-    under -S, so that no .pth file in site-packages preloads a module and hides its import.
+    No call imports dataclasses, inspect, platform, datetime or importlib.metadata; the manifest
+    reads numpy's version from its dist-info.  The probe runs under -S, so that no .pth file in
+    site-packages preloads a module and hides its import.
     """
     import numpy
 
@@ -741,10 +742,8 @@ def test_a_call_imports_only_what_it_runs(data_dir, tmp_path):
     seen = json.loads(run.stdout)
     assert seen["import"] == [[], []]
     assert seen["stdout"] == [0, [], []]
-    # importlib.metadata, which reads numpy's version for the manifest, imports datetime
-    # itself (through email.utils); no toolpath module imports it (tests/test_source.py).
-    assert seen["plan"] == [0, ["importlib.metadata"], ["datetime"]]
-    assert seen["stochastic"] == [0, ["numpy", "importlib.metadata"]]
+    assert seen["plan"] == [0, [], []]
+    assert seen["stochastic"] == [0, ["numpy"]]
     for suffix in (".det", ".sto"):
         manifest = json.loads((tmp_path / f"plan.json{suffix}.manifest.json").read_text())
         assert manifest["versions"]["numpy"] == numpy.__version__

@@ -329,6 +329,20 @@ def test_configs_are_checked_on_every_construction(detection_fixture):
         SimulatorSpec(mode="stochastic", time_noise_sigma=-0.1)
 
 
+@pytest.mark.parametrize("config", [SearchConfig(), SimulatorSpec()], ids=["SearchConfig", "SimulatorSpec"])
+def test_configs_refuse_changes_after_construction(config):
+    """An assignment would skip the checks a construction runs, so it raises, as does a delete."""
+    name = config.__slots__[0]
+    before = getattr(config, name)
+    with pytest.raises(AttributeError):
+        setattr(config, name, 2.5)
+    with pytest.raises(AttributeError):
+        delattr(config, name)
+    with pytest.raises(AttributeError):
+        config.unknown = 1
+    assert getattr(config, name) == before
+
+
 def test_pareto_csv_formatting(detection_fixture):
     graph, bt = detection_fixture
     points = sweep_alpha(graph, bt, _playback(bt), [0, 2])

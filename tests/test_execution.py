@@ -181,6 +181,12 @@ def test_trace_counts_attempts_and_retries():
     assert trace.total_time == pytest.approx(1.8, abs=1e-12)
 
 
+def test_trace_total_time_adds_left_to_right():
+    """The same bytes on every Python: sum() rounds 0.1 ten times to 1.0 from 3.12 on."""
+    trace = ExecutionTrace(tuple(TraceEvent(NODE.node_id, 1, 0.1, 0.9, "fail") for _ in range(10)))
+    assert trace.total_time == 0.9999999999999999
+
+
 def test_trace_json_field_order_stable():
     trace = ExecutionTrace((TraceEvent(NODE.node_id, 1, 0.5, 0.9, "pass"),))
     a = json.dumps(trace.to_json_dict(GRAPH), sort_keys=True)

@@ -37,9 +37,9 @@ def test_every_definition_is_used_or_exported():
 
 
 # Imported only inside the function whose call needs them.
-ON_DEMAND = {"importlib.metadata", "numpy", "urllib.request"}
+ON_DEMAND = {"numpy", "urllib.request"}
 # Never imported: each costs a fresh process milliseconds to load.
-NEVER = {"dataclasses", "inspect", "platform", "datetime"}
+NEVER = {"dataclasses", "inspect", "platform", "datetime", "importlib.metadata"}
 
 
 def test_imports_stay_at_module_level():
