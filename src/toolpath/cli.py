@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .errors import InvalidConfig, OutputError, ParseError, PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
 from .evaluation import brute_force_optimal, pareto_csv, sweep_alpha
-from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, load_simulator_spec
+from .execution import DEFAULT_SEED, NAMED_MODES, Simulator, SimulatorSpec, load_simulator_spec
 from .graphs import (
     DEFAULT_PATH_CAP,
     build_tdg,
@@ -64,7 +64,6 @@ class _Parser(argparse.ArgumentParser):
 # argparse's handler and the options that name a file or an address; input files are
 # covered by their digests, and every other option is a setting that the config hash covers.
 _NOT_SETTINGS = {"func", "mdt", "benchmark", "tree", "out", "planner_endpoint"}
-_SIM_MODES = ("deterministic", "stochastic")
 
 
 @functools.cache
@@ -94,7 +93,7 @@ def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str,
     `digests` maps each input file, and a planner reply, to the SHA-256 of the bytes parsed.
     """
     settings = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
-    if "sim" in settings and settings["sim"] not in _SIM_MODES:
+    if "sim" in settings and settings["sim"] not in NAMED_MODES:
         settings["sim"] = None  # a spec file, covered by its digest like the other inputs
     return {
         "command": argv,
@@ -131,7 +130,7 @@ def _write(text: str, out: str | None, suffix: str = "") -> None:
 
 def _sim_spec(value: str, digests: dict[str, str]) -> SimulatorSpec:
     """The --sim simulator, read from its spec file unless it names a mode."""
-    if value in _SIM_MODES:
+    if value in NAMED_MODES:
         return SimulatorSpec(mode=value)
     return load_simulator_spec(value, digests)
 
@@ -244,7 +243,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--sim",
             default="deterministic",
-            help='simulator: "deterministic", "stochastic", or a spec JSON path',
+            help=f"simulator: {', '.join(map(json.dumps, NAMED_MODES))}, or a spec JSON path",
         )
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stochastic simulator seed")
 

@@ -127,7 +127,7 @@ def task_accuracy(scores) -> float:
     for v in values:
         if not any(abs(v - allowed) < 1e-12 for allowed in SCORE_VOCABULARY):
             raise InvalidScore(f"score {v} is not in the vocabulary {SCORE_VOCABULARY}")
-    return sum(values) / len(values)
+    return _mean(values)
 
 
 def overall_accuracy(task_scores) -> float:
@@ -135,7 +135,15 @@ def overall_accuracy(task_scores) -> float:
     values = list(task_scores)
     if not values:
         raise EmptyRecord("no task scores given")
-    return sum(values) / len(values)
+    return _mean(values)
+
+
+def _mean(values: list) -> float:
+    # Added left to right on every Python: sum() compensates float rounding from 3.12 on.
+    total = 0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 class ParetoPoint(NamedTuple):

@@ -18,7 +18,9 @@ from .errors import DuplicateEntry, ParseError, ScriptGap
 from .graphs import PlanNode, ToolSubgraph
 from .registry import BenchmarkTable, _squash, canonical_subtask, json_field, parse_json, read_text
 
-MODES = ("deterministic", "stochastic", "scripted")
+# The modes a name alone selects; a scripted simulator also needs its script.
+NAMED_MODES = ("deterministic", "stochastic")
+MODES = NAMED_MODES + ("scripted",)
 
 DEFAULT_SEED = 0xC057A
 DEFAULT_TIME_SIGMA = 0.1

@@ -12,13 +12,14 @@ Every input file, the tree and simulator spec included, is read by
 each file's SHA-256 digest passes a `digests` dict to the loader, and
 `read_text` records the digest of the bytes it decoded.
 
-The two tables are parsed in one pass over their rows.  A row whose fields
-all have the exact types `json_field` accepts (finite floats, strings,
-arrays of strings) is taken as it is, and its names are normalized through
-memos that live for one parse: each distinct subtasks, inputs or outputs
-list, each resource name in them, and each benchmark subtask name, is
-normalized once.  Any other row goes through the field-by-field
-`json_field` checks, so every error keeps its type, message and row index.
+Each table is parsed in one loop over its rows, with one reader per
+field.  A field of the exact type `json_field` accepts (a string, a finite
+float, an array of strings) is taken as it is; any other value goes to
+`json_field`, which raises its error with the row index, in field order.
+Names are normalized through memos that live for one parse: each distinct
+subtasks, inputs or outputs list, each resource name in them, and each
+benchmark subtask name, is normalized once.  A list already in its memo is
+known to hold only strings, so its elements are not checked again.
 """
 
 from __future__ import annotations
@@ -176,10 +177,6 @@ def normalize_resource(name: str) -> str:
     return key
 
 
-def resource_keys(names) -> frozenset[str]:
-    return frozenset(normalize_resource(n) for n in names)
-
-
 class ToolRecord(NamedTuple):
     """One (tool, subtask) pair of an MDT row.
 
@@ -212,19 +209,9 @@ class ModelDescriptionTable(NamedTuple):
     producers: dict[str, tuple[ToolRecord, ...]]
 
 
-def _parse_row(i: int, item) -> tuple[str, tuple[str, ...], frozenset[str], frozenset[str]]:
-    """One MDT row as (tool, canonical subtasks, input keys, output keys), checked field by field."""
-    tool = json_field(item, "tool", str, "MDT entry", i)
-    if not tool.strip():
-        raise ParseError(f"MDT entry {i} has an empty tool name")
-    subtasks = json_field(item, "subtasks", STRINGS, "MDT entry", i)
-    input_keys = resource_keys(json_field(item, "inputs", STRINGS, "MDT entry", i))
-    output_keys = resource_keys(json_field(item, "outputs", STRINGS, "MDT entry", i))
-    return _squash(tool), tuple(map(canonical_subtask, subtasks)), input_keys, output_keys
-
-
-def _strings(value, memo: dict) -> tuple[str, ...] | None:
-    """`value` as a tuple if it is an array of strings, else None; a key of `memo` is one already."""
+def _names(item: dict, key: str, i: int, memo: dict) -> tuple[str, ...]:
+    """Field `key` of MDT row `i` as a tuple of strings; a tuple in `memo` is known to be one."""
+    value = item.get(key)
     if type(value) is list:
         names = tuple(value)
         try:
@@ -232,56 +219,47 @@ def _strings(value, memo: dict) -> tuple[str, ...] | None:
                 return names
         except TypeError:  # an unhashable element
             pass
-    return None
+    return tuple(json_field(item, key, STRINGS, "MDT entry", i))
 
 
-def _quick_row(item, canon: dict, keys: dict, resources: dict):
-    """`_parse_row`'s result for a row whose every field is well typed, else None.
-
-    `canon` maps a subtasks tuple to its canonical subtasks, `keys` a name
-    tuple to its resource keys and `resources` a name to its resource key,
-    so each distinct list, and each distinct name in them, is normalized
-    once per parse.  The subtasks are resolved after every field has passed,
-    as in `_parse_row`.
-    """
-    try:
-        tool, subtasks, inputs, outputs = item["tool"], item["subtasks"], item["inputs"], item["outputs"]
-    except (KeyError, TypeError):
-        return None
-    if type(tool) is not str or not tool.strip():
-        return None
-    subtasks, inputs, outputs = _strings(subtasks, canon), _strings(inputs, keys), _strings(outputs, keys)
-    if subtasks is None or inputs is None or outputs is None:
-        return None
-    for names in (inputs, outputs):
-        if names not in keys:
-            for name in names:
-                if name not in resources:
-                    resources[name] = normalize_resource(name)
-            keys[names] = frozenset(resources[name] for name in names)
-    if subtasks not in canon:
-        canon[subtasks] = tuple(map(canonical_subtask, subtasks))
-    return _squash(tool), canon[subtasks], keys[inputs], keys[outputs]
-
-
-def _build_table(raw: list) -> ModelDescriptionTable:
-    """Parse every row once and index its records."""
+def parse_mdt(text: str) -> ModelDescriptionTable:
+    """Parse the MDT in one pass over its rows and index its records."""
     records: dict[tuple[str, str], ToolRecord] = {}
     tool_io: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+    # A subtasks tuple -> its canonical subtasks, a name tuple -> its resource
+    # keys, and a name -> its resource key.
     canon: dict[tuple[str, ...], tuple[str, ...]] = {}
     keys: dict[tuple[str, ...], frozenset[str]] = {}
     resources: dict[str, str] = {}
-    # Every row is valid before any is indexed; an ill-typed row goes through
-    # `_parse_row` for its error.
-    rows = [_quick_row(item, canon, keys, resources) or _parse_row(i, item) for i, item in enumerate(raw)]
-    for tool, subtasks, input_keys, output_keys in rows:
+    # A duplicate is raised after the loop, so that an ill-formed later row names the error.
+    duplicate = None
+    for i, item in enumerate(parse_json(text, "MDT", list)):
+        tool = item.get("tool") if type(item) is dict else None
+        if type(tool) is not str:
+            tool = json_field(item, "tool", str, "MDT entry", i)
+        if not tool.strip():
+            raise ParseError(f"MDT entry {i} has an empty tool name")
+        subtasks = _names(item, "subtasks", i, canon)
+        inputs = _names(item, "inputs", i, keys)
+        outputs = _names(item, "outputs", i, keys)
+        for names in (inputs, outputs):
+            if names not in keys:
+                for name in names:
+                    if name not in resources:
+                        resources[name] = normalize_resource(name)
+                keys[names] = frozenset(resources[name] for name in names)
+        if subtasks not in canon:
+            canon[subtasks] = tuple(map(canonical_subtask, subtasks))
+        tool, input_keys, output_keys = _squash(tool), keys[inputs], keys[outputs]
         io = tool_io.get(tool)
         tool_io[tool] = (input_keys, output_keys) if io is None else (io[0] | input_keys, io[1] | output_keys)
-        for sub in subtasks:
+        for sub in canon[subtasks]:
             key = (tool, sub)
-            if key in records:
-                raise DuplicateEntry(f"duplicate (tool, subtask) pair {key}")
+            if key in records and duplicate is None:
+                duplicate = key
             records[key] = ToolRecord(tool, sub, input_keys, output_keys)
+    if duplicate is not None:
+        raise DuplicateEntry(f"duplicate (tool, subtask) pair {duplicate}")
     by_subtask: dict[str, list[ToolRecord]] = {}
     producers: dict[str, list[ToolRecord]] = {}
     for key in sorted(records):
@@ -298,10 +276,6 @@ def _build_table(raw: list) -> ModelDescriptionTable:
         by_subtask={sub: tuple(recs) for sub, recs in by_subtask.items()},
         producers={res: tuple(recs) for res, recs in producers.items()},
     )
-
-
-def parse_mdt(text: str) -> ModelDescriptionTable:
-    return _build_table(parse_json(text, "MDT", list))
 
 
 def load_mdt(path: str | Path, digests: dict[str, str] | None = None) -> ModelDescriptionTable:
@@ -338,41 +312,23 @@ def normalize_quality(raw: dict[tuple[str, str], float]) -> dict[tuple[str, str]
     return {key: value / maxima[key[1]] for key, value in raw.items()}
 
 
-def _benchmark_row(i: int, item) -> tuple[str, str, float, float]:
-    """One benchmark row as (tool, canonical subtask, time, quality), checked field by field."""
-    tool = json_field(item, "tool", str, "benchmark row", i)
-    subtask = canonical_subtask(json_field(item, "subtask", str, "benchmark row", i))
-    time_s = json_field(item, "time_seconds", float, "benchmark row", i)
-    quality = json_field(item, "quality", float, "benchmark row", i)
-    return tool, subtask, time_s, quality
-
-
-def _quick_benchmark_row(item, canon: dict[str, str]):
-    """`_benchmark_row`'s result for a row whose every field is well typed, else None.
-
-    A number must be a finite float; an integer takes the checked path,
-    which converts it.  `canon` maps each subtask name to its canonical one.
-    """
-    try:
-        tool, name, time_s, quality = item["tool"], item["subtask"], item["time_seconds"], item["quality"]
-    except (KeyError, TypeError):
-        return None
-    if not (type(tool) is type(name) is str and type(time_s) is type(quality) is float
-            and -_INF < time_s < _INF and -_INF < quality < _INF):
-        return None
-    subtask = canon.get(name)
-    if subtask is None:
-        subtask = canon[name] = canonical_subtask(name)
-    return tool, subtask, time_s, quality
-
-
 def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:
     raw = parse_json(text, "benchmark table", list)
     times: dict[tuple[str, str], float] = {}
     qualities: dict[tuple[str, str], float] = {}
-    canon: dict[str, str] = {}
+    canon: dict[str, str] = {}  # a subtask name -> its canonical name
     for i, item in enumerate(raw):
-        tool, subtask, time_s, quality = _quick_benchmark_row(item, canon) or _benchmark_row(i, item)
+        row = item if type(item) is dict else {}
+        tool, name, time_s, quality = row.get("tool"), row.get("subtask"), row.get("time_seconds"), row.get("quality")
+        if not (type(tool) is type(name) is str):
+            tool = json_field(item, "tool", str, "benchmark row", i)
+            name = json_field(item, "subtask", str, "benchmark row", i)
+        subtask = canon.get(name)
+        if subtask is None:
+            subtask = canon[name] = canonical_subtask(name)
+        if not (type(time_s) is type(quality) is float and -_INF < time_s < _INF and -_INF < quality < _INF):
+            time_s = json_field(item, "time_seconds", float, "benchmark row", i)
+            quality = json_field(item, "quality", float, "benchmark row", i)
         key = (_squash(tool), subtask)
         if key not in mdt.records:
             raise ParseError(f"benchmark row {i} references {key}, which is not in the MDT")

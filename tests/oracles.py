@@ -8,7 +8,8 @@ the test-only library helpers no command calls:
 
 - `enumerate_paths`: every root-to-leaf path of a tool subgraph, in order;
 - `path_objective`: the benchmark-valued objective of one path;
-- `lookup_models`: the tools that can perform one subtask.
+- `lookup_models`: the tools that can perform one subtask;
+- `resource_keys`: the resource keys of a list of resource names.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from toolpath.registry import (
     canonical_subtask,
     json_field,
     normalize_quality,
+    normalize_resource,
     parse_json,
-    resource_keys,
 )
 from toolpath.search import compute_g
 
@@ -355,6 +356,11 @@ def path_objective(graph: ToolSubgraph, bt: BenchmarkTable, path, alpha: float) 
 def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:
     """Tools able to perform the given subtask.  Empty set when none can."""
     return {rec.tool for rec in mdt.by_subtask.get(canonical_subtask(subtask), ())}
+
+
+def resource_keys(names) -> frozenset[str]:
+    """The normalized resource keys of a list of resource names."""
+    return frozenset(normalize_resource(n) for n in names)
 
 
 def tree_roots(tree) -> list:

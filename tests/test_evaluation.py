@@ -190,6 +190,12 @@ def test_overall_accuracy_examples():
     assert overall_accuracy([0, 1]) == 0.5
 
 
+def test_accuracy_means_add_left_to_right():
+    # Ten 0.1 scores: sum() compensates float rounding from Python 3.12 on and would give 0.1.
+    assert task_accuracy([0.1] * 10) == 0.09999999999999999
+    assert overall_accuracy([0.1] * 10) == 0.09999999999999999
+
+
 def test_accuracy_errors():
     with pytest.raises(EmptyRecord):
         task_accuracy([])

@@ -13,6 +13,7 @@ from oracles import (
     expand_reference,
     load_json,
     pairwise_tdg_edges,
+    resource_keys,
     root_to_leaf_orderings,
     sinks,
     tree_children,
@@ -36,7 +37,7 @@ from toolpath.graphs import (
     tdg_to_dot,
 )
 from toolpath.planning import parse_subtask_tree
-from toolpath.registry import load_mdt, parse_mdt, resource_keys
+from toolpath.registry import load_mdt, parse_mdt
 
 
 def _tree(payload: dict):

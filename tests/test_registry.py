@@ -7,7 +7,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lookup_models, reference_parse_benchmark, reference_parse_mdt
@@ -25,6 +25,7 @@ from toolpath.registry import (
     ALL_SUBTASKS,
     PLANNER_SUBTASKS,
     BenchmarkRow,
+    BenchmarkTable,
     ToolRecord,
     _squash,
     canonical_subtask,
@@ -456,6 +457,15 @@ def _outcome(parse, *args):
         return (type(exc), str(exc))
 
 
+def _assert_same_benchmark(bt, expected):
+    """Both parses raised the same error, or both built the same rows, in the same order and types."""
+    if isinstance(expected, BenchmarkTable):
+        assert isinstance(bt, BenchmarkTable), bt
+        assert repr(list(bt.rows.items())) == repr(list(expected.rows.items()))
+    else:
+        assert bt == expected
+
+
 @given(st.data())
 def test_one_pass_parse_matches_the_field_by_field_parse(data):
     pool = data.draw(st.lists(st.lists(_RESOURCE, max_size=3), min_size=1, max_size=4))
@@ -487,8 +497,81 @@ def test_one_pass_parse_matches_the_field_by_field_parse(data):
     ]
     bench_text = json.dumps(data.draw(st.permutations(bench)))
     expected = _outcome(reference_parse_benchmark, bench_text, ref)
-    bt = _outcome(parse_benchmark, bench_text, mdt)
-    if isinstance(expected, tuple):
-        assert bt == expected
-    else:
-        assert repr(list(bt.rows.items())) == repr(list(expected.rows.items()))
+    _assert_same_benchmark(_outcome(parse_benchmark, bench_text, mdt), expected)
+
+
+# Values that are not strings: ill-typed for a name, and for an element of a name list.
+_NOT_A_STRING = st.sampled_from([5, 1.5, None, True, ["X"], {}])
+_MDT_FIELDS = ("tool", "subtasks", "inputs", "outputs")
+_BENCH_FIELDS = ("tool", "subtask", "time_seconds", "quality")
+
+
+def _spoiled(names):
+    """`names` with an element that is not a string inserted, most often at the end."""
+    return st.builds(lambda i, x: names[: len(names) - i] + [x] + names[len(names) - i :], st.integers(0, len(names)),
+                     _NOT_A_STRING)
+
+
+def _replaced(row, fields, value):
+    """`row` with each of 1 or 2 fields drawn from `fields` set to a value drawn by `value(field)`."""
+    return st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True).flatmap(
+        lambda keys: st.tuples(*map(value, keys)).map(lambda values: dict(row, **dict(zip(keys, values))))
+    )
+
+
+def _ill_formed(row, fields, value):
+    """`row` as a non-object or without a field, or, as often, with 1 or 2 fields set to values drawn by `value`."""
+    return st.one_of(
+        st.sampled_from([5, "X", None, [row]] + [_without(row, key) for key in fields]),
+        _replaced(row, fields, value),
+    )
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_ill_typed_rows_fail_as_in_the_field_by_field_parse(data):
+    """Ill-formed rows after rows whose lists are in the memos raise exactly what the reference parse raises."""
+    pool = data.draw(st.lists(st.lists(_RESOURCE, max_size=3), min_size=1, max_size=3))
+    subtasks = st.lists(_SUBTASK, min_size=1, max_size=2, unique_by=lambda s: _squash(s).lower())
+    subtask_pool = data.draw(st.lists(subtasks, min_size=1, max_size=3))
+    good = st.fixed_dictionaries(
+        {"tool": _TOOL, "subtasks": st.sampled_from(subtask_pool), "inputs": st.sampled_from(pool),
+         "outputs": st.sampled_from(pool)}
+    )
+    rows = data.draw(st.lists(good, min_size=2, max_size=8))
+
+    def mdt_value(key):
+        if key == "tool":
+            return st.one_of(_NOT_A_STRING, st.sampled_from(["", " \t"]))
+        unknown = [["Object Teleportation"]] if key == "subtasks" else []
+        return st.one_of(
+            st.sampled_from([5, 1.5, None, True, {}, "Input Image", "Object Detection"] + unknown),
+            st.sampled_from(pool + subtask_pool + [["Object Teleportation"]]).flatmap(_spoiled),
+        )
+
+    bad = data.draw(_ill_formed(data.draw(good), _MDT_FIELDS, mdt_value))
+    at = data.draw(st.integers(1, len(rows)))
+    mdt_text = json.dumps(rows[:at] + [bad] + rows[at:])
+    expected = _outcome(reference_parse_mdt, mdt_text)
+    assert isinstance(expected[0], type) and _outcome(parse_mdt, mdt_text) == expected
+
+    # Distinct tools, so that the table parses and each of its at least two rows has a record.
+    mdt_text = json.dumps([dict(row, tool=f"{row['tool']}#{i}") for i, row in enumerate(rows)])
+    ref, mdt = reference_parse_mdt(mdt_text)[0], parse_mdt(mdt_text)
+    bench = [
+        {"tool": tool, "subtask": data.draw(_variant([sub])), "time_seconds": 1.0, "quality": 0.5}
+        for tool, sub in ref.records
+    ]
+
+    def bench_value(key):
+        if key == "tool":
+            return _NOT_A_STRING
+        if key == "subtask":
+            return st.one_of(_NOT_A_STRING, st.just("Object Teleportation"))
+        return st.sampled_from([2, 0, True, False, "0.5", math.nan, math.inf, -math.inf, None])
+
+    at = data.draw(st.integers(1, len(bench) - 1))
+    bench[at] = data.draw(_ill_formed(bench[at], _BENCH_FIELDS, bench_value))
+    bench_text = json.dumps(bench)
+    expected = _outcome(reference_parse_benchmark, bench_text, ref)
+    _assert_same_benchmark(_outcome(parse_benchmark, bench_text, mdt), expected)
