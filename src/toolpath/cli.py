@@ -8,7 +8,6 @@ overflow.  A command returns its outputs as text, which `main` writes.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -66,16 +65,6 @@ class _Parser(argparse.ArgumentParser):
 _NOT_SETTINGS = {"func", "mdt", "benchmark", "tree", "out", "planner_endpoint"}
 
 
-@functools.cache
-def _numpy_version() -> str | None:
-    """numpy's version (None if absent) from its first dist-info on sys.path, read without importing it."""
-    for entry in sys.path:
-        for info in Path(entry or ".").glob("numpy-*.dist-info"):
-            with open(info / "METADATA", encoding="utf-8") as metadata:
-                return next((line.partition(":")[2].strip() for line in metadata if line.startswith("Version:")), None)
-    return None
-
-
 def _utc_timestamp(seconds: float) -> str:
     """`datetime.fromtimestamp(seconds, timezone.utc).isoformat()` for an instant >= 0, without
     datetime: microseconds rounded half to even, and no fraction when they are 0."""
@@ -103,7 +92,6 @@ def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str,
         "versions": {
             "toolpath": __version__,
             "python": sys.version.split()[0],
-            "numpy": _numpy_version(),
         },
         "timestamp": _utc_timestamp(time.time()),
     }

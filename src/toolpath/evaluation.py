@@ -10,7 +10,7 @@ import math
 from typing import NamedTuple
 
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
-from .execution import DEFAULT_SEED, Simulator, SimulatorSpec
+from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, add_left_to_right
 from .graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolSubgraph, count_paths
 from .registry import BenchmarkTable
 from .search import (
@@ -127,7 +127,7 @@ def task_accuracy(scores) -> float:
     for v in values:
         if not any(abs(v - allowed) < 1e-12 for allowed in SCORE_VOCABULARY):
             raise InvalidScore(f"score {v} is not in the vocabulary {SCORE_VOCABULARY}")
-    return _mean(values)
+    return add_left_to_right(values) / len(values)
 
 
 def overall_accuracy(task_scores) -> float:
@@ -135,15 +135,7 @@ def overall_accuracy(task_scores) -> float:
     values = list(task_scores)
     if not values:
         raise EmptyRecord("no task scores given")
-    return _mean(values)
-
-
-def _mean(values: list) -> float:
-    # Added left to right on every Python: sum() compensates float rounding from 3.12 on.
-    total = 0
-    for v in values:
-        total += v
-    return total / len(values)
+    return add_left_to_right(values) / len(values)
 
 
 class ParetoPoint(NamedTuple):

@@ -5,11 +5,14 @@ deterministic benchmark playback, seeded stochastic perturbation of the
 benchmark values, and a fully scripted mode for failure-injection tests.
 Random draws are keyed by (seed, node, attempt) rather than taken from a
 shared sequential stream, so a change in search order never perturbs the
-outcome of an unrelated node and replays are bit-stable.
+outcome of an unrelated node and replays are bit-stable.  A draw reads the
+BLAKE2b digest of its key as a Box-Muller pair of standard normals, so it
+needs only the standard library and is the same on every Python.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -120,16 +123,17 @@ class Simulator:
         row = self.bt.row(node.tool, node.kind)
         if spec.mode == "deterministic":
             return ExecutionOutcome(row.time_seconds, row.quality_norm)
-        import numpy as np  # only stochastic draws need numpy, so only they load it
-
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, node.node_id, attempt])
-        )
-        # A huge sigma can overflow exp to inf; the output check reports that, not numpy.
-        with np.errstate(over="ignore"):
-            factor = float(np.exp(rng.normal(0.0, spec.time_noise_sigma)))
+        key = b"%d %d %d" % (self.seed & 0xFFFFFFFFFFFFFFFF, node.node_id, attempt)
+        digest = int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "little")
+        # Two 53-bit uniforms, the first in (0, 1] so that its log is finite.
+        radius = math.sqrt(-2.0 * math.log((2**53 - (digest >> 75)) / 2**53))
+        angle = 2.0 * math.pi * ((digest & 0xFFFFFFFFFFFFFFFF) >> 11) / 2**53
+        try:
+            factor = math.exp(spec.time_noise_sigma * radius * math.cos(angle))
+        except OverflowError:  # the output check reports the infinite time
+            factor = math.inf
         time_s = row.time_seconds * factor if row.time_seconds else 0.0  # not 0 * inf = nan
-        quality = float(np.clip(row.quality_norm + rng.normal(0.0, spec.quality_noise_sigma), 0.0, 1.0))
+        quality = min(max(row.quality_norm + spec.quality_noise_sigma * radius * math.sin(angle), 0.0), 1.0)
         return ExecutionOutcome(time_s, quality)
 
 
@@ -149,16 +153,20 @@ class TraceEvent(NamedTuple):
     g_path: float | None = None  # on a passing retry: realized g of the path through it
 
 
+def add_left_to_right(values) -> float:
+    """The values' sum, added left to right on every Python: sum() compensates float rounding from 3.12 on."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 class ExecutionTrace(NamedTuple):
     events: tuple[TraceEvent, ...]
 
     @property
     def total_time(self) -> float:
-        # Added left to right on every Python: sum() compensates float rounding from 3.12 on.
-        total = 0
-        for e in self.events:
-            total += e.time_seconds
-        return total
+        return add_left_to_right(e.time_seconds for e in self.events)
 
     def retried_nodes(self) -> set[int]:
         return {e.node_id for e in self.events if e.attempt > 1}

@@ -148,7 +148,8 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
 
     Each subtask instance becomes the set of tools able to perform it; a
     candidate whose inputs are not yet available along the incoming path
-    gets a prerequisite chain spliced in front of it.  Chains of one
+    gets a prerequisite chain spliced in front of it, and one whose inputs
+    nothing produces is left out.  Chains of one
     instance are merged on identical prefixes, so alternatives that share
     prerequisites (e.g. detection then segmentation) fan out only at the
     point they actually diverge; a candidate's own node is keyed apart from
@@ -181,6 +182,7 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
         local_edges: set[tuple[int, int]] = set()
         terminals: list[int] = []
         produced_sets: list[frozenset[str]] = []
+        unresolved: list[UnsatisfiableDependency] = []
         for record in candidates:
             try:
                 chain = _resolve(record, avail_in, mdt, frozenset())
@@ -189,6 +191,9 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
                     f"prerequisite chain of {record.tool!r} ({record.subtask}) is nested "
                     "too deeply to resolve"
                 ) from None
+            except UnsatisfiableDependency as exc:  # another candidate may still do the subtask
+                unresolved.append(exc)
+                continue
             seq = chain + [record]
             prefix: tuple[tuple[str, str], ...] = ()
             prev_id: int | None = None
@@ -206,6 +211,8 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
                 prev_id = node_id
             terminals.append(prev_id)
             produced_sets.append(frozenset().union(*(r.output_keys for r in seq)))
+        if not terminals:
+            raise unresolved[0]
 
         with_inbound = {b for (_, b) in local_edges}
         entries = sorted(nid for nid in trie.values() if nid not in with_inbound)

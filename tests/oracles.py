@@ -260,7 +260,10 @@ def expand_reference(tree_payload: dict, mdt_payload: list[dict]):
         terms = []
         produced = []
         for cand in cands:
-            seq = resolve(cand, avail, frozenset()) + [cand]
+            try:
+                seq = resolve(cand, avail, frozenset()) + [cand]
+            except ValueError:  # a candidate whose inputs nothing produces is left out
+                continue
             prefix = ()
             prev = None
             for rec in seq:
@@ -275,6 +278,8 @@ def expand_reference(tree_payload: dict, mdt_payload: list[dict]):
                 prev = nid
             terms.append(prev)
             produced.append(set().union(*(r["out"] for r in seq)))
+        if not terms:
+            raise ValueError(f"no candidate for {kind} resolves")
         inbound = {b for (_, b) in local_edges}
         entries = sorted(i for i in trie.values() if i not in inbound)
         edges |= local_edges

@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import math
 import re
+import statistics
 
-import numpy as np
 import pytest
 
 from oracles import attempts_for
 from toolpath.errors import DuplicateEntry, MissingBenchmark, ParseError, ScriptGap
 from toolpath.execution import (
+    DEFAULT_SEED,
     ExecutionOutcome,
     ExecutionTrace,
     Simulator,
@@ -82,12 +83,46 @@ def test_stochastic_time_mean_matches_lognormal():
     sigma = 0.25
     spec = SimulatorSpec(mode="stochastic", time_noise_sigma=sigma)
     sim = Simulator(spec, BT, seed=11)
-    times = np.array([sim(NODE, attempt).time_seconds for attempt in range(1, 10001)])
+    times = [sim(NODE, attempt).time_seconds for attempt in range(1, 10001)]
     expected_mean = 0.0062 * math.exp(sigma**2 / 2)
     lognormal_sd = 0.0062 * math.sqrt((math.exp(sigma**2) - 1) * math.exp(sigma**2))
     stderr = lognormal_sd / math.sqrt(len(times))
-    assert abs(times.mean() - expected_mean) < 3 * stderr
+    assert abs(statistics.fmean(times) - expected_mean) < 3 * stderr
     assert all(t >= 0 for t in times)
+
+
+def test_stochastic_quality_is_a_gaussian_around_the_benchmark():
+    # At quality 0.5 a sigma of 0.1 clamps less than once in 10^6 draws.
+    sigma, n = 0.1, 20_000
+    node = NODE._replace(tool="T")
+    bt = BenchmarkTable(rows={("T", "Object Detection"): BenchmarkRow(1.0, 0.5)})
+    sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=sigma), bt, seed=13)
+    outcomes = [sim(node, attempt) for attempt in range(1, n + 1)]
+    qualities = [out.quality for out in outcomes]
+    assert abs(statistics.fmean(qualities) - 0.5) < 3 * sigma / math.sqrt(n)
+    # The standard error of a sample sd is about sigma / sqrt(2 (n - 1)).
+    assert abs(statistics.stdev(qualities) - sigma) < 3 * sigma / math.sqrt(2 * (n - 1))
+    # Time and quality are the two normals of one Box-Muller pair: uncorrelated.
+    log_times = [math.log(out.time_seconds) for out in outcomes]
+    assert abs(statistics.correlation(log_times, qualities)) < 3 / math.sqrt(n)
+
+
+@pytest.mark.parametrize(
+    "seed, node_id, attempt, expected",
+    [
+        (0, 3, 1, (0.005999655515284151, 0.7434576991845983)),
+        (DEFAULT_SEED, 3, 1, (0.007869628627876294, 0.8207173924061753)),
+        (DEFAULT_SEED, 3, 2, (0.006305112346044892, 0.8229477982779061)),
+        (DEFAULT_SEED, 17, 1, (0.006740028187971813, 0.8075031295498536)),
+        # The seed enters the key masked to 64 bits.
+        (-1, 3, 1, (0.007118867771807638, 0.8348034610412262)),
+        (2**64 - 1, 3, 1, (0.007118867771807638, 0.8348034610412262)),
+    ],
+)
+def test_stochastic_draw_of_a_key_is_pinned(seed, node_id, attempt, expected):
+    """A change to the key's encoding or the digest's reading moves these values."""
+    sim = Simulator(SimulatorSpec(mode="stochastic"), BT, seed)
+    assert tuple(sim(NODE._replace(node_id=node_id), attempt)) == expected
 
 
 def test_scripted_mode_and_gap():

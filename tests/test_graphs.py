@@ -254,6 +254,22 @@ def test_unsatisfiable_dependency(data_dir):
         build_tool_subgraph(_single("Text Extraction"), mdt)
 
 
+def test_a_candidate_that_cannot_run_is_left_out():
+    """Needy's input is produced by nothing, but Good can still do the subtask."""
+    good = {"tool": "Good", "subtasks": ["Object Detection"], "inputs": ["Input Image"], "outputs": ["Bounding Boxes"]}
+    needy = {"tool": "Needy", "subtasks": ["Object Detection"], "inputs": ["Thermal Map"], "outputs": ["Bounding Boxes"]}
+    tree_payload = {"task": "t", "subtask_tree": [{"subtask": "Object Detection (X)(1)", "parent": []}]}
+    g = build_tool_subgraph(_tree(tree_payload), parse_mdt(json.dumps([good, needy])))
+    assert [(n.tool, n.role) for n in g.nodes[1:]] == [("Good", "candidate")]
+    assert sorted(edge_set(g)) == [(0, 1)]
+    assert expand_reference(tree_payload, [good, needy]) == (
+        [("Object Detection (X)(1)", "Good", "Object Detection"), ("ROOT", None, None)], 1, 1
+    )
+    # With no candidate left, the first candidate's error is raised.
+    with pytest.raises(UnsatisfiableDependency, match="'thermal map' required by 'Needy'"):
+        build_tool_subgraph(_tree(tree_payload), parse_mdt(json.dumps([needy])))
+
+
 def _path_is_sound(g, records, path) -> bool:
     have = set(ROOT_OUTPUTS)
     for node_id in path:

@@ -85,6 +85,8 @@ _PROBES = {
     "boolean quality": (_edit("benchmark", lambda rows: rows[0].update(quality=True)), "plan", ()),
     "string time": (_edit("benchmark", lambda rows: rows[0].update(time_seconds="5")), "plan", ()),
     "string sigma": ({"sim": b'{"mode": "stochastic", "time_noise_sigma": "0.1"}'}, "plan", ()),
+    # sigma * z is finite, but exp of it raises OverflowError: the time is infinite.
+    "overflowing time noise": ({"sim": b'{"mode": "stochastic", "time_noise_sigma": 1e4}'}, "plan", ()),
     "1e308 s rows, plan": (_edit("benchmark", _huge_times), "plan", ("--sim", "deterministic", "--out", "OUT/plan.json")),
     "1e308 s rows, verify": (_edit("benchmark", _huge_times), "verify", ("--out", "OUT/verify.json")),
     "1e308 s rows, sweep": (_edit("benchmark", _huge_times), "sweep", ("--sim", "deterministic", "--csv", "OUT/sweep.csv")),
@@ -104,8 +106,8 @@ def test_bad_input_or_output_exits_1_with_one_error_line(probe, tmp_path, capsys
 
 
 def test_overflowing_noise_is_one_error_line_and_no_warning(tmp_path, capsys):
-    # exp of a draw with sigma 1e308 overflows; the output check reports the
-    # infinite time, and numpy must not warn first (or raise, as here).
+    # sigma 1e308 times a draw overflows to an infinite exponent; the output
+    # check reports the infinite time, and nothing may warn first (or raise, as here).
     paths = _write_inputs(tmp_path, {"sim": b'{"mode": "stochastic", "time_noise_sigma": 1e308}'})
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -37,9 +37,9 @@ def test_every_definition_is_used_or_exported():
 
 
 # Imported only inside the function whose call needs them.
-ON_DEMAND = {"numpy", "urllib.request"}
-# Never imported: each costs a fresh process milliseconds to load.
-NEVER = {"dataclasses", "inspect", "platform", "datetime", "importlib.metadata"}
+ON_DEMAND = {"urllib.request"}
+# Never imported: each costs a fresh process milliseconds to load, and numpy is no dependency.
+NEVER = {"numpy", "dataclasses", "inspect", "platform", "datetime", "importlib.metadata"}
 
 
 def test_imports_stay_at_module_level():
