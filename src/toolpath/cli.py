@@ -35,6 +35,7 @@ from .search import (
     SearchConfig,
     astar_search,
     suffix_bounds,
+    validate_alpha,
 )
 
 EXIT_OK = 0
@@ -169,12 +170,12 @@ def cmd_plan(args, digests: dict[str, str]) -> Outcome:
 
 
 def cmd_sweep(args, digests: dict[str, str]) -> Outcome:
-    bt, graph = _build_graph(args, digests)
     try:
-        alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
+        alphas = [validate_alpha(float(a)) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"--alphas must be comma-separated numbers: {exc}") from exc
     cfg = _search_config(args)
+    bt, graph = _build_graph(args, digests)
     simulator = Simulator(_sim_spec(args.sim, digests), bt, args.seed)
     points = sweep_alpha(graph, bt, simulator, alphas, base_cfg=cfg)
     return EXIT_OK, {"": pareto_csv(points)}
@@ -186,13 +187,14 @@ def cmd_verify(args, digests: dict[str, str]) -> Outcome:
         raise InvalidConfig(f"--paths-cap must be at least 1, got {args.paths_cap}")
     if args.gap_tolerance is not None and not args.gap_tolerance >= 0.0:
         raise InvalidConfig(f"--gap-tolerance must be a number >= 0, got {args.gap_tolerance}")
+    cfg = _search_config(args)
     bt, graph = _build_graph(args, digests)
-    report = brute_force_optimal(graph, bt, args.alpha, cfg=_search_config(args), cap=args.paths_cap)
+    report = brute_force_optimal(graph, bt, cfg.alpha, cfg=cfg, cap=args.paths_cap)
     code = EXIT_OK
     if args.gap_tolerance is not None and report.gap > args.gap_tolerance:
         print(f"gap {report.gap} exceeds tolerance {args.gap_tolerance}", file=sys.stderr)
         code = EXIT_NO_PATH
-    return code, {"": _dump_json({"alpha": args.alpha, **report._asdict()})}
+    return code, {"": _dump_json({"alpha": cfg.alpha, **report._asdict()})}
 
 
 def cmd_graph(args, digests: dict[str, str]) -> Outcome:

@@ -2,6 +2,10 @@
 
 The oracle scores all root-to-leaf paths in one prefix-sharing walk whose
 objectives are bit-identical to scoring each path alone from the root.
+Under deterministic playback the alpha sweep runs no tool: it reads every
+alpha's point off one Pareto front of (total time, quality product), built
+in one label-setting pass over the nodes that pass the quality threshold.
+Other executors get one search per alpha.
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ from typing import NamedTuple
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
 from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, add_left_to_right
 from .graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolSubgraph, count_paths
+from .planning import kahn_order
 from .registry import BenchmarkTable
 from .search import (
     SearchConfig,
     astar_search,
+    benchmark_rows,
     compute_g,
     suffix_bounds,
     validate_alpha,
@@ -163,6 +169,50 @@ def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:
     ]
 
 
+def _playback_front(graph: ToolSubgraph, rows: list[tuple[float, float]], threshold: float) -> list[tuple[float, float]]:
+    """Pareto front of (total time, quality product) over the paths playback completes.
+
+    Deterministic playback returns a node's benchmark row on every attempt,
+    so a node whose quality is below `threshold` fails all of them and no
+    path through it completes, while every other node passes on its first.
+    One pass in topological order carries each node's non-dominated prefix
+    labels, kept as (time, -quality): times add from 0.0 and qualities
+    multiply from 1.0 in path order, the search's order, so each point is
+    bit-identical to the totals of the search's label for its path.  A
+    label another one at its node weakly dominates is dropped, as the
+    search drops it; rounding is monotone, so it could never complete
+    better than that label.  Points come in ascending time and quality.
+    """
+    successors = graph.successors
+    incoming: list[list[tuple[float, float]]] = [[] for _ in successors]
+    incoming[ROOT_ID].append((0.0, -1.0))
+    ends: list[tuple[float, float]] = []
+    for node_id in kahn_order(dict(enumerate(successors))):
+        labels = _non_dominated(incoming[node_id])
+        succs = successors[node_id]
+        if not succs:
+            ends += labels
+        for succ in succs:
+            c, q = rows[succ]
+            if q >= threshold:
+                incoming[succ] += [(t + c, neg_q * q) for t, neg_q in labels]
+    return [(t, -neg_q) for t, neg_q in _non_dominated(ends)]
+
+
+def _non_dominated(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The (time, -quality) points no other point weakly dominates, in ascending time.
+
+    Sorted, a point survives only if its quality beats that of every
+    faster point; of equal points one is kept.
+    """
+    points.sort()
+    kept: list[tuple[float, float]] = []
+    for t, neg_q in points:
+        if not kept or neg_q < kept[-1][1]:
+            kept.append((t, neg_q))
+    return kept
+
+
 def sweep_alpha(
     graph: ToolSubgraph,
     bt: BenchmarkTable,
@@ -170,16 +220,47 @@ def sweep_alpha(
     alphas,
     base_cfg: SearchConfig | None = None,
 ) -> list[ParetoPoint]:
-    """One search per alpha, all with `executor`; output sorted by alpha.
+    """The point of the path the search reaches at each alpha, sorted by alpha.
 
-    The suffix bounds do not depend on alpha, so they are computed once.
-    A simulator keys its outcomes by (seed, node, attempt), so sharing one
-    across alphas gives each search the outcomes a fresh one would.
+    When `executor` is a deterministic simulator playing back `bt`, every
+    attempt's outcome is its benchmark row, so no tool runs: the front of
+    (total time, quality product) over the paths whose every node meets the
+    quality threshold is built once (`_playback_front`), and each alpha
+    takes its point of least g.  g is a weighted-sum scalarization of
+    (ln T, ln(2 - Q)) (Ehrgott, Multicriteria Optimization, 2005), so its
+    least value over all those paths lies on that front.  Of front points
+    with equal g the faster one is taken, while a search may end on any
+    path of that g.  Points are totalled as the search totals its labels,
+    so they hold the bits a search reports, except at such ties and where
+    the search's bounds, which total a suffix from its end, let it settle
+    on a path whose g is a rounding error above the least.  No queue is
+    built, so this sweep never overflows one.
+
+    Any other executor gets one search per alpha.  The suffix bounds do not
+    depend on alpha, so they are computed once.  A simulator keys its
+    outcomes by (seed, node, attempt), so sharing one across alphas gives
+    each search the outcomes a fresh one would.
+
+    Either way, rows are read in node-id order before anything runs, and
+    when no path completes the sweep raises SearchExhausted naming the
+    least alpha.
     """
     cfg0 = base_cfg if base_cfg is not None else SearchConfig()
     alphas = sorted(validate_alpha(a) for a in alphas)
-    bounds = suffix_bounds(graph, bt) if alphas else None
+    if not alphas:
+        return []
     points: list[ParetoPoint] = []
+    spec = getattr(executor, "spec", None)  # a Simulator's, or None for a bare callable
+    if spec is not None and spec.mode == "deterministic" and executor.bt is bt:
+        front = _playback_front(graph, benchmark_rows(graph, bt), cfg0.quality_threshold)
+        if not front:
+            raise SearchExhausted(f"search at alpha={alphas[0]} found no valid path")
+        for alpha in alphas:
+            # min keeps the first, so the fastest, of the points of least g.
+            time, quality = min(front, key=lambda point: compute_g(*point, alpha))
+            points.append(ParetoPoint(alpha, time, quality, compute_g(time, quality, alpha)))
+        return points
+    bounds = suffix_bounds(graph, bt)
     for alpha in alphas:
         cfg = cfg0.with_alpha(alpha)
         result = astar_search(graph, bounds, executor, cfg)

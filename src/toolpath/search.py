@@ -72,9 +72,10 @@ logger = logging.getLogger(__name__)
 
 
 def validate_alpha(alpha: float) -> float:
+    """`alpha` as a float in [0, 2]; a negative zero comes back as +0.0, so no output spells it -0."""
     if not 0.0 <= alpha <= 2.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 2], got {alpha}")
-    return float(alpha)
+    return float(alpha) + 0.0
 
 
 class SearchConfig(Frozen):
@@ -88,7 +89,7 @@ class SearchConfig(Frozen):
         quality_threshold: float = DEFAULT_QUALITY_THRESHOLD,
         max_retries: int = DEFAULT_MAX_RETRIES,
     ):
-        validate_alpha(alpha)
+        alpha = validate_alpha(alpha)
         if not 0.0 <= quality_threshold <= 1.0:
             raise InvalidConfig(f"quality_threshold must lie in [0, 1], got {quality_threshold}")
         if max_retries < 0:
@@ -121,6 +122,18 @@ class SuffixBounds(NamedTuple):
     fronts: tuple[Front, ...]
 
 
+def benchmark_rows(graph: ToolSubgraph, bt: BenchmarkTable) -> list[tuple[float, float]]:
+    """Each node's benchmark (time, quality), read in node-id order, so a
+    missing row names the lowest node id that lacks one; the root, which
+    runs no tool, is (0, 1)."""
+    rows = [(0.0, 1.0)] * len(graph.nodes)
+    for node in graph.nodes:
+        if not node.is_root:
+            row = bt.row(node.tool, node.kind)
+            rows[node.node_id] = (row.time_seconds, row.quality_norm)
+    return rows
+
+
 def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     """Benchmark row and Pareto front of suffix (time, quality product) of every node.
 
@@ -131,11 +144,7 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     dominates.  A front depends only on the successors, so nodes with the
     same successors share one front.
     """
-    rows = [(0.0, 1.0)] * len(graph.nodes)
-    for node in graph.nodes:
-        if not node.is_root:
-            row = bt.row(node.tool, node.kind)
-            rows[node.node_id] = (row.time_seconds, row.quality_norm)
+    rows = benchmark_rows(graph, bt)
     fronts: list[Front] = [((0.0, 1.0),)] * len(graph.nodes)
     shared: dict[tuple[int, ...], Front] = {}
     for node_id in reversed(kahn_order(dict(enumerate(graph.successors)))):

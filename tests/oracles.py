@@ -9,6 +9,8 @@ the test-only library helpers no command calls:
 - `enumerate_paths`: every root-to-leaf path of a tool subgraph, in order;
 - `path_objective`: the benchmark-valued objective of one path;
 - `lookup_models`: the tools that can perform one subtask;
+- `sweep_by_search`: one search per alpha, the reference for a
+  deterministic sweep;
 - `resource_keys`: the resource keys of a list of resource names.
 """
 
@@ -17,7 +19,8 @@ from __future__ import annotations
 import heapq
 import json
 
-from toolpath.errors import DuplicateEntry, MissingBenchmark, NegativeTime, ParseError
+from toolpath.errors import DuplicateEntry, MissingBenchmark, NegativeTime, ParseError, SearchExhausted
+from toolpath.evaluation import ParetoPoint
 from toolpath.graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolDependencyGraph, ToolSubgraph, count_paths
 from toolpath.planning import SubtaskTree, kahn_order
 from toolpath.registry import (
@@ -34,7 +37,7 @@ from toolpath.registry import (
     normalize_resource,
     parse_json,
 )
-from toolpath.search import compute_g
+from toolpath.search import SearchConfig, astar_search, compute_g, suffix_bounds, validate_alpha
 
 
 def validate_dag(graph) -> None:
@@ -356,6 +359,23 @@ def path_objective(graph: ToolSubgraph, bt: BenchmarkTable, path, alpha: float) 
         total_time += row.time_seconds
         quality *= row.quality_norm
     return compute_g(total_time, quality, alpha)
+
+
+def sweep_by_search(graph, bt, executor, alphas, base_cfg=None) -> list[ParetoPoint]:
+    """One search per alpha, all with `executor`; output sorted by alpha.
+
+    The reference for a deterministic `sweep_alpha`, which runs no search.
+    """
+    cfg0 = base_cfg if base_cfg is not None else SearchConfig()
+    alphas = sorted(validate_alpha(a) for a in alphas)
+    bounds = suffix_bounds(graph, bt) if alphas else None
+    points = []
+    for alpha in alphas:
+        result = astar_search(graph, bounds, executor, cfg0.with_alpha(alpha))
+        if not result.found:
+            raise SearchExhausted(f"search at alpha={alpha} found no valid path")
+        points.append(ParetoPoint(alpha, result.path.cum_time, result.path.cum_quality, result.path.g))
+    return points
 
 
 def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:

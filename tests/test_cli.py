@@ -209,6 +209,33 @@ def test_sweep_non_numeric_alpha_is_input_error(data_dir, capsys):
     assert "error: --alphas" in capsys.readouterr().err
 
 
+def test_negative_zero_alpha_is_written_as_zero(data_dir, tmp_path, capsys):
+    """`-0` lies in [0, 2]; sweep, plan and verify all write it as the alpha 0."""
+    assert main(["sweep", *_args_detection(data_dir), "--alphas=-0,2"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "2"]
+    for command in ("plan", "verify"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, *_args_detection(data_dir), "--alpha", "-0", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"alpha": 0.0,' in text and "-0.0" not in text
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("sweep", "--alphas=abc"), ("sweep", "--alphas=0,3"), ("sweep", "--alphas=nan"), ("verify", "--alpha=3")],
+)
+def test_alphas_are_checked_before_reading_inputs(data_dir, tmp_path, capsys, command, option):
+    """A bad alpha is reported before a missing input file is, and nothing is written."""
+    missing = str(tmp_path / "missing.json")
+    args = ["--mdt", missing, "--benchmark", missing, "--tree", str(data_dir / "tree_detection_choice.json")]
+    code = main([command, *args, option, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha" in err and "not found" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plan_quality_threshold_above_one_is_input_error(data_dir, capsys):
     code = main(["plan", *_args_detection(data_dir), "--quality-threshold", "1.5"])
     assert code == 1

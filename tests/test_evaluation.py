@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_paths, enumerate_then_score, path_objective
+from oracles import enumerate_paths, enumerate_then_score, path_objective, sweep_by_search
 from synth import build_payload, built_instance, chain_instance, detection_graph
 from toolpath.errors import (
     AlphaOutOfRange,
@@ -31,8 +32,8 @@ from toolpath.evaluation import (
 from toolpath.execution import DEFAULT_SEED, Simulator, SimulatorSpec
 from toolpath.graphs import build_tool_subgraph, count_paths
 from toolpath.planning import parse_subtask_tree
-from toolpath.registry import BenchmarkTable, load_benchmark, load_mdt
-from toolpath.search import SearchConfig, astar_search, suffix_bounds
+from toolpath.registry import BenchmarkRow, BenchmarkTable, load_benchmark, load_mdt
+from toolpath.search import SearchConfig, astar_search, compute_g, suffix_bounds
 
 
 # ---------------------------------------------------------------- oracle
@@ -381,3 +382,149 @@ def test_stochastic_sweep_is_replayable(detection_fixture):
         assert (point.total_time, point.quality_product, point.g_final) == (path.cum_time, path.cum_quality, path.g)
         retries += result.stats.retries
     assert retries > 0
+
+
+# ------------------------------------------------- deterministic sweep front
+
+
+class _CountingSimulator(Simulator):
+    """A simulator that counts the attempts it is asked to run."""
+
+    def __init__(self, spec, bt, seed=DEFAULT_SEED):
+        super().__init__(spec, bt, seed)
+        self.calls = 0
+
+    def __call__(self, node, attempt):
+        self.calls += 1
+        return super().__call__(node, attempt)
+
+
+def _least_g(graph, bt, alpha, threshold):
+    """(g, time, quality) of the path of least g, then least time, then highest quality,
+    among the paths whose every node's benchmark quality meets `threshold`; None without one.
+
+    Each path is totalled alone from the root, times from 0.0 and qualities from 1.0.
+    """
+    best = None
+    for path in enumerate_paths(graph):
+        time, quality = 0.0, 1.0
+        for node_id in path[1:]:
+            row = bt.row(graph.nodes[node_id].tool, graph.nodes[node_id].kind)
+            if row.quality_norm < threshold:
+                break
+            time, quality = time + row.time_seconds, quality * row.quality_norm
+        else:
+            key = (compute_g(time, quality, alpha), time, -quality)
+            best = key if best is None or key < best else best
+    return None if best is None else (best[0], best[1], -best[2])
+
+
+def _outcome(sweep, *args, **kwargs):
+    try:
+        return sweep(*args, **kwargs)
+    except SearchExhausted as exc:
+        return type(exc), str(exc)
+
+
+_alpha_lists = st.lists(st.one_of(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)), st.floats(0.0, 2.0)), min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 1999),
+    unit_quality=st.booleans(),
+    threshold=st.sampled_from((0.0, 0.8, 0.95, 1.0)),
+    alphas=_alpha_lists.flatmap(lambda a: st.permutations(a + a[:1])),
+)
+def test_deterministic_sweep_reads_the_search_points_off_one_front(seed, unit_quality, threshold, alphas):
+    """Each point is the least-g path over the paths playback completes, ties going to the faster.
+
+    It is the search's point bit for bit, unless that point is an exact g tie,
+    where the sweep's time is no higher, or lies rounding above the least g:
+    the search's bounds total a suffix from its end, so two paths whose
+    times tie in decimal can sum one ulp apart (seed 1467).  Exhaustion
+    matches the search's, type and message.
+    """
+    graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
+    cfg = SearchConfig(quality_threshold=threshold)
+    sim = _CountingSimulator(SimulatorSpec(mode="deterministic"), bt)
+    points = _outcome(sweep_alpha, graph, bt, sim, alphas, base_cfg=cfg)
+    reference = _outcome(sweep_by_search, graph, bt, _playback(bt), alphas, base_cfg=cfg)
+    assert sim.calls == 0
+    if isinstance(reference, tuple):
+        assert points == reference
+        assert _least_g(graph, bt, 0.0, threshold) is None
+        return
+    assert [p.alpha for p in points] == sorted(alphas)
+    for p, r in zip(points, reference):
+        g, time, quality = _least_g(graph, bt, p.alpha, threshold)
+        assert (p.g_final, p.total_time, p.quality_product) == (g, time, quality)
+        if p != r:
+            tie = p.g_final == r.g_final and p.total_time <= r.total_time
+            assert tie or (p.g_final < r.g_final and math.isclose(p.g_final, r.g_final, rel_tol=1e-12))
+
+
+def test_alpha0_tie_takes_the_faster_point():
+    """At alpha 0, g reads quality alone; the search reached the slower of two paths of equal quality."""
+    graph, bt, *_ = built_instance(46)
+    alphas = [0, 0.5, 1, 1.5, 2]
+    rows = pareto_csv(sweep_alpha(graph, bt, _playback(bt), alphas)).splitlines()
+    assert rows[1] == "0,68.7573,0.892549215,1.22644724,true"
+    searched = pareto_csv(sweep_by_search(graph, bt, _playback(bt), alphas)).splitlines()
+    assert searched[1] == "0,73.7629,0.892549215,1.22644724,false"
+    assert rows[2:] == searched[2:]
+
+
+def test_sweep_point_is_not_above_the_least_g_when_the_search_is():
+    """The search's bounds sum suffixes from the end, the front sums paths from the root."""
+    graph, bt, *_ = built_instance(1467)
+    (point,) = sweep_alpha(graph, bt, _playback(bt), [1])
+    (searched,) = sweep_by_search(graph, bt, _playback(bt), [1])
+    assert (point.total_time, point.g_final) == (43.17659999999999, 49.2287512385465)
+    assert (searched.total_time, searched.g_final) == (43.1766, 49.228751238546515)
+    assert pareto_csv([point]) == pareto_csv([searched])
+
+
+def test_only_a_deterministic_sweep_runs_no_tool(detection_fixture):
+    graph, bt = detection_fixture
+    alphas = [0, 0.5, 1, 1.5, 2]
+    script = {(tool, kind, 1): (row.time_seconds, row.quality_norm) for (tool, kind), row in bt.rows.items()}
+    specs = {
+        "deterministic": SimulatorSpec(mode="deterministic"),
+        "stochastic": SimulatorSpec(mode="stochastic"),
+        "scripted": SimulatorSpec(mode="scripted", script=script),
+    }
+    calls = {}
+    for mode, spec in specs.items():
+        sim = _CountingSimulator(spec, bt)
+        points = sweep_alpha(graph, bt, sim, alphas)
+        assert points == sweep_by_search(graph, bt, Simulator(spec, bt, DEFAULT_SEED), alphas)
+        calls[mode] = sim.calls
+    assert calls["deterministic"] == 0
+    assert calls["stochastic"] > 0 and calls["scripted"] > 0
+
+
+def test_deterministic_sweep_exhaustion_names_the_least_alpha(detection_fixture):
+    graph, bt = detection_fixture
+    # Every path ends at the inpainting tool, which now falls short of the threshold.
+    rows = {**bt.rows, ("Stable Diffusion Inpaint", "Object Removal"): BenchmarkRow(12.1, 0.5)}
+    bt = BenchmarkTable(rows=rows)
+    cfg = SearchConfig(quality_threshold=0.8, max_retries=0)
+    with pytest.raises(SearchExhausted, match=re.escape("search at alpha=0.5 found no valid path")):
+        sweep_alpha(graph, bt, _playback(bt), [2, 0.5, 1], base_cfg=cfg)
+    with pytest.raises(SearchExhausted, match=re.escape("search at alpha=0.5 found no valid path")):
+        sweep_by_search(graph, bt, _playback(bt), [2, 0.5, 1], base_cfg=cfg)
+
+
+def test_deterministic_sweep_reads_rows_in_node_id_order(detection_fixture):
+    """A missing row is the one the search's bounds would have met first, even on a node playback skips."""
+    graph, bt = detection_fixture
+    first = next(node for node in graph.nodes if not node.is_root)
+    rows = {key: row for key, row in bt.rows.items() if key[0] not in (first.tool, "Stable Diffusion Inpaint")}
+    partial = BenchmarkTable(rows=rows)
+    messages = set()
+    for sweep in (sweep_alpha, sweep_by_search):
+        with pytest.raises(MissingBenchmark) as info:
+            sweep(graph, partial, _playback(partial), [1], base_cfg=SearchConfig(quality_threshold=1.0))
+        messages.add(str(info.value))
+    assert messages == {f"no benchmark row for ({first.tool!r}, {first.kind!r})"}
