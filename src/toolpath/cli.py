@@ -222,7 +222,7 @@ def _build_parser() -> _Parser:
     p_plan.add_argument("--alpha", type=float, default=1.0)
     p_plan.set_defaults(func=cmd_plan)
 
-    p_sweep = sub.add_parser("sweep", help="search once per alpha and emit a Pareto CSV")
+    p_sweep = sub.add_parser("sweep", help="emit the path each alpha reaches as one row of a Pareto CSV")
     _add_common(p_sweep)
     p_sweep.add_argument("--alphas", default="0,0.5,1,1.5,2", help="comma-separated alphas")
     p_sweep.add_argument("--csv", dest="out", help="same as --out")

@@ -16,10 +16,10 @@ from typing import NamedTuple
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
 from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, add_left_to_right
 from .graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolSubgraph, count_paths
-from .planning import kahn_order
 from .registry import BenchmarkTable
 from .search import (
     SearchConfig,
+    _non_dominated,
     astar_search,
     benchmark_rows,
     compute_g,
@@ -155,18 +155,11 @@ def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:
     """Drop points beaten on both time (lower) and quality (higher).
 
     A point survives unless some other point is at least as good on both
-    coordinates and strictly better on one; exact duplicates all survive.
+    coordinates and strictly better on one; exact duplicates all survive,
+    in input order.
     """
-    return [
-        p
-        for p in points
-        if not any(
-            q.total_time <= p.total_time
-            and q.quality_product >= p.quality_product
-            and (q.total_time < p.total_time or q.quality_product > p.quality_product)
-            for q in points  # strictly better on one coordinate, so never p itself
-        )
-    ]
+    kept = set(_non_dominated([(p.total_time, -p.quality_product) for p in points]))
+    return [p for p in points if (p.total_time, -p.quality_product) in kept]
 
 
 def _playback_front(graph: ToolSubgraph, rows: list[tuple[float, float]], threshold: float) -> list[tuple[float, float]]:
@@ -175,21 +168,21 @@ def _playback_front(graph: ToolSubgraph, rows: list[tuple[float, float]], thresh
     Deterministic playback returns a node's benchmark row on every attempt,
     so a node whose quality is below `threshold` fails all of them and no
     path through it completes, while every other node passes on its first.
-    One pass in topological order carries each node's non-dominated prefix
-    labels, kept as (time, -quality): times add from 0.0 and qualities
-    multiply from 1.0 in path order, the search's order, so each point is
-    bit-identical to the totals of the search's label for its path.  A
-    label another one at its node weakly dominates is dropped, as the
-    search drops it; rounding is monotone, so it could never complete
-    better than that label.  Points come in ascending time and quality.
+    One pass in ascending node id, a topological order, carries each
+    node's non-dominated prefix labels, kept as (time, -quality): times add
+    from 0.0 and qualities multiply from 1.0 in path order, the search's
+    order, so each point is bit-identical to the totals of the search's
+    label for its path.  A label another one at its node weakly dominates
+    is dropped, as the search drops it; rounding is monotone, so it could
+    never complete better than that label.  Points come in ascending time
+    and quality.
     """
     successors = graph.successors
     incoming: list[list[tuple[float, float]]] = [[] for _ in successors]
     incoming[ROOT_ID].append((0.0, -1.0))
     ends: list[tuple[float, float]] = []
-    for node_id in kahn_order(dict(enumerate(successors))):
+    for node_id, succs in enumerate(successors):
         labels = _non_dominated(incoming[node_id])
-        succs = successors[node_id]
         if not succs:
             ends += labels
         for succ in succs:
@@ -197,20 +190,6 @@ def _playback_front(graph: ToolSubgraph, rows: list[tuple[float, float]], thresh
             if q >= threshold:
                 incoming[succ] += [(t + c, neg_q * q) for t, neg_q in labels]
     return [(t, -neg_q) for t, neg_q in _non_dominated(ends)]
-
-
-def _non_dominated(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """The (time, -quality) points no other point weakly dominates, in ascending time.
-
-    Sorted, a point survives only if its quality beats that of every
-    faster point; of equal points one is kept.
-    """
-    points.sort()
-    kept: list[tuple[float, float]] = []
-    for t, neg_q in points:
-        if not kept or neg_q < kept[-1][1]:
-            kept.append((t, neg_q))
-    return kept
 
 
 def sweep_alpha(

@@ -28,6 +28,12 @@ MODES = NAMED_MODES + ("scripted",)
 DEFAULT_SEED = 0xC057A
 DEFAULT_TIME_SIGMA = 0.1
 DEFAULT_QUALITY_SIGMA = 0.05
+# A draw's standard normal z has |z| <= sqrt(-2 ln 2**-53) = sqrt(106 ln 2)
+# ~ 8.5717, the Box-Muller radius at the least uniform, and exp is finite
+# for exponents up to ln(max float) ~ 709.78 and positive down to ~ -745.13.
+# So the time factor exp(sigma * z) is finite and positive for every draw
+# while sigma <= 709.78 / 8.5717 ~ 82.8.
+MAX_TIME_SIGMA = 80.0
 
 
 class ExecutionOutcome(NamedTuple):
@@ -63,6 +69,8 @@ class SimulatorSpec(Frozen):
         for sigma in (time_noise_sigma, quality_noise_sigma):
             if not (math.isfinite(sigma) and sigma >= 0):
                 raise ParseError("noise sigmas must be finite and non-negative")
+        if time_noise_sigma > MAX_TIME_SIGMA:
+            raise ParseError(f"time_noise_sigma must be at most {MAX_TIME_SIGMA:g}, got {time_noise_sigma}")
         if mode == "scripted" and not script:
             raise ParseError("scripted mode requires a script")
         for name, value in zip(self.__slots__, (mode, time_noise_sigma, quality_noise_sigma, script)):
@@ -128,13 +136,9 @@ class Simulator:
         # Two 53-bit uniforms, the first in (0, 1] so that its log is finite.
         radius = math.sqrt(-2.0 * math.log((2**53 - (digest >> 75)) / 2**53))
         angle = 2.0 * math.pi * ((digest & 0xFFFFFFFFFFFFFFFF) >> 11) / 2**53
-        try:
-            factor = math.exp(spec.time_noise_sigma * radius * math.cos(angle))
-        except OverflowError:  # the output check reports the infinite time
-            factor = math.inf
-        time_s = row.time_seconds * factor if row.time_seconds else 0.0  # not 0 * inf = nan
+        factor = math.exp(spec.time_noise_sigma * radius * math.cos(angle))
         quality = min(max(row.quality_norm + spec.quality_noise_sigma * radius * math.sin(angle), 0.0), 1.0)
-        return ExecutionOutcome(time_s, quality)
+        return ExecutionOutcome(row.time_seconds * factor, quality)
 
 
 def validate_quality(outcome: ExecutionOutcome, threshold: float) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DependencyTooDeep, NoToolForSubtask, PathExplosion, UnsatisfiableDependency
-from .planning import SubtaskInstance, SubtaskTree, kahn_order
+from .planning import SubtaskInstance, SubtaskTree
 from .registry import ModelDescriptionTable, ToolRecord, normalize_resource
 
 ROOT_ID = 0
@@ -85,7 +85,8 @@ class PlanNode(NamedTuple):
 class ToolSubgraph(NamedTuple):
     """Nodes indexed by id and each node's successor ids in ascending order.
 
-    A node with no successors ends a path.
+    Ids climb along every edge, so ascending id is a topological order and
+    descending id a reverse one.  A node with no successors ends a path.
     """
 
     nodes: tuple[PlanNode, ...]
@@ -156,7 +157,9 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
     the same pair spliced in as a prerequisite, so it is never merged with
     one.  Consecutive instances are joined by complete bipartite edges from
     the predecessor's terminal tools to the successor's entry tools; the
-    virtual root feeds every entry of the root instances.
+    virtual root feeds every entry of the root instances.  Instances come
+    in the tree's topological order and a node is numbered when created,
+    after every node with an edge into it, so ids climb along every edge.
     """
     nodes: list[PlanNode] = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None, role="root")]
     edges: set[tuple[int, int]] = set()
@@ -177,9 +180,10 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
         if not candidates:
             raise NoToolForSubtask(f"no tool supports subtask {inst.kind!r}")
 
-        # Keyed by (prefix, whether the prefix ends at the candidate itself).
-        trie: dict[tuple[tuple[tuple[str, str], ...], bool], int] = {}
-        local_edges: set[tuple[int, int]] = set()
+        # Keyed by (id of the node it extends, or None at a chain's start,
+        # (tool, subtask), whether it is the candidate itself).
+        trie: dict[tuple[int | None, tuple[str, str], bool], int] = {}
+        entries: list[int] = []
         terminals: list[int] = []
         produced_sets: list[frozenset[str]] = []
         unresolved: list[UnsatisfiableDependency] = []
@@ -195,28 +199,24 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
                 unresolved.append(exc)
                 continue
             seq = chain + [record]
-            prefix: tuple[tuple[str, str], ...] = ()
             prev_id: int | None = None
             for rec in seq:
-                prefix = prefix + (rec.key,)
-                key = (prefix, rec is record)
+                key = (prev_id, rec.key, rec is record)
                 node_id = trie.get(key)
                 if node_id is None:
-                    node_id = len(nodes)
-                    role = "candidate" if key[1] else "prerequisite"
+                    node_id = trie[key] = len(nodes)
+                    role = "candidate" if rec is record else "prerequisite"
                     nodes.append(PlanNode(node_id, rec.tool, rec.subtask, inst, role))
-                    trie[key] = node_id
-                if prev_id is not None:
-                    local_edges.add((prev_id, node_id))
+                    if prev_id is None:
+                        entries.append(node_id)
+                    else:
+                        edges.add((prev_id, node_id))
                 prev_id = node_id
             terminals.append(prev_id)
             produced_sets.append(frozenset().union(*(r.output_keys for r in seq)))
         if not terminals:
             raise unresolved[0]
 
-        with_inbound = {b for (_, b) in local_edges}
-        entries = sorted(nid for nid in trie.values() if nid not in with_inbound)
-        edges |= local_edges
         if parents:
             for p in parents:
                 for t in terminals_of[p]:
@@ -236,17 +236,17 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
 
 
 def count_paths(graph: ToolSubgraph, cap: int | None = None) -> int:
-    """Number of root-to-leaf paths, via DP over a topological order.
+    """Number of root-to-leaf paths, via DP in ascending node id.
 
     Raises PathExplosion when a cap is given and the count exceeds it.
     """
     counts = [0] * len(graph.nodes)
     counts[ROOT_ID] = 1
     total = 0
-    for i in kahn_order(dict(enumerate(graph.successors))):
-        if not graph.successors[i]:
+    for i, succs in enumerate(graph.successors):
+        if not succs:
             total += counts[i]
-        for j in graph.successors[i]:
+        for j in succs:
             counts[j] += counts[i]
     if cap is not None and total > cap:
         raise PathExplosion(f"{total} root-to-leaf paths exceed the cap of {cap}")

@@ -57,7 +57,6 @@ from typing import NamedTuple
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
 from .execution import ExecutionTrace, Frozen, TraceEvent, validate_quality
 from .graphs import ROOT_ID, ToolSubgraph
-from .planning import kahn_order
 from .registry import BenchmarkTable
 
 DEFAULT_QUALITY_THRESHOLD = 0.8
@@ -137,17 +136,17 @@ def benchmark_rows(graph: ToolSubgraph, bt: BenchmarkTable) -> list[tuple[float,
 def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     """Benchmark row and Pareto front of suffix (time, quality product) of every node.
 
-    One reverse-topological pass over benchmark values, independent of
-    alpha; a sink's front is ((0, 1),) and the root's row, which runs no
-    tool, is (0, 1).  A node merges its successors' fronts, each shifted by
-    that successor's row, and keeps the points no other point weakly
-    dominates.  A front depends only on the successors, so nodes with the
-    same successors share one front.
+    One pass in descending node id, a reverse topological order, over
+    benchmark values, independent of alpha; a sink's front is ((0, 1),)
+    and the root's row, which runs no tool, is (0, 1).  A node merges its
+    successors' fronts, each shifted by that successor's row, and keeps the
+    points no other point weakly dominates.  A front depends only on the
+    successors, so nodes with the same successors share one front.
     """
     rows = benchmark_rows(graph, bt)
     fronts: list[Front] = [((0.0, 1.0),)] * len(graph.nodes)
     shared: dict[tuple[int, ...], Front] = {}
-    for node_id in reversed(kahn_order(dict(enumerate(graph.successors)))):
+    for node_id in reversed(range(len(graph.nodes))):
         succs = graph.successors[node_id]
         if not succs:
             continue
@@ -157,16 +156,24 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
             for succ in succs:
                 c, r = rows[succ]
                 points += [(c + t, -(r * q)) for t, q in fronts[succ]]
-            # Ascending time, higher quality first among equal times: a point
-            # survives only if it beats the quality of every faster one.
-            points.sort()
-            kept = []
-            for t, neg_q in points:
-                if not kept or -neg_q > kept[-1][1]:
-                    kept.append((t, -neg_q))
-            front = shared[succs] = tuple(kept)
+            front = shared[succs] = tuple((t, -neg_q) for t, neg_q in _non_dominated(points))
         fronts[node_id] = front
     return SuffixBounds(tuple(rows), tuple(fronts))
+
+
+def _non_dominated(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The (time, -quality) points no other point weakly dominates, in ascending time.
+
+    Sorts `points` in place: ascending time, higher quality first among
+    equal times, so a point survives only if its quality beats that of
+    every faster one; of equal points one is kept.
+    """
+    points.sort()
+    kept: list[tuple[float, float]] = []
+    for t, neg_q in points:
+        if not kept or neg_q < kept[-1][1]:
+            kept.append((t, neg_q))
+    return kept
 
 
 def _front_bound(front: Front, time: float, quality: float, alpha: float) -> float:

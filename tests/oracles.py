@@ -361,6 +361,25 @@ def path_objective(graph: ToolSubgraph, bt: BenchmarkTable, path, alpha: float) 
     return compute_g(total_time, quality, alpha)
 
 
+def pareto_filter_pairwise(points: list[ParetoPoint]) -> list[ParetoPoint]:
+    """Points no other point strictly dominates, by comparing every pair.
+
+    A point is dropped when some other point is at least as good on both
+    time (lower) and quality (higher) and strictly better on one; exact
+    duplicates all survive.  The reference for `evaluation.pareto_filter`.
+    """
+    return [
+        p
+        for p in points
+        if not any(
+            q.total_time <= p.total_time
+            and q.quality_product >= p.quality_product
+            and (q.total_time < p.total_time or q.quality_product > p.quality_product)
+            for q in points  # strictly better on one coordinate, so never p itself
+        )
+    ]
+
+
 def sweep_by_search(graph, bt, executor, alphas, base_cfg=None) -> list[ParetoPoint]:
     """One search per alpha, all with `executor`; output sorted by alpha.
 

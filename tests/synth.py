@@ -22,8 +22,10 @@ def random_plan_graph(
 ) -> tuple[ToolSubgraph, BenchmarkTable]:
     """Random layered DAG rooted at the virtual node, plus benchmark rows.
 
-    Every node is reachable from the root; sinks are the leaves.  A slice
-    of the times is exactly zero to exercise the 0**0 convention.
+    Every node is reachable from the root; sinks are the leaves.  Nodes are
+    numbered layer by layer, so every edge climbs in id as in a built
+    subgraph; tool names keep the order nodes were drawn in.  A slice of
+    the times is exactly zero to exercise the 0**0 convention.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, max_nodes))
@@ -51,13 +53,17 @@ def random_plan_graph(
             k = int(rng.integers(1, min(3, len(earlier)) + 1))
             for j in rng.choice(earlier, size=k, replace=False):
                 edges.add((int(j), i))
-    graph = _assemble(nodes, edges)
 
     rows = {}
     for node in nodes[1:]:
         time = 0.0 if rng.random() < zero_time_fraction else float(rng.uniform(0.001, 20.0))
         quality = float(rng.uniform(0.05, 1.0))
         rows[(node.tool, node.kind)] = BenchmarkRow(time_seconds=time, quality_norm=quality)
+
+    order = [ROOT_ID] + [i for layer in layers for i in layer]
+    new_id = {old: new for new, old in enumerate(order)}
+    nodes = [nodes[old]._replace(node_id=new) for new, old in enumerate(order)]
+    graph = _assemble(nodes, {(new_id[a], new_id[b]) for a, b in edges})
     return graph, BenchmarkTable(rows=rows)
 
 
@@ -243,7 +249,13 @@ def deep_prerequisite_instance(depth: int) -> dict:
 
 def detection_graph(rows: dict[str, tuple[float, float]], edges):
     """ROOT (id 0) plus one Object Detection candidate per tool of `rows`,
-    ids from 1 in order, and the (time, quality) benchmark table of `rows`."""
+    ids from 1 in order, and the (time, quality) benchmark table of `rows`.
+
+    Raises ValueError for an edge that does not climb in id, which no
+    built subgraph has.
+    """
+    if any(a >= b for a, b in edges):
+        raise ValueError(f"edges must climb in id: {sorted(e for e in edges if e[0] >= e[1])}")
     inst = SubtaskInstance(kind="Object Detection", argument="x", ordinal=1)
     nodes = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None, role="root")] + [
         PlanNode(node_id=i, tool=t, kind="Object Detection", instance=inst, role="candidate")

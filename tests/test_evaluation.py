@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_paths, enumerate_then_score, path_objective, sweep_by_search
+from oracles import enumerate_paths, enumerate_then_score, pareto_filter_pairwise, path_objective, sweep_by_search
 from synth import build_payload, built_instance, chain_instance, detection_graph
 from toolpath.errors import (
     AlphaOutOfRange,
@@ -267,6 +267,20 @@ def test_pareto_filter_survivors_mutually_nondominating(raw):
             and (s.total_time < p.total_time or s.quality_product > p.quality_product)
             for s in kept
         )
+
+
+# Few distinct values, so lists hold duplicates and equal times or qualities.
+_TIMES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]), st.floats(min_value=0.0, max_value=10.0))
+_QUALITIES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_TIMES, _QUALITIES), max_size=16))
+def test_pareto_filter_matches_the_pairwise_rule(raw):
+    pts = [ParetoPoint(alpha=i, total_time=t, quality_product=q, g_final=0) for i, (t, q) in enumerate(raw)]
+    kept = pareto_filter(pts)
+    want = pareto_filter_pairwise(pts)
+    assert len(kept) == len(want) and all(a is b for a, b in zip(kept, want))
 
 
 # ---------------------------------------------------------------- sweep

@@ -11,6 +11,7 @@ from oracles import attempts_for
 from toolpath.errors import DuplicateEntry, MissingBenchmark, ParseError, ScriptGap
 from toolpath.execution import (
     DEFAULT_SEED,
+    MAX_TIME_SIGMA,
     ExecutionOutcome,
     ExecutionTrace,
     Simulator,
@@ -167,6 +168,35 @@ def test_spec_json_rejects_non_finite_values(value):
         row[field] = value
         with pytest.raises(ParseError):
             simulator_spec_from_json(json.dumps({"mode": "scripted", "script": [row]}))
+
+
+class _ExtremeDigest:
+    """Stands in for blake2b: the least uniform, so the largest radius, and an angle of 0 or pi."""
+
+    def __init__(self, angle_bits: int):
+        self.value = ((2**53 - 1) << 75) | (angle_bits << 11)
+
+    def __call__(self, key, digest_size):
+        return self
+
+    def digest(self) -> bytes:
+        return self.value.to_bytes(16, "little")
+
+
+@pytest.mark.parametrize("angle_bits", [0, 2**52])  # cos(angle) = 1, then -1
+def test_extreme_draw_at_the_largest_time_sigma_is_finite_and_positive(angle_bits, monkeypatch):
+    monkeypatch.setattr("toolpath.execution.hashlib.blake2b", _ExtremeDigest(angle_bits))
+    spec = SimulatorSpec(mode="stochastic", time_noise_sigma=MAX_TIME_SIGMA)
+    factor = Simulator(spec, BT, seed=0)(NODE, 1).time_seconds / 0.0062
+    assert 0.0 < factor < math.inf
+    # the draw is the extreme one: |z| = sqrt(106 ln 2)
+    assert abs(math.log(factor) / MAX_TIME_SIGMA) == pytest.approx(math.sqrt(106 * math.log(2)), rel=1e-12)
+
+
+def test_time_sigma_above_the_largest_is_refused():
+    SimulatorSpec(mode="stochastic", time_noise_sigma=MAX_TIME_SIGMA)
+    with pytest.raises(ParseError, match="time_noise_sigma must be at most 80, got 80.00000000000001"):
+        SimulatorSpec(mode="stochastic", time_noise_sigma=math.nextafter(MAX_TIME_SIGMA, math.inf))
 
 
 def _script_spec(*rows):

@@ -19,7 +19,7 @@ from oracles import (
     tree_children,
     validate_dag,
 )
-from synth import built_instance, random_pipeline_instance
+from synth import built_instance, detection_graph, random_pipeline_instance, random_plan_graph
 from test_golden import FIXTURES
 from toolpath.errors import (
     CycleDetected,
@@ -342,6 +342,17 @@ def test_random_subgraphs_are_ordered_with_candidate_sinks(unit_quality):
     for seed in range(300):
         g, _, tree, _ = built_instance(seed, unit_quality=unit_quality)
         _assert_ordered_with_candidate_sinks(g, tree)
+
+
+def test_synthetic_graphs_climb_in_id():
+    """The hand-made graphs the tests search keep a built subgraph's id order."""
+    for seed in range(100):
+        g, _ = random_plan_graph(seed)
+        assert all(a < b for a, b in edge_set(g))
+    g, _ = detection_graph({"A": (1.0, 1.0), "B": (1.0, 1.0)}, {(0, 1), (1, 2)})
+    assert edge_set(g) == {(0, 1), (1, 2)}
+    with pytest.raises(ValueError, match=r"climb in id: \[\(2, 1\)\]"):
+        detection_graph({"A": (1.0, 1.0), "B": (1.0, 1.0)}, {(0, 2), (2, 1)})
 
 
 # ---------------------------------------------------------------- DAG ops

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from toolpath.cli import main
 from toolpath.errors import ToolpathError, TransportError
+from toolpath.execution import MAX_TIME_SIGMA
 from toolpath.planning import HttpPlannerClient, parse_subtask_tree
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -85,7 +86,7 @@ _PROBES = {
     "boolean quality": (_edit("benchmark", lambda rows: rows[0].update(quality=True)), "plan", ()),
     "string time": (_edit("benchmark", lambda rows: rows[0].update(time_seconds="5")), "plan", ()),
     "string sigma": ({"sim": b'{"mode": "stochastic", "time_noise_sigma": "0.1"}'}, "plan", ()),
-    # sigma * z is finite, but exp of it raises OverflowError: the time is infinite.
+    # A time sigma whose exp(sigma * z) could overflow is refused as the spec is read.
     "overflowing time noise": ({"sim": b'{"mode": "stochastic", "time_noise_sigma": 1e4}'}, "plan", ()),
     "1e308 s rows, plan": (_edit("benchmark", _huge_times), "plan", ("--sim", "deterministic", "--out", "OUT/plan.json")),
     "1e308 s rows, verify": (_edit("benchmark", _huge_times), "verify", ("--out", "OUT/verify.json")),
@@ -106,35 +107,38 @@ def test_bad_input_or_output_exits_1_with_one_error_line(probe, tmp_path, capsys
 
 
 def test_overflowing_noise_is_one_error_line_and_no_warning(tmp_path, capsys):
-    # sigma 1e308 times a draw overflows to an infinite exponent; the output
-    # check reports the infinite time, and nothing may warn first (or raise, as here).
+    # sigma 1e308 would put exp(sigma * z) out of range on some draws and not
+    # others, so the spec is refused before any tool runs, whatever the seed.
     paths = _write_inputs(tmp_path, {"sim": b'{"mode": "stochastic", "time_noise_sigma": 1e308}'})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(_argv("plan", paths)) == 1
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: output holds a non-finite number: Out of range float values are not JSON compliant: inf"
-    ]
-    assert "Warning" not in err
+    for seed in ("0", "1", "2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(_argv("plan", paths, ("--seed", seed))) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: time_noise_sigma must be at most 80, got 1e+308"
+        ]
+        assert "Warning" not in err
 
 
 def test_zero_time_rows_stay_zero_under_overflowing_noise(tmp_path):
-    # A 0 s row times an overflowing lognormal factor must not give 0 * inf = nan.
+    # At the largest accepted time sigma every draw's factor is finite and
+    # positive, so a 0 s row stays 0 s on every seed.
     rows = json.loads((DATA_DIR / "benchmark_full.json").read_text())
     for row in rows:
         row["time_seconds"] = 0
     benchmark, sim, out = tmp_path / "benchmark.json", tmp_path / "sim.json", tmp_path / "plan.json"
     benchmark.write_text(json.dumps(rows))
-    sim.write_text('{"mode": "stochastic", "time_noise_sigma": 1e308}')
+    sim.write_text(json.dumps({"mode": "stochastic", "time_noise_sigma": MAX_TIME_SIGMA}))
     argv = ["plan", "--mdt", str(DATA_DIR / "mdt_full.json"), "--tree", str(DATA_DIR / "tree_example1.json"),
             "--benchmark", str(benchmark), "--sim", str(sim), "--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 0
-    plan = json.loads(out.read_text())
-    assert plan["totals"]["time"] == 0.0
-    assert all(step["c"] == 0.0 for step in plan["path"])
+    for seed in ("0", "1", "2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--seed", seed]) == 0
+        plan = json.loads(out.read_text())
+        assert plan["totals"]["time"] == 0.0
+        assert all(step["c"] == 0.0 for step in plan["path"])
 
 
 # Every path holds a tool whose normalized quality (0.5) is below the 0.8
