@@ -237,7 +237,7 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stochastic simulator seed")
 
-    p_verify = sub.add_parser("verify", help="compare the search against path enumeration")
+    p_verify = sub.add_parser("verify", help="compare the search against the least objective over all paths")
     _add_common(p_verify)
     p_verify.add_argument("--alpha", type=float, default=1.0)
     p_verify.add_argument("--paths-cap", type=int, default=DEFAULT_PATH_CAP)

@@ -1,16 +1,19 @@
 """Verification oracle, accuracy aggregation, and Pareto sweep utilities.
 
-The oracle scores all root-to-leaf paths in one prefix-sharing walk whose
-objectives are bit-identical to scoring each path alone from the root.
-Under deterministic playback the alpha sweep runs no tool: it reads every
-alpha's point off one Pareto front of (total time, quality product), built
-in one label-setting pass over the nodes that pass the quality threshold.
-Other executors get one search per alpha.
+The oracle and the deterministic alpha sweep read one Pareto front of
+(total time, quality product), built in one label-setting pass over the
+nodes that pass a quality threshold: 0 for the oracle, so every path
+counts, the search's for the sweep, which then runs no tool.  Its points
+are totalled from the root in path order, so each is bit-identical to
+scoring its path alone.  Both take, per alpha, the point of least g; of
+equal g the faster point, and of equal points the lexicographically first
+path the pass keeps.  Other executors get one search per alpha.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
@@ -48,17 +51,19 @@ def brute_force_optimal(
     cfg: SearchConfig | None = None,
     cap: int = DEFAULT_PATH_CAP,
 ) -> OracleReport:
-    """Exhaustive path enumeration against which the search is measured.
+    """The least objective over every root-to-leaf path, against which the search is measured.
 
     Paths are scored with benchmark rows, independent of any executor and of
-    the search's bounds.  After the cap check, each node's row is read once,
-    and one depth-first walk carries each prefix's running (time, quality),
-    adding times from 0.0 and multiplying qualities from 1.0 in path order,
-    so each objective is bit-identical to scoring its path alone from the
-    root; paths come in lexicographic node-id order, so `<` keeps the first
-    of a tie.  A node whose successors all end paths scores them in one
-    loop, with the same sums and products in the same order.  The
-    search runs under deterministic playback, where every step of the
+    the search's bounds.  After the cap check, `suffix_bounds` reads every
+    row once, in node-id order, so a missing row names the lowest node id
+    that lacks one; its rows give the playback front at threshold 0, which
+    every path passes (`_playback_front`), and its fronts serve the search.
+    The front point of least g is the least over all paths, bit for bit,
+    since each point is totalled from the root in path order and no path
+    it drops can score lower.  Of the paths of least g the fastest is
+    taken, then the lexicographically first the pass keeps.  No path is
+    walked: `paths_enumerated` is the count the cap is checked against.
+    The search runs under deterministic playback, where every step of the
     returned path passed on its first attempt, so the path's g sums and
     multiplies the same rows in the same order and is its objective; the
     gap (that objective minus the minimum) is never negative.  A search
@@ -66,53 +71,15 @@ def brute_force_optimal(
     """
     validate_alpha(alpha)
     paths_enumerated = count_paths(graph, cap)
-    successors = graph.successors
-    # Node id -> benchmark (time, quality), read in the walk's first-visit order,
-    # so a missing row names the node that scoring the paths one by one meets first.
-    rows: list[tuple[float, float] | None] = [None] * len(graph.nodes)
-    rows[ROOT_ID] = (0.0, 1.0)
-    unread = [iter(successors[ROOT_ID])]
-    while unread:
-        node_id = next(unread[-1], None)
-        if node_id is None:
-            unread.pop()
-        elif rows[node_id] is None:
-            node = graph.nodes[node_id]
-            row = bt.row(node.tool, node.kind)
-            rows[node_id] = (row.time_seconds, row.quality_norm)
-            unread.append(iter(successors[node_id]))
-    # Nodes whose successors all end a path: the walk scores those ends in one loop.
-    last_hop = [bool(succ) and not any(successors[j] for j in succ) for succ in successors]
-    best_path: tuple[int, ...] = ()
-    best_obj = float("inf")
-    path: list[int] = []
-    # (successors left to visit, time and quality of the prefix they extend)
-    stack = [(iter((ROOT_ID,)), 0.0, 1.0)]
-    while stack:
-        left, time, quality = stack[-1]
-        node_id = next(left, None)
-        if node_id is None:
-            stack.pop()
-            del path[-1:]
-            continue
-        t, q = rows[node_id]
-        time, quality = time + t, quality * q
-        succ = successors[node_id]
-        if not succ:
-            if (obj := compute_g(time, quality, alpha)) < best_obj:
-                best_obj, best_path = obj, (*path, node_id)
-        elif last_hop[node_id]:
-            for sink in succ:
-                t, q = rows[sink]
-                if (obj := compute_g(time + t, quality * q, alpha)) < best_obj:
-                    best_obj, best_path = obj, (*path, node_id, sink)
-        else:
-            path.append(node_id)
-            stack.append((iter(succ), time, quality))
+    bounds = suffix_bounds(graph, bt)
+    front = _playback_front(graph, bounds.rows, 0.0)
+    # min keeps the first, so the fastest, of the points of least g.
+    time, quality, best_path = min(front, key=lambda point: compute_g(point[0], point[1], alpha))
+    best_obj = compute_g(time, quality, alpha)
     search_cfg = (cfg if cfg is not None else SearchConfig()).with_alpha(alpha)
     # Deterministic playback reads no seed.
     simulator = Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
-    result = astar_search(graph, suffix_bounds(graph, bt), simulator, search_cfg)
+    result = astar_search(graph, bounds, simulator, search_cfg)
     if not result.found:
         raise SearchExhausted(f"search at alpha={alpha} found no valid path")
     return OracleReport(
@@ -162,34 +129,44 @@ def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:
     return [p for p in points if (p.total_time, -p.quality_product) in kept]
 
 
-def _playback_front(graph: ToolSubgraph, rows: list[tuple[float, float]], threshold: float) -> list[tuple[float, float]]:
-    """Pareto front of (total time, quality product) over the paths playback completes.
+def _playback_front(
+    graph: ToolSubgraph, rows: Sequence[tuple[float, float]], threshold: float
+) -> list[tuple[float, float, tuple[int, ...]]]:
+    """Pareto front of (total time, quality product, path) over the paths playback completes.
 
     Deterministic playback returns a node's benchmark row on every attempt,
     so a node whose quality is below `threshold` fails all of them and no
     path through it completes, while every other node passes on its first.
     One pass in ascending node id, a topological order, carries each
-    node's non-dominated prefix labels, kept as (time, -quality): times add
-    from 0.0 and qualities multiply from 1.0 in path order, the search's
-    order, so each point is bit-identical to the totals of the search's
-    label for its path.  A label another one at its node weakly dominates
-    is dropped, as the search drops it; rounding is monotone, so it could
-    never complete better than that label.  Points come in ascending time
-    and quality.
+    node's non-dominated prefix labels, kept as (time, -quality, path), as
+    the multi-objective label-setting of NAMOA* (Mandow & Perez de la Cruz,
+    JACM 2010): times add from 0.0 and qualities multiply from 1.0 in path
+    order, the search's order, so each point is bit-identical to the totals
+    of the search's label for its path.  A label another one at its node
+    weakly dominates is dropped, as the search drops it; rounding is
+    monotone, so it could never complete better than that label.  Of equal
+    labels the one whose path is lexicographically first is kept: a path
+    ends in a sentinel above every node id, so a prefix sorts as the paths
+    that extend it would.  A label's path is built only once it survives
+    at its node; the entries queued for its successors share that tuple.
+    Points come in ascending time and quality.
     """
     successors = graph.successors
-    incoming: list[list[tuple[float, float]]] = [[] for _ in successors]
-    incoming[ROOT_ID].append((0.0, -1.0))
-    ends: list[tuple[float, float]] = []
+    sentinel = len(successors)
+    incoming: list[list | None] = [[] for _ in successors]
+    incoming[ROOT_ID].append((0.0, -1.0, (sentinel,)))
+    ends: list[tuple[float, float, tuple[int, ...]]] = []
     for node_id, succs in enumerate(successors):
-        labels = _non_dominated(incoming[node_id])
+        kept = _non_dominated(incoming[node_id])
+        incoming[node_id] = None  # read once; freeing it keeps only the unread labels alive
+        labels = [(t, neg_q, path[:-1] + (node_id, sentinel)) for t, neg_q, path in kept]
         if not succs:
             ends += labels
         for succ in succs:
             c, q = rows[succ]
             if q >= threshold:
-                incoming[succ] += [(t + c, neg_q * q) for t, neg_q in labels]
-    return [(t, -neg_q) for t, neg_q in _non_dominated(ends)]
+                incoming[succ] += [(t + c, neg_q * q, path) for t, neg_q, path in labels]
+    return [(t, -neg_q, path[:-1]) for t, neg_q, path in _non_dominated(ends)]
 
 
 def sweep_alpha(
@@ -208,12 +185,13 @@ def sweep_alpha(
     takes its point of least g.  g is a weighted-sum scalarization of
     (ln T, ln(2 - Q)) (Ehrgott, Multicriteria Optimization, 2005), so its
     least value over all those paths lies on that front.  Of front points
-    with equal g the faster one is taken, while a search may end on any
-    path of that g.  Points are totalled as the search totals its labels,
-    so they hold the bits a search reports, except at such ties and where
-    the search's bounds, which total a suffix from its end, let it settle
-    on a path whose g is a rounding error above the least.  No queue is
-    built, so this sweep never overflows one.
+    with equal g the faster one is taken, as the oracle takes it, while a
+    search may end on any path of that g.  Points are totalled as the
+    search totals its labels, so they hold the bits a search reports,
+    except at such ties and where the search's bounds, which total a
+    suffix from its end, let it settle on a path whose g is a rounding
+    error above the least.  No queue is built, so this sweep never
+    overflows one.
 
     Any other executor gets one search per alpha.  The suffix bounds do not
     depend on alpha, so they are computed once.  A simulator keys its
@@ -236,7 +214,7 @@ def sweep_alpha(
             raise SearchExhausted(f"search at alpha={alphas[0]} found no valid path")
         for alpha in alphas:
             # min keeps the first, so the fastest, of the points of least g.
-            time, quality = min(front, key=lambda point: compute_g(*point, alpha))
+            time, quality, _ = min(front, key=lambda point: compute_g(point[0], point[1], alpha))
             points.append(ParetoPoint(alpha, time, quality, compute_g(time, quality, alpha)))
         return points
     bounds = suffix_bounds(graph, bt)

@@ -161,18 +161,19 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     return SuffixBounds(tuple(rows), tuple(fronts))
 
 
-def _non_dominated(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """The (time, -quality) points no other point weakly dominates, in ascending time.
+def _non_dominated(points: list[tuple]) -> list[tuple]:
+    """The (time, -quality, ...) points no other point weakly dominates, in ascending time.
 
     Sorts `points` in place: ascending time, higher quality first among
     equal times, so a point survives only if its quality beats that of
-    every faster one; of equal points one is kept.
+    every faster one; of points equal in both, the first in sort order,
+    which any further items decide, is kept.
     """
     points.sort()
-    kept: list[tuple[float, float]] = []
-    for t, neg_q in points:
-        if not kept or neg_q < kept[-1][1]:
-            kept.append((t, neg_q))
+    kept: list[tuple] = []
+    for point in points:
+        if not kept or point[1] < kept[-1][1]:
+            kept.append(point)
     return kept
 
 

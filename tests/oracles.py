@@ -128,7 +128,8 @@ def enumerate_then_score(graph, bt, alpha: float, cap: int = DEFAULT_PATH_CAP):
 
     Each path from `enumerate_paths` is scored from the root by
     `path_objective`; the strict `<` keeps the first of equal objectives.
-    This is the loop the prefix-sharing oracle walk replaced.
+    The reference for `evaluation.brute_force_optimal`, which reads its
+    objective off a label-setting front instead of visiting every path.
     """
     paths = enumerate_paths(graph, cap=cap)
     best_path: tuple[int, ...] = ()
@@ -347,8 +348,8 @@ def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tu
     return paths
 
 
-def path_objective(graph: ToolSubgraph, bt: BenchmarkTable, path, alpha: float) -> float:
-    """Benchmark-valued objective of one root-to-leaf path."""
+def path_totals(graph: ToolSubgraph, bt: BenchmarkTable, path) -> tuple[float, float]:
+    """Benchmark (total time, quality product) of a path or prefix, totalled from the root."""
     total_time = 0.0
     quality = 1.0
     for node_id in path:
@@ -358,7 +359,12 @@ def path_objective(graph: ToolSubgraph, bt: BenchmarkTable, path, alpha: float) 
         row = bt.row(node.tool, node.kind)
         total_time += row.time_seconds
         quality *= row.quality_norm
-    return compute_g(total_time, quality, alpha)
+    return total_time, quality
+
+
+def path_objective(graph: ToolSubgraph, bt: BenchmarkTable, path, alpha: float) -> float:
+    """Benchmark-valued objective of one root-to-leaf path."""
+    return compute_g(*path_totals(graph, bt, path), alpha)
 
 
 def pareto_filter_pairwise(points: list[ParetoPoint]) -> list[ParetoPoint]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import shutil
@@ -17,7 +18,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from synth import deep_chain_instance, deep_prerequisite_instance, random_pipeline_instance, write_instance
+from oracles import reference_fronts
+from synth import (
+    build_payload,
+    chain_instance,
+    deep_chain_instance,
+    deep_prerequisite_instance,
+    random_pipeline_instance,
+    write_instance,
+)
 from test_planning import REPEATED_LABEL_TREES
 from toolpath import cli, search
 from toolpath.cli import EXIT_QUEUE_OVERFLOW, main
@@ -286,6 +295,29 @@ def test_verify_fixture_gap_zero(data_dir, capsys):
 def test_verify_paths_cap_exit_3(data_dir, capsys):
     code = main(["verify", *_args_detection(data_dir), "--alpha", "1", "--paths-cap", "1"])
     assert code == 3
+
+
+def test_verify_checks_a_chain_above_the_default_cap(tmp_path, capsys):
+    """An 8 x 8 chain holds 16,777,216 paths: above the default cap, within a raised one.
+
+    verify reads its least g off one label-setting front.  The reference
+    front totals each suffix from its end, so the least g it gives agrees
+    to rounding, not bit for bit.
+    """
+    payload = chain_instance(1, stages=8, tools=8)
+    args = [f"--{name}={path}" for name, path in write_instance(payload, tmp_path).items()]
+    graph, bt, *_ = build_payload(payload)
+    root_front = reference_fronts(graph, bt)[0]
+    capsys.readouterr()
+    for alpha in (0.0, 0.5, 1.0, 1.5, 2.0):
+        argv = ["verify", *args, "--alpha", str(alpha), "--paths-cap", "100000000", "--gap-tolerance", "0"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["paths_enumerated"] == 16_777_216
+        least = min(search.compute_g(t, q, alpha) for t, q in root_front)
+        assert math.isclose(report["best_objective"], least, rel_tol=1e-12)
+    assert main(["verify", *args]) == 3
+    assert capsys.readouterr().err == "error: 16777216 root-to-leaf paths exceed the cap of 1000000\n"
 
 
 def _full_example1(data_dir) -> list[str]:

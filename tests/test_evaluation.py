@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_paths, enumerate_then_score, pareto_filter_pairwise, path_objective, sweep_by_search
+from oracles import (
+    enumerate_paths,
+    enumerate_then_score,
+    pareto_filter_pairwise,
+    path_objective,
+    path_totals,
+    sweep_by_search,
+)
 from synth import build_payload, built_instance, chain_instance, detection_graph
 from toolpath.errors import (
     AlphaOutOfRange,
@@ -96,13 +103,23 @@ _instances = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(instance=_instances, alpha=st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 2.0)))
 def test_oracle_walk_matches_enumerate_then_score(instance, alpha):
-    """The prefix walk finds the same path, objective (bit for bit) and count as scoring each path alone.
+    """The front's least g and the path count equal scoring each path alone, bit for bit.
 
-    The search's objective, its returned path's g, is that path's score bit for bit too.
+    Its path is one of least (g, T, -Q) and scores that objective alone; where
+    an exact tie remains, the pass may keep a later path than enumeration's
+    first.  The search's objective, its returned path's g, is that path's
+    score bit for bit too.
     """
     graph, bt, *_ = instance
     rep = brute_force_optimal(graph, bt, alpha)
-    assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == enumerate_then_score(graph, bt, alpha)
+    _, best_objective, count = enumerate_then_score(graph, bt, alpha)
+    assert (rep.best_objective, rep.paths_enumerated) == (best_objective, count)
+    keys = {}
+    for path in enumerate_paths(graph):
+        time, quality = path_totals(graph, bt, path)
+        keys[path] = (compute_g(time, quality, alpha), time, -quality)
+    assert keys[rep.best_path] == min(keys.values())
+    assert path_objective(graph, bt, rep.best_path, alpha) == rep.best_objective
     assert rep.astar_objective == path_objective(graph, bt, rep.astar_path, alpha)
 
 
@@ -144,29 +161,34 @@ def test_oracle_cap_boundary():
         brute_force_optimal(graph, empty, 1.0, cap=count)
 
 
-def test_oracle_names_the_missing_row_that_path_scoring_meets_first():
+def test_oracle_and_plan_name_the_same_missing_row():
     """Rows of ChainTool-01-02 (node 6) and ChainTool-02-00 (node 7) are missing.
 
-    Scoring the paths in order meets node 7 first, on the first path (0, 1, 4, 7);
-    reading rows in node-id order would name node 6.
+    verify reads rows through `suffix_bounds`, which plan calls before it
+    searches, so both name node 6, the lowest node id that lacks one,
+    although scoring the paths one by one meets node 7 first, on the first
+    path (0, 1, 4, 7).  The loaders refuse such tables, so they are built
+    here.
     """
     graph, bt, *_ = build_payload(chain_instance(3, stages=3, tools=3))
     missing = {("ChainTool-01-02", "Depth Estimation"), ("ChainTool-02-00", "Text Replacement")}
     assert {(graph.nodes[i].tool, graph.nodes[i].kind) for i in (6, 7)} == missing
     partial = BenchmarkTable(rows={key: row for key, row in bt.rows.items() if key not in missing})
-    with pytest.raises(MissingBenchmark) as expected:
-        enumerate_then_score(graph, partial, 1.0)
-    assert "ChainTool-02-00" in str(expected.value)
-    with pytest.raises(MissingBenchmark, match=f"^{re.escape(str(expected.value))}$"):
+    message = "no benchmark row for ('ChainTool-01-02', 'Depth Estimation')"
+    with pytest.raises(MissingBenchmark, match=f"^{re.escape(message)}$"):
         brute_force_optimal(graph, partial, 1.0)
+    with pytest.raises(MissingBenchmark, match=f"^{re.escape(message)}$"):
+        suffix_bounds(graph, partial)
+    with pytest.raises(MissingBenchmark, match="ChainTool-02-00"):
+        enumerate_then_score(graph, partial, 1.0)
 
 
 @pytest.mark.parametrize("alpha, best", [(0.0, (0, 1, 3, 4)), (1.0, (0, 1, 2)), (2.0, (0, 1, 2))])
 def test_oracle_node_with_ending_and_continuing_successors(alpha, best):
     """A's successors are S1 (ends), C (goes on to D) and S2 (ends, S1's twin).
 
-    C's one successor ends a path, so the walk scores it in C's loop, while
-    A's ends are scored one walk step each; S1's path keeps the tie with S2's.
+    S1's and S2's paths end with equal labels, and the front keeps the
+    lexicographically first, S1's.
     """
     rows = {"A": (1.0, 0.9), "S1": (2.0, 0.8), "C": (1.0, 1.0), "D": (1.5, 0.95), "S2": (2.0, 0.8)}
     a, s1, c, d, s2 = range(1, 6)
@@ -174,6 +196,51 @@ def test_oracle_node_with_ending_and_continuing_successors(alpha, best):
     rep = brute_force_optimal(graph, bt, alpha)
     assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == enumerate_then_score(graph, bt, alpha)
     assert rep.best_path == best
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+def test_oracle_tie_orders_a_prefix_after_its_extensions(alpha):
+    """C takes no time and keeps quality, so (0, 1, 2, 3) and (0, 1, 3) tie exactly.
+
+    At B the two labels come from the prefixes (0, 1, 2) and (0, 1); the
+    first path runs through the longer one, so ranking labels by their bare
+    predecessor's path would keep (0, 1, 3).
+    """
+    graph, bt = detection_graph({"A": (1.0, 0.9), "C": (0.0, 1.0), "B": (2.0, 0.8)}, {(0, 1), (1, 2), (2, 3), (1, 3)})
+    rep = brute_force_optimal(graph, bt, alpha)
+    assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == enumerate_then_score(graph, bt, alpha)
+    assert rep.best_path == (0, 1, 2, 3)
+
+
+def test_oracle_g_tie_goes_to_the_faster_path():
+    """At alpha 1, B (1.5 s, quality 1) and A (1 s, quality 0.5) both score g = 1.5 exactly.
+
+    Enumeration keeps B's path, the first; the oracle takes A's, the faster, as the sweep does.
+    """
+    graph, bt = detection_graph({"B": (1.5, 1.0), "A": (1.0, 0.5)}, {(0, 1), (0, 2)})
+    assert enumerate_then_score(graph, bt, 1.0) == ((0, 1), 1.5, 2)
+    rep = brute_force_optimal(graph, bt, 1.0)
+    assert (rep.best_path, rep.best_objective) == ((0, 2), 1.5)
+    (point,) = sweep_alpha(graph, bt, _playback(bt), [1.0], base_cfg=SearchConfig(quality_threshold=0.0))
+    assert (point.total_time, point.quality_product) == (1.0, 0.5)
+
+
+def test_oracle_keeps_the_path_whose_prefix_is_an_ulp_faster():
+    """On `built_instance(132)` at alpha 0 two paths total (78.0702, 0.6227815448139155).
+
+    At node 19, where they meet, the lexicographically first one's prefix
+    sums to 45.8417 and the other's to 45.841699999999996 at the same
+    quality, so the pass drops the first there and returns the second.
+    """
+    graph, bt, *_ = built_instance(132)
+    first, best_objective, _ = enumerate_then_score(graph, bt, 0.0)
+    rep = brute_force_optimal(graph, bt, 0.0)
+    assert first == (0, 1, 2, 3, 16, 17, 18, 19, 20, 21, 28, 29)
+    assert rep.best_path == (0, 7, 8, 9, 10, 11, 12, 19, 20, 21, 28, 29)
+    assert rep.best_objective == best_objective
+    assert path_totals(graph, bt, first) == path_totals(graph, bt, rep.best_path) == (78.0702, 0.6227815448139155)
+    assert path_totals(graph, bt, first[:8]) == (45.8417, 0.8353217747887166)
+    assert path_totals(graph, bt, rep.best_path[:8]) == (45.841699999999996, 0.8353217747887166)
 
 
 # ---------------------------------------------------------------- accuracy
