@@ -1,8 +1,9 @@
 """Command-line surface: plan, sweep, verify, and graph export.
 
 Exit codes: 0 success, 1 input/usage or output error, 2 no valid path (or
-a verify gap above the tolerance), 3 path-count explosion, 4 search queue
-overflow.  A command returns its outputs as text, which `main` writes.
+a verify gap above the tolerance), 4 a search queue or Pareto pass over
+capacity, from plan, sweep or verify; 3 is retired.  A command returns
+its outputs as text, which `main` writes.
 """
 
 from __future__ import annotations
@@ -11,22 +12,16 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .errors import InvalidConfig, OutputError, ParseError, PathExplosion, QueueOverflow, SearchExhausted, ToolpathError
+from .errors import InvalidConfig, OutputError, ParseError, QueueOverflow, SearchExhausted, ToolpathError
 from .evaluation import brute_force_optimal, pareto_csv, sweep_alpha
 from .execution import DEFAULT_SEED, NAMED_MODES, Simulator, SimulatorSpec, load_simulator_spec
-from .graphs import (
-    DEFAULT_PATH_CAP,
-    build_tdg,
-    build_tool_subgraph,
-    subgraph_to_dot,
-    subgraph_to_json,
-    tdg_to_dot,
-)
+from .graphs import build_tdg, build_tool_subgraph, subgraph_to_dot, subgraph_to_json, tdg_to_dot
 from .planning import build_planner_prompt, parse_subtask_tree, planner_client_from_env
 from .registry import load_benchmark, load_mdt, read_text
 from .search import (
@@ -41,12 +36,10 @@ from .search import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NO_PATH = 2
-EXIT_PATH_EXPLOSION = 3
 EXIT_QUEUE_OVERFLOW = 4
 
 # Exit code of each error that main reports; any other ToolpathError exits 1.
 _ERROR_EXITS = (
-    (PathExplosion, EXIT_PATH_EXPLOSION),
     (QueueOverflow, EXIT_QUEUE_OVERFLOW),
     (SearchExhausted, EXIT_NO_PATH),
 )
@@ -109,7 +102,13 @@ def _dump_json(payload: dict) -> str:
 def _write(text: str, out: str | None, suffix: str = "") -> None:
     """Write one output to the file `out` + `suffix`, or to stdout when there is no `out`."""
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # On /dev/null the interpreter's last flush drops what is still buffered.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise OutputError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
     try:
         Path(out + suffix).write_text(text, encoding="utf-8")
@@ -182,14 +181,12 @@ def cmd_sweep(args, digests: dict[str, str]) -> Outcome:
 
 
 def cmd_verify(args, digests: dict[str, str]) -> Outcome:
-    # A graph has at least one path, and a gap is never negative.
-    if args.paths_cap < 1:
-        raise InvalidConfig(f"--paths-cap must be at least 1, got {args.paths_cap}")
+    # A gap is never negative.
     if args.gap_tolerance is not None and not args.gap_tolerance >= 0.0:
         raise InvalidConfig(f"--gap-tolerance must be a number >= 0, got {args.gap_tolerance}")
     cfg = _search_config(args)
     bt, graph = _build_graph(args, digests)
-    report = brute_force_optimal(graph, bt, cfg.alpha, cfg=cfg, cap=args.paths_cap)
+    report = brute_force_optimal(graph, bt, cfg.alpha, cfg=cfg)
     code = EXIT_OK
     if args.gap_tolerance is not None and report.gap > args.gap_tolerance:
         print(f"gap {report.gap} exceeds tolerance {args.gap_tolerance}", file=sys.stderr)
@@ -240,7 +237,6 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="compare the search against the least objective over all paths")
     _add_common(p_verify)
     p_verify.add_argument("--alpha", type=float, default=1.0)
-    p_verify.add_argument("--paths-cap", type=int, default=DEFAULT_PATH_CAP)
     p_verify.add_argument(
         "--gap-tolerance",
         type=float,

@@ -61,12 +61,8 @@ class DependencyTooDeep(ToolpathError):
     """A prerequisite chain is nested deeper than the resolver can follow."""
 
 
-class PathExplosion(ToolpathError):
-    """Root-to-leaf path count exceeds the configured cap."""
-
-
 class QueueOverflow(ToolpathError):
-    """Search queue grew past the configured capacity."""
+    """A search queue or a Pareto pass grew past its capacity."""
 
 
 class SearchExhausted(ToolpathError):

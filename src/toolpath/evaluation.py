@@ -18,11 +18,12 @@ from typing import NamedTuple
 
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
 from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, add_left_to_right
-from .graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolSubgraph, count_paths
+from .graphs import ROOT_ID, ToolSubgraph, count_paths
 from .registry import BenchmarkTable
 from .search import (
     SearchConfig,
     _non_dominated,
+    _within_capacity,
     astar_search,
     benchmark_rows,
     compute_g,
@@ -49,28 +50,27 @@ def brute_force_optimal(
     bt: BenchmarkTable,
     alpha: float,
     cfg: SearchConfig | None = None,
-    cap: int = DEFAULT_PATH_CAP,
 ) -> OracleReport:
     """The least objective over every root-to-leaf path, against which the search is measured.
 
     Paths are scored with benchmark rows, independent of any executor and of
-    the search's bounds.  After the cap check, `suffix_bounds` reads every
-    row once, in node-id order, so a missing row names the lowest node id
-    that lacks one; its rows give the playback front at threshold 0, which
-    every path passes (`_playback_front`), and its fronts serve the search.
-    The front point of least g is the least over all paths, bit for bit,
-    since each point is totalled from the root in path order and no path
-    it drops can score lower.  Of the paths of least g the fastest is
-    taken, then the lexicographically first the pass keeps.  No path is
-    walked: `paths_enumerated` is the count the cap is checked against.
-    The search runs under deterministic playback, where every step of the
+    the search's bounds.  `suffix_bounds` reads every row once, in node-id
+    order, so a missing row names the lowest node id that lacks one; its
+    rows give the playback front at threshold 0, which every path passes
+    (`_playback_front`), and its fronts serve the search.  The front point
+    of least g is the least over all paths, bit for bit, since each point
+    is totalled from the root in path order and no path it drops can score
+    lower.  Of the paths of least g the fastest is taken, then the
+    lexicographically first the pass keeps, and no path is walked.  The
+    search runs under deterministic playback, where every step of the
     returned path passed on its first attempt, so the path's g sums and
     multiplies the same rows in the same order and is its objective; the
     gap (that objective minus the minimum) is never negative.  A search
-    with no path raises SearchExhausted.
+    with no path raises SearchExhausted; past QUEUE_CAP entries it, or
+    either pass, raises QueueOverflow.
     """
     validate_alpha(alpha)
-    paths_enumerated = count_paths(graph, cap)
+    paths_enumerated = count_paths(graph)
     bounds = suffix_bounds(graph, bt)
     front = _playback_front(graph, bounds.rows, 0.0)
     # min keeps the first, so the fastest, of the points of least g.
@@ -149,6 +149,7 @@ def _playback_front(
     ends in a sentinel above every node id, so a prefix sorts as the paths
     that extend it would.  A label's path is built only once it survives
     at its node; the entries queued for its successors share that tuple.
+    More than QUEUE_CAP labels kept over all nodes raise QueueOverflow.
     Points come in ascending time and quality.
     """
     successors = graph.successors
@@ -156,8 +157,11 @@ def _playback_front(
     incoming: list[list | None] = [[] for _ in successors]
     incoming[ROOT_ID].append((0.0, -1.0, (sentinel,)))
     ends: list[tuple[float, float, tuple[int, ...]]] = []
+    labels_kept = 0
     for node_id, succs in enumerate(successors):
         kept = _non_dominated(incoming[node_id])
+        labels_kept += len(kept)
+        _within_capacity(labels_kept, "playback-front pass")
         incoming[node_id] = None  # read once; freeing it keeps only the unread labels alive
         labels = [(t, neg_q, path[:-1] + (node_id, sentinel)) for t, neg_q, path in kept]
         if not succs:
@@ -190,8 +194,7 @@ def sweep_alpha(
     search totals its labels, so they hold the bits a search reports,
     except at such ties and where the search's bounds, which total a
     suffix from its end, let it settle on a path whose g is a rounding
-    error above the least.  No queue is built, so this sweep never
-    overflows one.
+    error above the least.
 
     Any other executor gets one search per alpha.  The suffix bounds do not
     depend on alpha, so they are computed once.  A simulator keys its

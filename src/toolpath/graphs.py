@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DependencyTooDeep, NoToolForSubtask, PathExplosion, UnsatisfiableDependency
+from .errors import DependencyTooDeep, NoToolForSubtask, UnsatisfiableDependency
 from .planning import SubtaskInstance, SubtaskTree
 from .registry import ModelDescriptionTable, ToolRecord, normalize_resource
 
@@ -28,8 +28,6 @@ ROOT_TOOL = "ROOT"
 # The virtual root stands in for the user-supplied image: it costs nothing,
 # has perfect quality, and produces the one resource every pipeline starts from.
 ROOT_OUTPUTS = frozenset({normalize_resource("Input Image")})
-
-DEFAULT_PATH_CAP = 10**6
 
 
 class ToolDependencyGraph(NamedTuple):
@@ -235,11 +233,8 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
     return _assemble(nodes, edges)
 
 
-def count_paths(graph: ToolSubgraph, cap: int | None = None) -> int:
-    """Number of root-to-leaf paths, via DP in ascending node id.
-
-    Raises PathExplosion when a cap is given and the count exceeds it.
-    """
+def count_paths(graph: ToolSubgraph) -> int:
+    """Number of root-to-leaf paths, via DP in ascending node id: `verify`'s `paths_enumerated`."""
     counts = [0] * len(graph.nodes)
     counts[ROOT_ID] = 1
     total = 0
@@ -248,8 +243,6 @@ def count_paths(graph: ToolSubgraph, cap: int | None = None) -> int:
             total += counts[i]
         for j in succs:
             counts[j] += counts[i]
-    if cap is not None and total > cap:
-        raise PathExplosion(f"{total} root-to-leaf paths exceed the cap of {cap}")
     return total
 
 

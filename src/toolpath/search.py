@@ -61,7 +61,8 @@ from .registry import BenchmarkTable
 
 DEFAULT_QUALITY_THRESHOLD = 0.8
 DEFAULT_MAX_RETRIES = 3
-# Most labels and edges the search queue may hold; read at each push.
+# Most entries a search queue (labels and edges) or a Pareto pass (front
+# points or labels, which can grow exponentially with path length) may hold.
 QUEUE_CAP = 100_000
 
 STATUS_FOUND = "found"
@@ -133,6 +134,12 @@ def benchmark_rows(graph: ToolSubgraph, bt: BenchmarkTable) -> list[tuple[float,
     return rows
 
 
+def _within_capacity(count: int, holder: str) -> None:
+    """Raise QueueOverflow naming `holder` once `count` exceeds QUEUE_CAP, read at each call."""
+    if count > QUEUE_CAP:
+        raise QueueOverflow(f"{holder} exceeded its capacity of {QUEUE_CAP} entries")
+
+
 def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     """Benchmark row and Pareto front of suffix (time, quality product) of every node.
 
@@ -141,11 +148,13 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     and the root's row, which runs no tool, is (0, 1).  A node merges its
     successors' fronts, each shifted by that successor's row, and keeps the
     points no other point weakly dominates.  A front depends only on the
-    successors, so nodes with the same successors share one front.
+    successors, so nodes with the same successors share one front.  More
+    than QUEUE_CAP points over the distinct fronts raise QueueOverflow.
     """
     rows = benchmark_rows(graph, bt)
     fronts: list[Front] = [((0.0, 1.0),)] * len(graph.nodes)
     shared: dict[tuple[int, ...], Front] = {}
+    points_kept = 0
     for node_id in reversed(range(len(graph.nodes))):
         succs = graph.successors[node_id]
         if not succs:
@@ -157,6 +166,8 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
                 c, r = rows[succ]
                 points += [(c + t, -(r * q)) for t, q in fronts[succ]]
             front = shared[succs] = tuple((t, -neg_q) for t, neg_q in _non_dominated(points))
+            points_kept += len(front)
+            _within_capacity(points_kept, "suffix-bounds pass")
         fronts[node_id] = front
     return SuffixBounds(tuple(rows), tuple(fronts))
 
@@ -385,8 +396,7 @@ def astar_search(
     def push(f: float, label: _Label, edge: _Edge | None) -> None:
         heappush(heap, (f, next(counter), label, edge))
         stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
-        if len(heap) > QUEUE_CAP:
-            raise QueueOverflow(f"search queue exceeded its capacity of {QUEUE_CAP} entries")
+        _within_capacity(len(heap), "search queue")
 
     def finish(status: str, path: PathState | None) -> PlanResult:
         result = PlanResult(status, alpha, path, ExecutionTrace(tuple(events)), SearchStats(**stats))

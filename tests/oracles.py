@@ -21,7 +21,7 @@ import json
 
 from toolpath.errors import DuplicateEntry, MissingBenchmark, NegativeTime, ParseError, SearchExhausted
 from toolpath.evaluation import ParetoPoint
-from toolpath.graphs import DEFAULT_PATH_CAP, ROOT_ID, ToolDependencyGraph, ToolSubgraph, count_paths
+from toolpath.graphs import ROOT_ID, ToolDependencyGraph, ToolSubgraph, count_paths
 from toolpath.planning import SubtaskTree, kahn_order
 from toolpath.registry import (
     PLANNER_SUBTASKS,
@@ -38,6 +38,13 @@ from toolpath.registry import (
     parse_json,
 )
 from toolpath.search import SearchConfig, astar_search, compute_g, suffix_bounds, validate_alpha
+
+# Most paths `enumerate_paths`, and so `enumerate_then_score`, will list.
+DEFAULT_PATH_CAP = 10**6
+
+
+class PathExplosion(Exception):
+    """A subgraph holds more root-to-leaf paths than an enumeration's cap."""
 
 
 def validate_dag(graph) -> None:
@@ -330,7 +337,9 @@ def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tu
     yields the paths in order; it keeps its own stack, so the depth of the
     graph is not bounded by recursion.
     """
-    count_paths(graph, cap)
+    total = count_paths(graph)
+    if total > cap:
+        raise PathExplosion(f"{total} root-to-leaf paths exceed the cap of {cap}")
     paths: list[tuple[int, ...]] = []
     path: list[int] = []
     stack = [iter((ROOT_ID,))]

@@ -8,6 +8,7 @@ subtask tree JSON payloads) that go through the real loaders and builder.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,36 @@ def chain_instance(seed: int, stages: int, tools: int) -> dict:
         "mdt": mdt,
         "benchmark": benchmark,
         "tree": {"task": f"synthetic chain {seed}", "subtask_tree": tree_nodes},
+    }
+
+
+def tradeoff_chain_instance(stages: int) -> dict:
+    """S-stage x 2-tool chain whose 2**S paths are all Pareto-optimal.
+
+    At stage s, tool 1 takes 1 + 2**s s at quality 1 and tool 0 takes 1 s
+    at quality exp(-1e-7 * 2**s).  A path that takes tool 1 at the stages
+    of a bit mask x takes S + x s at quality exp(-1e-7 * (2**S - 1 - x)), so
+    every faster path is worse and each Pareto pass keeps every prefix:
+    the suffix fronts hold 2**(S+1) - 2 points and the playback front
+    keeps 2**(S+1) - 1 labels.  Stages take the first S planner subtasks,
+    so S is at most 24.
+    """
+    mdt: list[dict] = []
+    benchmark: list[dict] = []
+    tree_nodes: list[dict] = []
+    for s, kind in enumerate(PLANNER_SUBTASKS[:stages]):
+        inputs = [f"stage-{s - 1}-result" if s else "Input Image"]
+        rows = ((1.0, math.exp(-1e-7 * 2**s)), (1.0 + 2**s, 1.0))
+        for t, (time_seconds, quality) in enumerate(rows):
+            tool = f"TradeoffTool-{s:02d}-{t}"
+            mdt.append({"tool": tool, "subtasks": [kind], "inputs": inputs, "outputs": [f"stage-{s}-result"]})
+            benchmark.append({"tool": tool, "subtask": kind, "time_seconds": time_seconds, "quality": quality})
+        parent = [tree_nodes[-1]["subtask"]] if tree_nodes else []
+        tree_nodes.append({"subtask": f"{kind} (obj)({s + 1})", "parent": parent})
+    return {
+        "mdt": mdt,
+        "benchmark": benchmark,
+        "tree": {"task": f"trade-off chain {stages}", "subtask_tree": tree_nodes},
     }
 
 

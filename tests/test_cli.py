@@ -25,6 +25,7 @@ from synth import (
     deep_chain_instance,
     deep_prerequisite_instance,
     random_pipeline_instance,
+    tradeoff_chain_instance,
     write_instance,
 )
 from test_planning import REPEATED_LABEL_TREES
@@ -125,10 +126,42 @@ def test_plan_repeated_tree_label_is_input_error(name, data_dir, tmp_path, capsy
 
 
 def test_plan_queue_overflow_exits_4(data_dir, monkeypatch, capsys):
-    monkeypatch.setattr(search, "QUEUE_CAP", 1)
-    code = main(["plan", *_args_detection(data_dir), "--alpha", "1"])
+    # shared_end's suffix fronts hold 2 points and its queue peaks at 3 entries,
+    # so at a cap of 2 the search's queue, not a Pareto pass, overflows.
+    monkeypatch.setattr(search, "QUEUE_CAP", 2)
+    code = main([
+        "plan",
+        "--mdt", str(data_dir / "mdt_shared_end.json"),
+        "--benchmark", str(data_dir / "benchmark_shared_end.json"),
+        "--tree", str(data_dir / "tree_shared_end.json"),
+        "--alpha", "1",
+    ])
     assert code == EXIT_QUEUE_OVERFLOW == 4
-    assert capsys.readouterr().err.startswith("error: search queue exceeded")
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: search queue exceeded its capacity of 2 entries"]
+
+
+@pytest.mark.parametrize("stages, code", [(15, 0), (16, EXIT_QUEUE_OVERFLOW), (24, EXIT_QUEUE_OVERFLOW)])
+def test_tradeoff_chain_exits_4_above_the_capacity(stages, code, tmp_path, capsys):
+    """Every path of an S-stage trade-off chain is Pareto-optimal.
+
+    So the suffix-bounds pass keeps 2**(S+1) - 2 points and the playback
+    front 2**(S+1) - 1 labels.  At S = 15 that is 65,535 at most, within
+    the default capacity of 100,000, and every command succeeds; from
+    S = 16 on it is 131,071 or more, and every command exits 4 with one
+    error line naming the pass that overflowed, long before the 2**24
+    paths of S = 24 could be built: plan and verify build the suffix
+    bounds first, a deterministic sweep only the playback front.
+    """
+    assert 2 ** (15 + 1) - 1 <= search.QUEUE_CAP < 2 ** (16 + 1) - 2
+    args = [f"--{name}={path}" for name, path in write_instance(tradeoff_chain_instance(stages), tmp_path).items()]
+    for command, holder in (("plan", "suffix-bounds"), ("sweep", "playback-front"), ("verify", "suffix-bounds")):
+        assert main([command, *args]) == code
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        if code:
+            assert errors == [f"error: {holder} pass exceeded its capacity of {search.QUEUE_CAP} entries"]
+        else:
+            assert errors == []
 
 
 def test_plan_json_reports_search_stats(data_dir, tmp_path):
@@ -292,17 +325,19 @@ def test_verify_fixture_gap_zero(data_dir, capsys):
     assert payload["paths_enumerated"] == 2
 
 
-def test_verify_paths_cap_exit_3(data_dir, capsys):
-    code = main(["verify", *_args_detection(data_dir), "--alpha", "1", "--paths-cap", "1"])
-    assert code == 3
+def test_verify_paths_cap_is_no_longer_an_option(data_dir, capsys):
+    """The path cap is retired with exit 3: the option is a usage error, exit 1."""
+    assert main(["verify", *_args_detection(data_dir), "--paths-cap", "1000000"]) == 1
+    assert "unrecognized arguments: --paths-cap 1000000" in capsys.readouterr().err
 
 
 def test_verify_checks_a_chain_above_the_default_cap(tmp_path, capsys):
-    """An 8 x 8 chain holds 16,777,216 paths: above the default cap, within a raised one.
+    """An 8 x 8 chain holds 16,777,216 paths, which verify checks at its default settings.
 
-    verify reads its least g off one label-setting front.  The reference
-    front totals each suffix from its end, so the least g it gives agrees
-    to rounding, not bit for bit.
+    verify reads its least g off one label-setting front and counts the
+    paths without walking them.  The reference front totals each suffix
+    from its end, so the least g it gives agrees to rounding, not bit for
+    bit.
     """
     payload = chain_instance(1, stages=8, tools=8)
     args = [f"--{name}={path}" for name, path in write_instance(payload, tmp_path).items()]
@@ -310,14 +345,12 @@ def test_verify_checks_a_chain_above_the_default_cap(tmp_path, capsys):
     root_front = reference_fronts(graph, bt)[0]
     capsys.readouterr()
     for alpha in (0.0, 0.5, 1.0, 1.5, 2.0):
-        argv = ["verify", *args, "--alpha", str(alpha), "--paths-cap", "100000000", "--gap-tolerance", "0"]
+        argv = ["verify", *args, "--alpha", str(alpha), "--gap-tolerance", "0"]
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["paths_enumerated"] == 16_777_216
         least = min(search.compute_g(t, q, alpha) for t, q in root_front)
         assert math.isclose(report["best_objective"], least, rel_tol=1e-12)
-    assert main(["verify", *args]) == 3
-    assert capsys.readouterr().err == "error: 16777216 root-to-leaf paths exceed the cap of 1000000\n"
 
 
 def _full_example1(data_dir) -> list[str]:
@@ -331,12 +364,10 @@ def _full_example1(data_dir) -> list[str]:
 @pytest.mark.parametrize("option, value", [
     ("--gap-tolerance", "nan"),
     ("--gap-tolerance", "-1"),
-    ("--paths-cap", "0"),
-    ("--paths-cap", "-5"),
 ])
 def test_verify_setting_that_can_never_apply_is_input_error(option, value, data_dir, tmp_path, capsys):
     # On full/example1 at a threshold of 1 the gap is 0.777, so a NaN tolerance that
-    # turned the check off would exit 0, and a cap below 1 would exit 3.
+    # turned the check off would exit 0.
     out = tmp_path / "verify.json"
     argv = ["verify", *_full_example1(data_dir), "--quality-threshold", "1", option, value, "--out", str(out)]
     assert main(argv) == 1
@@ -459,7 +490,6 @@ _OPTION_CASES = {
     ("sweep", "--seed"): (("--sim", "stochastic"), "1", "2"),
     ("verify", "--alpha"): ((), "0", "2"),
     ("verify", "--quality-threshold"): ((), "0.8", "1"),
-    ("verify", "--paths-cap"): ((), "1", "1000"),
     ("verify", "--gap-tolerance"): (("--quality-threshold", "1"), "0", "1000"),
     ("graph", "--format"): ((), "dot", "json"),
 }
@@ -512,8 +542,7 @@ def test_setting_option_is_read(command, option, data_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, option", sorted(_OPTION_CASES))
 def test_setting_option_is_hashed(command, option):
-    # The hash is taken from the parsed options, so no file is read: a run that
-    # fails writes no manifest, as --paths-cap 1 does.
+    # The hash is taken from the parsed options, so no file is read.
     extra, first, second = _OPTION_CASES[command, option]
     tables = ["--mdt", "m.json"]
     if command != "graph":

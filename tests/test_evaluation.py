@@ -15,7 +15,7 @@ from oracles import (
     path_totals,
     sweep_by_search,
 )
-from synth import build_payload, built_instance, chain_instance, detection_graph
+from synth import build_payload, built_instance, chain_instance, detection_graph, tradeoff_chain_instance
 from toolpath.errors import (
     AlphaOutOfRange,
     EmptyRecord,
@@ -23,7 +23,7 @@ from toolpath.errors import (
     InvalidScore,
     MissingBenchmark,
     ParseError,
-    PathExplosion,
+    QueueOverflow,
     SearchExhausted,
 )
 from toolpath.evaluation import (
@@ -37,9 +37,10 @@ from toolpath.evaluation import (
     task_accuracy,
 )
 from toolpath.execution import DEFAULT_SEED, Simulator, SimulatorSpec
-from toolpath.graphs import build_tool_subgraph, count_paths
+from toolpath.graphs import build_tool_subgraph
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import BenchmarkRow, BenchmarkTable, load_benchmark, load_mdt
+from toolpath import search
 from toolpath.search import SearchConfig, astar_search, compute_g, suffix_bounds
 
 
@@ -79,12 +80,6 @@ def test_alpha1_unit_quality_corner_gap_zero():
         graph, bt, *_ = built_instance(seed, unit_quality=True)
         rep = brute_force_optimal(graph, bt, 1.0)
         assert rep.gap == 0.0
-
-
-def test_oracle_path_cap(detection_fixture):
-    graph, bt = detection_fixture
-    with pytest.raises(PathExplosion):
-        brute_force_optimal(graph, bt, 1.0, cap=1)
 
 
 # (stages, tools per stage) of chain instances: 512, 625, 1,024, 729 and 4,096 paths.
@@ -148,17 +143,19 @@ def test_oracle_tie_keeps_the_lexicographically_first_path(alpha):
     assert rep.best_objective == objectives[tied[0]]
 
 
-def test_oracle_cap_boundary():
-    graph, bt, *_ = build_payload(chain_instance(3, stages=3, tools=3))
-    count = count_paths(graph)
-    assert count == 27
-    assert brute_force_optimal(graph, bt, 1.0, cap=count).paths_enumerated == count
-    # With no benchmark rows, scoring before the cap check would raise MissingBenchmark.
-    empty = BenchmarkTable(rows={})
-    with pytest.raises(PathExplosion, match="^27 root-to-leaf paths exceed the cap of 26$"):
-        brute_force_optimal(graph, empty, 1.0, cap=count - 1)
-    with pytest.raises(MissingBenchmark):
-        brute_force_optimal(graph, empty, 1.0, cap=count)
+def test_playback_front_capacity_boundary(monkeypatch):
+    """On a 4-stage trade-off chain the pass keeps 2**5 - 1 = 31 labels, every prefix.
+
+    A deterministic sweep runs the playback front alone, with no suffix
+    bounds, so the cap it meets is that pass's.
+    """
+    graph, bt, *_ = build_payload(tradeoff_chain_instance(4))
+    monkeypatch.setattr(search, "QUEUE_CAP", 31)
+    points = sweep_alpha(graph, bt, _playback(bt), [0.0, 2.0])
+    assert (points[0].total_time, points[1].total_time) == (4 + 15, 4)  # tool 1 at every stage, then tool 0
+    monkeypatch.setattr(search, "QUEUE_CAP", 30)
+    with pytest.raises(QueueOverflow, match="^playback-front pass exceeded its capacity of 30 entries$"):
+        sweep_alpha(graph, bt, _playback(bt), [1.0])
 
 
 def test_oracle_and_plan_name_the_same_missing_row():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    PathExplosion,
     count_paths_dfs,
     edge_set,
     enumerate_paths,
@@ -24,7 +25,6 @@ from test_golden import FIXTURES
 from toolpath.errors import (
     CycleDetected,
     NoToolForSubtask,
-    PathExplosion,
     UnsatisfiableDependency,
 )
 from toolpath.graphs import (

@@ -7,6 +7,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toolpath
 from toolpath.cli import main
 from toolpath.errors import ToolpathError, TransportError
 from toolpath.execution import MAX_TIME_SIGMA
@@ -104,6 +108,28 @@ def test_bad_input_or_output_exits_1_with_one_error_line(probe, tmp_path, capsys
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())  # nothing written
+
+
+def test_closed_stdout_exits_1_with_one_error_line():
+    """A plan written to a pipe whose reader has gone is an output error, in a fresh process.
+
+    Exactly one line reaches stderr: no traceback, and no second report from
+    the interpreter's final flush of stdout.
+    """
+    src = Path(toolpath.__file__).resolve().parents[1]
+    argv = ["plan", "--mdt", str(DATA_DIR / "mdt_full.json"), "--benchmark", str(DATA_DIR / "benchmark_full.json"),
+            "--tree", str(DATA_DIR / "tree_example1.json")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "toolpath.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])},
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (1, "error: cannot write to stdout: Broken pipe\n")
 
 
 def test_overflowing_noise_is_one_error_line_and_no_warning(tmp_path, capsys):

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import attempts_for, dijkstra_min_time, enumerate_paths, path_objective, sinks
-from synth import build_payload, built_instance, chain_instance, detection_graph, random_plan_graph
+from synth import (
+    build_payload,
+    built_instance,
+    chain_instance,
+    detection_graph,
+    random_plan_graph,
+    tradeoff_chain_instance,
+)
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import brute_force_optimal
 from toolpath.execution import DEFAULT_SEED, ExecutionOutcome, Simulator, SimulatorSpec
@@ -178,9 +185,26 @@ def test_queue_overflow(detection_fixture, monkeypatch):
     import toolpath.search as search
 
     graph, bt = detection_fixture
+    bounds = suffix_bounds(graph, bt)  # its fronts hold 4 points, above the cap set next
     monkeypatch.setattr(search, "QUEUE_CAP", 1)
-    with pytest.raises(QueueOverflow):
-        _run(graph, bt, alpha=1.0)
+    simulator = Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
+    with pytest.raises(QueueOverflow, match="^search queue exceeded its capacity of 1 entries$"):
+        astar_search(graph, bounds, simulator, SearchConfig())
+
+
+def test_suffix_bounds_capacity_boundary(monkeypatch):
+    """The distinct fronts of a 4-stage trade-off chain hold 2 + 4 + 8 + 16 = 30 points.
+
+    Every path is Pareto-optimal, so the root's front holds all 16 of them.
+    """
+    import toolpath.search as search
+
+    graph, bt, *_ = build_payload(tradeoff_chain_instance(4))
+    monkeypatch.setattr(search, "QUEUE_CAP", 30)
+    assert len(suffix_bounds(graph, bt).fronts[0]) == 16
+    monkeypatch.setattr(search, "QUEUE_CAP", 29)
+    with pytest.raises(QueueOverflow, match="^suffix-bounds pass exceeded its capacity of 29 entries$"):
+        suffix_bounds(graph, bt)
 
 
 # ---------------------------------------------------------------- retries
