@@ -102,6 +102,8 @@ def _dump_json(payload: dict) -> str:
 def _write(text: str, out: str | None, suffix: str = "") -> None:
     """Write one output to the file `out` + `suffix`, or to stdout when there is no `out`."""
     if not out:
+        if sys.stdout is None:  # the process started with its stdout descriptor closed
+            raise OutputError("cannot write to stdout: it is closed")
         try:
             sys.stdout.write(text)
             sys.stdout.flush()

@@ -72,7 +72,7 @@ def brute_force_optimal(
     validate_alpha(alpha)
     paths_enumerated = count_paths(graph)
     bounds = suffix_bounds(graph, bt)
-    front = _playback_front(graph, bounds.rows, 0.0)
+    front = _playback_front(graph, bounds.rows, 0.0, paths=True)
     # min keeps the first, so the fastest, of the points of least g.
     time, quality, best_path = min(front, key=lambda point: compute_g(point[0], point[1], alpha))
     best_obj = compute_g(time, quality, alpha)
@@ -130,8 +130,8 @@ def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:
 
 
 def _playback_front(
-    graph: ToolSubgraph, rows: Sequence[tuple[float, float]], threshold: float
-) -> list[tuple[float, float, tuple[int, ...]]]:
+    graph: ToolSubgraph, rows: Sequence[tuple[float, float]], threshold: float, paths: bool = False
+) -> list[tuple[float, float, tuple[int, ...] | None]]:
     """Pareto front of (total time, quality product, path) over the paths playback completes.
 
     Deterministic playback returns a node's benchmark row on every attempt,
@@ -147,30 +147,33 @@ def _playback_front(
     monotone, so it could never complete better than that label.  Of equal
     labels the one whose path is lexicographically first is kept: a path
     ends in a sentinel above every node id, so a prefix sorts as the paths
-    that extend it would.  A label's path is built only once it survives
-    at its node; the entries queued for its successors share that tuple.
-    More than QUEUE_CAP labels kept over all nodes raise QueueOverflow.
+    that extend it would.  Paths are built only when `paths` is set, and
+    a label's path only once it survives at its node; the entries queued
+    for its successors share that tuple.  Otherwise every path is None and
+    the points are the same.  More than QUEUE_CAP labels kept over all
+    nodes raise QueueOverflow.
     Points come in ascending time and quality.
     """
     successors = graph.successors
     sentinel = len(successors)
     incoming: list[list | None] = [[] for _ in successors]
-    incoming[ROOT_ID].append((0.0, -1.0, (sentinel,)))
-    ends: list[tuple[float, float, tuple[int, ...]]] = []
+    incoming[ROOT_ID].append((0.0, -1.0, (sentinel,) if paths else None))
+    ends: list[tuple[float, float, tuple[int, ...] | None]] = []
     labels_kept = 0
     for node_id, succs in enumerate(successors):
         kept = _non_dominated(incoming[node_id])
         labels_kept += len(kept)
         _within_capacity(labels_kept, "playback-front pass")
         incoming[node_id] = None  # read once; freeing it keeps only the unread labels alive
-        labels = [(t, neg_q, path[:-1] + (node_id, sentinel)) for t, neg_q, path in kept]
+        if paths:
+            kept = [(t, neg_q, path[:-1] + (node_id, sentinel)) for t, neg_q, path in kept]
         if not succs:
-            ends += labels
+            ends += kept
         for succ in succs:
             c, q = rows[succ]
             if q >= threshold:
-                incoming[succ] += [(t + c, neg_q * q, path) for t, neg_q, path in labels]
-    return [(t, -neg_q, path[:-1]) for t, neg_q, path in _non_dominated(ends)]
+                incoming[succ] += [(t + c, neg_q * q, path) for t, neg_q, path in kept]
+    return [(t, -neg_q, path and path[:-1]) for t, neg_q, path in _non_dominated(ends)]
 
 
 def sweep_alpha(

@@ -91,13 +91,6 @@ class ToolSubgraph(NamedTuple):
     successors: tuple[tuple[int, ...], ...]
 
 
-def _assemble(nodes: list[PlanNode], edges: set[tuple[int, int]]) -> ToolSubgraph:
-    succ: list[list[int]] = [[] for _ in nodes]
-    for a, b in edges:
-        succ[a].append(b)
-    return ToolSubgraph(nodes=tuple(nodes), successors=tuple(tuple(sorted(s)) for s in succ))
-
-
 def _resolve(
     record: ToolRecord,
     available: frozenset[str],
@@ -158,9 +151,13 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
     virtual root feeds every entry of the root instances.  Instances come
     in the tree's topological order and a node is numbered when created,
     after every node with an edge into it, so ids climb along every edge.
+    Each edge is appended to its tail's successor list as it is made: a
+    chain edge when its head is created, a join edge once per terminal of
+    each distinct parent instance.  A candidate is never extended, so each
+    list comes out ascending and without duplicates, with nothing to sort.
     """
     nodes: list[PlanNode] = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None, role="root")]
-    edges: set[tuple[int, int]] = set()
+    succ: list[list[int]] = [[]]
     avail_out: dict[SubtaskInstance, frozenset[str]] = {}
     terminals_of: dict[SubtaskInstance, list[int]] = {}
 
@@ -205,24 +202,22 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
                     node_id = trie[key] = len(nodes)
                     role = "candidate" if rec is record else "prerequisite"
                     nodes.append(PlanNode(node_id, rec.tool, rec.subtask, inst, role))
+                    succ.append([])
                     if prev_id is None:
                         entries.append(node_id)
                     else:
-                        edges.add((prev_id, node_id))
+                        succ[prev_id].append(node_id)
                 prev_id = node_id
             terminals.append(prev_id)
             produced_sets.append(frozenset().union(*(r.output_keys for r in seq)))
         if not terminals:
             raise unresolved[0]
 
-        if parents:
-            for p in parents:
-                for t in terminals_of[p]:
-                    for e in entries:
-                        edges.add((t, e))
-        else:
-            for e in entries:
-                edges.add((ROOT_ID, e))
+        for p in dict.fromkeys(parents):  # a parent listed twice is joined once
+            for t in terminals_of[p]:
+                succ[t] += entries
+        if not parents:
+            succ[ROOT_ID] += entries
 
         terminals_of[inst] = terminals
         guaranteed = produced_sets[0]
@@ -230,7 +225,7 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
             guaranteed &= s
         avail_out[inst] = avail_in | guaranteed
 
-    return _assemble(nodes, edges)
+    return ToolSubgraph(tuple(nodes), tuple(map(tuple, succ)))
 
 
 def count_paths(graph: ToolSubgraph) -> int:

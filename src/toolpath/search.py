@@ -148,8 +148,13 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     and the root's row, which runs no tool, is (0, 1).  A node merges its
     successors' fronts, each shifted by that successor's row, and keeps the
     points no other point weakly dominates.  A front depends only on the
-    successors, so nodes with the same successors share one front.  More
-    than QUEUE_CAP points over the distinct fronts raise QueueOverflow.
+    successors, so nodes with the same successors share one front.  Of a
+    node's successors that share a front (every sink has ((0, 1),)), one
+    whose row a sibling's weakly dominates is skipped: float `+` and `*`
+    round monotonically, so each of its shifted points is weakly dominated
+    by the sibling's at the same index, and the merged front holds the same
+    values.  More than QUEUE_CAP points over the distinct fronts raise
+    QueueOverflow.
     """
     rows = benchmark_rows(graph, bt)
     fronts: list[Front] = [((0.0, 1.0),)] * len(graph.nodes)
@@ -161,8 +166,15 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
             continue
         front = shared.get(succs)
         if front is None:
+            kept = succs
+            if len(succs) > 1:
+                groups: dict[tuple[int, ...], list] = {}
+                for succ in succs:
+                    c, r = rows[succ]
+                    groups.setdefault(graph.successors[succ], []).append((c, -r, succ))
+                kept = [succ for group in groups.values() for _, _, succ in _non_dominated(group)]
             points = []
-            for succ in succs:
+            for succ in kept:
                 c, r = rows[succ]
                 points += [(c + t, -(r * q)) for t, q in fronts[succ]]
             front = shared[succs] = tuple((t, -neg_q) for t, neg_q in _non_dominated(points))

@@ -8,6 +8,8 @@ the test-only library helpers no command calls:
 
 - `enumerate_paths`: every root-to-leaf path of a tool subgraph, in order;
 - `path_objective`: the benchmark-valued objective of one path;
+- `merge_every_successor_fronts`: the suffix pass without its sibling
+  skip, the reference for `search.suffix_bounds`;
 - `lookup_models`: the tools that can perform one subtask;
 - `sweep_by_search`: one search per alpha, the reference for a
   deterministic sweep;
@@ -37,7 +39,8 @@ from toolpath.registry import (
     normalize_resource,
     parse_json,
 )
-from toolpath.search import SearchConfig, astar_search, compute_g, suffix_bounds, validate_alpha
+from toolpath import search
+from toolpath.search import SearchConfig, astar_search, benchmark_rows, compute_g, suffix_bounds, validate_alpha
 
 # Most paths `enumerate_paths`, and so `enumerate_then_score`, will list.
 DEFAULT_PATH_CAP = 10**6
@@ -355,6 +358,35 @@ def enumerate_paths(graph: ToolSubgraph, cap: int = DEFAULT_PATH_CAP) -> list[tu
         else:
             paths.append((*path, node))
     return paths
+
+
+def merge_every_successor_fronts(
+    graph: ToolSubgraph, bt: BenchmarkTable
+) -> list[tuple[tuple[float, float], ...]]:
+    """Each node's suffix front, merged from every successor's shifted front.
+
+    The suffix pass without skipping a successor whose row a sibling with
+    the same successors weakly dominates: the reference that
+    `search.suffix_bounds` must match bit for bit.  Nodes with the same
+    successors share one front, built once.  It filters through
+    `search._non_dominated`, read from the module at each call, so a test
+    that wraps it there counts the shifted points of both passes.
+    """
+    rows = benchmark_rows(graph, bt)
+    fronts: list[tuple[tuple[float, float], ...]] = [((0.0, 1.0),)] * len(graph.nodes)
+    shared: dict[tuple[int, ...], tuple[tuple[float, float], ...]] = {}
+    for node_id in reversed(range(len(graph.nodes))):
+        succs = graph.successors[node_id]
+        if not succs:
+            continue
+        if succs not in shared:
+            points = []
+            for succ in succs:
+                c, r = rows[succ]
+                points += [(c + t, -(r * q)) for t, q in fronts[succ]]
+            shared[succs] = tuple((t, -neg_q) for t, neg_q in search._non_dominated(points))
+        fronts[node_id] = shared[succs]
+    return fronts
 
 
 def path_totals(graph: ToolSubgraph, bt: BenchmarkTable, path) -> tuple[float, float]:

@@ -13,9 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from toolpath.graphs import ROOT_ID, PlanNode, ToolSubgraph, _assemble
+from toolpath.graphs import ROOT_ID, PlanNode, ToolSubgraph
 from toolpath.planning import SubtaskInstance
 from toolpath.registry import PLANNER_SUBTASKS, BenchmarkRow, BenchmarkTable
+
+
+def _assemble(nodes: list[PlanNode], edges: set[tuple[int, int]]) -> ToolSubgraph:
+    """A subgraph over `nodes` with each node's successors sorted from an edge set."""
+    succ: list[list[int]] = [[] for _ in nodes]
+    for a, b in edges:
+        succ[a].append(b)
+    return ToolSubgraph(nodes=tuple(nodes), successors=tuple(tuple(sorted(s)) for s in succ))
 
 
 def random_plan_graph(

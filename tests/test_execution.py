@@ -8,6 +8,7 @@ import statistics
 import pytest
 
 from oracles import attempts_for
+from synth import _assemble
 from toolpath.errors import DuplicateEntry, MissingBenchmark, ParseError, ScriptGap
 from toolpath.execution import (
     DEFAULT_SEED,
@@ -20,7 +21,7 @@ from toolpath.execution import (
     simulator_spec_from_json,
     validate_quality,
 )
-from toolpath.graphs import PlanNode, _assemble
+from toolpath.graphs import PlanNode
 from toolpath.planning import SubtaskInstance
 from toolpath.registry import BenchmarkRow, BenchmarkTable
 

@@ -20,7 +20,7 @@ from oracles import (
     tree_children,
     validate_dag,
 )
-from synth import built_instance, detection_graph, random_pipeline_instance, random_plan_graph
+from synth import _assemble, built_instance, detection_graph, random_pipeline_instance, random_plan_graph
 from test_golden import FIXTURES
 from toolpath.errors import (
     CycleDetected,
@@ -321,8 +321,10 @@ def test_eq1_candidate_coverage(seed):
 
 
 def _assert_ordered_with_candidate_sinks(g, tree) -> None:
-    """Every edge climbs in id, and the sinks are the leaf instances' candidates."""
+    """Every edge climbs in id, the successor lists the builder appends to equal
+    the sorted, deduplicated edge set, and the sinks are the leaf instances' candidates."""
     assert all(a < b for a, b in edge_set(g))
+    assert g.successors == _assemble(list(g.nodes), edge_set(g)).successors
     kids = tree_children(tree)
     leaf_candidates = {
         n.node_id for n in g.nodes if n.role == "candidate" and not kids[n.instance]
@@ -339,9 +341,26 @@ def test_bundled_subgraphs_are_ordered_with_candidate_sinks(tables, tree_stem, d
 
 @pytest.mark.parametrize("unit_quality", [False, True])
 def test_random_subgraphs_are_ordered_with_candidate_sinks(unit_quality):
+    diamonds = 0
     for seed in range(300):
         g, _, tree, _ = built_instance(seed, unit_quality=unit_quality)
         _assert_ordered_with_candidate_sinks(g, tree)
+        diamonds += any(len(parents) > 1 for parents in tree.parents.values())
+    assert diamonds > 50  # trees with order diamonds, whose joins have two parent instances
+
+
+def test_a_parent_listed_twice_is_joined_once(data_dir):
+    mdt = load_mdt(data_dir / "mdt_full.json")
+    first, second = "Object Detection (Pedestrian)(1)", "Object Removal (Car)(2)"
+
+    def subgraph(parents):
+        return build_tool_subgraph(parse_subtask_tree(json.dumps({"subtask_tree": [
+            {"subtask": first, "parent": []}, {"subtask": second, "parent": parents},
+        ]})), mdt)
+
+    twice = subgraph([first, first])
+    assert twice.successors == _assemble(list(twice.nodes), edge_set(twice)).successors
+    assert twice == subgraph([first])
 
 
 def test_synthetic_graphs_climb_in_id():
@@ -359,8 +378,6 @@ def test_synthetic_graphs_climb_in_id():
 
 
 def test_validate_dag_detects_injected_back_edge(detection_fixture):
-    from toolpath.graphs import _assemble
-
     g, _ = detection_fixture
     bad = _assemble(list(g.nodes), edge_set(g) | {(3, 0)})
     with pytest.raises(CycleDetected) as err:

@@ -132,6 +132,21 @@ def test_closed_stdout_exits_1_with_one_error_line():
     assert (run.returncode, run.stderr) == (1, "error: cannot write to stdout: Broken pipe\n")
 
 
+def test_closed_stdout_descriptor_exits_1_with_one_error_line():
+    """A process started with descriptor 1 closed (`>&-`) has no sys.stdout: writing the
+    plan there is an output error, not an AttributeError traceback."""
+    src = Path(toolpath.__file__).resolve().parents[1]
+    argv = ["plan", "--mdt", str(DATA_DIR / "mdt_full.json"), "--benchmark", str(DATA_DIR / "benchmark_full.json"),
+            "--tree", str(DATA_DIR / "tree_example1.json")]
+    run = subprocess.run(
+        [sys.executable, "-m", "toolpath.cli", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60,
+        preexec_fn=lambda: os.close(1),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])},
+    )
+    assert (run.returncode, run.stderr) == (1, "error: cannot write to stdout: it is closed\n")
+
+
 def test_overflowing_noise_is_one_error_line_and_no_warning(tmp_path, capsys):
     # sigma 1e308 would put exp(sigma * z) out of range on some draws and not
     # others, so the spec is refused before any tool runs, whatever the seed.

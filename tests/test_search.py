@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import attempts_for, dijkstra_min_time, enumerate_paths, path_objective, sinks
+from oracles import (
+    attempts_for,
+    dijkstra_min_time,
+    enumerate_paths,
+    merge_every_successor_fronts,
+    path_objective,
+    sinks,
+)
 from synth import (
     build_payload,
     built_instance,
@@ -462,6 +469,100 @@ def test_suffix_fronts_are_pareto_filters_of_enumerated_suffixes(seed, unit_qual
     fronts = suffix_bounds(graph, bt).fronts
     for node_id in range(len(graph.nodes)):
         assert fronts[node_id] == _enumerated_front(graph, bt, node_id)
+
+
+def _hex_fronts(fronts) -> list[list[tuple[str, str]]]:
+    return [[(t.hex(), q.hex()) for t, q in front] for front in fronts]
+
+
+CHAIN_SHAPES = [(0, 2, 2), (1, 3, 5), (2, 4, 3), (3, 6, 2), (4, 5, 6), (5, 2, 9), (6, 8, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instance=st.one_of(
+        st.tuples(st.integers(min_value=0, max_value=1999), st.booleans()).map(lambda a: built_instance(*a)),
+        st.sampled_from(CHAIN_SHAPES).map(lambda shape: build_payload(chain_instance(*shape))),
+    )
+)
+def test_suffix_fronts_match_merging_every_successor(instance):
+    """Skipping a successor a sibling dominates leaves every front's bits as they were."""
+    graph, bt, *_ = instance
+    assert _hex_fronts(suffix_bounds(graph, bt).fronts) == _hex_fronts(merge_every_successor_fronts(graph, bt))
+
+
+# Root -> {1, 2} -> {3, 4}: both middle nodes lead to the same sinks.
+_SHARED_JOIN = {(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
+
+
+@pytest.mark.parametrize(
+    ("rows", "edges", "root_front"),
+    [
+        # exactly tied rows: one of each pair is skipped, and the values stay
+        (
+            {"A": (1.5, 0.9), "B": (1.5, 0.9), "C": (0.25, 0.5), "D": (0.25, 0.5)},
+            _SHARED_JOIN,
+            ((1.75, 0.45),),
+        ),
+        # B is as fast as A but worse, D as fast as C but worse
+        (
+            {"A": (1.5, 0.9), "B": (1.5, 0.8), "C": (0.25, 0.5), "D": (0.25, 0.25)},
+            _SHARED_JOIN,
+            ((1.75, 0.45),),
+        ),
+        # sinks share ((0, 1),): C is beaten by B, and A and B trade off
+        (
+            {"A": (1.0, 0.5), "B": (2.0, 0.9), "C": (3.0, 0.8)},
+            {(0, 1), (0, 2), (0, 3)},
+            ((1.0, 0.5), (2.0, 0.9)),
+        ),
+        # the time sums overflow to inf: A is skipped for B, whose point is (inf, 0.95)
+        (
+            {"A": (1.7e308, 0.9), "B": (1.7e308, 0.95), "C": (1.7e308, 1.0)},
+            {(0, 1), (0, 2), (1, 3), (2, 3)},
+            ((math.inf, 0.95),),
+        ),
+        # neither row dominates, but both sums overflow, so only the better quality is kept
+        (
+            {"A": (1.6e308, 0.99), "B": (1.7e308, 0.95), "C": (1.7e308, 1.0)},
+            {(0, 1), (0, 2), (1, 3), (2, 3)},
+            ((math.inf, 0.99),),
+        ),
+    ],
+    ids=["exact-tie", "equal-time-lower-quality", "shared-sink-front", "overflow", "overflow-tie"],
+)
+def test_suffix_fronts_skip_dominated_siblings_exactly(rows, edges, root_front):
+    graph, bt = detection_graph(rows, edges)
+    fronts = suffix_bounds(graph, bt).fronts
+    assert fronts[0] == root_front
+    assert _hex_fronts(fronts) == _hex_fronts(merge_every_successor_fronts(graph, bt))
+
+
+@pytest.mark.parametrize(
+    ("shape", "merged", "skipped"),
+    [((1, 24, 16), 59_488, 11_511), ((1, 10, 6), 618, 257), ((1, 8, 8), 720, 240)],
+)
+def test_suffix_pass_shifts_only_undominated_siblings(shape, merged, skipped, monkeypatch):
+    """Shifted points the pass filters, counted where it filters them: on a full chain
+    join every node of a stage has the same successors, so only the stage's
+    undominated rows are shifted."""
+    import toolpath.search as search
+
+    shifted = [0]
+    non_dominated = search._non_dominated
+
+    def counting(points):
+        if len(points[0]) == 2:  # shifted (time, -quality) points, not a group's (c, -r, succ) rows
+            shifted[0] += len(points)
+        return non_dominated(points)
+
+    monkeypatch.setattr(search, "_non_dominated", counting)
+    graph, bt, *_ = build_payload(chain_instance(*shape))
+    merge_every_successor_fronts(graph, bt)
+    assert shifted[0] == merged
+    shifted[0] = 0
+    suffix_bounds(graph, bt)
+    assert shifted[0] == skipped
 
 
 def test_suffix_bounds_missing_benchmark():
