@@ -9,13 +9,14 @@ its outputs as text, which `main` writes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from pathlib import Path
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import __version__
 from .errors import InvalidConfig, OutputError, ParseError, QueueOverflow, SearchExhausted, ToolpathError
@@ -91,16 +92,82 @@ def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str,
     }
 
 
-def _dump_json(payload: dict) -> str:
-    """Every JSON output's encoding; a non-finite number in it is an OutputError."""
+# The types that a one-line encoder writes as JSON scalars; a container holding only these is flat.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """The encoder, called as `encoder(obj, 0)`, of a scalar or a flat container at `depth` of an
+    indent-2 document: its chunks join to one line, with each item after the first opening a new
+    line at the next depth's indent."""
+    item_separator = ",\n" + "  " * (depth + 1)
+    if c_make_encoder is None:  # no _json accelerator: the same text from the pure-Python encoder
+        return json.JSONEncoder(separators=(item_separator, ": "), sort_keys=True, allow_nan=False).iterencode
+    default = json.JSONEncoder().default
+    return c_make_encoder(None, default, encode_basestring_ascii, None, ": ", item_separator, True, False, False)
+
+
+def _indented(obj, depth: int, chunks: list[str]) -> None:
+    """Append the JSON of `obj` at `depth` of an indent-2, sorted-key document to `chunks`.
+
+    This equals the stdlib's pure-Python indent encoder: both write floats and ints by their
+    `repr` and strings by the same escaper, and an encoded string holds no raw newline, so a
+    flat container's one line only needs its first item and closing bracket put on lines of
+    their own.
+    """
+    if isinstance(obj, dict):
+        brackets, members = "{}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets, members = "[]", obj
+    else:
+        chunks.extend(_flat_encoder(depth)(obj, 0))
+        return
+    if not obj:
+        chunks.append(brackets)
+        return
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if _SCALARS.issuperset(map(type, members)):
+        text = "".join(_flat_encoder(depth)(obj, 0))
+        chunks += (brackets[0], inner, text[1:-1], outer, brackets[1])
+        return
+    chunks.append(brackets[0])
+    separator = inner
+    if brackets == "{}":
+        for key, value in sorted(obj.items()):
+            if isinstance(key, (int, float)) or key is None:  # json writes such a key as its JSON text
+                key = "".join(_flat_encoder(depth)(key, 0))
+            chunks += (separator, encode_basestring_ascii(key), ": ")
+            _indented(value, depth + 1, chunks)
+            separator = "," + inner
+    else:
+        for value in obj:
+            chunks.append(separator)
+            _indented(value, depth + 1, chunks)
+            separator = "," + inner
+    chunks += (outer, brackets[1])
+
+
+def _dump_json(payload) -> str:
+    """Every JSON output's encoding, `json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"`; a non-finite number in it is an OutputError."""
+    chunks: list[str] = []
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise OutputError(f"output holds a non-finite number: {exc}") from None
+        _indented(payload, 0, chunks)
+    except ValueError:
+        # The C encoder's message leaves out the number on some Pythons; the stdlib's names it.
+        try:
+            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise OutputError(f"output holds a non-finite number: {exc}") from None
+        raise
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _write(text: str, out: str | None, suffix: str = "") -> None:
-    """Write one output to the file `out` + `suffix`, or to stdout when there is no `out`."""
+    """Write one output to the file `out` + `suffix` as UTF-8 bytes, or to stdout when there is no `out`."""
     if not out:
         if sys.stdout is None:  # the process started with its stdout descriptor closed
             raise OutputError("cannot write to stdout: it is closed")
@@ -109,11 +176,21 @@ def _write(text: str, out: str | None, suffix: str = "") -> None:
             sys.stdout.flush()
         except OSError as exc:
             # On /dev/null the interpreter's last flush drops what is still buffered.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             raise OutputError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
+    data = memoryview(text.encode("utf-8"))
+    # O_BINARY, where there is one, keeps Windows from turning each "\n" into "\r\n".
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
     try:
-        Path(out + suffix).write_text(text, encoding="utf-8")
+        fd = os.open(out + suffix, flags, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OutputError(f"cannot write {out + suffix}: {exc.strerror or exc}") from None
 

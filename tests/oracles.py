@@ -328,6 +328,11 @@ def load_json(path):
         return json.load(fh)
 
 
+def dump_json_reference(payload) -> str:
+    """The stdlib's indent-2, sorted-key encoding of an output, the reference for `cli._dump_json`."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 # Test-side helpers over package types; unlike the oracles above they reuse
 # package code, so they are checks of convenience, not independent ones.
 

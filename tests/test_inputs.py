@@ -84,6 +84,7 @@ _PROBES = {
     "deep tree": ({"tree": DEEP.encode()}, "plan", ()),
     "deep simulator spec": ({"sim": DEEP.encode()}, "plan", ()),
     "--out in a missing directory": ({}, "plan", ("--out", "OUT/missing/plan.json")),
+    "--out naming a directory": ({}, "plan", ("--out", "OUT")),
     "numeric benchmark tool": (_edit("benchmark", lambda rows: rows[0].update(tool=5)), "plan", ()),
     "numeric script subtask": (_edit("sim", lambda spec: spec["script"][0].update(subtask=5)), "plan", ()),
     "numeric script": (_edit("sim", lambda spec: spec.update(script=5)), "plan", ()),
@@ -96,6 +97,14 @@ _PROBES = {
     "1e308 s rows, verify": (_edit("benchmark", _huge_times), "verify", ("--out", "OUT/verify.json")),
     "1e308 s rows, sweep": (_edit("benchmark", _huge_times), "sweep", ("--sim", "deterministic", "--csv", "OUT/sweep.csv")),
 }
+_NON_FINITE = "error: output holds a non-finite number: Out of range float values are not JSON compliant: inf\n"
+# The whole stderr of the probes whose message is pinned.
+_PROBE_STDERR = {
+    "--out in a missing directory": "error: cannot write OUT/missing/plan.json: No such file or directory\n",
+    "--out naming a directory": "error: cannot write OUT: Is a directory\n",
+    "1e308 s rows, plan": _NON_FINITE,
+    "1e308 s rows, verify": _NON_FINITE,
+}
 
 
 @pytest.mark.parametrize("probe", sorted(_PROBES))
@@ -106,6 +115,8 @@ def test_bad_input_or_output_exits_1_with_one_error_line(probe, tmp_path, capsys
     assert main(_argv(command, paths, extra)) == 1
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    if probe in _PROBE_STDERR:
+        assert err == _PROBE_STDERR[probe].replace("OUT", str(tmp_path))
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())  # nothing written
 
