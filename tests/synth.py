@@ -166,6 +166,52 @@ def random_pipeline_instance(seed: int, unit_quality: bool = False) -> dict:
     }
 
 
+def registry_instance(seed: int, distractors: int = 400) -> dict:
+    """A short chain tree against a registry of mostly distractor rows, as JSON payloads.
+
+    Shaped like perfbench's registry-wide workload: each of 2-4 stage kinds
+    has three candidates, the first of which reads a helper resource that
+    two one-step producers and one two-step chain make, all of one other
+    kind.  The distractors take the other kinds too, and read and write a
+    pool of 30 resources that nothing in the tree needs, so a plan reads
+    none of their rows.
+    """
+    rng = np.random.default_rng(seed)
+    order = [PLANNER_SUBTASKS[int(k)] for k in rng.permutation(len(PLANNER_SUBTASKS))]
+    n_stages = int(rng.integers(2, 5))
+    stage_kinds, other_kinds = order[:n_stages], order[n_stages:]
+    mdt: list[dict] = []
+    benchmark: list[dict] = []
+
+    def tool(name: str, kind: str, inputs: list[str], output: str) -> None:
+        mdt.append({"tool": name, "subtasks": [kind], "inputs": inputs, "outputs": [output]})
+        time_s, quality = round(float(rng.uniform(0.5, 10.0)), 4), round(float(rng.uniform(0.9, 1.0)), 4)
+        benchmark.append({"tool": name, "subtask": kind, "time_seconds": time_s, "quality": quality})
+
+    tree_nodes: list[dict] = []
+    for s, kind in enumerate(stage_kinds):
+        helper_kind = other_kinds[int(rng.integers(len(other_kinds)))]
+        aux, mid = f"stage-{s}-aux", f"stage-{s}-mid"
+        for name in ("a", "b"):
+            tool(f"Helper-{s}{name}", helper_kind, ["Input Image"], aux)
+        tool(f"Helper-{s}g0", helper_kind, ["Input Image"], mid)
+        tool(f"Helper-{s}g1", helper_kind, [mid], aux)
+        for c in range(3):
+            tool(f"Stage-{s}{c}", kind, [aux] if c == 0 else ["Input Image"], f"stage-{s}-result")
+        parent = [tree_nodes[-1]["subtask"]] if tree_nodes else []
+        tree_nodes.append({"subtask": f"{kind} (obj)({s + 1})", "parent": parent})
+    pool = [f"pool-{i}" for i in range(30)]
+    for d in range(distractors):
+        inputs = [pool[int(i)] for i in rng.choice(len(pool), size=int(rng.integers(1, 3)), replace=False)]
+        tool(f"Distractor-{d:03d}", other_kinds[int(rng.integers(len(other_kinds)))], inputs,
+             pool[int(rng.integers(len(pool)))])
+    return {
+        "mdt": mdt,
+        "benchmark": benchmark,
+        "tree": {"task": f"synthetic registry {seed}", "subtask_tree": tree_nodes},
+    }
+
+
 def write_instance(payload: dict, directory: Path) -> dict[str, Path]:
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}

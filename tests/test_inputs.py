@@ -96,6 +96,14 @@ _PROBES = {
     "1e308 s rows, plan": (_edit("benchmark", _huge_times), "plan", ("--sim", "deterministic", "--out", "OUT/plan.json")),
     "1e308 s rows, verify": (_edit("benchmark", _huge_times), "verify", ("--out", "OUT/verify.json")),
     "1e308 s rows, sweep": (_edit("benchmark", _huge_times), "sweep", ("--sim", "deterministic", "--csv", "OUT/sweep.csv")),
+    # Valid JSON that no UTF-8 output can write: a string holding an unpaired surrogate.
+    "surrogate MDT tool": (_edit("mdt", lambda rows: rows[0].update(tool="\ud800X")), "graph",
+                           ("--format", "dot", "--out", "OUT/graph.dot")),
+    "surrogate benchmark subtask": (_edit("benchmark", lambda rows: rows[0].update(subtask="\udfff")), "plan", ()),
+    "surrogate tree label": (
+        _edit("tree", lambda tree: tree["subtask_tree"][0].update(subtask="Object Detection (\udc00)(1)")), "plan", ()
+    ),
+    "surrogate simulator spec field": (_edit("sim", lambda spec: spec.update(mode="\ud83d")), "plan", ()),
 }
 _NON_FINITE = "error: output holds a non-finite number: Out of range float values are not JSON compliant: inf\n"
 # The whole stderr of the probes whose message is pinned.
@@ -104,6 +112,10 @@ _PROBE_STDERR = {
     "--out naming a directory": "error: cannot write OUT: Is a directory\n",
     "1e308 s rows, plan": _NON_FINITE,
     "1e308 s rows, verify": _NON_FINITE,
+    "surrogate MDT tool": "error: MDT holds an unpaired surrogate U+D800\n",
+    "surrogate benchmark subtask": "error: benchmark table holds an unpaired surrogate U+DFFF\n",
+    "surrogate tree label": "error: subtask tree holds an unpaired surrogate U+DC00\n",
+    "surrogate simulator spec field": "error: simulator spec holds an unpaired surrogate U+D83D\n",
 }
 
 

@@ -10,8 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synth
 from oracles import lookup_models, reference_parse_benchmark, reference_parse_mdt
 from toolpath import registry
+from toolpath.execution import Simulator, SimulatorSpec
+from toolpath.graphs import build_tool_subgraph
+from toolpath.planning import parse_subtask_tree
+from toolpath.search import SearchConfig, astar_search, suffix_bounds
 
 from toolpath.errors import (
     DuplicateEntry,
@@ -401,12 +406,13 @@ def test_parsed_rows_equal_constructed_ones():
         row.time_seconds = 2.0
 
 
-def test_parse_normalizes_each_distinct_list_once(monkeypatch):
-    """Each distinct list is normalized once per parse, and so is each resource name, shared lists or not."""
+def test_parse_normalizes_each_distinct_name_at_most_once_and_only_when_read(monkeypatch):
+    """Each distinct subtasks list is canonicalized once per parse, shared or not; each resource
+    name is normalized at most once per table, and only when a record or index holding it is read."""
     ios = [["Input Image"], ["Bounding Boxes", "input  image"], ["Segmentation Masks", "Input Image"]]
     subtasks = [["Object Detection"], ["object  segmentation"], ["Object Removal", "Outpainting"]]
 
-    def calls(n):
+    def parse(n):
         mdt = [
             {"tool": f"T{i}", "subtasks": subtasks[i % 3], "inputs": ios[i % 3], "outputs": ios[(i + 1) % 3]}
             for i in range(n)
@@ -417,18 +423,84 @@ def test_parse_normalizes_each_distinct_list_once(monkeypatch):
             for sub in subtasks[i % 3]
         ]
         counts.clear()
-        parse_benchmark(json.dumps(bench), parse_mdt(json.dumps(mdt)))
-        return Counter(name for name, _ in counts.elements()), counts.copy()
+        table = parse_mdt(json.dumps(mdt))
+        parse_benchmark(json.dumps(bench), table)
+        return table
+
+    def calls(name):
+        return Counter({x: n for (f, x), n in counts.items() if f == name})
 
     counts: Counter[tuple[str, str]] = Counter()
     for name in ("canonical_subtask", "normalize_resource"):
         original = getattr(registry, name)
         monkeypatch.setattr(registry, name, lambda x, f=original, name=name: counts.update([(name, x)]) or f(x))
-    (small, _), (large, by_argument) = calls(3), calls(400)
-    assert set(small) == {"canonical_subtask", "normalize_resource"}
-    assert all(large[name] <= small[name] for name in small), (small, large)
-    resources = {x: n for (name, x), n in by_argument.items() if name == "normalize_resource"}
-    assert resources == dict.fromkeys({x for names in ios for x in names}, 1)
+    parse(3)
+    small = calls("canonical_subtask")
+    table = parse(400)
+    assert calls("canonical_subtask") == small and small
+    assert calls("normalize_resource") == {}
+    table.records[("T0", "Object Detection")]  # inputs ios[0], outputs ios[1]
+    assert calls("normalize_resource") == dict.fromkeys(ios[0] + ios[1], 1)
+    for index in table:
+        list(index.items())
+    assert calls("normalize_resource") == dict.fromkeys({x for names in ios for x in names}, 1)
+
+
+class _Reads:
+    """An MDT index that notes each key read through `get`, the one read the subgraph build makes."""
+
+    def __init__(self, index):
+        self.index, self.keys = index, []
+
+    def get(self, key, default=None):
+        self.keys.append(key)
+        return self.index.get(key, default)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_plan_builds_only_the_records_it_reads(seed, monkeypatch):
+    """Against hundreds of distractor rows, a plan builds the records of the pairs the subgraph
+    build and `_resolve` read, each once, and nothing else; checking and counting build none."""
+    payload = synth.registry_instance(seed)
+    built: list[tuple[str, str]] = []
+    monkeypatch.setattr(registry, "ToolRecord", lambda *fields: built.append(fields[:2]) or ToolRecord(*fields))
+    mdt = parse_mdt(json.dumps(payload["mdt"]))
+    bt = parse_benchmark(json.dumps(payload["benchmark"]), mdt)
+    tree = parse_subtask_tree(json.dumps(payload["tree"]))
+    kind = tree.nodes[0].kind
+    # perfbench's traced load span counts `len(records)`.
+    assert len(mdt.records) == len(payload["mdt"]) > 400 and ("Distractor-000", kind) not in mdt.records
+    assert all((row["tool"], row["subtasks"][0]) in mdt.records for row in payload["mdt"])
+    assert built == []
+    assert [r.key for r in mdt.by_subtask.get(kind)] == [(f"Stage-0{c}", kind) for c in range(3)]
+    assert built == [(f"Stage-0{c}", kind) for c in range(3)]
+
+    built.clear()
+    mdt = parse_mdt(json.dumps(payload["mdt"]))
+    reads = {"by_subtask": _Reads(mdt.by_subtask), "producers": _Reads(mdt.producers)}
+    graph = build_tool_subgraph(tree, mdt._replace(**reads))
+    result = astar_search(graph, suffix_bounds(graph, bt), Simulator(SimulatorSpec(), bt, 0), SearchConfig())
+    assert result.path is not None
+    read = {rec.key for name, index in reads.items() for key in index.keys for rec in getattr(mdt, name).get(key, ())}
+    assert sorted(built) == sorted(read)
+    # Per stage: three candidates, the two one-step helpers and the two-step chain.
+    assert len(read) == 7 * len(tree.nodes) and not any(tool.startswith("Distractor") for tool, _ in read)
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [('["\\ud800X"]', 0xD800), ('{"a": ["\\udfff"]}', 0xDFFF), ('{"\\udc00": 1}', 0xDC00),
+     ('["\\ude00\\ud83d"]', 0xDE00)],
+    ids=["high", "low", "key", "reversed-pair"],
+)
+def test_parse_json_refuses_an_unpaired_surrogate(text, code):
+    with pytest.raises(ParseError) as caught:
+        registry.parse_json(text, "MDT", object)
+    assert str(caught.value) == f"MDT holds an unpaired surrogate U+{code:04X}"
+
+
+def test_parse_json_keeps_a_surrogate_pair():
+    assert registry.parse_json('["\\ud83d\\ude00", "\\u00e9"]', "MDT", list) == ["\U0001f600", "\u00e9"]
 
 
 def _variant(names, case=(str, str.lower, str.upper)):
