@@ -1,18 +1,22 @@
 """Verification oracle, accuracy aggregation, and Pareto sweep utilities.
 
 The oracle and the deterministic alpha sweep read one Pareto front of
-(total time, quality product), built in one label-setting pass over the
-nodes that pass a quality threshold: 0 for the oracle, so every path
-counts, the search's for the sweep, which then runs no tool.  Its points
-are totalled from the root in path order, so each is bit-identical to
-scoring its path alone.  Both take, per alpha, the point of least g; of
-equal g the faster point, and of equal points the lexicographically first
-path the pass keeps.  Other executors get one search per alpha.
+(total time, quality product) over the paths whose nodes pass a quality
+threshold: 0 for the oracle, so every path counts, the search's for the
+sweep, which then runs no tool.  It is the suffix bounds' label-setting
+pass, `search.pareto_fronts`, run forward over predecessor lists to one
+virtual node after every sink.  Its points are totalled from the root in
+path order, so each is bit-identical to scoring its path alone.  Both
+take, per alpha, the point of least g, and of equal g the faster point;
+the oracle then rebuilds the one path it reports, the lexicographically
+first of those whose every prefix the pass keeps as a label.  Other
+executors get one search per alpha.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -21,12 +25,13 @@ from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, add_left_to_right
 from .graphs import ROOT_ID, ToolSubgraph, count_paths
 from .registry import BenchmarkTable
 from .search import (
+    Front,
     SearchConfig,
     _non_dominated,
-    _within_capacity,
     astar_search,
     benchmark_rows,
     compute_g,
+    pareto_fronts,
     suffix_bounds,
     validate_alpha,
 )
@@ -61,20 +66,21 @@ def brute_force_optimal(
     of least g is the least over all paths, bit for bit, since each point
     is totalled from the root in path order and no path it drops can score
     lower.  Of the paths of least g the fastest is taken, then the
-    lexicographically first the pass keeps, and no path is walked.  The
-    search runs under deterministic playback, where every step of the
-    returned path passed on its first attempt, so the path's g sums and
-    multiplies the same rows in the same order and is its objective; the
-    gap (that objective minus the minimum) is never negative.  A search
-    with no path raises SearchExhausted; past QUEUE_CAP entries it, or
-    either pass, raises QueueOverflow.
+    lexicographically first whose prefixes the pass keeps (`_best_path`);
+    no other path is walked.  The search runs under deterministic
+    playback, where every step of the returned path passed on its first
+    attempt, so the path's g sums and multiplies the same rows in the same
+    order and is its objective; the gap (that objective minus the minimum)
+    is never negative.  A search with no path raises SearchExhausted; past
+    QUEUE_CAP entries it, or either pass, raises QueueOverflow.
     """
     validate_alpha(alpha)
     paths_enumerated = count_paths(graph)
     bounds = suffix_bounds(graph, bt)
-    front = _playback_front(graph, bounds.rows, 0.0, paths=True)
+    fronts = _playback_front(graph, bounds.rows, 0.0)
     # min keeps the first, so the fastest, of the points of least g.
-    time, quality, best_path = min(front, key=lambda point: compute_g(point[0], point[1], alpha))
+    time, quality = min(fronts[-1], key=lambda point: compute_g(point[0], point[1], alpha))
+    best_path = _best_path(graph, bounds.rows, fronts, (time, quality))
     best_obj = compute_g(time, quality, alpha)
     search_cfg = (cfg if cfg is not None else SearchConfig()).with_alpha(alpha)
     # Deterministic playback reads no seed.
@@ -129,51 +135,76 @@ def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:
     return [p for p in points if (p.total_time, -p.quality_product) in kept]
 
 
-def _playback_front(
-    graph: ToolSubgraph, rows: Sequence[tuple[float, float]], threshold: float, paths: bool = False
-) -> list[tuple[float, float, tuple[int, ...] | None]]:
-    """Pareto front of (total time, quality product, path) over the paths playback completes.
+def _playback_front(graph: ToolSubgraph, rows: Sequence[tuple[float, float]], threshold: float) -> list[Front]:
+    """Prefix fronts of (total time, quality product) over the paths playback completes.
 
     Deterministic playback returns a node's benchmark row on every attempt,
     so a node whose quality is below `threshold` fails all of them and no
     path through it completes, while every other node passes on its first.
-    One pass in ascending node id, a topological order, carries each
-    node's non-dominated prefix labels, kept as (time, -quality, path), as
-    the multi-objective label-setting of NAMOA* (Mandow & Perez de la Cruz,
-    JACM 2010): times add from 0.0 and qualities multiply from 1.0 in path
-    order, the search's order, so each point is bit-identical to the totals
-    of the search's label for its path.  A label another one at its node
-    weakly dominates is dropped, as the search drops it; rounding is
-    monotone, so it could never complete better than that label.  Of equal
-    labels the one whose path is lexicographically first is kept: a path
-    ends in a sentinel above every node id, so a prefix sorts as the paths
-    that extend it would.  Paths are built only when `paths` is set, and
-    a label's path only once it survives at its node; the entries queued
-    for its successors share that tuple.  Otherwise every path is None and
-    the points are the same.  More than QUEUE_CAP labels kept over all
-    nodes raise QueueOverflow.
-    Points come in ascending time and quality.
+    `pareto_fronts` runs over predecessor lists in ascending node id, a
+    topological order, plus one virtual node after every sink: a node's
+    front holds the totals of the paths from the root to its predecessors,
+    and the virtual node's, the last, those of the whole paths.  Times add
+    from 0.0 and qualities multiply from 1.0 in path order, the search's
+    order, so each point is bit-identical to the totals of the search's
+    label for its path.  More than QUEUE_CAP points over the distinct
+    fronts raise QueueOverflow.
+    """
+    preds: list[list[int]] = [[] for _ in graph.successors]
+    for node_id, succs in enumerate(graph.successors):
+        for succ in succs:
+            preds[succ].append(node_id)
+    sinks = tuple(node_id for node_id, succs in enumerate(graph.successors) if not succs)
+    neighbours = [*map(tuple, preds), sinks]
+    return pareto_fronts(rows, neighbours, range(len(neighbours)), threshold, "playback-front pass")
+
+
+def _best_path(
+    graph: ToolSubgraph, rows: Sequence[tuple[float, float]], fronts: list[Front], point: tuple[float, float]
+) -> tuple[int, ...]:
+    """The lexicographically first path to `point` among those the playback front keeps.
+
+    `fronts` are `_playback_front`'s at threshold 0 and `point` a point of
+    its whole-path front.  A label is the totals of a path prefix ending at
+    a node; the labels a node keeps are its prefix front shifted by its own
+    row, less those another one weakly dominates.  A pass that carried each
+    node's labels and paths would drop the others there, and of equal
+    labels keep the one whose path sorts first, so the path it ends on at
+    `point` is the first whose every prefix ends on a kept label.  One walk
+    in descending node id marks each kept label that a successor's marked
+    label extends, or at a sink that equals `point`.  The prefix points
+    whose labels extend to a marked time are one run of the node's front,
+    found by bisection, and only a node with such a point filters its
+    labels.  A walk from the root then takes, at each step, the lowest-id
+    successor whose label it extends to is marked.
     """
     successors = graph.successors
-    sentinel = len(successors)
-    incoming: list[list | None] = [[] for _ in successors]
-    incoming[ROOT_ID].append((0.0, -1.0, (sentinel,) if paths else None))
-    ends: list[tuple[float, float, tuple[int, ...] | None]] = []
-    labels_kept = 0
-    for node_id, succs in enumerate(successors):
-        kept = _non_dominated(incoming[node_id])
-        labels_kept += len(kept)
-        _within_capacity(labels_kept, "playback-front pass")
-        incoming[node_id] = None  # read once; freeing it keeps only the unread labels alive
-        if paths:
-            kept = [(t, neg_q, path[:-1] + (node_id, sentinel)) for t, neg_q, path in kept]
-        if not succs:
-            ends += kept
-        for succ in succs:
-            c, q = rows[succ]
-            if q >= threshold:
-                incoming[succ] += [(t + c, neg_q * q, path) for t, neg_q, path in kept]
-    return [(t, -neg_q, path and path[:-1]) for t, neg_q, path in _non_dominated(ends)]
+    end = ((0.0, 1.0), {point})  # the virtual node after every sink: no time, no loss, its one label `point`
+    marked: list[set[tuple[float, float]]] = [set() for _ in successors]
+    for node_id in reversed(range(len(successors))):
+        c, r = rows[node_id]
+        front, succs, hits = fronts[node_id], successors[node_id], set()
+        for (c_s, r_s), labels in [(rows[succ], marked[succ]) for succ in succs] if succs else [end]:
+            # `+` rounds monotonically, so the front's points whose labels extend to one time are one run.
+            def extended(prefix):
+                return c + prefix[0] + c_s
+
+            for time, quality in labels:
+                for t, q in front[bisect_left(front, time, key=extended) : bisect_right(front, time, key=extended)]:
+                    if r * q * r_s == quality:
+                        hits.add((c + t, r * q))
+        if hits:
+            kept = _non_dominated([(c + t, -(r * q)) for t, q in front])
+            marked[node_id] = hits.intersection((t, -neg_q) for t, neg_q in kept)
+    path, label = [ROOT_ID], (0.0, 1.0)
+    while successors[path[-1]]:
+        for succ in successors[path[-1]]:
+            step = (label[0] + rows[succ][0], label[1] * rows[succ][1])
+            if step in marked[succ]:
+                break
+        path.append(succ)
+        label = step
+    return tuple(path)
 
 
 def sweep_alpha(
@@ -215,12 +246,12 @@ def sweep_alpha(
     points: list[ParetoPoint] = []
     spec = getattr(executor, "spec", None)  # a Simulator's, or None for a bare callable
     if spec is not None and spec.mode == "deterministic" and executor.bt is bt:
-        front = _playback_front(graph, benchmark_rows(graph, bt), cfg0.quality_threshold)
+        front = _playback_front(graph, benchmark_rows(graph, bt), cfg0.quality_threshold)[-1]
         if not front:
             raise SearchExhausted(f"search at alpha={alphas[0]} found no valid path")
         for alpha in alphas:
             # min keeps the first, so the fastest, of the points of least g.
-            time, quality, _ = min(front, key=lambda point: compute_g(point[0], point[1], alpha))
+            time, quality = min(front, key=lambda point: compute_g(point[0], point[1], alpha))
             points.append(ParetoPoint(alpha, time, quality, compute_g(time, quality, alpha)))
         return points
     bounds = suffix_bounds(graph, bt)

@@ -19,7 +19,10 @@ queued at
 
 the best completion of the prefix under benchmark values.  It never
 exceeds the g of any completion at any alpha, and equals g at a sink,
-whose front is the single point (0, 1).
+whose front is the single point (0, 1).  The fronts come from
+`pareto_fronts`, one label-setting pass over neighbour lists: here over
+successor lists in reverse topological order, and in `evaluation`, for
+the playback front, over predecessor lists in topological order.
 
 Paths are pruned by Pareto dominance: each node keeps the non-dominated
 (cum_time, cum_quality) labels that reached it, as in the label-setting
@@ -51,6 +54,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -102,8 +106,8 @@ class SearchConfig(Frozen):
 
 
 def compute_g(cum_time: float, cum_quality: float, alpha: float) -> float:
-    """Realized prefix objective; a zero-time prefix (the bare root) is 0."""
-    if cum_time == 0.0:
+    """Realized prefix objective; the bare root, at time 0 and quality 1, is 0."""
+    if cum_time == 0.0 and cum_quality == 1.0:
         return 0.0
     try:
         return cum_time**alpha * (2.0 - cum_quality) ** (2.0 - alpha)
@@ -111,7 +115,7 @@ def compute_g(cum_time: float, cum_quality: float, alpha: float) -> float:
         return math.inf
 
 
-# (suffix time, suffix quality product) pairs, ascending in both.
+# (time, quality product) pairs, ascending in both.
 Front = tuple[tuple[float, float], ...]
 
 
@@ -140,47 +144,66 @@ def _within_capacity(count: int, holder: str) -> None:
         raise QueueOverflow(f"{holder} exceeded its capacity of {QUEUE_CAP} entries")
 
 
+def pareto_fronts(
+    rows: Sequence[tuple[float, float]],
+    neighbours: Sequence[tuple[int, ...]],
+    order: Iterable[int],
+    threshold: float,
+    holder: str,
+) -> list[Front]:
+    """Each node's Pareto front of (time, quality product) totalled over its neighbours.
+
+    The one label-setting pass (NAMOA*, Mandow & Perez de la Cruz, JACM
+    2010) behind both the suffix bounds (successor lists in descending id)
+    and the playback front (predecessor lists in ascending id).  `order`
+    visits every neighbour of a node before the node.  A node with no
+    neighbours has the front ((0, 1),).  Any other node merges the fronts
+    of its neighbours whose quality meets `threshold`, each shifted by that
+    neighbour's row, and keeps the points no other point weakly dominates;
+    so none is left when no neighbour meets it.  A front depends only on
+    the neighbours, so nodes with the same neighbours share one front.  Of
+    a node's neighbours that share a front, one whose row a sibling's
+    weakly dominates is skipped: float `+` and `*` round monotonically, so
+    each of its shifted points is weakly dominated by the sibling's at the
+    same index, and the merged front holds the same values.  More than
+    QUEUE_CAP points over the distinct fronts raise QueueOverflow naming
+    `holder`.
+    """
+    fronts: list[Front] = [((0.0, 1.0),)] * len(neighbours)
+    shared: dict[tuple[int, ...], Front] = {}
+    points_kept = 0
+    for node_id in order:
+        near = neighbours[node_id]
+        if not near:
+            continue
+        front = shared.get(near)
+        if front is None:
+            groups: dict[tuple[int, ...], list] = {}
+            for other in near:
+                c, r = rows[other]
+                if r >= threshold:
+                    groups.setdefault(neighbours[other], []).append((c, -r, other))
+            points = []
+            for group in groups.values():
+                for c, neg_r, other in _non_dominated(group):
+                    points += [(c + t, neg_r * q) for t, q in fronts[other]]
+            front = shared[near] = tuple((t, -neg_q) for t, neg_q in _non_dominated(points))
+            points_kept += len(front)
+            _within_capacity(points_kept, holder)
+        fronts[node_id] = front
+    return fronts
+
+
 def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     """Benchmark row and Pareto front of suffix (time, quality product) of every node.
 
-    One pass in descending node id, a reverse topological order, over
-    benchmark values, independent of alpha; a sink's front is ((0, 1),)
-    and the root's row, which runs no tool, is (0, 1).  A node merges its
-    successors' fronts, each shifted by that successor's row, and keeps the
-    points no other point weakly dominates.  A front depends only on the
-    successors, so nodes with the same successors share one front.  Of a
-    node's successors that share a front (every sink has ((0, 1),)), one
-    whose row a sibling's weakly dominates is skipped: float `+` and `*`
-    round monotonically, so each of its shifted points is weakly dominated
-    by the sibling's at the same index, and the merged front holds the same
-    values.  More than QUEUE_CAP points over the distinct fronts raise
-    QueueOverflow.
+    `pareto_fronts` over successor lists in descending node id, a reverse
+    topological order, over benchmark values, independent of alpha, at
+    threshold 0, so every row counts; a sink's front is ((0, 1),) and the
+    root's row, which runs no tool, is (0, 1).
     """
     rows = benchmark_rows(graph, bt)
-    fronts: list[Front] = [((0.0, 1.0),)] * len(graph.nodes)
-    shared: dict[tuple[int, ...], Front] = {}
-    points_kept = 0
-    for node_id in reversed(range(len(graph.nodes))):
-        succs = graph.successors[node_id]
-        if not succs:
-            continue
-        front = shared.get(succs)
-        if front is None:
-            kept = succs
-            if len(succs) > 1:
-                groups: dict[tuple[int, ...], list] = {}
-                for succ in succs:
-                    c, r = rows[succ]
-                    groups.setdefault(graph.successors[succ], []).append((c, -r, succ))
-                kept = [succ for group in groups.values() for _, _, succ in _non_dominated(group)]
-            points = []
-            for succ in kept:
-                c, r = rows[succ]
-                points += [(c + t, -(r * q)) for t, q in fronts[succ]]
-            front = shared[succs] = tuple((t, -neg_q) for t, neg_q in _non_dominated(points))
-            points_kept += len(front)
-            _within_capacity(points_kept, "suffix-bounds pass")
-        fronts[node_id] = front
+    fronts = pareto_fronts(rows, graph.successors, reversed(range(len(rows))), 0.0, "suffix-bounds pass")
     return SuffixBounds(tuple(rows), tuple(fronts))
 
 

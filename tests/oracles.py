@@ -10,6 +10,9 @@ the test-only library helpers no command calls:
 - `path_objective`: the benchmark-valued objective of one path;
 - `merge_every_successor_fronts`: the suffix pass without its sibling
   skip, the reference for `search.suffix_bounds`;
+- `playback_front_by_labels`: the forward pass that carries every node's
+  own labels and paths, the reference for `evaluation._playback_front`
+  and for the oracle's `best_path`;
 - `lookup_models`: the tools that can perform one subtask;
 - `sweep_by_search`: one search per alpha, the reference for a
   deterministic sweep;
@@ -392,6 +395,59 @@ def merge_every_successor_fronts(
             shared[succs] = tuple((t, -neg_q) for t, neg_q in search._non_dominated(points))
         fronts[node_id] = shared[succs]
     return fronts
+
+
+def playback_front_by_labels(
+    graph: ToolSubgraph, rows, threshold: float, paths: bool = False
+) -> list[tuple[float, float, tuple[int, ...] | None]]:
+    """Pareto front of (total time, quality product, path) over the paths playback completes.
+
+    Deterministic playback returns a node's benchmark row on every attempt,
+    so a node whose quality is below `threshold` fails all of them and no
+    path through it completes, while every other node passes on its first.
+    One pass in ascending node id, a topological order, carries each
+    node's non-dominated prefix labels, kept as (time, -quality, path), as
+    the multi-objective label-setting of NAMOA* (Mandow & Perez de la Cruz,
+    JACM 2010): times add from 0.0 and qualities multiply from 1.0 in path
+    order, the search's order, so each point is bit-identical to the totals
+    of the search's label for its path.  A label another one at its node
+    weakly dominates is dropped, as the search drops it; rounding is
+    monotone, so it could never complete better than that label.  Of equal
+    labels the one whose path is lexicographically first is kept: a path
+    ends in a sentinel above every node id, so a prefix sorts as the paths
+    that extend it would.  Paths are built only when `paths` is set, and
+    a label's path only once it survives at its node; the entries queued
+    for its successors share that tuple.  Otherwise every path is None and
+    the points are the same.  More than QUEUE_CAP labels kept over all
+    nodes raise QueueOverflow.
+    Points come in ascending time and quality.
+
+    Each node merges its own labels here, with no shared fronts and no
+    sibling skip: the reference that `evaluation._playback_front` and the
+    oracle's tie rule must match bit for bit.  It filters through
+    `search._non_dominated`, read from the module at each call, so a test
+    that wraps it there counts the labels both passes merge.
+    """
+    successors = graph.successors
+    sentinel = len(successors)
+    incoming: list[list | None] = [[] for _ in successors]
+    incoming[ROOT_ID].append((0.0, -1.0, (sentinel,) if paths else None))
+    ends: list[tuple[float, float, tuple[int, ...] | None]] = []
+    labels_kept = 0
+    for node_id, succs in enumerate(successors):
+        kept = search._non_dominated(incoming[node_id])
+        labels_kept += len(kept)
+        search._within_capacity(labels_kept, "playback-front pass")
+        incoming[node_id] = None  # read once; freeing it keeps only the unread labels alive
+        if paths:
+            kept = [(t, neg_q, path[:-1] + (node_id, sentinel)) for t, neg_q, path in kept]
+        if not succs:
+            ends += kept
+        for succ in succs:
+            c, q = rows[succ]
+            if q >= threshold:
+                incoming[succ] += [(t + c, neg_q * q, path) for t, neg_q, path in kept]
+    return [(t, -neg_q, path and path[:-1]) for t, neg_q, path in search._non_dominated(ends)]
 
 
 def path_totals(graph: ToolSubgraph, bt: BenchmarkTable, path) -> tuple[float, float]:

@@ -325,6 +325,39 @@ def test_verify_fixture_gap_zero(data_dir, capsys):
     assert payload["paths_enumerated"] == 2
 
 
+def test_zero_time_path_scores_its_quality_at_alpha_0(tmp_path, capsys):
+    """At alpha 0, g reads quality alone: a 0-second tool of quality 0.85 scores
+    (2 - 0.85)**2 = 1.3225, so a 1-second tool of quality 1, at 1.0, beats it.
+
+    Only the bare root, at time 0 and quality 1, scores 0.
+    """
+    tools = {"Good": (1.0, 1.0), "Zero": (0.0, 0.85)}
+    payload = {
+        "mdt": [
+            {"tool": tool, "subtasks": ["Image Deblurring"], "inputs": ["Input Image"], "outputs": ["Sharp Image"]}
+            for tool in tools
+        ],
+        "benchmark": [
+            {"tool": tool, "subtask": "Image Deblurring", "time_seconds": time_seconds, "quality": quality}
+            for tool, (time_seconds, quality) in tools.items()
+        ],
+        "tree": {"task": "Sharpen the photo", "subtask_tree": [{"subtask": "Image Deblurring(1)", "parent": []}]},
+    }
+    args = [f"--{name}={path}" for name, path in write_instance(payload, tmp_path).items()]
+    assert main(["plan", *args, "--alpha", "0"]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert [row["tool"] for row in plan["path"]] == ["ROOT", "Good"]
+    assert plan["totals"] == {"time": 1.0, "quality_product": 1.0, "g": 1.0, "f": 1.0}
+    assert main(["sweep", *args, "--alphas", "0,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,1,1,1,true", "1,0,0.85,0,true"]
+    assert main(["verify", *args, "--alpha", "0", "--gap-tolerance", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["best_path"], report["best_objective"], report["gap"]) == ([0, 1], 1.0, 0.0)
+    graph, bt, *_ = build_payload(payload)
+    assert graph.nodes[1].tool == "Good"
+    assert search.compute_g(0.0, 0.85, 0.0) == pytest.approx(1.3225)
+
+
 def test_verify_paths_cap_is_no_longer_an_option(data_dir, capsys):
     """The path cap is retired with exit 3: the option is a usage error, exit 1."""
     assert main(["verify", *_args_detection(data_dir), "--paths-cap", "1000000"]) == 1

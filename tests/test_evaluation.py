@@ -13,6 +13,7 @@ from oracles import (
     pareto_filter_pairwise,
     path_objective,
     path_totals,
+    playback_front_by_labels,
     sweep_by_search,
 )
 from synth import build_payload, built_instance, chain_instance, detection_graph, tradeoff_chain_instance
@@ -29,6 +30,7 @@ from toolpath.errors import (
 from toolpath.evaluation import (
     SCORE_VOCABULARY,
     ParetoPoint,
+    _playback_front,
     brute_force_optimal,
     overall_accuracy,
     pareto_csv,
@@ -37,11 +39,11 @@ from toolpath.evaluation import (
     task_accuracy,
 )
 from toolpath.execution import DEFAULT_SEED, Simulator, SimulatorSpec
-from toolpath.graphs import build_tool_subgraph
+from toolpath.graphs import build_tool_subgraph, count_paths
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import BenchmarkRow, BenchmarkTable, load_benchmark, load_mdt
 from toolpath import search
-from toolpath.search import SearchConfig, astar_search, compute_g, suffix_bounds
+from toolpath.search import SearchConfig, astar_search, benchmark_rows, compute_g, suffix_bounds
 
 
 # ---------------------------------------------------------------- oracle
@@ -158,6 +160,77 @@ def test_playback_front_capacity_boundary(monkeypatch):
         sweep_alpha(graph, bt, _playback(bt), [1.0])
 
 
+# (seed, stages, tools per stage) of chain instances the playback-front tests cover.
+_FRONT_CHAIN_SHAPES = ((1, 8, 8), (1, 10, 6), (0, 2, 2), (1, 3, 5), (2, 4, 3), (3, 6, 2), (4, 5, 6), (5, 2, 9))
+_FRONT_ALPHAS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+
+
+def _least_g_point(front, alpha):
+    return min(front, key=lambda point: compute_g(point[0], point[1], alpha))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instance=st.one_of(
+        st.builds(built_instance, st.integers(0, 1999), st.booleans()),
+        st.sampled_from(_FRONT_CHAIN_SHAPES).map(lambda shape: build_payload(chain_instance(*shape))),
+    ),
+    threshold=st.sampled_from((0.0, 0.8, 0.95)),
+)
+def test_playback_front_matches_the_pass_that_carries_every_label(instance, threshold):
+    """The shared-join pass gives the label-carrying pass's front, sweep points and
+    oracle path, bit for bit: its tie rule is the lexicographically first path
+    among the labels that pass keeps."""
+    graph, bt, *_ = instance
+    rows = benchmark_rows(graph, bt)
+    reference = playback_front_by_labels(graph, rows, threshold)
+    front = _playback_front(graph, rows, threshold)[-1]
+    assert [(t.hex(), q.hex()) for t, q in front] == [(t.hex(), q.hex()) for t, q, _ in reference]
+    cfg = SearchConfig(quality_threshold=threshold)
+    if not reference:
+        with pytest.raises(SearchExhausted):
+            sweep_alpha(graph, bt, _playback(bt), _FRONT_ALPHAS, cfg)
+    else:
+        expected = [(t.hex(), q.hex()) for t, q, _ in (_least_g_point(reference, a) for a in _FRONT_ALPHAS)]
+        points = sweep_alpha(graph, bt, _playback(bt), _FRONT_ALPHAS, cfg)
+        assert [(p.total_time.hex(), p.quality_product.hex()) for p in points] == expected
+    with_paths = playback_front_by_labels(graph, rows, 0.0, paths=True)
+    for alpha in _FRONT_ALPHAS:
+        time, quality, path = _least_g_point(with_paths, alpha)
+        rep = brute_force_optimal(graph, bt, alpha)
+        assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == (
+            path,
+            compute_g(time, quality, alpha),
+            count_paths(graph),
+        )
+
+
+@pytest.mark.parametrize(
+    ("shape", "by_labels", "shared"),
+    [((1, 24, 16), 632_657, 11_122), ((1, 10, 6), 3_331, 281), ((1, 8, 8), 4_265, 228)],
+)
+def test_playback_front_merges_each_join_once(shape, by_labels, shared, monkeypatch):
+    """Label points each pass filters, counted where it filters them: on a full chain
+    join every node of a stage has the same predecessors, so the stage merges
+    their fronts once, and only from the predecessors no sibling dominates."""
+    merged = [0]
+    non_dominated = search._non_dominated
+
+    def counting(points):
+        if points and not isinstance(points[0][-1], int):  # labels, not a group's (c, -r, id) rows
+            merged[0] += len(points)
+        return non_dominated(points)
+
+    monkeypatch.setattr(search, "_non_dominated", counting)
+    graph, bt, *_ = build_payload(chain_instance(*shape))
+    rows = benchmark_rows(graph, bt)
+    reference = playback_front_by_labels(graph, rows, 0.0)
+    assert merged[0] == by_labels
+    merged[0] = 0
+    assert len(_playback_front(graph, rows, 0.0)[-1]) == len(reference)
+    assert merged[0] == shared
+
+
 def test_oracle_and_plan_name_the_same_missing_row():
     """Rows of ChainTool-01-02 (node 6) and ChainTool-02-00 (node 7) are missing.
 
@@ -238,6 +311,24 @@ def test_oracle_keeps_the_path_whose_prefix_is_an_ulp_faster():
     assert path_totals(graph, bt, first) == path_totals(graph, bt, rep.best_path) == (78.0702, 0.6227815448139155)
     assert path_totals(graph, bt, first[:8]) == (45.8417, 0.8353217747887166)
     assert path_totals(graph, bt, rep.best_path[:8]) == (45.841699999999996, 0.8353217747887166)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+def test_oracle_path_drops_a_label_its_own_row_makes_dominated(alpha):
+    """A is an ulp slower than B and an ulp better, so C's prefix front holds both.
+
+    C's row rounds both qualities to one product, so at C A's label is
+    dominated and dropped, although D's row then rounds both times to one
+    total and both paths end at the same point.  The oracle keeps B's path,
+    as the pass that carried every label did, not A's, the first.
+    """
+    rows = {"A": (math.nextafter(1.0, 2.0), math.nextafter(0.8, 1.0)), "B": (1.0, 0.8), "C": (0.5, 0.75), "D": (4.0, 1.0)}
+    graph, bt = detection_graph(rows, {(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)})
+    assert path_totals(graph, bt, (0, 1, 3)) != path_totals(graph, bt, (0, 2, 3))
+    assert path_totals(graph, bt, (0, 1, 3, 4)) == path_totals(graph, bt, (0, 2, 3, 4))
+    ((*_, path),) = playback_front_by_labels(graph, benchmark_rows(graph, bt), 0.0, paths=True)
+    rep = brute_force_optimal(graph, bt, alpha, SearchConfig(quality_threshold=0.0))
+    assert rep.best_path == path == (0, 2, 3, 4)
 
 
 # ---------------------------------------------------------------- accuracy
