@@ -252,6 +252,8 @@ def cmd_sweep(args, digests: dict[str, str]) -> Outcome:
         alphas = [validate_alpha(float(a)) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"--alphas must be comma-separated numbers: {exc}") from exc
+    if not alphas:
+        raise ParseError(f"--alphas names no alpha: {args.alphas!r}")
     cfg = _search_config(args)
     bt, graph = _build_graph(args, digests)
     simulator = Simulator(_sim_spec(args.sim, digests), bt, args.seed)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
 from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, add_left_to_right
-from .graphs import ROOT_ID, ToolSubgraph, count_paths
+from .graphs import ROOT_ID, ToolSubgraph, count_paths, predecessors
 from .registry import BenchmarkTable
 from .search import (
     Front,
@@ -150,12 +150,8 @@ def _playback_front(graph: ToolSubgraph, rows: Sequence[tuple[float, float]], th
     label for its path.  More than QUEUE_CAP points over the distinct
     fronts raise QueueOverflow.
     """
-    preds: list[list[int]] = [[] for _ in graph.successors]
-    for node_id, succs in enumerate(graph.successors):
-        for succ in succs:
-            preds[succ].append(node_id)
     sinks = tuple(node_id for node_id, succs in enumerate(graph.successors) if not succs)
-    neighbours = [*map(tuple, preds), sinks]
+    neighbours = [*predecessors(graph), sinks]
     return pareto_fronts(rows, neighbours, range(len(neighbours)), threshold, "playback-front pass")
 
 
@@ -223,12 +219,9 @@ def sweep_alpha(
     takes its point of least g.  g is a weighted-sum scalarization of
     (ln T, ln(2 - Q)) (Ehrgott, Multicriteria Optimization, 2005), so its
     least value over all those paths lies on that front.  Of front points
-    with equal g the faster one is taken, as the oracle takes it, while a
-    search may end on any path of that g.  Points are totalled as the
-    search totals its labels, so they hold the bits a search reports,
-    except at such ties and where the search's bounds, which total a
-    suffix from its end, let it settle on a path whose g is a rounding
-    error above the least.
+    with equal g the faster one is taken, as the oracle and the search
+    take it.  Points are totalled as the search totals its labels, so they
+    hold the bits a search reports.
 
     Any other executor gets one search per alpha.  The suffix bounds do not
     depend on alpha, so they are computed once.  A simulator keys its

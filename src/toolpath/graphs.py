@@ -228,6 +228,15 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
     return ToolSubgraph(tuple(nodes), tuple(map(tuple, succ)))
 
 
+def predecessors(graph: ToolSubgraph) -> list[tuple[int, ...]]:
+    """Each node's predecessor ids, in ascending order."""
+    preds: list[list[int]] = [[] for _ in graph.successors]
+    for node_id, succs in enumerate(graph.successors):
+        for succ in succs:
+            preds[succ].append(node_id)
+    return [tuple(near) for near in preds]
+
+
 def count_paths(graph: ToolSubgraph) -> int:
     """Number of root-to-leaf paths, via DP in ascending node id: `verify`'s `paths_enumerated`."""
     counts = [0] * len(graph.nodes)

@@ -47,6 +47,14 @@ explorable.  Under stochastic execution an edge is queued at its benchmark
 bound and its label at the realized one, so the search commits to a path
 without seeing the outcomes of siblings it never popped, and may return a
 path an eager search, which ran every sibling, would have beaten.
+
+A bound totals a suffix from its end, while a path's g totals it from the
+root, so two paths whose times tie in decimal can sum an ulp apart.  The
+search breaks bound ties depth-first and, once a sink pops, keeps popping
+within a stop window sized from the summation error bound; an entry there
+runs only if a completion totalled from the root can beat the sink.  Under
+deterministic playback the path returned has the least g over all paths,
+bit for bit, and of equal g the least time.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from typing import NamedTuple
 
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
 from .execution import ExecutionTrace, Frozen, TraceEvent, validate_quality
-from .graphs import ROOT_ID, ToolSubgraph
+from .graphs import ROOT_ID, ToolSubgraph, predecessors
 from .registry import BenchmarkTable
 
 DEFAULT_QUALITY_THRESHOLD = 0.8
@@ -223,15 +231,17 @@ def _non_dominated(points: list[tuple]) -> list[tuple]:
     return kept
 
 
-def _front_bound(front: Front, time: float, quality: float, alpha: float) -> float:
+def _front_bound(front: Front, time: float, quality: float, alpha: float, totals: bool = False):
     """min over (t, q) in `front` of g(time + t, quality * q).
 
-    Times ascend along the front, so once (time + t) ** alpha times the
-    quality factor of the front's best quality reaches the best g found,
-    no later point can do better.
+    With `totals`, (that g, total time, -quality product) of the first
+    point that reaches it, the fastest.  Times ascend along the front, so
+    once (time + t) ** alpha times the quality factor of the front's best
+    quality reaches the best g found, no later point can do better.
     """
     floor = (2.0 - quality * front[-1][1]) ** (2.0 - alpha)
-    best = math.inf
+    best = best_total = math.inf
+    best_q = 0.0
     for t, q in front:
         total = time + t
         try:
@@ -241,8 +251,8 @@ def _front_bound(front: Front, time: float, quality: float, alpha: float) -> flo
             break
         g = compute_g(total, quality * q, alpha)
         if g < best:
-            best = g
-    return best
+            best, best_total, best_q = g, total, q
+    return (best, best_total, -(quality * best_q)) if totals else best
 
 
 class PathStep(NamedTuple):
@@ -274,8 +284,11 @@ class SearchStats(NamedTuple):
     waiting for a retry that goes stale.  `stale_pops` are queued labels
     and edges whose label a later label dominated; they are skipped, so a
     stale label is not `expanded` and a stale edge, first attempt or
-    retry, never runs.  `peak_frontier` counts queued labels and edges
-    together.
+    retry, never runs.  A popped sink does not end the search at once:
+    `expanded` counts every live label popped, those popped within the
+    stop window after the first sink included, whether they are then
+    expanded or dropped; an edge dropped there is counted nowhere, as it
+    never runs.  `peak_frontier` counts queued labels and edges together.
     """
 
     executions: int = 0
@@ -392,13 +405,63 @@ def _path(label: _Label, alpha: float) -> PathState:
     )
 
 
+def _completion_front(
+    successors: Sequence[tuple[int, ...]],
+    preds: Sequence[tuple[int, ...]],
+    rows: Sequence[tuple[float, float]],
+    heads: tuple[int, ...],
+    totals: tuple[float, float],
+    threshold: float,
+) -> Front:
+    """Front of (total time, quality product) over the completions of one prefix under playback.
+
+    The prefix totals `totals` and goes on through one of `heads`.  Each
+    completion adds benchmark rows to `totals` in path order and passes no
+    node whose quality is below `threshold`, as `evaluation._playback_front`
+    totals whole paths, so under deterministic playback each point holds
+    the bits of the search's label for that completion.  It is
+    `pareto_fronts` over the predecessor lists `preds` of the nodes
+    reachable from `heads` through such nodes, in ascending id, after one
+    virtual node whose row is `totals` and which precedes each of `heads`,
+    and before one virtual node after every sink.  None is left when no
+    sink is reached.  Nodes with the same successors, or the same
+    predecessors, are walked or filtered once.
+    """
+    reached = {node for node in heads if rows[node][1] >= threshold}
+    stack, walked = list(reached), set()
+    while stack:
+        succs = successors[stack.pop()]
+        if succs not in walked:
+            walked.add(succs)
+            for succ in succs:
+                if succ not in reached and rows[succ][1] >= threshold:
+                    reached.add(succ)
+                    stack.append(succ)
+    nodes = sorted(reached)
+    ends = tuple(i for i, node in enumerate(nodes, start=1) if not successors[node])
+    if not ends:
+        return ()
+    local = {node: i for i, node in enumerate(nodes, start=1)}
+    filtered: dict[tuple[int, ...], tuple[int, ...]] = {}
+    neighbours: list[tuple[int, ...]] = [()]
+    for node in nodes:
+        near = filtered.get(preds[node])
+        if near is None:
+            near = filtered[preds[node]] = tuple([local[pred] for pred in preds[node] if pred in local])
+        neighbours.append((0, *near) if node in heads else near)
+    neighbours.append(ends)
+    # The prefix's row goes through a pass at threshold 0: its quality is a product that may fall below it.
+    local_rows = [totals, *(rows[node] for node in nodes), (0.0, 1.0)]
+    return pareto_fronts(local_rows, neighbours, range(len(neighbours)), 0.0, "search-window pass")[-1]
+
+
 def astar_search(
     graph: ToolSubgraph,
     bounds: SuffixBounds,
     executor,
     cfg: SearchConfig,
 ) -> PlanResult:
-    """Best-first search returning the first path popped that ends at a sink.
+    """Best-first search returning the best sink label popped within the stop window.
 
     The queue holds labels and unexecuted edges.  Popping a label that does
     not end at a sink expands it: each successor's edge is queued at the
@@ -411,52 +474,97 @@ def astar_search(
     label as `g_path`.  A failed attempt, if fewer than 1 + max_retries have
     run, queues the edge again with its next attempt number, at the bound of
     the label extended by the time spent so far plus the successor's
-    benchmark row; after the last attempt the successor is dropped.  Under
-    deterministic execution an edge's bound and its label's agree, and a
-    bound is exact at a sink, so the first sink popped is optimal.  Queue order is (f, insertion counter), so runs
-    replay exactly.  A prefix whose label at its node is weakly dominated
-    by a live label there is dropped; queued labels and edges whose label a
-    newer label dominates are skipped when popped.
+    benchmark row; after the last attempt the successor is dropped.  A
+    prefix whose label at its node is weakly dominated by a live label
+    there is dropped; queued labels and edges whose label a newer label
+    dominates are skipped when popped.
+
+    Queue order is (f, t_f, -q_f, -progress, insertion counter), so runs
+    replay exactly.  (t_f, q_f) are the totals of the fastest completion
+    that reaches f; so of sinks at equal g the fastest pops first.  A label
+    at depth d has progress 2d and an edge into depth d 2d - 1: at a tie the
+    deepest entry goes first, a label before the edges it queues wait
+    behind, so a tie is followed down one branch, as depth-first
+    tie-breaking does (Asai & Fukunaga, JAIR 2017), instead of running
+    every order of an order diamond.
+
+    The first sink popped does not end the search: it becomes the
+    incumbent, ranked by (g, time, -quality), and popping goes on while
+    the least f is within the stop window, at most the incumbent's g times
+    1 + eps.  A bound totals a suffix from its end and a path's g totals it
+    from the root; for n positive terms the two sums differ by at most
+    about (n - 1) u relative (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 4), and g raises time and quality factor to
+    powers totalling 2.  eps is 8n + 16 units of roundoff, n the node
+    count, so it covers that twice with room for `pow`'s own rounding, and
+    no path beyond the window can beat the incumbent.  Within the window
+    a sink label replaces the incumbent if it ranks lower, and any other
+    label or edge is worked only if one of its completions, totalled by
+    `_completion_front` from its own totals, ranks below the incumbent;
+    the others are dropped without running a tool.  Under deterministic
+    playback those totals are the bits the search would reach, so the
+    returned path has the least g over all paths, bit for bit, and of
+    equal g the least time, then the highest quality.
     """
-    rows, fronts = bounds.rows, bounds.fronts
+    rows, fronts, successors = bounds.rows, bounds.fronts, graph.successors
     events: list[TraceEvent] = []
     alpha, threshold = cfg.alpha, cfg.quality_threshold
+    slack = 1.0 + (8 * len(rows) + 16) * 2.0**-53
     counter = itertools.count()
     stats = dict.fromkeys(SearchStats._fields, 0)
     labels: list[list[_Label]] = [[] for _ in graph.nodes]
-    # (f, insertion counter, label, edge or None).  An edge is (successor id,
-    # next attempt, time its earlier attempts have spent on the successor).
-    heap: list[tuple[float, int, _Label, _Edge | None]] = []
+    # (f, t_f, -q_f, -progress, insertion counter, label, edge or None).  An edge is
+    # (successor id, next attempt, time its earlier attempts have spent on the successor).
+    heap: list[tuple[float, float, float, int, int, _Label, _Edge | None]] = []
+    best: _Label | None = None
+    best_key = (math.inf, math.inf, 0.0)
+    limit = math.inf  # the stop window's upper end, once a sink has popped
 
-    def push(f: float, label: _Label, edge: _Edge | None) -> None:
-        heappush(heap, (f, next(counter), label, edge))
+    def push(key: tuple[float, float, float], neg_progress: int, label: _Label, edge: _Edge | None) -> None:
+        heappush(heap, (*key, neg_progress, next(counter), label, edge))
         stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
         _within_capacity(len(heap), "search queue")
 
-    def finish(status: str, path: PathState | None) -> PlanResult:
-        result = PlanResult(status, alpha, path, ExecutionTrace(tuple(events)), SearchStats(**stats))
-        logger.debug("search at alpha=%s %s: %s", alpha, status, result.stats)
-        return result
+    preds: list[tuple[int, ...]] = []  # built at the window's first check
+    # The best completion of each (heads, time, quality) checked in the window.
+    completions: dict[tuple, tuple[float, float, float]] = {}
+
+    def can_beat(heads: tuple[int, ...], time: float, quality: float) -> bool:
+        if not preds:
+            preds[:] = predecessors(graph)
+        key = completions.get((heads, time, quality))
+        if key is None:
+            front = _completion_front(successors, preds, rows, heads, (time, quality), threshold)
+            key = _front_bound(front, 0.0, 1.0, alpha, True) if front else (math.inf, math.inf, 0.0)
+            completions[heads, time, quality] = key
+        return key < best_key
 
     root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
-    push(_front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha), root, None)
-    while heap:
-        _, _, label, edge = heappop(heap)
+    push(_front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha, True), 0, root, None)
+    while heap and heap[0][0] <= limit:
+        _, _, _, neg_progress, _, label, edge = heappop(heap)
         if not label.alive:
             stats["stale_pops"] += 1
             continue
         if edge is None:
             stats["expanded"] += 1
             last = label.step.node_id
-            if not graph.successors[last]:
-                return finish(STATUS_FOUND, _path(label, alpha))
-            for succ in graph.successors[last]:
+            if not successors[last]:
+                key = (compute_g(label.time, label.quality, alpha), label.time, -label.quality)
+                if key < best_key:
+                    best, best_key, limit = label, key, key[0] * slack
+                continue
+            if best is not None and not can_beat(successors[last], label.time, label.quality):
+                continue
+            for succ in successors[last]:
                 c, q = rows[succ]
-                f_edge = _front_bound(fronts[succ], label.time + c, label.quality * q, alpha)
-                push(f_edge, label, (succ, 1, 0.0))
+                key = _front_bound(fronts[succ], label.time + c, label.quality * q, alpha, True)
+                push(key, neg_progress - 1, label, (succ, 1, 0.0))
             continue
 
         succ, attempt, spent = edge
+        if best is not None and not can_beat((succ,), label.time + spent, label.quality):
+            continue
         outcome = executor(graph.nodes[succ], attempt)
         stats["executions"] += 1
         stats["generated" if attempt == 1 else "retries"] += 1
@@ -468,8 +576,8 @@ def astar_search(
                 continue
             # The retry waits its turn, priced with the time this node has already cost.
             c, q = rows[succ]
-            f_retry = _front_bound(fronts[succ], label.time + spent + c, label.quality * q, alpha)
-            push(f_retry, label, (succ, attempt + 1, spent))
+            key = _front_bound(fronts[succ], label.time + spent + c, label.quality * q, alpha, True)
+            push(key, neg_progress, label, (succ, attempt + 1, spent))
             continue
 
         cum_time = label.time + spent
@@ -482,6 +590,9 @@ def astar_search(
         if succ_label is None:
             stats["pruned_by_dominance"] += 1
             continue
-        push(_front_bound(fronts[succ], cum_time, cum_quality, alpha), succ_label, None)
+        push(_front_bound(fronts[succ], cum_time, cum_quality, alpha, True), neg_progress - 1, succ_label, None)
 
-    return finish(STATUS_EXHAUSTED, None)
+    status, path = (STATUS_EXHAUSTED, None) if best is None else (STATUS_FOUND, _path(best, alpha))
+    result = PlanResult(status, alpha, path, ExecutionTrace(tuple(events)), SearchStats(**stats))
+    logger.debug("search at alpha=%s %s: %s", alpha, status, result.stats)
+    return result

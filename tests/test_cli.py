@@ -263,9 +263,25 @@ def test_negative_zero_alpha_is_written_as_zero(data_dir, tmp_path, capsys):
         assert '"alpha": 0.0,' in text and "-0.0" not in text
 
 
+@pytest.mark.parametrize("option", ["--alphas=,", "--alphas=", "--alphas= , "])
+def test_sweep_alpha_list_naming_no_alpha_is_input_error(data_dir, tmp_path, capsys, option):
+    """A list with no alpha in it would write a header-only CSV; it exits 1 and writes nothing."""
+    code = main(["sweep", *_args_detection(data_dir), option, "--csv", str(tmp_path / "sweep.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --alphas names no alpha")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, option",
-    [("sweep", "--alphas=abc"), ("sweep", "--alphas=0,3"), ("sweep", "--alphas=nan"), ("verify", "--alpha=3")],
+    [
+        ("sweep", "--alphas=abc"),
+        ("sweep", "--alphas=0,3"),
+        ("sweep", "--alphas=nan"),
+        ("sweep", "--alphas=,"),
+        ("sweep", "--alphas="),
+        ("verify", "--alpha=3"),
+    ],
 )
 def test_alphas_are_checked_before_reading_inputs(data_dir, tmp_path, capsys, command, option):
     """A bad alpha is reported before a missing input file is, and nothing is written."""

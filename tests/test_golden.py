@@ -102,7 +102,11 @@ def _digest(case: str, workdir: Path) -> str:
 # was popped were re-recorded again: deterministic paths and totals did not
 # change, four stochastic plans chose another path.  Every plan and verify
 # digest was re-recorded once trace events lost `g_literal` and the verify
-# report `astar_status`; no plan JSON changed.
+# report `astar_status`; no plan JSON changed.  Fifteen plan digests were
+# re-recorded once the search broke bound ties depth-first and kept popping
+# within its stop window: thirteen deterministic plans ran fewer tools, with
+# the same path and totals, and two stochastic traces swapped two events,
+# with the same plan JSON.
 GOLDEN = {
     'graph detection_choice/detection_choice dot': '32339f08c117246ecf5884d68b137bc044e29f4dea4acb6277d55cc71999e4c0',
     'graph detection_choice/detection_choice json': 'e56552e15dbfe3a0b38fb02a6d888f2dad4e75b8a03cc78b4a801747131a2511',
@@ -138,14 +142,14 @@ GOLDEN = {
     'plan full/detection_choice alpha=0.5': '580d31528def9ba454cc6b5ecf5b04c55d0336d0b43105caf603ac4286f5c28d',
     'plan full/detection_choice alpha=1': '065ebf4502f568d487a7167cad3509209a4a286a21492f0ef9f8972e691c24e7',
     'plan full/detection_choice alpha=2': '9a51a7dca0185fff81f064b6258145ab21cc742f8e7c557e2137a0cb41225930',
-    'plan full/example1 alpha=0': 'd57452ef7a82bbe3451a1f26ed79ea54a555214d153a2a470a397453257b73ba',
-    'plan full/example1 alpha=0.5': '1f4aebbd445b70180f070dde0d1661f6a176a2ec1a0c012195f705c5ce8fed90',
-    'plan full/example1 alpha=1': 'b8d3417adfc208a8f6162e1317b400cf493dab9d491c2246585333fbb0ed1c72',
-    'plan full/example1 alpha=2': '21f83f01d0c444a76ce980ebf596a5e59e5efc08b64bed0c389f457a3c8dd3ac',
-    'plan full/example2 alpha=0': 'dbe76d6dfe7cc8ba9ab297eda14d92d2bf36a3ffcdafb16d497c833119fae626',
-    'plan full/example2 alpha=0.5': 'b4c8a5ec2814e3fb8792d998aed574675579ba986e425e1de0a002a543f8b6df',
-    'plan full/example2 alpha=1': 'f7733a21edbcf8838bda4d953a676d1d52dfe47c6d0b6c513d246642d4feb39c',
-    'plan full/example2 alpha=2': 'cec115f1eddbe47464136d5f578801bdb8ff9716ac5d3355163710bb84e867f3',
+    'plan full/example1 alpha=0': '40686571a8646be8a1cc11964c1ea3e2079e6f27be9c67c80f46708674d79050',
+    'plan full/example1 alpha=0.5': 'cfaafb531ffd51a3d8bd3efe3956b863a03db704e9a56527b6c49cc4edd44545',
+    'plan full/example1 alpha=1': '8f9ca00b4e869590e50410117137525dae0df2ec6f9a155b6a8a10e3b1991a18',
+    'plan full/example1 alpha=2': '76249ad50809d48eb92f44786692d8b9d8b6c75bebccb5e59bd7fb18563141d8',
+    'plan full/example2 alpha=0': 'd032dc3e17141ccfa4fa74b58b263811e30c3bb3e59eaccbaaddeb984392f3d6',
+    'plan full/example2 alpha=0.5': 'c3de8105ad50912777307b326278046b057b83e3e378419369de0e4e7cb512f6',
+    'plan full/example2 alpha=1': '147413357aca5f78b1b13190dfef46f27211bf09caa0688fe22d64806ffb14af',
+    'plan full/example2 alpha=2': '9ca637bcb26e63df293314981d9163284b5fd3b66092b5a8783876a846c9bd9d',
     'plan full/replacement alpha=0': '2260b0fd39698bd9c424c000d0c2f87c47a5a3c22c7c8b9e764160452bbf0263',
     'plan full/replacement alpha=0.5': '01f3b1d87353e3245fb98c2c93de7d62a7249c819a655296b847cc8df6ac389c',
     'plan full/replacement alpha=1': 'b7c8b0f5964357df38dcf858b48693e6786055f688bde49ec2b7a772f090b89a',
@@ -154,7 +158,7 @@ GOLDEN = {
     'plan full/single_deblur alpha=0.5': '0510e120b807fca349ba02fb7f12dcc17423e9e43057a98eeba9328eba1a6085',
     'plan full/single_deblur alpha=1': 'b373d8b998dcb74065d2595fc4387688504c977cc2d1cfa09ff8113156b4c4d5',
     'plan full/single_deblur alpha=2': 'afa46fd97d27e0393ca9c7439d94dea27f8a3b9810321b63ba57ef5f66464e8e',
-    'plan shared_end/shared_end alpha=0': '86bcdb989745d31383d8963888c6e4c271b21860e29b1eedfa764c071b3f0bda',
+    'plan shared_end/shared_end alpha=0': 'b7276ea514d0457ce59a79d228f2a7612f1f31b36189b5776b8f3beb96fcd2b1',
     'plan shared_end/shared_end alpha=0.5': '5635c7023bb55db44a65fb31e61c0f97f9b2ceb36e29abe8774c4660d31dde11',
     'plan shared_end/shared_end alpha=1': '734610176b662ea3e226028b959051ebdf10789c9202c5a1013113379b2d6fa1',
     'plan shared_end/shared_end alpha=2': '70bdb200205ddf11966678ea7559a8b3d45b3b96dc4b06f366027694ec3c7e29',
@@ -162,10 +166,10 @@ GOLDEN = {
     'plan table1/detection_choice alpha=0.5': 'af6ae29ec13211a60b74cac9c8b37cb782610336c7a889a2851e5869f37a09d4',
     'plan table1/detection_choice alpha=1': '788d58dd904254a56a3ed0c2f48ba1b2b7b496466974d687722180ee7a2319b1',
     'plan table1/detection_choice alpha=2': 'b8223c2c1cfbf56583370efd0ca5673654d3a603ecd381c1b43a40210660277d',
-    'plan table1/example1 alpha=0': '73e869a33f36ae8c832170d50fc924f7dd7f19188decefb6f8bbf536c3218189',
-    'plan table1/example1 alpha=0.5': 'b9fcccecac7121a06799b006aae9cf0f4a72c3ee9c67fde0f1aae6649831f71c',
-    'plan table1/example1 alpha=1': 'f8a86ad22bab6884f0d5d2b2b8b88076bdfd82386a00ad473841e2254b83749f',
-    'plan table1/example1 alpha=2': '13c1e7cdb22cceeb2387dd9f3d0e799f2e28a3b87a0dd0c8124997b1fd03960e',
+    'plan table1/example1 alpha=0': '484e581e494a6fbf88a1714ee8ccddf57599d12a36dc521cdec87bf0090ed81a',
+    'plan table1/example1 alpha=0.5': '57e0064d1f6eb5404b2bca8e4e3b2f074647773618df7ae0897ea7353aa0ffcc',
+    'plan table1/example1 alpha=1': 'f7bee2440bc76fc418e6b9797397a381fe3b6925ad48add3e2176bd84af95b48',
+    'plan table1/example1 alpha=2': '86cb410e56ad9f3011eeab1a35c358f37b99f18cffc8017a6ae60a343c300513',
     'plan table1/replacement alpha=0': 'c22627a66d199cb9e04acc78d74123961f59cd0ae0e6fede39951e2718b55c0a',
     'plan table1/replacement alpha=0.5': 'e40e94cf280494d902f476d6c8f764dbe8220e30f7b28f8fd34c205d677868b1',
     'plan table1/replacement alpha=1': '1e90c24a602b6013947952d0ce467fc29ea8e16a8e33a82e850a1481e793ff4c',
@@ -208,11 +212,11 @@ GOLDEN = {
     'plan full/example1 stochastic seed=2 alpha=0.5': 'd0f79dee4bd83bac9622a500c2070ef4fbd60f79ebed61c11e49f0c6c75b4a37',
     'plan full/example1 stochastic seed=2 alpha=1': 'f04ff86da77b4487e345e508e9099b912ad5bf2389faadd95190b41d94b99c8a',
     'plan full/example1 stochastic seed=2 alpha=2': '3031bca930148edbf8688179dcfc38b025ed4f2f162b259e368985246ec1df5e',
-    'plan full/example2 stochastic seed=0 alpha=0': '6d2dcc0323d124d3d011e02c1712b4f2124e6d609a79fc239a27f2650309b6c2',
+    'plan full/example2 stochastic seed=0 alpha=0': '82a1ec552dae6c6d8e9ad48fd1402ed521e4c2359796464ea05711dff467a75e',
     'plan full/example2 stochastic seed=0 alpha=0.5': 'b3c1c0fc51fc006c78ef4ff693017a5913b5dbb5b53c997b3810bf3f91c74e0b',
     'plan full/example2 stochastic seed=0 alpha=1': '0f09944b37748cf884b8c5bfeaa55a3e93094546c984d5151eccd429509e1887',
     'plan full/example2 stochastic seed=0 alpha=2': 'b23df02ab882aa97ff416a25429ce8065276d08a2727e490286450acdd43ea96',
-    'plan full/example2 stochastic seed=2 alpha=0': '93583abd844de70448a22b8f3e1f60e52179b041b117a7dda66e21b51441ede2',
+    'plan full/example2 stochastic seed=2 alpha=0': '2b32829763077a5aabd95fc856f23f9ef7d72d54dd3e3a51ec390e95fafeea95',
     'plan full/example2 stochastic seed=2 alpha=0.5': 'f4fd35113d03a4fc9b626729f66fd28beb6291e3a648215c60151078301c92c8',
     'plan full/example2 stochastic seed=2 alpha=1': '90a257d32403b5e22b2bc0393c844060f16a8b625e022ab956101224d98d277c',
     'plan full/example2 stochastic seed=2 alpha=2': 'e5f550a7fa19f311ec79bdd79603e8824a6d9530db1ff0242d6eacbdf1d8f1ad',

@@ -5,15 +5,17 @@ import logging
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     attempts_for,
     dijkstra_min_time,
     enumerate_paths,
+    enumerate_then_score,
     merge_every_successor_fronts,
     path_objective,
+    path_totals,
     sinks,
 )
 from synth import (
@@ -25,17 +27,20 @@ from synth import (
     tradeoff_chain_instance,
 )
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
-from toolpath.evaluation import brute_force_optimal
+from toolpath.evaluation import _playback_front, brute_force_optimal
 from toolpath.execution import DEFAULT_SEED, ExecutionOutcome, Simulator, SimulatorSpec
-from toolpath.graphs import build_tool_subgraph
+from toolpath.graphs import ROOT_ID, build_tool_subgraph, predecessors
 from toolpath.planning import parse_subtask_tree
-from toolpath.registry import BenchmarkRow, BenchmarkTable
+from toolpath.registry import BenchmarkRow, BenchmarkTable, load_benchmark, load_mdt
 from toolpath.search import (
     STATUS_EXHAUSTED,
     PathStep,
     SearchConfig,
     _admit,
+    _completion_front,
+    _non_dominated,
     astar_search,
+    benchmark_rows,
     compute_g,
     suffix_bounds,
     validate_alpha,
@@ -592,24 +597,30 @@ def test_label_rules():
 
 
 def test_dominated_queued_state_is_skipped_at_pop():
-    """ROOT -> {A, B} -> X -> L, and A -> Z with Z failing every attempt.
+    """ROOT -> {A, B} -> X -> L, and A -> Z with Z failing every attempt; alpha 2.
 
-    Z's optimistic suffix time lets A pop before B, so the path through A
-    queues its label at X first and, at an exact f tie, expands it before
-    B's edge to X runs; B then reaches X with the same time and a better
-    quality, which kills that label, and its queued edge to L is skipped.
+    Z's optimistic suffix time lets A pop before B.  X runs in 2, not its
+    benchmark 1, so the label through A reaches X and is queued above B's
+    edge; B runs in 1, not its benchmark 1.5, and its path reaches X as fast
+    and at a better quality.  That kills the queued label through A, which
+    is popped stale, never expanded.
     """
     a, b, x, leaf, z = range(1, 6)
-    rows = {"A": (1.0, 0.9), "B": (1.0, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0), "Z": (0.1, 0.5)}
+    rows = {"A": (1.0, 0.9), "B": (1.5, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0), "Z": (0.1, 0.5)}
     graph, bt = detection_graph(rows, {(0, a), (0, b), (a, x), (a, z), (b, x), (x, leaf)})
-    res = _run(graph, bt, alpha=2.0)
+    ran = {**rows, "B": (1.0, 1.0), "X": (2.0, 1.0)}
+
+    def executor(node, attempt):
+        return ExecutionOutcome(*ran[node.tool])
+
+    res = _run(graph, bt, alpha=2.0, sim=executor)
     assert res.path.node_ids == (0, b, x, leaf)
     assert res.stats.stale_pops == 1
-    assert res.stats.expanded == res.expanded_count == 6  # ROOT, A, B, X via A, X via B, L
+    assert res.stats.expanded == res.expanded_count == 5  # ROOT, A, B, X via B, L
     assert res.stats.dropped_after_retries == 1
     assert res.stats.retries == 3
+    assert [e.node_id for e in res.trace.events] == [a, *[z] * 4, x, b, x, leaf]
     assert res.stats.executions == res.stats.generated + res.stats.retries == len(res.trace.events)
-    assert attempts_for(res.trace, leaf) == 1
 
 
 def test_edge_queued_from_a_dead_label_is_not_executed():
@@ -671,6 +682,107 @@ def test_search_stats_logged_at_debug(detection_fixture, caplog):
 def test_search_matches_oracle_at_any_alpha(seed, alpha):
     graph, bt, *_ = built_instance(seed)
     assert brute_force_optimal(graph, bt, alpha).gap == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=1999), unit_quality=st.booleans(), alpha=st.sampled_from(ALPHAS))
+@example(seed=46, unit_quality=False, alpha=0.0)
+@example(seed=1467, unit_quality=False, alpha=1.0)
+@example(seed=1467, unit_quality=False, alpha=2.0)
+def test_search_returns_the_least_enumerated_g_and_the_fastest_of_a_tie(seed, unit_quality, alpha):
+    """The least g over every path scored alone, bit for bit; of paths at that g, the fastest, then the best.
+
+    Seed 46 at alpha 0 has two paths of equal quality, 68.7573 and 73.7629 s;
+    on seed 1467 two paths' times tie in decimal and sum one ulp apart.
+    """
+    graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
+    _, least, _ = enumerate_then_score(graph, bt, alpha)
+    res = _run(graph, bt, alpha=alpha)
+    assert res.path.g == least
+    paths = enumerate_paths(graph)
+    tied = [path_totals(graph, bt, path) for path in paths if path_objective(graph, bt, path, alpha) == least]
+    assert (res.path.cum_time, res.path.cum_quality) == min(tied, key=lambda totals: (totals[0], -totals[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=1999),
+    unit_quality=st.booleans(),
+    threshold=st.sampled_from((0.0, 0.8, 0.95)),
+)
+def test_completion_front_totals_each_completion_from_the_prefix(seed, unit_quality, threshold):
+    """The window's pass, from a node's prefix totals, is the front of the completions each totalled alone.
+
+    From the root at (0, 1) it is the playback front's whole-path front.
+    Elsewhere, the prefix is each path's own up to the node; every path
+    through the node whose later nodes meet the threshold is totalled on
+    from those totals in path order, and the points no other weakly
+    dominates are kept, bit for bit.
+    """
+    graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
+    rows = benchmark_rows(graph, bt)
+    preds = predecessors(graph)
+
+    def front(node_id, totals):
+        return _completion_front(graph.successors, preds, rows, graph.successors[node_id], totals, threshold)
+
+    assert front(ROOT_ID, (0.0, 1.0)) == _playback_front(graph, rows, threshold)[-1]
+    paths = enumerate_paths(graph)
+    for path in paths[:: max(1, len(paths) // 8)]:
+        for depth, node_id in enumerate(path[1:-1], start=1):
+            totals = path_totals(graph, bt, path[: depth + 1])
+            points = []
+            for other in paths:
+                if len(other) > depth and other[depth] == node_id:
+                    if all(rows[later][1] >= threshold for later in other[depth + 1 :]):
+                        time, quality = totals
+                        for later in other[depth + 1 :]:
+                            time, quality = time + rows[later][0], quality * rows[later][1]
+                        points.append((time, -quality))
+            assert front(node_id, totals) == tuple((t, -neg_q) for t, neg_q in _non_dominated(points))
+
+
+def _bundled(data_dir, tables, tree):
+    mdt = load_mdt(data_dir / f"mdt_{tables}.json")
+    bt = load_benchmark(data_dir / f"benchmark_{tables}.json", mdt)
+    return build_tool_subgraph(parse_subtask_tree((data_dir / f"tree_{tree}.json").read_text()), mdt), bt
+
+
+@pytest.mark.parametrize(
+    ("tables", "tree", "alpha", "executions"),
+    [
+        *[("full", "example1", alpha, runs) for alpha, runs in ((0.0, 5), (0.5, 5), (1.0, 5), (2.0, 7))],
+        *[("full", "example2", alpha, 10) for alpha in (0.0, 0.5, 1.0, 2.0)],
+        *[("table1", "example1", alpha, 5) for alpha in (0.0, 0.5, 1.0, 2.0)],
+        ("shared_end", "shared_end", 0.0, 1),
+    ],
+)
+def test_bundled_plans_run_each_tie_once(data_dir, tables, tree, alpha, executions):
+    """Under playback a bound tie is followed down one branch, and the stop window drops the
+    tied entries none of whose completions beats the path found, without running them.
+
+    Every count but full/example1's at alpha 2 is the path's length; breaking
+    ties first in, first out ran 9/8/8/9, 13, 9 and 3 tools here.
+    """
+    graph, bt = _bundled(data_dir, tables, tree)
+    res = _run(graph, bt, alpha=alpha)
+    assert res.stats.executions == executions
+    assert res.stats.executions == len(res.trace.events) == res.stats.generated
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_order_diamond_runs_one_order(alpha):
+    """ROOT -> {A1, B1}, A1 -> B2, B1 -> A2: two stages in either order, on identical rows.
+
+    Both orders total the same bits, so every entry ties.  The search follows
+    A1 down to B2, and the stop window drops B1's edge, whose one completion
+    only ties the path found, without running it.
+    """
+    rows = {"A1": (1.5, 0.9), "B1": (2.5, 0.95), "B2": (2.5, 0.95), "A2": (1.5, 0.9)}
+    graph, bt = detection_graph(rows, {(0, 1), (0, 2), (1, 3), (2, 4)})
+    res = _run(graph, bt, alpha=alpha)
+    assert res.path.node_ids == (0, 1, 3)
+    assert res.stats.executions == len(res.path.steps) - 1 == 2
 
 
 @settings(max_examples=40, deadline=None)
