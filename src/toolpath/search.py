@@ -43,10 +43,17 @@ again, its bound now counting the time its attempts have already cost, so
 a sibling that has become cheaper runs before the retry.  Attempts run
 from 1 to 1 + max_retries; an edge whose last attempt fails drops the path
 without being queued again, while other routes through the same node stay
-explorable.  Under stochastic execution an edge is queued at its benchmark
-bound and its label at the realized one, so the search commits to a path
-without seeing the outcomes of siblings it never popped, and may return a
-path an eager search, which ran every sibling, would have beaten.
+explorable.  Because outcomes are keyed by node and attempt, the update is
+per node, not per edge: a failed attempt runs once per search, and every
+other prefix that reaches the node reuses the failure, its time counted,
+its retry re-priced and queued as if it had run, as LazySP evaluates no
+edge twice.  A pass still runs on each prefix, since its output is the
+next step's input.  An edge whose prefix a live label at the successor
+already weakly dominates is not run at all.  Under stochastic execution
+an edge is queued at its benchmark bound and its label at the realized
+one, so the search commits to a path without seeing the outcomes of
+siblings it never popped, and may return a path an eager search, which
+ran every sibling, would have beaten.
 
 A bound totals a suffix from its end, while a path's g totals it from the
 root, so two paths whose times tie in decimal can sum an ulp apart.  The
@@ -67,7 +74,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
-from .execution import ExecutionTrace, Frozen, TraceEvent, validate_quality
+from .execution import ExecutionOutcome, ExecutionTrace, Frozen, TraceEvent, validate_quality
 from .graphs import ROOT_ID, ToolSubgraph, predecessors
 from .registry import BenchmarkTable
 
@@ -279,16 +286,21 @@ class SearchStats(NamedTuple):
     edge runs one attempt: the first attempt of an edge is one `generated`
     path, and each later one, popped after a failed attempt queued the edge
     again, is one of the `retries`.  So `executions == generated +
-    retries`, which is also the number of trace events.  A generated path
-    is then dropped after its retries, pruned by dominance, queued, or left
-    waiting for a retry that goes stale.  `stale_pops` are queued labels
-    and edges whose label a later label dominated; they are skipped, so a
-    stale label is not `expanded` and a stale edge, first attempt or
-    retry, never runs.  A popped sink does not end the search at once:
-    `expanded` counts every live label popped, those popped within the
-    stop window after the first sink included, whether they are then
-    expanded or dropped; an edge dropped there is counted nowhere, as it
-    never runs.  `peak_frontier` counts queued labels and edges together.
+    retries`, which is also the number of trace events.  An attempt that
+    already failed in the search, reached through another prefix, is not
+    run again: it counts in none of these and writes no event, but an edge
+    whose last attempt is such a failure still counts in
+    `dropped_after_retries`.  A generated path is then dropped after its
+    retries, pruned by dominance, queued, or left waiting for a retry that
+    goes stale.  `stale_pops` are queued labels and edges whose label a
+    later label dominated; they are skipped, so a stale label is not
+    `expanded` and a stale edge, first attempt or retry, never runs.  A
+    popped sink does not end the search at once: `expanded` counts every
+    live label popped, those popped within the stop window after the first
+    sink included, whether they are then expanded or dropped; an edge
+    dropped there, or because a live label at its successor already weakly
+    dominates its prefix, is counted nowhere, as it never runs.
+    `peak_frontier` counts queued labels and edges together.
     """
 
     executions: int = 0
@@ -366,19 +378,25 @@ class _Label:
         self.alive = True
 
 
+def _beaten(labels: list[_Label], time: float, quality: float) -> bool:
+    """Whether one of a node's live `labels` is at least as good as (time, quality) on both coordinates."""
+    for label in labels:
+        if label.time <= time and label.quality >= quality:
+            return True
+    return False
+
+
 def _admit(
     labels: list[_Label], time: float, quality: float, step: PathStep, parent: _Label | None
 ) -> _Label | None:
     """Add (time, quality) to a node's non-dominated labels.
 
-    Returns None when a live label is at least as good on both coordinates,
-    so an equal label loses to the one that came first.  Otherwise the
-    labels the new one dominates are marked dead and removed, and the new
-    label is returned.
+    Returns None when `_beaten`, so an equal label loses to the one that
+    came first.  Otherwise the labels the new one dominates are marked dead
+    and removed, and the new label is returned.
     """
-    for label in labels:
-        if label.time <= time and label.quality >= quality:
-            return None
+    if _beaten(labels, time, quality):
+        return None
     for label in labels:
         if time <= label.time and quality >= label.quality:
             label.alive = False
@@ -479,6 +497,23 @@ def astar_search(
     there is dropped; queued labels and edges whose label a newer label
     dominates are skipped when popped.
 
+    Two rules spare the executor at an edge pop.  Failure memo: a failed
+    (successor, attempt) is kept for the rest of the search, and when an
+    edge of another prefix pops at that attempt, the executor is not
+    called; the kept outcome's time is added to the edge's running total
+    and the edge is re-queued at the same re-priced key, or dropped after
+    the last attempt, as if the attempt had run.  It writes no trace event.
+    A passing outcome is never reused: it runs on each prefix.  Survival
+    check: an edge is dropped unrun when a live label at its successor has
+    time at most the label's time plus the running total and quality at
+    least the label's quality.  Both rules rest on the executor, as the
+    dominance pruning does: the memo on outcomes keyed by node and attempt,
+    the check on outcomes with time >= 0 and quality <= 1, under which float
+    `+` and `*` round monotonically, so `_admit` would reject the label of
+    every attempt left.  Neither reorders the entries left to pop, so under
+    such an executor the path, its totals and `expanded` are those of a
+    search that ran every attempt.
+
     Queue order is (f, t_f, -q_f, -progress, insertion counter), so runs
     replay exactly.  (t_f, q_f) are the totals of the fastest completion
     that reaches f; so of sinks at equal g the fastest pops first.  A label
@@ -525,6 +560,8 @@ def astar_search(
         stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
         _within_capacity(len(heap), "search queue")
 
+    # (successor id, attempt) -> its failing outcome: a failure yields no output, so no prefix reruns it.
+    failures: dict[tuple[int, int], ExecutionOutcome] = {}
     preds: list[tuple[int, ...]] = []  # built at the window's first check
     # The best completion of each (heads, time, quality) checked in the window.
     completions: dict[tuple, tuple[float, float, float]] = {}
@@ -563,14 +600,20 @@ def astar_search(
             continue
 
         succ, attempt, spent = edge
+        if _beaten(labels[succ], label.time + spent, label.quality):
+            continue
         if best is not None and not can_beat((succ,), label.time + spent, label.quality):
             continue
-        outcome = executor(graph.nodes[succ], attempt)
-        stats["executions"] += 1
-        stats["generated" if attempt == 1 else "retries"] += 1
+        outcome = failures.get((succ, attempt))
+        if outcome is None:
+            outcome = executor(graph.nodes[succ], attempt)
+            stats["executions"] += 1
+            stats["generated" if attempt == 1 else "retries"] += 1
+            if not validate_quality(outcome, threshold):
+                failures[succ, attempt] = outcome
+                events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
         spent += outcome.time_seconds
-        if not validate_quality(outcome, threshold):
-            events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
+        if (succ, attempt) in failures:
             if attempt > cfg.max_retries:
                 stats["dropped_after_retries"] += 1
                 continue

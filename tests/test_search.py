@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ from synth import (
 )
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import _playback_front, brute_force_optimal
-from toolpath.execution import DEFAULT_SEED, ExecutionOutcome, Simulator, SimulatorSpec
+from toolpath.execution import DEFAULT_SEED, ExecutionOutcome, Simulator, SimulatorSpec, add_left_to_right
 from toolpath.graphs import ROOT_ID, build_tool_subgraph, predecessors
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import BenchmarkRow, BenchmarkTable, load_benchmark, load_mdt
@@ -629,7 +630,9 @@ def test_edge_queued_from_a_dead_label_is_not_executed():
     B's benchmark time is 3 but it runs in 1.  The path through A reaches X
     first; expanding it queues X's edges, F drops, and the edge to L waits
     behind B.  B then reaches X as fast and at a better quality, so the
-    label through A dies and its edge to L is popped stale, never run.
+    label through A dies and its edge to L is popped stale, never run.  F's
+    edge from the label through B pops all four attempts again, but each is
+    a failure the search already holds, so none runs.
     """
     a, b, x, fail, leaf = range(1, 6)
     rows = {"A": (1.0, 0.9), "B": (3.0, 1.0), "X": (1.0, 1.0), "F": (0.5, 0.5), "L": (4.0, 1.0)}
@@ -643,8 +646,108 @@ def test_edge_queued_from_a_dead_label_is_not_executed():
     assert res.path.node_ids == (0, b, x, leaf)
     assert res.stats.stale_pops == 1
     assert attempts_for(res.trace, leaf) == 1
-    assert [e.node_id for e in res.trace.events] == [a, x, *[fail] * 4, b, x, *[fail] * 4, leaf]
+    assert [e.node_id for e in res.trace.events] == [a, x, *[fail] * 4, b, x, leaf]
+    assert res.stats.dropped_after_retries == 2
     assert res.stats.executions == res.stats.generated + res.stats.retries == len(res.trace.events)
+
+
+def _counting(executor, calls: Counter):
+    """`executor`, counting its calls in `calls` by (node id, attempt)."""
+
+    def run(node, attempt):
+        calls[node.node_id, attempt] += 1
+        return executor(node, attempt)
+
+    return run
+
+
+def test_failed_attempt_runs_once_for_every_prefix_that_reaches_its_node():
+    """ROOT -> {A, B} -> N, alpha 1; N fails attempt 1 and passes attempt 2.
+
+    A runs at quality 0.9, not its benchmark 1, and its prefix reaches N
+    first: N's attempt 1 fails there, and attempt 2 passes.  When B's
+    prefix reaches N, the failure is reused: its time counts, but attempt 1
+    does not run again and writes no event.  Attempt 2 is a pass, whose
+    output the next step would read, so it runs again on B's prefix, and it
+    is slow enough that B's better quality wins.  The step at N reports
+    both attempts and their summed time.
+    """
+    a, b, n = 1, 2, 3
+    graph, bt = detection_graph({"A": (1.0, 1.0), "B": (1.5, 1.0), "N": (1.0, 1.0)}, {(0, a), (0, b), (a, n), (b, n)})
+    t1, t2 = 0.1, 4.2
+    ran = {("A", 1): (1.0, 0.9), ("B", 1): (1.5, 1.0), ("N", 1): (t1, 0.5), ("N", 2): (t2, 1.0)}
+    calls: Counter = Counter()
+    executor = _counting(lambda node, attempt: ExecutionOutcome(*ran[node.tool, attempt]), calls)
+
+    res = _run(graph, bt, alpha=1.0, sim=executor)
+    assert res.path.node_ids == (0, b, n)
+    assert res.path.steps[-1] == PathStep(n, t1 + t2, 1.0, 2)
+    assert calls == {(a, 1): 1, (b, 1): 1, (n, 1): 1, (n, 2): 2}
+    assert [(e.node_id, e.attempt, e.decision) for e in res.trace.events] == [
+        (a, 1, "pass"),
+        (n, 1, "fail"),
+        (n, 2, "pass"),
+        (b, 1, "pass"),
+        (n, 2, "pass"),
+    ]
+    assert (res.stats.generated, res.stats.retries, res.stats.executions) == (3, 2, 5)
+
+
+@pytest.mark.parametrize(("a_quality", "ran_after_b"), [(1.0, ()), (0.9, ("X", "L"))])
+def test_edge_a_live_label_already_beats_is_not_run(a_quality, ran_after_b):
+    """ROOT -> {A, B} -> X -> L, alpha 2.
+
+    L runs in 5, not its benchmark 1, so once the path through A reaches L,
+    B's edge, and then X's edge from B, still pop below it.  B runs in 2,
+    not its benchmark 1.5, so the label through A reaches X at B's time
+    alone.  When A runs at quality 1, that label is also no worse than B's:
+    an attempt of X from B can only add time and lose quality, so its label
+    would be weakly dominated, and the edge is dropped without running.
+    When A runs at 0.9, B's label keeps the better quality, so X and L run
+    from B as well.
+    """
+    a, b, x, leaf = range(1, 5)
+    rows = {"A": (1.0, 1.0), "B": (1.5, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0)}
+    graph, bt = detection_graph(rows, {(0, a), (0, b), (a, x), (b, x), (x, leaf)})
+    ran = {**rows, "A": (1.0, a_quality), "B": (2.0, 1.0), "L": (5.0, 1.0)}
+
+    def executor(node, attempt):
+        return ExecutionOutcome(*ran[node.tool])
+
+    res = _run(graph, bt, alpha=2.0, sim=executor)
+    assert res.path.node_ids == (0, a, x, leaf)
+    assert [graph.nodes[e.node_id].tool for e in res.trace.events] == ["A", "X", "L", "B", *ran_after_b]
+    assert res.stats.pruned_by_dominance == res.stats.stale_pops == 0
+    assert res.stats.executions == res.stats.generated == 4 + len(ran_after_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=299),
+    unit_quality=st.booleans(),
+    sim_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    threshold=st.sampled_from((0.8, 0.95)),
+    alpha=st.sampled_from(ALPHAS),
+)
+def test_each_failed_attempt_runs_once_per_search(seed, unit_quality, sim_seed, threshold, alpha):
+    """Under the stochastic simulator no failing (node, attempt) runs twice in one search.
+
+    Every call of the simulator writes one trace event, and each path step
+    still totals its attempts' times left to right, with the quality of its
+    last attempt, as if every prefix had run them all.
+    """
+    graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
+    sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=0.1), bt, sim_seed)
+    calls: Counter = Counter()
+    res = _run(graph, bt, alpha=alpha, sim=_counting(sim, calls), quality_threshold=threshold)
+    assert res.stats.executions == len(res.trace.events) == sum(calls.values())
+    failing = [key for key in calls if sim(graph.nodes[key[0]], key[1]).quality < threshold]
+    assert all(calls[key] == 1 for key in failing)
+    if res.found:
+        for step in res.path.steps[1:]:
+            outcomes = [sim(graph.nodes[step.node_id], k) for k in range(1, step.attempts + 1)]
+            assert step.time_seconds == add_left_to_right(outcome.time_seconds for outcome in outcomes)
+            assert step.quality == outcomes[-1].quality
 
 
 @settings(max_examples=60, deadline=None)
@@ -768,6 +871,23 @@ def test_bundled_plans_run_each_tie_once(data_dir, tables, tree, alpha, executio
     res = _run(graph, bt, alpha=alpha)
     assert res.stats.executions == executions
     assert res.stats.executions == len(res.trace.events) == res.stats.generated
+
+
+@pytest.mark.parametrize(("alpha", "executions", "g"), [(1.5, 16, 264.1494935411362), (2.0, 18, 1661.785225)])
+def test_high_threshold_plan_runs_each_failure_once(data_dir, alpha, executions, g):
+    """full/example1 at threshold 0.95 under playback, where some rows miss the threshold.
+
+    A node that fails is reached by more than one prefix; its failures run
+    once, so no (node, attempt) fails twice in the trace.  Running each
+    again on every prefix ran 18 and 22 tools for the same path and totals.
+    """
+    graph, bt = _bundled(data_dir, "full", "example1")
+    res = _run(graph, bt, alpha=alpha, quality_threshold=0.95)
+    assert res.path.node_ids == (0, 1, 8, 10, 11, 14)
+    assert (res.path.cum_time, res.path.cum_quality, res.path.g) == (40.765, 0.97, g)
+    assert res.stats.executions == len(res.trace.events) == executions
+    failed = [(e.node_id, e.attempt) for e in res.trace.events if e.decision == "fail"]
+    assert failed and len(failed) == len(set(failed))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
