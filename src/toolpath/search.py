@@ -48,12 +48,16 @@ per node, not per edge: a failed attempt runs once per search, and every
 other prefix that reaches the node reuses the failure, its time counted,
 its retry re-priced and queued as if it had run, as LazySP evaluates no
 edge twice.  A pass still runs on each prefix, since its output is the
-next step's input.  An edge whose prefix a live label at the successor
-already weakly dominates is not run at all.  Under stochastic execution
-an edge is queued at its benchmark bound and its label at the realized
-one, so the search commits to a path without seeing the outcomes of
-siblings it never popped, and may return a path an eager search, which
-ran every sibling, would have beaten.
+next step's input, but it too updates the node: an edge of another prefix
+into a (node, attempt) that passed waits at the key of the label that
+outcome would make, as Lazy Weighted A* queues an evaluated edge again at
+its true cost, so the pass runs there only when that label would pop.  An
+edge whose prefix a live label at the successor already weakly dominates
+is not run at all.  Under stochastic execution an edge is queued at its
+benchmark bound and its label at the realized one, so the search commits
+to a path without seeing the outcomes of siblings it never popped, and
+may return a path an eager search, which ran every sibling, would have
+beaten.
 
 A bound totals a suffix from its end, while a path's g totals it from the
 root, so two paths whose times tie in decimal can sum an ulp apart.  The
@@ -238,13 +242,13 @@ def _non_dominated(points: list[tuple]) -> list[tuple]:
     return kept
 
 
-def _front_bound(front: Front, time: float, quality: float, alpha: float, totals: bool = False):
-    """min over (t, q) in `front` of g(time + t, quality * q).
+def _front_bound(front: Front, time: float, quality: float, alpha: float) -> tuple[float, float, float]:
+    """(g, total time, -quality product) of the first point of `front`, the
+    fastest, that reaches min over (t, q) in `front` of g(time + t, quality * q).
 
-    With `totals`, (that g, total time, -quality product) of the first
-    point that reaches it, the fastest.  Times ascend along the front, so
-    once (time + t) ** alpha times the quality factor of the front's best
-    quality reaches the best g found, no later point can do better.
+    Times ascend along the front, so once (time + t) ** alpha times the
+    quality factor of the front's best quality reaches the best g found, no
+    later point can do better.
     """
     floor = (2.0 - quality * front[-1][1]) ** (2.0 - alpha)
     best = best_total = math.inf
@@ -259,7 +263,7 @@ def _front_bound(front: Front, time: float, quality: float, alpha: float, totals
         g = compute_g(total, quality * q, alpha)
         if g < best:
             best, best_total, best_q = g, total, q
-    return (best, best_total, -(quality * best_q)) if totals else best
+    return best, best_total, -(quality * best_q)
 
 
 class PathStep(NamedTuple):
@@ -290,11 +294,14 @@ class SearchStats(NamedTuple):
     already failed in the search, reached through another prefix, is not
     run again: it counts in none of these and writes no event, but an edge
     whose last attempt is such a failure still counts in
-    `dropped_after_retries`.  A generated path is then dropped after its
-    retries, pruned by dominance, queued, or left waiting for a retry that
-    goes stale.  `stale_pops` are queued labels and edges whose label a
-    later label dominated; they are skipped, so a stale label is not
-    `expanded` and a stale edge, first attempt or retry, never runs.  A
+    `dropped_after_retries`.  An edge into an attempt that already passed,
+    whose label would rank above the edge's key, is queued again at the
+    label's key: that counts nowhere but in `peak_frontier`, and the
+    attempt counts as above if it runs.  A generated path is then dropped
+    after its retries, pruned by dominance, queued, or left waiting for a
+    retry that goes stale.  `stale_pops` are queued labels and edges whose
+    label a later label dominated; they are skipped, so a stale label is
+    not `expanded` and a stale edge, first attempt or retry, never runs.  A
     popped sink does not end the search at once: `expanded` counts every
     live label popped, those popped within the stop window after the first
     sink included, whether they are then expanded or dropped; an edge
@@ -497,22 +504,33 @@ def astar_search(
     there is dropped; queued labels and edges whose label a newer label
     dominates are skipped when popped.
 
-    Two rules spare the executor at an edge pop.  Failure memo: a failed
-    (successor, attempt) is kept for the rest of the search, and when an
-    edge of another prefix pops at that attempt, the executor is not
-    called; the kept outcome's time is added to the edge's running total
-    and the edge is re-queued at the same re-priced key, or dropped after
-    the last attempt, as if the attempt had run.  It writes no trace event.
-    A passing outcome is never reused: it runs on each prefix.  Survival
-    check: an edge is dropped unrun when a live label at its successor has
-    time at most the label's time plus the running total and quality at
-    least the label's quality.  Both rules rest on the executor, as the
-    dominance pruning does: the memo on outcomes keyed by node and attempt,
-    the check on outcomes with time >= 0 and quality <= 1, under which float
-    `+` and `*` round monotonically, so `_admit` would reject the label of
-    every attempt left.  Neither reorders the entries left to pop, so under
-    such an executor the path, its totals and `expanded` are those of a
-    search that ran every attempt.
+    Three rules spare the executor at an edge pop.  Survival check: an
+    edge is dropped unrun when a live label at its successor has time at
+    most the label's time plus the running total and quality at least the
+    label's quality.  The search keeps the first outcome the executor
+    returned for each (successor, attempt).  Failure memo: when an edge of
+    another prefix pops at an attempt whose kept outcome failed, the
+    executor is not called; the outcome's time is added to the edge's
+    running total and the edge is re-queued at the same re-priced key, or
+    dropped after the last attempt, as if the attempt had run.  It writes
+    no trace event.  Seen pass: when it pops at an attempt whose kept
+    outcome passed, the key that outcome's label would be queued at is
+    computed with the same arithmetic as after a run; if it ranks above the
+    popped key, the edge is queued again at it, with the same progress,
+    and not run.  Otherwise the executor runs as usual: a pass runs on each
+    prefix whose label would pop, since its output is that prefix's next
+    input.  The rules rest on the executor, as the dominance pruning does:
+    the memo and the seen pass on outcomes keyed by node and attempt, so
+    a waiting edge pops, if ever, at the key its run would give its label;
+    the check on outcomes with time >= 0 and quality <= 1, under which
+    float `+` and `*` round monotonically, so `_admit` would reject the
+    label of every attempt left.  The memo and the check reorder nothing,
+    and the seen pass only moves a run to the key its label would pop at,
+    so under such an executor the path, its totals and `expanded` are those
+    of a search that ran every attempt at once, up to the order of entries
+    that tie on the whole key; an attempt saved is one whose label the
+    search ends before it would pop.  Under deterministic playback a seen
+    pass's key is the popped key, bit for bit, and no edge waits.
 
     Queue order is (f, t_f, -q_f, -progress, insertion counter), so runs
     replay exactly.  (t_f, q_f) are the totals of the fastest completion
@@ -560,8 +578,8 @@ def astar_search(
         stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
         _within_capacity(len(heap), "search queue")
 
-    # (successor id, attempt) -> its failing outcome: a failure yields no output, so no prefix reruns it.
-    failures: dict[tuple[int, int], ExecutionOutcome] = {}
+    # (successor id, attempt) -> the first outcome the executor returned for it in this search.
+    outcomes: dict[tuple[int, int], ExecutionOutcome] = {}
     preds: list[tuple[int, ...]] = []  # built at the window's first check
     # The best completion of each (heads, time, quality) checked in the window.
     completions: dict[tuple, tuple[float, float, float]] = {}
@@ -572,14 +590,14 @@ def astar_search(
         key = completions.get((heads, time, quality))
         if key is None:
             front = _completion_front(successors, preds, rows, heads, (time, quality), threshold)
-            key = _front_bound(front, 0.0, 1.0, alpha, True) if front else (math.inf, math.inf, 0.0)
+            key = _front_bound(front, 0.0, 1.0, alpha) if front else (math.inf, math.inf, 0.0)
             completions[heads, time, quality] = key
         return key < best_key
 
     root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
-    push(_front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha, True), 0, root, None)
+    push(_front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha), 0, root, None)
     while heap and heap[0][0] <= limit:
-        _, _, _, neg_progress, _, label, edge = heappop(heap)
+        f, t_f, neg_q_f, neg_progress, _, label, edge = heappop(heap)
         if not label.alive:
             stats["stale_pops"] += 1
             continue
@@ -595,7 +613,7 @@ def astar_search(
                 continue
             for succ in successors[last]:
                 c, q = rows[succ]
-                key = _front_bound(fronts[succ], label.time + c, label.quality * q, alpha, True)
+                key = _front_bound(fronts[succ], label.time + c, label.quality * q, alpha)
                 push(key, neg_progress - 1, label, (succ, 1, 0.0))
             continue
 
@@ -604,22 +622,32 @@ def astar_search(
             continue
         if best is not None and not can_beat((succ,), label.time + spent, label.quality):
             continue
-        outcome = failures.get((succ, attempt))
-        if outcome is None:
+        outcome = outcomes.get((succ, attempt))
+        passed = outcome is not None and validate_quality(outcome, threshold)
+        if passed:
+            # A pass seen on another prefix: run it only once the label it makes would pop.
+            key = _front_bound(
+                fronts[succ], label.time + (spent + outcome.time_seconds), label.quality * outcome.quality, alpha
+            )
+            if key > (f, t_f, neg_q_f):
+                push(key, neg_progress, label, edge)
+                continue
+        if outcome is None or passed:
             outcome = executor(graph.nodes[succ], attempt)
+            outcomes.setdefault((succ, attempt), outcome)
             stats["executions"] += 1
             stats["generated" if attempt == 1 else "retries"] += 1
-            if not validate_quality(outcome, threshold):
-                failures[succ, attempt] = outcome
+            passed = validate_quality(outcome, threshold)
+            if not passed:
                 events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
         spent += outcome.time_seconds
-        if (succ, attempt) in failures:
+        if not passed:
             if attempt > cfg.max_retries:
                 stats["dropped_after_retries"] += 1
                 continue
             # The retry waits its turn, priced with the time this node has already cost.
             c, q = rows[succ]
-            key = _front_bound(fronts[succ], label.time + spent + c, label.quality * q, alpha, True)
+            key = _front_bound(fronts[succ], label.time + spent + c, label.quality * q, alpha)
             push(key, neg_progress, label, (succ, attempt + 1, spent))
             continue
 
@@ -633,7 +661,7 @@ def astar_search(
         if succ_label is None:
             stats["pruned_by_dominance"] += 1
             continue
-        push(_front_bound(fronts[succ], cum_time, cum_quality, alpha, True), neg_progress - 1, succ_label, None)
+        push(_front_bound(fronts[succ], cum_time, cum_quality, alpha), neg_progress - 1, succ_label, None)
 
     status, path = (STATUS_EXHAUSTED, None) if best is None else (STATUS_FOUND, _path(best, alpha))
     result = PlanResult(status, alpha, path, ExecutionTrace(tuple(events)), SearchStats(**stats))

@@ -103,7 +103,7 @@ def test_criterion_03_heuristic_correctness():
             assert fronts[node_id] == ((0.0, 1.0),)
         for alpha in alphas:
             least = min(compute_g(t, q, alpha) for t, q in want[ROOT_ID])
-            assert _front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha) == least
+            assert _front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha)[0] == least
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     _report(3, f"{checked} node fronts match the from-scratch recomputation ({elapsed:.1f}s)")

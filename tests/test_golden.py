@@ -106,7 +106,9 @@ def _digest(case: str, workdir: Path) -> str:
 # re-recorded once the search broke bound ties depth-first and kept popping
 # within its stop window: thirteen deterministic plans ran fewer tools, with
 # the same path and totals, and two stochastic traces swapped two events,
-# with the same plan JSON.
+# with the same plan JSON.  Eight stochastic plan digests were re-recorded
+# once a seen pass set its edge's queue key: fewer tools ran, with the same
+# plan JSON apart from `stats` and the same `expanded`.
 GOLDEN = {
     'graph detection_choice/detection_choice dot': '32339f08c117246ecf5884d68b137bc044e29f4dea4acb6277d55cc71999e4c0',
     'graph detection_choice/detection_choice json': 'e56552e15dbfe3a0b38fb02a6d888f2dad4e75b8a03cc78b4a801747131a2511',
@@ -203,23 +205,23 @@ GOLDEN = {
     'plan full/detection_choice stochastic seed=2 alpha=0': 'f0836d9d4760e222f8facebdb7198c3c10f5ed2a8962614e13ac941631e9fa68',
     'plan full/detection_choice stochastic seed=2 alpha=0.5': '00319ac1518dad084ef37d295d1859bf06a06d8b7395b3d912b3efb2f1e75a49',
     'plan full/detection_choice stochastic seed=2 alpha=1': 'de4bcc90f2b5e1dfd9a42f0fc17163a83430e2ca101f9e18d9a99888beee09d2',
-    'plan full/detection_choice stochastic seed=2 alpha=2': 'c671e1f93a5642db9c104d243ed2895009db2b22c045fb5d8e9d1d1231c199b5',
-    'plan full/example1 stochastic seed=0 alpha=0': 'd672d17ebf1827fdd9d930c68d545f566b26e6d23a92a8a6a3a82a3a854ecc3f',
-    'plan full/example1 stochastic seed=0 alpha=0.5': '915df19dc517a9ec6644f0cb7cf5260588915520c6e3a3089cc6660f734ae0b6',
-    'plan full/example1 stochastic seed=0 alpha=1': '35b1f23a12b190cbd252d1ee1a8848922e18fddfc3a46ba5e670089b3d02d5eb',
-    'plan full/example1 stochastic seed=0 alpha=2': '0aad318ba5018470037d77d50a37b175e77d13d8d8bc63d242e77889b986bf68',
+    'plan full/detection_choice stochastic seed=2 alpha=2': 'afe1f5d7e45e90a29b35b00a5fc65223b1dbb2bbf1775032a53eae3db67a16b3',
+    'plan full/example1 stochastic seed=0 alpha=0': '4cb8bc9df009d9455d8661d2da4c4ff5571d87a7ed8b1616cb703df7b65593b9',
+    'plan full/example1 stochastic seed=0 alpha=0.5': 'c1859e396d7ec182f0e9e8f585d0303d72ffee319da38b1aff2feb8dfa73458f',
+    'plan full/example1 stochastic seed=0 alpha=1': 'c57313aac9f15cd303e60d28128a86f3df001dc9ff6e6d273256052045ef0e0d',
+    'plan full/example1 stochastic seed=0 alpha=2': '11b35274955a41f3fb7c2896ff1456f5577def24a489ef0c328baff715afa705',
     'plan full/example1 stochastic seed=2 alpha=0': 'c6fac10757ef86c087e28ab0a59fadd8c0a494c5f0c6f5c9c72d99faa8af2015',
     'plan full/example1 stochastic seed=2 alpha=0.5': 'd0f79dee4bd83bac9622a500c2070ef4fbd60f79ebed61c11e49f0c6c75b4a37',
     'plan full/example1 stochastic seed=2 alpha=1': 'f04ff86da77b4487e345e508e9099b912ad5bf2389faadd95190b41d94b99c8a',
-    'plan full/example1 stochastic seed=2 alpha=2': '3031bca930148edbf8688179dcfc38b025ed4f2f162b259e368985246ec1df5e',
-    'plan full/example2 stochastic seed=0 alpha=0': '82a1ec552dae6c6d8e9ad48fd1402ed521e4c2359796464ea05711dff467a75e',
+    'plan full/example1 stochastic seed=2 alpha=2': '5ac024d6158de72d8547f7f86a09ea74f1b14416bed8f196f8df73d31bdc93a5',
+    'plan full/example2 stochastic seed=0 alpha=0': 'a243888730379ef505a21510b5fddfd74bdd7c454df890781078545cebb5f564',
     'plan full/example2 stochastic seed=0 alpha=0.5': 'b3c1c0fc51fc006c78ef4ff693017a5913b5dbb5b53c997b3810bf3f91c74e0b',
     'plan full/example2 stochastic seed=0 alpha=1': '0f09944b37748cf884b8c5bfeaa55a3e93094546c984d5151eccd429509e1887',
     'plan full/example2 stochastic seed=0 alpha=2': 'b23df02ab882aa97ff416a25429ce8065276d08a2727e490286450acdd43ea96',
     'plan full/example2 stochastic seed=2 alpha=0': '2b32829763077a5aabd95fc856f23f9ef7d72d54dd3e3a51ec390e95fafeea95',
     'plan full/example2 stochastic seed=2 alpha=0.5': 'f4fd35113d03a4fc9b626729f66fd28beb6291e3a648215c60151078301c92c8',
     'plan full/example2 stochastic seed=2 alpha=1': '90a257d32403b5e22b2bc0393c844060f16a8b625e022ab956101224d98d277c',
-    'plan full/example2 stochastic seed=2 alpha=2': 'e5f550a7fa19f311ec79bdd79603e8824a6d9530db1ff0242d6eacbdf1d8f1ad',
+    'plan full/example2 stochastic seed=2 alpha=2': 'e27f0376294f0673d575b9212dfe975e6aaecc78bd44d4d00da03f0eeda99b95',
 }
 
 

@@ -29,7 +29,14 @@ from synth import (
 )
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
 from toolpath.evaluation import _playback_front, brute_force_optimal
-from toolpath.execution import DEFAULT_SEED, ExecutionOutcome, Simulator, SimulatorSpec, add_left_to_right
+from toolpath.execution import (
+    DEFAULT_SEED,
+    ExecutionOutcome,
+    Simulator,
+    SimulatorSpec,
+    TraceEvent,
+    add_left_to_right,
+)
 from toolpath.graphs import ROOT_ID, build_tool_subgraph, predecessors
 from toolpath.planning import parse_subtask_tree
 from toolpath.registry import BenchmarkRow, BenchmarkTable, load_benchmark, load_mdt
@@ -693,7 +700,7 @@ def test_failed_attempt_runs_once_for_every_prefix_that_reaches_its_node():
     assert (res.stats.generated, res.stats.retries, res.stats.executions) == (3, 2, 5)
 
 
-@pytest.mark.parametrize(("a_quality", "ran_after_b"), [(1.0, ()), (0.9, ("X", "L"))])
+@pytest.mark.parametrize(("a_quality", "ran_after_b"), [(1.0, ()), (0.9, ("X",))])
 def test_edge_a_live_label_already_beats_is_not_run(a_quality, ran_after_b):
     """ROOT -> {A, B} -> X -> L, alpha 2.
 
@@ -703,8 +710,10 @@ def test_edge_a_live_label_already_beats_is_not_run(a_quality, ran_after_b):
     alone.  When A runs at quality 1, that label is also no worse than B's:
     an attempt of X from B can only add time and lose quality, so its label
     would be weakly dominated, and the edge is dropped without running.
-    When A runs at 0.9, B's label keeps the better quality, so X and L run
-    from B as well.
+    When A runs at 0.9, B's label keeps the better quality, so X runs from
+    B as well.  L's attempt 1 already passed at 5 s on the path through A, so
+    L's edge from B waits at the key of that outcome, above the incumbent,
+    and never runs.
     """
     a, b, x, leaf = range(1, 5)
     rows = {"A": (1.0, 1.0), "B": (1.5, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0)}
@@ -743,6 +752,92 @@ def test_each_failed_attempt_runs_once_per_search(seed, unit_quality, sim_seed, 
     assert res.stats.executions == len(res.trace.events) == sum(calls.values())
     failing = [key for key in calls if sim(graph.nodes[key[0]], key[1]).quality < threshold]
     assert all(calls[key] == 1 for key in failing)
+    if res.found:
+        for step in res.path.steps[1:]:
+            outcomes = [sim(graph.nodes[step.node_id], k) for k in range(1, step.attempts + 1)]
+            assert step.time_seconds == add_left_to_right(outcome.time_seconds for outcome in outcomes)
+            assert step.quality == outcomes[-1].quality
+
+
+def test_seen_pass_worse_than_its_row_waits_past_the_incumbent():
+    """ROOT -> {A, B} -> N, alpha 2; N's row says 1 s but it runs in 4.
+
+    The path through A reaches N first and N passes there at 4 s, which
+    makes the incumbent, g 25.  B's edge, and then N's edge from B, still
+    pop below it at their benchmark keys 9 and 9.  N's attempt 1 already
+    passed, so its label from B would sit at (2 + 4) ** 2 = 36: the edge is
+    queued again at that key, above the incumbent's stop window, and N never
+    runs a second time.
+    """
+    a, b, n = range(1, 4)
+    rows = {"A": (1.0, 1.0), "B": (2.0, 1.0), "N": (1.0, 1.0)}
+    graph, bt = detection_graph(rows, {(0, a), (0, b), (a, n), (b, n)})
+    ran = {**rows, "N": (4.0, 1.0)}
+    calls: Counter = Counter()
+    executor = _counting(lambda node, attempt: ExecutionOutcome(*ran[node.tool]), calls)
+
+    res = _run(graph, bt, alpha=2.0, sim=executor)
+    assert res.path.node_ids == (0, a, n) and res.path.g == 25.0
+    assert [(e.node_id, e.time_seconds) for e in res.trace.events] == [(a, 1.0), (n, 4.0), (b, 2.0)]
+    assert calls[n, 1] == 1
+    assert res.stats.expanded == 4  # ROOT, A, B, N through A
+    assert res.stats.pruned_by_dominance == 0
+    assert res.stats.executions == res.stats.generated == len(res.trace.events) == 3
+
+
+def test_seen_pass_better_than_its_row_runs_at_once():
+    """ROOT -> {A, B} -> N -> L, alpha 1; N's row says 4 s but it runs in 1,
+    and L's says 1 s but it runs in 20.
+
+    A runs at quality 0.9, so the path through A reaches N and L first.
+    When N's edge from B pops at its benchmark key, the pass N already gave
+    puts B's label below that key, so N runs on B's prefix at once.  L's
+    seen pass puts B's label at 22.7, above the key its edge popped at, so
+    that edge waits; it runs when it pops at 22.7, below the 24.2 of the
+    path through A, and B's path wins.  Each pass ran on both prefixes, since
+    its output is that prefix's next input.
+    """
+    a, b, n, leaf = range(1, 5)
+    rows = {"A": (1.0, 1.0), "B": (1.5, 1.0), "N": (4.0, 1.0), "L": (1.0, 1.0)}
+    graph, bt = detection_graph(rows, {(0, a), (0, b), (a, n), (b, n), (n, leaf)})
+    ran = {**rows, "A": (1.0, 0.9), "B": (1.7, 1.0), "N": (1.0, 1.0), "L": (20.0, 1.0)}
+    calls: Counter = Counter()
+    executor = _counting(lambda node, attempt: ExecutionOutcome(*ran[node.tool]), calls)
+
+    res = _run(graph, bt, alpha=1.0, sim=executor)
+    assert res.path.node_ids == (0, b, n, leaf) and res.path.g == 22.7
+    assert [e.node_id for e in res.trace.events] == [a, b, n, leaf, n, leaf]
+    assert calls == {(a, 1): 1, (b, 1): 1, (n, 1): 2, (leaf, 1): 2}
+    assert res.stats.executions == res.stats.generated == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=299),
+    unit_quality=st.booleans(),
+    sim_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    threshold=st.sampled_from((0.8, 0.95)),
+    alpha=st.sampled_from(ALPHAS),
+)
+def test_repeated_passes_return_the_first_outcome(seed, unit_quality, sim_seed, threshold, alpha):
+    """Under the stochastic simulator every repeated attempt of a (node, attempt) is a pass equal to the first.
+
+    Passes that wait at the key of a seen outcome still run on each prefix
+    whose label pops, so every simulator call writes one trace event, and
+    each path step totals its attempts' times left to right, with the
+    quality of its last attempt.
+    """
+    graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
+    sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=0.1), bt, sim_seed)
+    calls: Counter = Counter()
+    res = _run(graph, bt, alpha=alpha, sim=_counting(sim, calls), quality_threshold=threshold)
+    assert res.stats.executions == len(res.trace.events) == sum(calls.values())
+    first: dict[tuple[int, int], TraceEvent] = {}
+    for event in res.trace.events:
+        seen = first.setdefault((event.node_id, event.attempt), event)
+        if seen is not event:
+            assert event.decision == seen.decision == "pass"
+            assert (event.time_seconds, event.quality) == (seen.time_seconds, seen.quality)
     if res.found:
         for step in res.path.steps[1:]:
             outcomes = [sim(graph.nodes[step.node_id], k) for k in range(1, step.attempts + 1)]
