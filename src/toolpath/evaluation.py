@@ -3,14 +3,15 @@
 The oracle and the deterministic alpha sweep read one Pareto front of
 (total time, quality product) over the paths whose nodes pass a quality
 threshold: 0 for the oracle, so every path counts, the search's for the
-sweep, which then runs no tool.  It is the suffix bounds' label-setting
-pass, `search.pareto_fronts`, run forward over predecessor lists to one
-virtual node after every sink.  Its points are totalled from the root in
-path order, so each is bit-identical to scoring its path alone.  Both
-take, per alpha, the point of least g, and of equal g the faster point;
-the oracle then rebuilds the one path it reports, the lexicographically
-first of those whose every prefix the pass keeps as a label.  Other
-executors get one search per alpha.
+sweep, which then runs no tool.  It is `search.playback_front`, the
+suffix bounds' label-setting pass run forward over predecessor lists to
+one virtual node after every sink, from which the search also takes its
+stop target.  Its points are totalled from the root in path order, so
+each is bit-identical to scoring its path alone.  Both take, per alpha,
+the point of least g, and of equal g the faster point; the oracle then
+rebuilds the one path it reports, the lexicographically first of those
+whose every prefix the pass keeps as a label.  Other executors get one
+search per alpha.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import EmptyRecord, InvalidScore, OutputError, SearchExhausted
-from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, add_left_to_right
-from .graphs import ROOT_ID, ToolSubgraph, count_paths, predecessors
+from .execution import DEFAULT_SEED, Simulator, SimulatorSpec, add_left_to_right, playback_table
+from .graphs import ROOT_ID, ToolSubgraph, count_paths
 from .registry import BenchmarkTable
 from .search import (
     Front,
@@ -31,7 +32,7 @@ from .search import (
     astar_search,
     benchmark_rows,
     compute_g,
-    pareto_fronts,
+    playback_front,
     suffix_bounds,
     validate_alpha,
 )
@@ -62,7 +63,7 @@ def brute_force_optimal(
     the search's bounds.  `suffix_bounds` reads every row once, in node-id
     order, so a missing row names the lowest node id that lacks one; its
     rows give the playback front at threshold 0, which every path passes
-    (`_playback_front`), and its fronts serve the search.  The front point
+    (`playback_front`), and its fronts serve the search.  The front point
     of least g is the least over all paths, bit for bit, since each point
     is totalled from the root in path order and no path it drops can score
     lower.  Of the paths of least g the fastest is taken, then the
@@ -77,7 +78,7 @@ def brute_force_optimal(
     validate_alpha(alpha)
     paths_enumerated = count_paths(graph)
     bounds = suffix_bounds(graph, bt)
-    fronts = _playback_front(graph, bounds.rows, 0.0)
+    fronts = playback_front(graph, bounds.rows, 0.0)
     # min keeps the first, so the fastest, of the points of least g.
     time, quality = min(fronts[-1], key=lambda point: compute_g(point[0], point[1], alpha))
     best_path = _best_path(graph, bounds.rows, fronts, (time, quality))
@@ -135,32 +136,12 @@ def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:
     return [p for p in points if (p.total_time, -p.quality_product) in kept]
 
 
-def _playback_front(graph: ToolSubgraph, rows: Sequence[tuple[float, float]], threshold: float) -> list[Front]:
-    """Prefix fronts of (total time, quality product) over the paths playback completes.
-
-    Deterministic playback returns a node's benchmark row on every attempt,
-    so a node whose quality is below `threshold` fails all of them and no
-    path through it completes, while every other node passes on its first.
-    `pareto_fronts` runs over predecessor lists in ascending node id, a
-    topological order, plus one virtual node after every sink: a node's
-    front holds the totals of the paths from the root to its predecessors,
-    and the virtual node's, the last, those of the whole paths.  Times add
-    from 0.0 and qualities multiply from 1.0 in path order, the search's
-    order, so each point is bit-identical to the totals of the search's
-    label for its path.  More than QUEUE_CAP points over the distinct
-    fronts raise QueueOverflow.
-    """
-    sinks = tuple(node_id for node_id, succs in enumerate(graph.successors) if not succs)
-    neighbours = [*predecessors(graph), sinks]
-    return pareto_fronts(rows, neighbours, range(len(neighbours)), threshold, "playback-front pass")
-
-
 def _best_path(
     graph: ToolSubgraph, rows: Sequence[tuple[float, float]], fronts: list[Front], point: tuple[float, float]
 ) -> tuple[int, ...]:
     """The lexicographically first path to `point` among those the playback front keeps.
 
-    `fronts` are `_playback_front`'s at threshold 0 and `point` a point of
+    `fronts` are `playback_front`'s at threshold 0 and `point` a point of
     its whole-path front.  A label is the totals of a path prefix ending at
     a node; the labels a node keeps are its prefix front shifted by its own
     row, less those another one weakly dominates.  A pass that carried each
@@ -212,16 +193,16 @@ def sweep_alpha(
 ) -> list[ParetoPoint]:
     """The point of the path the search reaches at each alpha, sorted by alpha.
 
-    When `executor` is a deterministic simulator playing back `bt`, every
-    attempt's outcome is its benchmark row, so no tool runs: the front of
-    (total time, quality product) over the paths whose every node meets the
-    quality threshold is built once (`_playback_front`), and each alpha
-    takes its point of least g.  g is a weighted-sum scalarization of
-    (ln T, ln(2 - Q)) (Ehrgott, Multicriteria Optimization, 2005), so its
-    least value over all those paths lies on that front.  Of front points
-    with equal g the faster one is taken, as the oracle and the search
-    take it.  Points are totalled as the search totals its labels, so they
-    hold the bits a search reports.
+    When `executor` is a deterministic simulator playing back `bt`
+    (`playback_table`), every attempt's outcome is its benchmark row, so no
+    tool runs: the front of (total time, quality product) over the paths
+    whose every node meets the quality threshold is built once
+    (`playback_front`), and each alpha takes its point of least g.  g is a
+    weighted-sum scalarization of (ln T, ln(2 - Q)) (Ehrgott, Multicriteria
+    Optimization, 2005), so its least value over all those paths lies on
+    that front.  Of front points with equal g the faster one is taken, as
+    the oracle and the search take it.  Points are totalled as the search
+    totals its labels, so they hold the bits a search reports.
 
     Any other executor gets one search per alpha.  The suffix bounds do not
     depend on alpha, so they are computed once.  A simulator keys its
@@ -237,9 +218,8 @@ def sweep_alpha(
     if not alphas:
         return []
     points: list[ParetoPoint] = []
-    spec = getattr(executor, "spec", None)  # a Simulator's, or None for a bare callable
-    if spec is not None and spec.mode == "deterministic" and executor.bt is bt:
-        front = _playback_front(graph, benchmark_rows(graph, bt), cfg0.quality_threshold)[-1]
+    if playback_table(executor) is bt:
+        front = playback_front(graph, benchmark_rows(graph, bt), cfg0.quality_threshold)[-1]
         if not front:
             raise SearchExhausted(f"search at alpha={alphas[0]} found no valid path")
         for alpha in alphas:

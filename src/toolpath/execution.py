@@ -141,6 +141,14 @@ class Simulator:
         return ExecutionOutcome(row.time_seconds * factor, quality)
 
 
+def playback_table(executor) -> BenchmarkTable | None:
+    """The table a deterministic `Simulator` plays back, whose every attempt
+    returns its row; None for any other executor."""
+    if isinstance(executor, Simulator) and executor.spec.mode == "deterministic":
+        return executor.bt
+    return None
+
+
 def validate_quality(outcome: ExecutionOutcome, threshold: float) -> bool:
     """Quality check: pass at or above the threshold (>=, not >)."""
     return outcome.quality >= threshold

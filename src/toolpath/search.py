@@ -20,9 +20,10 @@ queued at
 the best completion of the prefix under benchmark values.  It never
 exceeds the g of any completion at any alpha, and equals g at a sink,
 whose front is the single point (0, 1).  The fronts come from
-`pareto_fronts`, one label-setting pass over neighbour lists: here over
-successor lists in reverse topological order, and in `evaluation`, for
-the playback front, over predecessor lists in topological order.
+`pareto_fronts`, one label-setting pass over neighbour lists: over
+successor lists in reverse topological order for the suffix bounds, and
+over predecessor lists in topological order for `playback_front`, the
+front of whole paths under deterministic playback.
 
 Paths are pruned by Pareto dominance: each node keeps the non-dominated
 (cum_time, cum_quality) labels that reached it, as in the label-setting
@@ -61,11 +62,13 @@ beaten.
 
 A bound totals a suffix from its end, while a path's g totals it from the
 root, so two paths whose times tie in decimal can sum an ulp apart.  The
-search breaks bound ties depth-first and, once a sink pops, keeps popping
-within a stop window sized from the summation error bound; an entry there
-runs only if a completion totalled from the root can beat the sink.  Under
-deterministic playback the path returned has the least g over all paths,
-bit for bit, and of equal g the least time.
+search breaks bound ties depth-first, and the first sink popped ends it,
+as the paper's A* stops at its first goal.  Under deterministic playback
+alone, where the least g over all paths is known from the playback front,
+a sink popped with other entries within a stop window, sized from the
+summation error bound, makes the search pop on until it holds that
+target; so there the path returned has the least g over all paths, bit
+for bit, and of equal g the least time.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
-from .execution import ExecutionOutcome, ExecutionTrace, Frozen, TraceEvent, validate_quality
+from .execution import ExecutionOutcome, ExecutionTrace, Frozen, TraceEvent, playback_table, validate_quality
 from .graphs import ROOT_ID, ToolSubgraph, predecessors
 from .registry import BenchmarkTable
 
@@ -226,6 +229,26 @@ def suffix_bounds(graph: ToolSubgraph, bt: BenchmarkTable) -> SuffixBounds:
     return SuffixBounds(tuple(rows), tuple(fronts))
 
 
+def playback_front(graph: ToolSubgraph, rows: Sequence[tuple[float, float]], threshold: float) -> list[Front]:
+    """Prefix fronts of (total time, quality product) over the paths playback completes.
+
+    Deterministic playback returns a node's benchmark row on every attempt,
+    so a node whose quality is below `threshold` fails all of them and no
+    path through it completes, while every other node passes on its first.
+    `pareto_fronts` runs over predecessor lists in ascending node id, a
+    topological order, plus one virtual node after every sink: a node's
+    front holds the totals of the paths from the root to its predecessors,
+    and the virtual node's, the last, those of the whole paths.  Times add
+    from 0.0 and qualities multiply from 1.0 in path order, the search's
+    order, so each point is bit-identical to the totals of the search's
+    label for its path.  More than QUEUE_CAP points over the distinct
+    fronts raise QueueOverflow.
+    """
+    sinks = tuple(node_id for node_id, succs in enumerate(graph.successors) if not succs)
+    neighbours = [*predecessors(graph), sinks]
+    return pareto_fronts(rows, neighbours, range(len(neighbours)), threshold, "playback-front pass")
+
+
 def _non_dominated(points: list[tuple]) -> list[tuple]:
     """The (time, -quality, ...) points no other point weakly dominates, in ascending time.
 
@@ -301,12 +324,11 @@ class SearchStats(NamedTuple):
     after its retries, pruned by dominance, queued, or left waiting for a
     retry that goes stale.  `stale_pops` are queued labels and edges whose
     label a later label dominated; they are skipped, so a stale label is
-    not `expanded` and a stale edge, first attempt or retry, never runs.  A
-    popped sink does not end the search at once: `expanded` counts every
-    live label popped, those popped within the stop window after the first
-    sink included, whether they are then expanded or dropped; an edge
-    dropped there, or because a live label at its successor already weakly
-    dominates its prefix, is counted nowhere, as it never runs.
+    not `expanded` and a stale edge, first attempt or retry, never runs.
+    `expanded` counts every live label popped, sinks included, and so, under
+    playback, those popped after the first sink on the way to the target;
+    an edge dropped because a live label at its successor already weakly
+    dominates its prefix is counted nowhere, as it never runs.
     `peak_frontier` counts queued labels and edges together.
     """
 
@@ -430,63 +452,13 @@ def _path(label: _Label, alpha: float) -> PathState:
     )
 
 
-def _completion_front(
-    successors: Sequence[tuple[int, ...]],
-    preds: Sequence[tuple[int, ...]],
-    rows: Sequence[tuple[float, float]],
-    heads: tuple[int, ...],
-    totals: tuple[float, float],
-    threshold: float,
-) -> Front:
-    """Front of (total time, quality product) over the completions of one prefix under playback.
-
-    The prefix totals `totals` and goes on through one of `heads`.  Each
-    completion adds benchmark rows to `totals` in path order and passes no
-    node whose quality is below `threshold`, as `evaluation._playback_front`
-    totals whole paths, so under deterministic playback each point holds
-    the bits of the search's label for that completion.  It is
-    `pareto_fronts` over the predecessor lists `preds` of the nodes
-    reachable from `heads` through such nodes, in ascending id, after one
-    virtual node whose row is `totals` and which precedes each of `heads`,
-    and before one virtual node after every sink.  None is left when no
-    sink is reached.  Nodes with the same successors, or the same
-    predecessors, are walked or filtered once.
-    """
-    reached = {node for node in heads if rows[node][1] >= threshold}
-    stack, walked = list(reached), set()
-    while stack:
-        succs = successors[stack.pop()]
-        if succs not in walked:
-            walked.add(succs)
-            for succ in succs:
-                if succ not in reached and rows[succ][1] >= threshold:
-                    reached.add(succ)
-                    stack.append(succ)
-    nodes = sorted(reached)
-    ends = tuple(i for i, node in enumerate(nodes, start=1) if not successors[node])
-    if not ends:
-        return ()
-    local = {node: i for i, node in enumerate(nodes, start=1)}
-    filtered: dict[tuple[int, ...], tuple[int, ...]] = {}
-    neighbours: list[tuple[int, ...]] = [()]
-    for node in nodes:
-        near = filtered.get(preds[node])
-        if near is None:
-            near = filtered[preds[node]] = tuple([local[pred] for pred in preds[node] if pred in local])
-        neighbours.append((0, *near) if node in heads else near)
-    neighbours.append(ends)
-    # The prefix's row goes through a pass at threshold 0: its quality is a product that may fall below it.
-    local_rows = [totals, *(rows[node] for node in nodes), (0.0, 1.0)]
-    return pareto_fronts(local_rows, neighbours, range(len(neighbours)), 0.0, "search-window pass")[-1]
-
-
 def astar_search(
     graph: ToolSubgraph,
     bounds: SuffixBounds,
     executor,
     cfg: SearchConfig,
 ) -> PlanResult:
-    """Best-first search returning the best sink label popped within the stop window.
+    """Best-first search returning the first sink label popped, or under playback the least.
 
     The queue holds labels and unexecuted edges.  Popping a label that does
     not end at a sink expands it: each successor's edge is queued at the
@@ -541,23 +513,24 @@ def astar_search(
     tie-breaking does (Asai & Fukunaga, JAIR 2017), instead of running
     every order of an order diamond.
 
-    The first sink popped does not end the search: it becomes the
-    incumbent, ranked by (g, time, -quality), and popping goes on while
-    the least f is within the stop window, at most the incumbent's g times
-    1 + eps.  A bound totals a suffix from its end and a path's g totals it
-    from the root; for n positive terms the two sums differ by at most
-    about (n - 1) u relative (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 4), and g raises time and quality factor to
-    powers totalling 2.  eps is 8n + 16 units of roundoff, n the node
-    count, so it covers that twice with room for `pow`'s own rounding, and
-    no path beyond the window can beat the incumbent.  Within the window
-    a sink label replaces the incumbent if it ranks lower, and any other
-    label or edge is worked only if one of its completions, totalled by
-    `_completion_front` from its own totals, ranks below the incumbent;
-    the others are dropped without running a tool.  Under deterministic
-    playback those totals are the bits the search would reach, so the
-    returned path has the least g over all paths, bit for bit, and of
-    equal g the least time, then the highest quality.
+    The first sink popped ends the search, unless `executor` plays back a
+    table (`playback_table`).  Under playback the sink becomes the
+    incumbent, ranked by (g, time, -quality).  A bound totals a suffix from
+    its end and a path's g totals it from the root; for n positive terms
+    the two sums differ by at most about (n - 1) u relative (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 4), and g
+    raises time and quality factor to powers totalling 2.  So the stop
+    window reaches up to the incumbent's g times 1 + eps, eps being 8n + 16
+    units of roundoff, n the node count, which covers that twice with room
+    for `pow`'s own rounding: no entry beyond it can beat the incumbent.
+    If an entry lies within the window, the target is built once: the
+    least (g, time, -quality) over the whole-path front of the played-back
+    table at the search's threshold (`playback_front`), whose points hold
+    the bits of the search's labels.  The search then pops on while the
+    least f is within the window, a sink replacing the incumbent if it
+    ranks lower, and stops once the incumbent's key is the target.  So
+    under playback the returned path has the least g over all paths, bit
+    for bit, and of equal g the least time, then the highest quality.
     """
     rows, fronts, successors = bounds.rows, bounds.fronts, graph.successors
     events: list[TraceEvent] = []
@@ -580,19 +553,8 @@ def astar_search(
 
     # (successor id, attempt) -> the first outcome the executor returned for it in this search.
     outcomes: dict[tuple[int, int], ExecutionOutcome] = {}
-    preds: list[tuple[int, ...]] = []  # built at the window's first check
-    # The best completion of each (heads, time, quality) checked in the window.
-    completions: dict[tuple, tuple[float, float, float]] = {}
-
-    def can_beat(heads: tuple[int, ...], time: float, quality: float) -> bool:
-        if not preds:
-            preds[:] = predecessors(graph)
-        key = completions.get((heads, time, quality))
-        if key is None:
-            front = _completion_front(successors, preds, rows, heads, (time, quality), threshold)
-            key = _front_bound(front, 0.0, 1.0, alpha) if front else (math.inf, math.inf, 0.0)
-            completions[heads, time, quality] = key
-        return key < best_key
+    table = playback_table(executor)
+    target = None  # under playback, the least (g, time, -quality) over all paths, built when first needed
 
     root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
     push(_front_bound(fronts[ROOT_ID], 0.0, 1.0, alpha), 0, root, None)
@@ -608,8 +570,11 @@ def astar_search(
                 key = (compute_g(label.time, label.quality, alpha), label.time, -label.quality)
                 if key < best_key:
                     best, best_key, limit = label, key, key[0] * slack
-                continue
-            if best is not None and not can_beat(successors[last], label.time, label.quality):
+                if target is None and table is not None and heap and heap[0][0] <= limit:
+                    front = playback_front(graph, benchmark_rows(graph, table), threshold)[-1]
+                    target = _front_bound(front, 0.0, 1.0, alpha)
+                if target is None or target == best_key:
+                    break
                 continue
             for succ in successors[last]:
                 c, q = rows[succ]
@@ -619,8 +584,6 @@ def astar_search(
 
         succ, attempt, spent = edge
         if _beaten(labels[succ], label.time + spent, label.quality):
-            continue
-        if best is not None and not can_beat((succ,), label.time + spent, label.quality):
             continue
         outcome = outcomes.get((succ, attempt))
         passed = outcome is not None and validate_quality(outcome, threshold)

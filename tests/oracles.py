@@ -11,8 +11,9 @@ the test-only library helpers no command calls:
 - `merge_every_successor_fronts`: the suffix pass without its sibling
   skip, the reference for `search.suffix_bounds`;
 - `playback_front_by_labels`: the forward pass that carries every node's
-  own labels and paths, the reference for `evaluation._playback_front`
-  and for the oracle's `best_path`;
+  own labels and paths, the reference for `search.playback_front`, the
+  one forward pass behind the oracle, the deterministic sweep and the
+  search's stop target, and for the oracle's `best_path`;
 - `lookup_models`: the tools that can perform one subtask;
 - `sweep_by_search`: one search per alpha, the reference for a
   deterministic sweep;
@@ -423,7 +424,7 @@ def playback_front_by_labels(
     Points come in ascending time and quality.
 
     Each node merges its own labels here, with no shared fronts and no
-    sibling skip: the reference that `evaluation._playback_front` and the
+    sibling skip: the reference that `search.playback_front` and the
     oracle's tie rule must match bit for bit.  It filters through
     `search._non_dominated`, read from the module at each call, so a test
     that wraps it there counts the labels both passes merge.

@@ -30,7 +30,6 @@ from toolpath.errors import (
 from toolpath.evaluation import (
     SCORE_VOCABULARY,
     ParetoPoint,
-    _playback_front,
     brute_force_optimal,
     overall_accuracy,
     pareto_csv,
@@ -184,7 +183,7 @@ def test_playback_front_matches_the_pass_that_carries_every_label(instance, thre
     graph, bt, *_ = instance
     rows = benchmark_rows(graph, bt)
     reference = playback_front_by_labels(graph, rows, threshold)
-    front = _playback_front(graph, rows, threshold)[-1]
+    front = search.playback_front(graph, rows, threshold)[-1]
     assert [(t.hex(), q.hex()) for t, q in front] == [(t.hex(), q.hex()) for t, q, _ in reference]
     cfg = SearchConfig(quality_threshold=threshold)
     if not reference:
@@ -227,7 +226,7 @@ def test_playback_front_merges_each_join_once(shape, by_labels, shared, monkeypa
     reference = playback_front_by_labels(graph, rows, 0.0)
     assert merged[0] == by_labels
     merged[0] = 0
-    assert len(_playback_front(graph, rows, 0.0)[-1]) == len(reference)
+    assert len(search.playback_front(graph, rows, 0.0)[-1]) == len(reference)
     assert merged[0] == shared
 
 

@@ -108,7 +108,9 @@ def _digest(case: str, workdir: Path) -> str:
 # the same path and totals, and two stochastic traces swapped two events,
 # with the same plan JSON.  Eight stochastic plan digests were re-recorded
 # once a seen pass set its edge's queue key: fewer tools ran, with the same
-# plan JSON apart from `stats` and the same `expanded`.
+# plan JSON apart from `stats` and the same `expanded`.  No digest moved
+# when the window came to end at the playback front's least key, and the
+# first sink to end a search under any other executor.
 GOLDEN = {
     'graph detection_choice/detection_choice dot': '32339f08c117246ecf5884d68b137bc044e29f4dea4acb6277d55cc71999e4c0',
     'graph detection_choice/detection_choice json': 'e56552e15dbfe3a0b38fb02a6d888f2dad4e75b8a03cc78b4a801747131a2511',

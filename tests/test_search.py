@@ -28,7 +28,7 @@ from synth import (
     tradeoff_chain_instance,
 )
 from toolpath.errors import AlphaOutOfRange, InvalidConfig, MissingBenchmark, QueueOverflow
-from toolpath.evaluation import _playback_front, brute_force_optimal
+from toolpath.evaluation import brute_force_optimal
 from toolpath.execution import (
     DEFAULT_SEED,
     ExecutionOutcome,
@@ -45,7 +45,6 @@ from toolpath.search import (
     PathStep,
     SearchConfig,
     _admit,
-    _completion_front,
     _non_dominated,
     astar_search,
     benchmark_rows,
@@ -604,31 +603,45 @@ def test_label_rules():
     assert labels == [best]
 
 
-def test_dominated_queued_state_is_skipped_at_pop():
-    """ROOT -> {A, B} -> X -> L, and A -> Z with Z failing every attempt; alpha 2.
+def _dominated_queued_state_run(leaf_time):
+    """ROOT -> {A, B} -> X -> L, and A -> Z with Z failing every attempt; alpha 2; L runs in `leaf_time`.
 
     Z's optimistic suffix time lets A pop before B.  X runs in 2, not its
     benchmark 1, so the label through A reaches X and is queued above B's
     edge; B runs in 1, not its benchmark 1.5, and its path reaches X as fast
     and at a better quality.  That kills the queued label through A, which
-    is popped stale, never expanded.
+    is never expanded: it ties with the label through B on the bound, and
+    of the two B's better quality pops first.
     """
     a, b, x, leaf, z = range(1, 6)
     rows = {"A": (1.0, 0.9), "B": (1.5, 1.0), "X": (1.0, 1.0), "L": (1.0, 1.0), "Z": (0.1, 0.5)}
     graph, bt = detection_graph(rows, {(0, a), (0, b), (a, x), (a, z), (b, x), (x, leaf)})
-    ran = {**rows, "B": (1.0, 1.0), "X": (2.0, 1.0)}
+    ran = {**rows, "B": (1.0, 1.0), "X": (2.0, 1.0), "L": (leaf_time, 1.0)}
 
     def executor(node, attempt):
         return ExecutionOutcome(*ran[node.tool])
 
     res = _run(graph, bt, alpha=2.0, sim=executor)
     assert res.path.node_ids == (0, b, x, leaf)
-    assert res.stats.stale_pops == 1
     assert res.stats.expanded == res.expanded_count == 5  # ROOT, A, B, X via B, L
     assert res.stats.dropped_after_retries == 1
     assert res.stats.retries == 3
     assert [e.node_id for e in res.trace.events] == [a, *[z] * 4, x, b, x, leaf]
     assert res.stats.executions == res.stats.generated + res.stats.retries == len(res.trace.events)
+    return res
+
+
+def test_dominated_queued_state_is_skipped_at_pop():
+    """When L runs in its benchmark 1 s, its sink ties the dead label through A in g and
+    time, but not in quality, so it pops first and, under a bare callable, which plays
+    back no table, ends the search: the dead label is never popped."""
+    assert _dominated_queued_state_run(1.0).stats.stale_pops == 0
+
+
+def test_dead_label_popped_before_the_sink_is_skipped():
+    """When L runs in 3 s, its sink is queued above the dead label through A,
+    which pops first and is skipped stale."""
+    assert _dominated_queued_state_run(3.0).stats.stale_pops == 1
 
 
 def test_edge_queued_from_a_dead_label_is_not_executed():
@@ -637,9 +650,12 @@ def test_edge_queued_from_a_dead_label_is_not_executed():
     B's benchmark time is 3 but it runs in 1.  The path through A reaches X
     first; expanding it queues X's edges, F drops, and the edge to L waits
     behind B.  B then reaches X as fast and at a better quality, so the
-    label through A dies and its edge to L is popped stale, never run.  F's
-    edge from the label through B pops all four attempts again, but each is
-    a failure the search already holds, so none runs.
+    label through A dies and its edge to L never runs.  F's edge from the
+    label through B pops all four attempts again, but each is a failure the
+    search already holds, so none runs.  L's sink through B ties the dead
+    edge's bound in g and time but not in quality, so it pops first; under
+    a bare callable, which plays back no table, the first sink ends the
+    search, and the dead edge is never popped.
     """
     a, b, x, fail, leaf = range(1, 6)
     rows = {"A": (1.0, 0.9), "B": (3.0, 1.0), "X": (1.0, 1.0), "F": (0.5, 0.5), "L": (4.0, 1.0)}
@@ -651,7 +667,7 @@ def test_edge_queued_from_a_dead_label_is_not_executed():
 
     res = _run(graph, bt, alpha=2.0, sim=executor)
     assert res.path.node_ids == (0, b, x, leaf)
-    assert res.stats.stale_pops == 1
+    assert res.stats.stale_pops == 0
     assert attempts_for(res.trace, leaf) == 1
     assert [e.node_id for e in res.trace.events] == [a, x, *[fail] * 4, b, x, leaf]
     assert res.stats.dropped_after_retries == 2
@@ -902,42 +918,45 @@ def test_search_returns_the_least_enumerated_g_and_the_fastest_of_a_tie(seed, un
     assert (res.path.cum_time, res.path.cum_quality) == min(tied, key=lambda totals: (totals[0], -totals[1]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=1999),
-    unit_quality=st.booleans(),
-    threshold=st.sampled_from((0.0, 0.8, 0.95)),
+@pytest.mark.parametrize(
+    ("equal_rows", "passes", "executions"),
+    [(True, (1, 1, 1, 1, 1), (3369, 5139, 5139, 5139, 5139)), (False, (0,) * 5, (24,) * 5)],
 )
-def test_completion_front_totals_each_completion_from_the_prefix(seed, unit_quality, threshold):
-    """The window's pass, from a node's prefix totals, is the front of the completions each totalled alone.
+def test_stop_window_runs_one_pass_per_search(equal_rows, passes, executions, monkeypatch):
+    """Under playback the search builds its target, one Pareto pass, only when a sink pops
+    with an entry still inside the stop window.
 
-    From the root at (0, 1) it is the playback front's whole-path front.
-    Elsewhere, the prefix is each path's own up to the node; every path
-    through the node whose later nodes meet the threshold is totalled on
-    from those totals in path order, and the points no other weakly
-    dominates are kept, bit for bit.
+    On the 24 x 16 chain with every row (1.1 s, 0.97), every path totals the
+    same bits, but a bound totals its suffix from the end, so entries an ulp
+    apart crowd the window, and one pass builds the target.  On the chain's
+    own rows no entry lies within the window, so none runs.
     """
-    graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
-    rows = benchmark_rows(graph, bt)
-    preds = predecessors(graph)
+    import toolpath.search as search
 
-    def front(node_id, totals):
-        return _completion_front(graph.successors, preds, rows, graph.successors[node_id], totals, threshold)
+    graph, bt, *_ = build_payload(chain_instance(1, stages=24, tools=16))
+    if equal_rows:
+        bt = BenchmarkTable(rows=dict.fromkeys(bt.rows, BenchmarkRow(1.1, 0.97)))
+    bounds = suffix_bounds(graph, bt)
+    calls = []
+    pareto_fronts = search.pareto_fronts
 
-    assert front(ROOT_ID, (0.0, 1.0)) == _playback_front(graph, rows, threshold)[-1]
-    paths = enumerate_paths(graph)
-    for path in paths[:: max(1, len(paths) // 8)]:
-        for depth, node_id in enumerate(path[1:-1], start=1):
-            totals = path_totals(graph, bt, path[: depth + 1])
-            points = []
-            for other in paths:
-                if len(other) > depth and other[depth] == node_id:
-                    if all(rows[later][1] >= threshold for later in other[depth + 1 :]):
-                        time, quality = totals
-                        for later in other[depth + 1 :]:
-                            time, quality = time + rows[later][0], quality * rows[later][1]
-                        points.append((time, -quality))
-            assert front(node_id, totals) == tuple((t, -neg_q) for t, neg_q in _non_dominated(points))
+    def counting(*args):
+        calls.append(args[-1])
+        return pareto_fronts(*args)
+
+    monkeypatch.setattr(search, "pareto_fronts", counting)
+    sim = Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
+    for alpha, count, runs in zip(ALPHAS, passes, executions):
+        calls.clear()
+        res = astar_search(graph, bounds, sim, SearchConfig(alpha=alpha))
+        assert calls == ["playback-front pass"] * count
+        assert res.stats.executions == runs
+        if equal_rows:
+            totals = (0.0, 1.0)
+            for _ in range(24):
+                totals = (totals[0] + 1.1, totals[1] * 0.97)
+            assert (res.path.cum_time, res.path.cum_quality) == totals
+            assert res.path.g == compute_g(*totals, alpha)
 
 
 def _bundled(data_dir, tables, tree):
@@ -956,8 +975,9 @@ def _bundled(data_dir, tables, tree):
     ],
 )
 def test_bundled_plans_run_each_tie_once(data_dir, tables, tree, alpha, executions):
-    """Under playback a bound tie is followed down one branch, and the stop window drops the
-    tied entries none of whose completions beats the path found, without running them.
+    """Under playback a bound tie is followed down one branch, and the search stops at the
+    first sink that holds the least key over the playback front, without running the tied
+    entries left in its stop window.
 
     Every count but full/example1's at alpha 2 is the path's length; breaking
     ties first in, first out ran 9/8/8/9, 13, 9 and 3 tools here.
@@ -990,8 +1010,9 @@ def test_order_diamond_runs_one_order(alpha):
     """ROOT -> {A1, B1}, A1 -> B2, B1 -> A2: two stages in either order, on identical rows.
 
     Both orders total the same bits, so every entry ties.  The search follows
-    A1 down to B2, and the stop window drops B1's edge, whose one completion
-    only ties the path found, without running it.
+    A1 down to B2, whose sink already holds the least key over the playback
+    front, so the search stops there, and B1's edge, whose one completion
+    only ties it, never runs.
     """
     rows = {"A1": (1.5, 0.9), "B1": (2.5, 0.95), "B2": (2.5, 0.95), "A2": (1.5, 0.9)}
     graph, bt = detection_graph(rows, {(0, 1), (0, 2), (1, 3), (2, 4)})
