@@ -53,12 +53,15 @@ next step's input, but it too updates the node: an edge of another prefix
 into a (node, attempt) that passed waits at the key of the label that
 outcome would make, as Lazy Weighted A* queues an evaluated edge again at
 its true cost, so the pass runs there only when that label would pop.  An
-edge whose prefix a live label at the successor already weakly dominates
-is not run at all.  Under stochastic execution an edge is queued at its
-benchmark bound and its label at the realized one, so the search commits
-to a path without seeing the outcomes of siblings it never popped, and
-may return a path an eager search, which ran every sibling, would have
-beaten.
+edge is not run at all when a live label at the successor already weakly
+dominates the least label it can make: for a seen pass, the label of that
+outcome; else the prefix before the attempt, as an attempt only adds time
+and loses quality.  So a label is dropped before its tool runs, as BOA*
+drops a dominated label before it is queued.  Under stochastic execution
+an edge is queued at its benchmark bound and its label at the realized
+one, so the search commits to a path without seeing the outcomes of
+siblings it never popped, and may return a path an eager search, which
+ran every sibling, would have beaten.
 
 A bound totals a suffix from its end, while a path's g totals it from the
 root, so two paths whose times tie in decimal can sum an ulp apart.  The
@@ -328,7 +331,10 @@ class SearchStats(NamedTuple):
     `expanded` counts every live label popped, sinks included, and so, under
     playback, those popped after the first sink on the way to the target;
     an edge dropped because a live label at its successor already weakly
-    dominates its prefix is counted nowhere, as it never runs.
+    dominates the least label it can make is counted nowhere, as it never
+    runs.  So `pruned_by_dominance` reads 0 under every `Simulator`: it
+    counts a label only when the executor returns another outcome for a
+    (node, attempt) it has already run than the one the search kept.
     `peak_frontier` counts queued labels and edges together.
     """
 
@@ -476,33 +482,40 @@ def astar_search(
     there is dropped; queued labels and edges whose label a newer label
     dominates are skipped when popped.
 
-    Three rules spare the executor at an edge pop.  Survival check: an
-    edge is dropped unrun when a live label at its successor has time at
-    most the label's time plus the running total and quality at least the
-    label's quality.  The search keeps the first outcome the executor
-    returned for each (successor, attempt).  Failure memo: when an edge of
-    another prefix pops at an attempt whose kept outcome failed, the
-    executor is not called; the outcome's time is added to the edge's
-    running total and the edge is re-queued at the same re-priced key, or
-    dropped after the last attempt, as if the attempt had run.  It writes
-    no trace event.  Seen pass: when it pops at an attempt whose kept
-    outcome passed, the key that outcome's label would be queued at is
-    computed with the same arithmetic as after a run; if it ranks above the
-    popped key, the edge is queued again at it, with the same progress,
-    and not run.  Otherwise the executor runs as usual: a pass runs on each
-    prefix whose label would pop, since its output is that prefix's next
-    input.  The rules rest on the executor, as the dominance pruning does:
-    the memo and the seen pass on outcomes keyed by node and attempt, so
-    a waiting edge pops, if ever, at the key its run would give its label;
-    the check on outcomes with time >= 0 and quality <= 1, under which
-    float `+` and `*` round monotonically, so `_admit` would reject the
-    label of every attempt left.  The memo and the check reorder nothing,
-    and the seen pass only moves a run to the key its label would pop at,
-    so under such an executor the path, its totals and `expanded` are those
-    of a search that ran every attempt at once, up to the order of entries
-    that tie on the whole key; an attempt saved is one whose label the
-    search ends before it would pop.  Under deterministic playback a seen
-    pass's key is the popped key, bit for bit, and no edge waits.
+    Three rules spare the executor at an edge pop.  The search keeps the
+    first outcome the executor returned for each (successor, attempt).
+    Dominance check: the least label the edge can make is, if the kept
+    outcome of its attempt passed, that outcome's label, (label time +
+    (running total + outcome time), label quality * outcome quality), the
+    arithmetic and order used after a run; otherwise (label time + running
+    total, label quality).  The edge is dropped unrun when a live label at
+    its successor has time at most and quality at least that label's.
+    Failure memo: when an edge of another prefix pops at an attempt whose
+    kept outcome failed, the executor is not called; the outcome's time is
+    added to the edge's running total and the edge is re-queued at the
+    same re-priced key, or dropped after the last attempt, as if the
+    attempt had run.  It writes no trace event.  Seen pass: when it pops at
+    an attempt whose kept outcome passed, the key of the checked label is
+    computed; if it ranks above the popped key, the edge is queued again
+    at it, with the same progress, and not run.  Otherwise the executor
+    runs as usual: a pass runs on each prefix whose label would pop, since
+    its output is that prefix's next input.  The rules rest on the
+    executor, as the dominance pruning does: the memo, the seen pass and
+    the check of a seen pass on outcomes keyed by node and attempt, so a
+    waiting edge pops, if ever, at the key its run would give its label,
+    and a beaten seen pass would make a label `_admit` rejects; the check
+    on outcomes with time >= 0 and quality <= 1, under which float `+` and
+    `*` round monotonically, so a seen pass's label is never better than
+    its prefix, and `_admit` would reject the label of every attempt left.
+    So under such an executor the first pass at a node meets no label
+    there, and no label is pruned after a run.  The memo and the check
+    reorder nothing, and the seen pass only moves a run to the key its
+    label would pop at, so under such an executor the path, its totals and
+    `expanded` are those of a search that ran every attempt at once, up to
+    the order of entries that tie on the whole key; an attempt saved is one
+    `_admit` would reject, or one whose label the search ends before it
+    would pop.  Under deterministic playback a seen pass's key is the
+    popped key, bit for bit, and no edge waits.
 
     Queue order is (f, t_f, -q_f, -progress, insertion counter), so runs
     replay exactly.  (t_f, q_f) are the totals of the fastest completion
@@ -583,15 +596,18 @@ def astar_search(
             continue
 
         succ, attempt, spent = edge
-        if _beaten(labels[succ], label.time + spent, label.quality):
-            continue
         outcome = outcomes.get((succ, attempt))
         passed = outcome is not None and validate_quality(outcome, threshold)
+        # The least label the edge can make: a seen pass's own, else the prefix before the attempt.
+        if passed:
+            time, quality = label.time + (spent + outcome.time_seconds), label.quality * outcome.quality
+        else:
+            time, quality = label.time + spent, label.quality
+        if _beaten(labels[succ], time, quality):
+            continue
         if passed:
             # A pass seen on another prefix: run it only once the label it makes would pop.
-            key = _front_bound(
-                fronts[succ], label.time + (spent + outcome.time_seconds), label.quality * outcome.quality, alpha
-            )
+            key = _front_bound(fronts[succ], time, quality, alpha)
             if key > (f, t_f, neg_q_f):
                 push(key, neg_progress, label, edge)
                 continue

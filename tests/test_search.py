@@ -746,6 +746,58 @@ def test_edge_a_live_label_already_beats_is_not_run(a_quality, ran_after_b):
     assert res.stats.executions == res.stats.generated == 4 + len(ran_after_b)
 
 
+def test_seen_pass_a_live_label_already_beats_is_not_run():
+    """ROOT -> {A, B} -> N -> L, alpha 2; B runs at quality 0.9, L in 5 s.
+
+    The path through A reaches N at (2, 1.0) and L at 7 s, g 49, while B's
+    edge and then N's edge from B still pop below it.  B's prefix (1.5, 0.9)
+    is not beaten by N's label, but N's attempt 1 already passed in 1 s at
+    quality 1.0, so the least label N's edge from B can make is (2.5, 0.9),
+    which N's label weakly dominates: the edge is dropped unrun, and nothing
+    is pruned after a run.
+    """
+    a, b, n, leaf = range(1, 5)
+    rows = {"A": (1.0, 1.0), "B": (1.5, 1.0), "N": (1.0, 1.0), "L": (1.0, 1.0)}
+    graph, bt = detection_graph(rows, {(0, a), (0, b), (a, n), (b, n), (n, leaf)})
+    ran = {**rows, "B": (1.5, 0.9), "L": (5.0, 1.0)}
+    calls: Counter = Counter()
+    executor = _counting(lambda node, attempt: ExecutionOutcome(*ran[node.tool]), calls)
+
+    res = _run(graph, bt, alpha=2.0, sim=executor)
+    assert res.path.node_ids == (0, a, n, leaf) and res.path.g == 49.0
+    assert [e.node_id for e in res.trace.events] == [a, n, leaf, b]
+    assert calls[n, 1] == 1
+    assert res.stats.pruned_by_dominance == 0
+    assert res.stats.executions == res.stats.generated == 4
+
+
+def test_rerun_pass_worse_than_the_kept_outcome_is_pruned():
+    """ROOT -> {A, B} -> N -> L, alpha 2, with an executor not keyed by (node, attempt).
+
+    A runs at quality 0.9, so N's label through A is (2, 0.9), and the label
+    N's kept pass would make from B, (2.5, 1.0), is not beaten: the edge
+    waits at its key and then runs.  This second run of N returns quality
+    0.8, so its label (2.5, 0.8) is pruned after the run, the one case
+    `pruned_by_dominance` counts.
+    """
+    a, b, n, leaf = range(1, 5)
+    rows = {"A": (1.0, 1.0), "B": (1.5, 1.0), "N": (1.0, 1.0), "L": (1.0, 1.0)}
+    graph, bt = detection_graph(rows, {(0, a), (0, b), (a, n), (b, n), (n, leaf)})
+    ran = {**rows, "A": (1.0, 0.9), "L": (5.0, 1.0)}
+    calls: Counter = Counter()
+
+    def executor(node, attempt):
+        if node.tool == "N" and calls[n, attempt] > 1:
+            return ExecutionOutcome(1.0, 0.8)
+        return ExecutionOutcome(*ran[node.tool])
+
+    res = _run(graph, bt, alpha=2.0, sim=_counting(executor, calls))
+    assert res.path.node_ids == (0, a, n, leaf) and res.path.g == 49.0
+    assert [e.node_id for e in res.trace.events] == [a, n, leaf, b, n]
+    assert res.stats.pruned_by_dominance == 1
+    assert res.stats.executions == res.stats.generated == 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=299),
@@ -753,19 +805,22 @@ def test_edge_a_live_label_already_beats_is_not_run(a_quality, ran_after_b):
     sim_seed=st.integers(min_value=0, max_value=2**32 - 1),
     threshold=st.sampled_from((0.8, 0.95)),
     alpha=st.sampled_from(ALPHAS),
+    mode=st.sampled_from(("stochastic", "deterministic")),
 )
-def test_each_failed_attempt_runs_once_per_search(seed, unit_quality, sim_seed, threshold, alpha):
-    """Under the stochastic simulator no failing (node, attempt) runs twice in one search.
+def test_each_failed_attempt_runs_once_per_search(seed, unit_quality, sim_seed, threshold, alpha, mode):
+    """Under the stochastic simulator, or playback, no failing (node, attempt) runs twice in one search.
 
     Every call of the simulator writes one trace event, and each path step
     still totals its attempts' times left to right, with the quality of its
-    last attempt, as if every prefix had run them all.
+    last attempt, as if every prefix had run them all.  Outcomes are keyed
+    by (node, attempt), so no label is pruned after a run.
     """
     graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
-    sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=0.1), bt, sim_seed)
+    sim = Simulator(SimulatorSpec(mode=mode, quality_noise_sigma=0.1), bt, sim_seed)
     calls: Counter = Counter()
     res = _run(graph, bt, alpha=alpha, sim=_counting(sim, calls), quality_threshold=threshold)
     assert res.stats.executions == len(res.trace.events) == sum(calls.values())
+    assert res.stats.pruned_by_dominance == 0
     failing = [key for key in calls if sim(graph.nodes[key[0]], key[1]).quality < threshold]
     assert all(calls[key] == 1 for key in failing)
     if res.found:
@@ -834,20 +889,24 @@ def test_seen_pass_better_than_its_row_runs_at_once():
     sim_seed=st.integers(min_value=0, max_value=2**32 - 1),
     threshold=st.sampled_from((0.8, 0.95)),
     alpha=st.sampled_from(ALPHAS),
+    mode=st.sampled_from(("stochastic", "deterministic")),
 )
-def test_repeated_passes_return_the_first_outcome(seed, unit_quality, sim_seed, threshold, alpha):
-    """Under the stochastic simulator every repeated attempt of a (node, attempt) is a pass equal to the first.
+def test_repeated_passes_return_the_first_outcome(seed, unit_quality, sim_seed, threshold, alpha, mode):
+    """Under the stochastic simulator, or playback, every repeated attempt of a (node, attempt) is a
+    pass equal to the first.
 
     Passes that wait at the key of a seen outcome still run on each prefix
     whose label pops, so every simulator call writes one trace event, and
     each path step totals its attempts' times left to right, with the
-    quality of its last attempt.
+    quality of its last attempt.  A seen pass whose label a live label
+    already beats does not run, so no label is pruned after a run.
     """
     graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
-    sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=0.1), bt, sim_seed)
+    sim = Simulator(SimulatorSpec(mode=mode, quality_noise_sigma=0.1), bt, sim_seed)
     calls: Counter = Counter()
     res = _run(graph, bt, alpha=alpha, sim=_counting(sim, calls), quality_threshold=threshold)
     assert res.stats.executions == len(res.trace.events) == sum(calls.values())
+    assert res.stats.pruned_by_dominance == 0
     first: dict[tuple[int, int], TraceEvent] = {}
     for event in res.trace.events:
         seen = first.setdefault((event.node_id, event.attempt), event)
@@ -920,7 +979,7 @@ def test_search_returns_the_least_enumerated_g_and_the_fastest_of_a_tie(seed, un
 
 @pytest.mark.parametrize(
     ("equal_rows", "passes", "executions"),
-    [(True, (1, 1, 1, 1, 1), (3369, 5139, 5139, 5139, 5139)), (False, (0,) * 5, (24,) * 5)],
+    [(True, (1, 1, 1, 1, 1), (249, 339, 339, 339, 339)), (False, (0,) * 5, (24,) * 5)],
 )
 def test_stop_window_runs_one_pass_per_search(equal_rows, passes, executions, monkeypatch):
     """Under playback the search builds its target, one Pareto pass, only when a sink pops
@@ -929,7 +988,11 @@ def test_stop_window_runs_one_pass_per_search(equal_rows, passes, executions, mo
     On the 24 x 16 chain with every row (1.1 s, 0.97), every path totals the
     same bits, but a bound totals its suffix from the end, so entries an ulp
     apart crowd the window, and one pass builds the target.  On the chain's
-    own rows no entry lies within the window, so none runs.
+    own rows no entry lies within the window, so none runs.  On the plateau
+    every stage's row was seen on the first prefix to reach it, and the
+    label it would make on any other prefix ties one already live, so that
+    pass does not run: one execution per expansion but the root's, where
+    running each such pass and pruning its label ran 3,369 and 5,139.
     """
     import toolpath.search as search
 
