@@ -48,7 +48,7 @@ class OracleReport(NamedTuple):
     astar_objective: float
     gap: float
     paths_enumerated: int
-    astar_path: tuple[int, ...] = ()
+    astar_path: tuple[int, ...]
 
 
 def brute_force_optimal(

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import DuplicateEntry, ParseError, ScriptGap
 from .graphs import PlanNode, ToolSubgraph
-from .registry import BenchmarkTable, _squash, canonical_subtask, json_field, parse_json, read_text
+from .registry import BenchmarkTable, ExecutionOutcome, _squash, canonical_subtask, json_field, parse_json, read_text
 
 # The modes a name alone selects; a scripted simulator also needs its script.
 NAMED_MODES = ("deterministic", "stochastic")
@@ -34,11 +34,6 @@ DEFAULT_QUALITY_SIGMA = 0.05
 # So the time factor exp(sigma * z) is finite and positive for every draw
 # while sigma <= 709.78 / 8.5717 ~ 82.8.
 MAX_TIME_SIGMA = 80.0
-
-
-class ExecutionOutcome(NamedTuple):
-    time_seconds: float
-    quality: float
 
 
 class Frozen:
@@ -118,8 +113,9 @@ class Simulator:
     def __call__(self, node: PlanNode, attempt: int) -> ExecutionOutcome:
         """Simulate one invocation of the tool `node`; attempt counts from 1.
 
-        Stochastic time is lognormal around the benchmark time, stochastic
-        quality a clamped gaussian around the benchmark quality.
+        Playback returns the table's own row; stochastic time is lognormal
+        around the benchmark time, stochastic quality a clamped gaussian
+        around the benchmark quality.
         """
         spec = self.spec
         if spec.mode == "scripted":
@@ -130,14 +126,14 @@ class Simulator:
             return ExecutionOutcome(time_s, quality)
         row = self.bt.row(node.tool, node.kind)
         if spec.mode == "deterministic":
-            return ExecutionOutcome(row.time_seconds, row.quality_norm)
+            return row
         key = b"%d %d %d" % (self.seed & 0xFFFFFFFFFFFFFFFF, node.node_id, attempt)
         digest = int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "little")
         # Two 53-bit uniforms, the first in (0, 1] so that its log is finite.
         radius = math.sqrt(-2.0 * math.log((2**53 - (digest >> 75)) / 2**53))
         angle = 2.0 * math.pi * ((digest & 0xFFFFFFFFFFFFFFFF) >> 11) / 2**53
         factor = math.exp(spec.time_noise_sigma * radius * math.cos(angle))
-        quality = min(max(row.quality_norm + spec.quality_noise_sigma * radius * math.sin(angle), 0.0), 1.0)
+        quality = min(max(row.quality + spec.quality_noise_sigma * radius * math.sin(angle), 0.0), 1.0)
         return ExecutionOutcome(row.time_seconds * factor, quality)
 
 

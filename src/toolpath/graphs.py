@@ -63,11 +63,10 @@ class PlanNode(NamedTuple):
     tool: str | None
     kind: str | None
     instance: SubtaskInstance | None
-    role: str  # "root" | "candidate" | "prerequisite"
 
     @property
     def is_root(self) -> bool:
-        return self.role == "root"
+        return self.node_id == ROOT_ID
 
     def view(self) -> dict:
         """The fields that name this node in plan rows, trace events and graph JSON."""
@@ -156,7 +155,7 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
     each distinct parent instance.  A candidate is never extended, so each
     list comes out ascending and without duplicates, with nothing to sort.
     """
-    nodes: list[PlanNode] = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None, role="root")]
+    nodes: list[PlanNode] = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None)]
     succ: list[list[int]] = [[]]
     avail_out: dict[SubtaskInstance, frozenset[str]] = {}
     terminals_of: dict[SubtaskInstance, list[int]] = {}
@@ -200,8 +199,7 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
                 node_id = trie.get(key)
                 if node_id is None:
                     node_id = trie[key] = len(nodes)
-                    role = "candidate" if rec is record else "prerequisite"
-                    nodes.append(PlanNode(node_id, rec.tool, rec.subtask, inst, role))
+                    nodes.append(PlanNode(node_id, rec.tool, rec.subtask, inst))
                     succ.append([])
                     if prev_id is None:
                         entries.append(node_id)

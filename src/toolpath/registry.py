@@ -383,15 +383,17 @@ def load_mdt(path: str | Path, digests: dict[str, str] | None = None) -> ModelDe
     return parse_mdt(read_text(path, "MDT", digests))
 
 
-class BenchmarkRow(NamedTuple):
+class ExecutionOutcome(NamedTuple):
+    """One attempt's (time, quality): a simulator's outcome, or a benchmark row, the expected one."""
+
     time_seconds: float
-    quality_norm: float
+    quality: float
 
 
 class BenchmarkTable(NamedTuple):
-    rows: dict[tuple[str, str], BenchmarkRow]
+    rows: dict[tuple[str, str], ExecutionOutcome]  # quality normalized per subtask
 
-    def row(self, tool: str, subtask: str) -> BenchmarkRow:
+    def row(self, tool: str, subtask: str) -> ExecutionOutcome:
         try:
             return self.rows[(tool, subtask)]
         except KeyError:
@@ -413,8 +415,8 @@ def normalize_quality(raw: dict[tuple[str, str], float]) -> dict[tuple[str, str]
     return {key: value / maxima[key[1]] for key, value in raw.items()}
 
 
-# A row built by the tuple constructor itself, not by the Python-level `BenchmarkRow.__new__`.
-_row = partial(tuple.__new__, BenchmarkRow)
+# A row built by the tuple constructor itself, not by the Python-level `ExecutionOutcome.__new__`.
+_row = partial(tuple.__new__, ExecutionOutcome)
 
 
 def parse_benchmark(text: str, mdt: ModelDescriptionTable) -> BenchmarkTable:

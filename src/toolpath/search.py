@@ -44,24 +44,16 @@ again, its bound now counting the time its attempts have already cost, so
 a sibling that has become cheaper runs before the retry.  Attempts run
 from 1 to 1 + max_retries; an edge whose last attempt fails drops the path
 without being queued again, while other routes through the same node stay
-explorable.  Because outcomes are keyed by node and attempt, the update is
-per node, not per edge: a failed attempt runs once per search, and every
-other prefix that reaches the node reuses the failure, its time counted,
-its retry re-priced and queued as if it had run, as LazySP evaluates no
-edge twice.  A pass still runs on each prefix, since its output is the
-next step's input, but it too updates the node: an edge of another prefix
-into a (node, attempt) that passed waits at the key of the label that
-outcome would make, as Lazy Weighted A* queues an evaluated edge again at
-its true cost, so the pass runs there only when that label would pop.  An
-edge is not run at all when a live label at the successor already weakly
-dominates the least label it can make: for a seen pass, the label of that
-outcome; else the prefix before the attempt, as an attempt only adds time
-and loses quality.  So a label is dropped before its tool runs, as BOA*
-drops a dominated label before it is queued.  Under stochastic execution
-an edge is queued at its benchmark bound and its label at the realized
-one, so the search commits to a path without seeing the outcomes of
-siblings it never popped, and may return a path an eager search, which
-ran every sibling, would have beaten.
+explorable.  Outcomes are keyed by node and attempt, so three rules in
+`astar_search` spare the executor at an edge pop: a failed attempt runs
+once per search, as LazySP evaluates no edge twice; a pass seen on
+another prefix waits at the key of its label, as Lazy Weighted A* queues
+an evaluated edge again at its true cost; and an edge a live label
+already beats is not run, as BOA* drops a dominated label before it is
+queued.  Under stochastic execution an edge is queued at its benchmark
+bound and its label at the realized one, so the search commits to a path
+without seeing the outcomes of siblings it never popped, and may return a
+path an eager search, which ran every sibling, would have beaten.
 
 A bound totals a suffix from its end, while a path's g totals it from the
 root, so two paths whose times tie in decimal can sum an ulp apart.  The
@@ -84,9 +76,9 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import AlphaOutOfRange, InvalidConfig, QueueOverflow
-from .execution import ExecutionOutcome, ExecutionTrace, Frozen, TraceEvent, playback_table, validate_quality
+from .execution import ExecutionTrace, Frozen, TraceEvent, playback_table, validate_quality
 from .graphs import ROOT_ID, ToolSubgraph, predecessors
-from .registry import BenchmarkTable
+from .registry import BenchmarkTable, ExecutionOutcome
 
 DEFAULT_QUALITY_THRESHOLD = 0.8
 DEFAULT_MAX_RETRIES = 3
@@ -152,15 +144,10 @@ class SuffixBounds(NamedTuple):
 
 
 def benchmark_rows(graph: ToolSubgraph, bt: BenchmarkTable) -> list[tuple[float, float]]:
-    """Each node's benchmark (time, quality), read in node-id order, so a
-    missing row names the lowest node id that lacks one; the root, which
-    runs no tool, is (0, 1)."""
-    rows = [(0.0, 1.0)] * len(graph.nodes)
-    for node in graph.nodes:
-        if not node.is_root:
-            row = bt.row(node.tool, node.kind)
-            rows[node.node_id] = (row.time_seconds, row.quality_norm)
-    return rows
+    """Each node's benchmark row, the table's own record, read in node-id
+    order, so a missing row names the lowest node id that lacks one; the
+    root, which runs no tool, is (0, 1)."""
+    return [(0.0, 1.0) if node.is_root else bt.row(node.tool, node.kind) for node in graph.nodes]
 
 
 def _within_capacity(count: int, holder: str) -> None:
@@ -316,23 +303,19 @@ class SearchStats(NamedTuple):
     edge runs one attempt: the first attempt of an edge is one `generated`
     path, and each later one, popped after a failed attempt queued the edge
     again, is one of the `retries`.  So `executions == generated +
-    retries`, which is also the number of trace events.  An attempt that
-    already failed in the search, reached through another prefix, is not
-    run again: it counts in none of these and writes no event, but an edge
-    whose last attempt is such a failure still counts in
-    `dropped_after_retries`.  An edge into an attempt that already passed,
-    whose label would rank above the edge's key, is queued again at the
-    label's key: that counts nowhere but in `peak_frontier`, and the
-    attempt counts as above if it runs.  A generated path is then dropped
-    after its retries, pruned by dominance, queued, or left waiting for a
-    retry that goes stale.  `stale_pops` are queued labels and edges whose
-    label a later label dominated; they are skipped, so a stale label is
-    not `expanded` and a stale edge, first attempt or retry, never runs.
-    `expanded` counts every live label popped, sinks included, and so, under
-    playback, those popped after the first sink on the way to the target;
-    an edge dropped because a live label at its successor already weakly
-    dominates the least label it can make is counted nowhere, as it never
-    runs.  So `pruned_by_dominance` reads 0 under every `Simulator`: it
+    retries`, which is also the number of trace events.  An attempt the
+    failure memo spares counts in none of these and writes no event, but
+    an edge whose last attempt it spares still counts in
+    `dropped_after_retries`.  A seen pass queued again counts nowhere but
+    in `peak_frontier`, and counts as above if it runs.  A generated path
+    is then dropped after its retries, pruned by dominance, queued, or left
+    waiting for a retry that goes stale.  `stale_pops` are queued labels
+    and edges whose label a later label dominated; they are skipped, so a
+    stale label is not `expanded` and a stale edge, first attempt or retry,
+    never runs.  `expanded` counts every live label popped, sinks included,
+    and so, under playback, those popped after the first sink on the way to
+    the target; an edge the dominance check drops is counted nowhere, as it
+    never runs.  So `pruned_by_dominance` reads 0 under every `Simulator`: it
     counts a label only when the executor returns another outcome for a
     (node, attempt) it has already run than the one the search kept.
     `peak_frontier` counts queued labels and edges together.
@@ -484,38 +467,27 @@ def astar_search(
 
     Three rules spare the executor at an edge pop.  The search keeps the
     first outcome the executor returned for each (successor, attempt).
-    Dominance check: the least label the edge can make is, if the kept
-    outcome of its attempt passed, that outcome's label, (label time +
-    (running total + outcome time), label quality * outcome quality), the
-    arithmetic and order used after a run; otherwise (label time + running
-    total, label quality).  The edge is dropped unrun when a live label at
-    its successor has time at most and quality at least that label's.
-    Failure memo: when an edge of another prefix pops at an attempt whose
-    kept outcome failed, the executor is not called; the outcome's time is
-    added to the edge's running total and the edge is re-queued at the
-    same re-priced key, or dropped after the last attempt, as if the
-    attempt had run.  It writes no trace event.  Seen pass: when it pops at
-    an attempt whose kept outcome passed, the key of the checked label is
-    computed; if it ranks above the popped key, the edge is queued again
-    at it, with the same progress, and not run.  Otherwise the executor
-    runs as usual: a pass runs on each prefix whose label would pop, since
-    its output is that prefix's next input.  The rules rest on the
-    executor, as the dominance pruning does: the memo, the seen pass and
-    the check of a seen pass on outcomes keyed by node and attempt, so a
-    waiting edge pops, if ever, at the key its run would give its label,
-    and a beaten seen pass would make a label `_admit` rejects; the check
-    on outcomes with time >= 0 and quality <= 1, under which float `+` and
-    `*` round monotonically, so a seen pass's label is never better than
-    its prefix, and `_admit` would reject the label of every attempt left.
-    So under such an executor the first pass at a node meets no label
-    there, and no label is pruned after a run.  The memo and the check
-    reorder nothing, and the seen pass only moves a run to the key its
-    label would pop at, so under such an executor the path, its totals and
-    `expanded` are those of a search that ran every attempt at once, up to
-    the order of entries that tie on the whole key; an attempt saved is one
-    `_admit` would reject, or one whose label the search ends before it
-    would pop.  Under deterministic playback a seen pass's key is the
-    popped key, bit for bit, and no edge waits.
+    Dominance check: the edge is dropped unrun when a live label at its
+    successor has time at most and quality at least the least label the
+    edge can make: if the kept outcome of its attempt passed, that
+    outcome's label, (label time + (running total + outcome time), label
+    quality * outcome quality), the arithmetic and order used after a run;
+    otherwise (label time + running total, label quality).  Failure memo:
+    an attempt whose kept outcome failed is not run again; its time is
+    added to the running total and the edge is queued again at the
+    re-priced key, or dropped after the last attempt, as if it had run,
+    with no trace event.  Seen pass: an attempt whose kept outcome passed
+    is queued again, with the same progress and not run, at its label's
+    key if that ranks above the popped key; otherwise it runs, since a
+    pass's output is its own prefix's next input.  The rules rest on
+    outcomes keyed by node and attempt, with time >= 0 and quality <= 1.
+    `test_search_returns_what_running_every_edge_returns` checks them
+    against `tests/oracles.py`'s `eager_search`, which runs every popped
+    edge: the status, path, totals, g and `expanded` are the same and no
+    count of runs is higher, except where entries tie on the whole key
+    (`test_a_tie_on_the_whole_key_can_part_the_search_from_the_eager_reference`).
+    Under deterministic playback a seen pass's key is the popped key, bit
+    for bit, and no edge waits.
 
     Queue order is (f, t_f, -q_f, -progress, insertion counter), so runs
     replay exactly.  (t_f, q_f) are the totals of the fastest completion
@@ -537,9 +509,9 @@ def astar_search(
     units of roundoff, n the node count, which covers that twice with room
     for `pow`'s own rounding: no entry beyond it can beat the incumbent.
     If an entry lies within the window, the target is built once: the
-    least (g, time, -quality) over the whole-path front of the played-back
-    table at the search's threshold (`playback_front`), whose points hold
-    the bits of the search's labels.  The search then pops on while the
+    least (g, time, -quality) over the whole-path front of the bounds' rows,
+    the played-back table's, at the search's threshold (`playback_front`),
+    whose points hold the bits of the search's labels.  The search then pops on while the
     least f is within the window, a sink replacing the incumbent if it
     ranks lower, and stops once the incumbent's key is the target.  So
     under playback the returned path has the least g over all paths, bit
@@ -566,7 +538,7 @@ def astar_search(
 
     # (successor id, attempt) -> the first outcome the executor returned for it in this search.
     outcomes: dict[tuple[int, int], ExecutionOutcome] = {}
-    table = playback_table(executor)
+    playback = playback_table(executor) is not None
     target = None  # under playback, the least (g, time, -quality) over all paths, built when first needed
 
     root = _admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
@@ -583,8 +555,8 @@ def astar_search(
                 key = (compute_g(label.time, label.quality, alpha), label.time, -label.quality)
                 if key < best_key:
                     best, best_key, limit = label, key, key[0] * slack
-                if target is None and table is not None and heap and heap[0][0] <= limit:
-                    front = playback_front(graph, benchmark_rows(graph, table), threshold)[-1]
+                if target is None and playback and heap and heap[0][0] <= limit:
+                    front = playback_front(graph, rows, threshold)[-1]
                     target = _front_bound(front, 0.0, 1.0, alpha)
                 if target is None or target == best_key:
                     break

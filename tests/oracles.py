@@ -17,23 +17,28 @@ the test-only library helpers no command calls:
 - `lookup_models`: the tools that can perform one subtask;
 - `sweep_by_search`: one search per alpha, the reference for a
   deterministic sweep;
+- `eager_search`: the search loop without the rules that spare the
+  executor, the reference for `search.astar_search`;
 - `resource_keys`: the resource keys of a list of resource names.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
+import math
 
 from toolpath.errors import DuplicateEntry, MissingBenchmark, NegativeTime, ParseError, SearchExhausted
 from toolpath.evaluation import ParetoPoint
+from toolpath.execution import ExecutionTrace, TraceEvent, playback_table, validate_quality
 from toolpath.graphs import ROOT_ID, ToolDependencyGraph, ToolSubgraph, count_paths
 from toolpath.planning import SubtaskTree, kahn_order
 from toolpath.registry import (
     PLANNER_SUBTASKS,
     STRINGS,
-    BenchmarkRow,
     BenchmarkTable,
+    ExecutionOutcome,
     ModelDescriptionTable,
     ToolRecord,
     _squash,
@@ -44,7 +49,19 @@ from toolpath.registry import (
     parse_json,
 )
 from toolpath import search
-from toolpath.search import SearchConfig, astar_search, benchmark_rows, compute_g, suffix_bounds, validate_alpha
+from toolpath.search import (
+    STATUS_EXHAUSTED,
+    STATUS_FOUND,
+    PathStep,
+    PlanResult,
+    SearchConfig,
+    SearchStats,
+    astar_search,
+    benchmark_rows,
+    compute_g,
+    suffix_bounds,
+    validate_alpha,
+)
 
 # Most paths `enumerate_paths`, and so `enumerate_then_score`, will list.
 DEFAULT_PATH_CAP = 10**6
@@ -107,7 +124,7 @@ def reference_fronts(graph, bt) -> list[tuple[tuple[float, float], ...]]:
             points = set()
             for j in graph.successors[i]:
                 row = bt.row(graph.nodes[j].tool, graph.nodes[j].kind)
-                points |= {(row.time_seconds + t, row.quality_norm * q) for t, q in visit(j)}
+                points |= {(row.time_seconds + t, row.quality * q) for t, q in visit(j)}
             kept = [p for p in points if not any(o != p and o[0] <= p[0] and o[1] >= p[1] for o in points)]
             memo[i] = tuple(sorted(kept)) if kept else ((0.0, 1.0),)
         return memo[i]
@@ -461,7 +478,7 @@ def path_totals(graph: ToolSubgraph, bt: BenchmarkTable, path) -> tuple[float, f
             continue
         row = bt.row(node.tool, node.kind)
         total_time += row.time_seconds
-        quality *= row.quality_norm
+        quality *= row.quality
     return total_time, quality
 
 
@@ -504,6 +521,86 @@ def sweep_by_search(graph, bt, executor, alphas, base_cfg=None) -> list[ParetoPo
             raise SearchExhausted(f"search at alpha={alpha} found no valid path")
         points.append(ParetoPoint(alpha, result.path.cum_time, result.path.cum_quality, result.path.g))
     return points
+
+
+def eager_search(graph: ToolSubgraph, bounds, executor, cfg: SearchConfig) -> PlanResult:
+    """`search.astar_search` with every popped live edge run: the reference for its three rules.
+
+    This is the search's loop written out apart from it, so that a change
+    to the loop leaves the reference as it is, less the three rules that
+    spare the executor at an edge pop: no outcome memo, no dominance check
+    before a run and no seen pass queued again at its label's key.  What
+    stays is the queue key with its depth-first tie order, the stale-pop
+    skip, the retries re-priced with the time spent, `_admit` after each
+    pass, and the stop rule with its window and, under playback, its
+    target.  It shares the bounds, `_front_bound`, `_admit`, `_path` and
+    `playback_front`, which the rules do not touch.
+    """
+    rows, fronts, successors = bounds.rows, bounds.fronts, graph.successors
+    alpha, threshold = cfg.alpha, cfg.quality_threshold
+    slack = 1.0 + (8 * len(rows) + 16) * 2.0**-53
+    counter = itertools.count()
+    stats = dict.fromkeys(SearchStats._fields, 0)
+    labels: list[list] = [[] for _ in graph.nodes]
+    heap: list[tuple] = []
+    events: list[TraceEvent] = []
+    best, best_key, limit = None, (math.inf, math.inf, 0.0), math.inf
+    playback = playback_table(executor) is not None
+    target = None
+
+    def push(node_id: int, time: float, quality: float, neg_progress: int, label, edge=None) -> None:
+        key = search._front_bound(fronts[node_id], time, quality, alpha)
+        heapq.heappush(heap, (*key, neg_progress, next(counter), label, edge))
+        stats["peak_frontier"] = max(stats["peak_frontier"], len(heap))
+        search._within_capacity(len(heap), "search queue")
+
+    root = search._admit(labels[ROOT_ID], 0.0, 1.0, PathStep(ROOT_ID, 0.0, 1.0, 0), None)
+    push(ROOT_ID, 0.0, 1.0, 0, root)
+    while heap and heap[0][0] <= limit:
+        *_, neg_progress, _, label, edge = heapq.heappop(heap)
+        if not label.alive:
+            stats["stale_pops"] += 1
+        elif edge is None:
+            stats["expanded"] += 1
+            node_id = label.step.node_id
+            if successors[node_id]:
+                for succ in successors[node_id]:
+                    c, q = rows[succ]
+                    push(succ, label.time + c, label.quality * q, neg_progress - 1, label, (succ, 1, 0.0))
+                continue
+            key = (compute_g(label.time, label.quality, alpha), label.time, -label.quality)
+            if key < best_key:
+                best, best_key, limit = label, key, key[0] * slack
+            if target is None and playback and heap and heap[0][0] <= limit:
+                target = search._front_bound(search.playback_front(graph, rows, threshold)[-1], 0.0, 1.0, alpha)
+            if target is None or target == best_key:
+                break
+        else:
+            succ, attempt, spent = edge
+            outcome = executor(graph.nodes[succ], attempt)
+            stats["executions"] += 1
+            stats["generated" if attempt == 1 else "retries"] += 1
+            spent += outcome.time_seconds
+            if not validate_quality(outcome, threshold):
+                events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "fail"))
+                if attempt > cfg.max_retries:
+                    stats["dropped_after_retries"] += 1
+                else:
+                    c, q = rows[succ]
+                    retry = (succ, attempt + 1, spent)
+                    push(succ, label.time + spent + c, label.quality * q, neg_progress, label, retry)
+                continue
+            time, quality = label.time + spent, label.quality * outcome.quality
+            g_path = compute_g(time, quality, alpha) if attempt > 1 else None
+            events.append(TraceEvent(succ, attempt, outcome.time_seconds, outcome.quality, "pass", g_path))
+            step = PathStep(succ, spent, outcome.quality, attempt)
+            new = search._admit(labels[succ], time, quality, step, label)
+            if new is None:
+                stats["pruned_by_dominance"] += 1
+            else:
+                push(succ, time, quality, neg_progress - 1, new)
+    status, path = (STATUS_EXHAUSTED, None) if best is None else (STATUS_FOUND, search._path(best, alpha))
+    return PlanResult(status, alpha, path, ExecutionTrace(tuple(events)), SearchStats(**stats))
 
 
 def lookup_models(mdt: ModelDescriptionTable, subtask: str) -> set[str]:
@@ -558,6 +655,21 @@ def edge_set(graph) -> set[tuple[int, int]]:
 def sinks(graph) -> set[int]:
     """The node ids with no successors, where every path ends."""
     return {i for i, succs in enumerate(graph.successors) if not succs}
+
+
+def chain_ends(graph) -> set[int]:
+    """The ids of the non-root nodes none of whose successors share their instance.
+
+    These are exactly the candidates: a candidate is never extended within
+    its instance, while a prerequisite always is, by the next node of the
+    chain it was spliced into.
+    """
+    nodes = graph.nodes
+    return {
+        node.node_id
+        for node in nodes[1:]
+        if all(nodes[succ].instance != node.instance for succ in graph.successors[node.node_id])
+    }
 
 
 def attempts_for(trace, node_id: int) -> int:
@@ -629,5 +741,5 @@ def reference_parse_benchmark(text: str, mdt: ModelDescriptionTable) -> Benchmar
     if missing:
         raise MissingBenchmark(f"MDT pairs without benchmark rows: {missing}")
     norm = normalize_quality(qualities)
-    rows = {key: BenchmarkRow(time_seconds=times[key], quality_norm=norm[key]) for key in times}
+    rows = {key: ExecutionOutcome(time_seconds=times[key], quality=norm[key]) for key in times}
     return BenchmarkTable(rows=rows)

@@ -15,7 +15,7 @@ import numpy as np
 
 from toolpath.graphs import ROOT_ID, PlanNode, ToolSubgraph
 from toolpath.planning import SubtaskInstance
-from toolpath.registry import PLANNER_SUBTASKS, BenchmarkRow, BenchmarkTable
+from toolpath.registry import PLANNER_SUBTASKS, BenchmarkTable, ExecutionOutcome
 
 
 def _assemble(nodes: list[PlanNode], edges: set[tuple[int, int]]) -> ToolSubgraph:
@@ -40,7 +40,7 @@ def random_plan_graph(
     n = int(rng.integers(4, max_nodes))
     n_layers = int(rng.integers(2, 6))
     layers: list[list[int]] = [[] for _ in range(n_layers)]
-    nodes = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None, role="root")]
+    nodes = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None)]
     inst = SubtaskInstance(kind="Object Detection", argument="synthetic", ordinal=1)
     for i in range(1, n + 1):
         layer = int(rng.integers(0, n_layers))
@@ -51,7 +51,6 @@ def random_plan_graph(
                 tool=f"T{i:03d}",
                 kind=PLANNER_SUBTASKS[i % len(PLANNER_SUBTASKS)],
                 instance=inst,
-                role="candidate",
             )
         )
     layers = [lay for lay in layers if lay]
@@ -67,7 +66,7 @@ def random_plan_graph(
     for node in nodes[1:]:
         time = 0.0 if rng.random() < zero_time_fraction else float(rng.uniform(0.001, 20.0))
         quality = float(rng.uniform(0.05, 1.0))
-        rows[(node.tool, node.kind)] = BenchmarkRow(time_seconds=time, quality_norm=quality)
+        rows[(node.tool, node.kind)] = ExecutionOutcome(time_seconds=time, quality=quality)
 
     order = [ROOT_ID] + [i for layer in layers for i in layer]
     new_id = {old: new for new, old in enumerate(order)}
@@ -342,11 +341,11 @@ def detection_graph(rows: dict[str, tuple[float, float]], edges):
     if any(a >= b for a, b in edges):
         raise ValueError(f"edges must climb in id: {sorted(e for e in edges if e[0] >= e[1])}")
     inst = SubtaskInstance(kind="Object Detection", argument="x", ordinal=1)
-    nodes = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None, role="root")] + [
-        PlanNode(node_id=i, tool=t, kind="Object Detection", instance=inst, role="candidate")
+    nodes = [PlanNode(node_id=ROOT_ID, tool=None, kind=None, instance=None)] + [
+        PlanNode(node_id=i, tool=t, kind="Object Detection", instance=inst)
         for i, t in enumerate(rows, start=1)
     ]
-    bt = BenchmarkTable(rows={(t, "Object Detection"): BenchmarkRow(c, q) for t, (c, q) in rows.items()})
+    bt = BenchmarkTable(rows={(t, "Object Detection"): ExecutionOutcome(c, q) for t, (c, q) in rows.items()})
     return _assemble(nodes, edges), bt
 
 

@@ -40,7 +40,7 @@ from toolpath.evaluation import (
 from toolpath.execution import DEFAULT_SEED, Simulator, SimulatorSpec
 from toolpath.graphs import build_tool_subgraph, count_paths
 from toolpath.planning import parse_subtask_tree
-from toolpath.registry import BenchmarkRow, BenchmarkTable, load_benchmark, load_mdt
+from toolpath.registry import BenchmarkTable, ExecutionOutcome, load_benchmark, load_mdt
 from toolpath import search
 from toolpath.search import SearchConfig, astar_search, benchmark_rows, compute_g, suffix_bounds
 
@@ -578,9 +578,9 @@ def _least_g(graph, bt, alpha, threshold):
         time, quality = 0.0, 1.0
         for node_id in path[1:]:
             row = bt.row(graph.nodes[node_id].tool, graph.nodes[node_id].kind)
-            if row.quality_norm < threshold:
+            if row.quality < threshold:
                 break
-            time, quality = time + row.time_seconds, quality * row.quality_norm
+            time, quality = time + row.time_seconds, quality * row.quality
         else:
             key = (compute_g(time, quality, alpha), time, -quality)
             best = key if best is None or key < best else best
@@ -654,7 +654,7 @@ def test_sweep_point_is_not_above_the_least_g_when_the_search_is():
 def test_only_a_deterministic_sweep_runs_no_tool(detection_fixture):
     graph, bt = detection_fixture
     alphas = [0, 0.5, 1, 1.5, 2]
-    script = {(tool, kind, 1): (row.time_seconds, row.quality_norm) for (tool, kind), row in bt.rows.items()}
+    script = {(tool, kind, 1): (row.time_seconds, row.quality) for (tool, kind), row in bt.rows.items()}
     specs = {
         "deterministic": SimulatorSpec(mode="deterministic"),
         "stochastic": SimulatorSpec(mode="stochastic"),
@@ -673,7 +673,7 @@ def test_only_a_deterministic_sweep_runs_no_tool(detection_fixture):
 def test_deterministic_sweep_exhaustion_names_the_least_alpha(detection_fixture):
     graph, bt = detection_fixture
     # Every path ends at the inpainting tool, which now falls short of the threshold.
-    rows = {**bt.rows, ("Stable Diffusion Inpaint", "Object Removal"): BenchmarkRow(12.1, 0.5)}
+    rows = {**bt.rows, ("Stable Diffusion Inpaint", "Object Removal"): ExecutionOutcome(12.1, 0.5)}
     bt = BenchmarkTable(rows=rows)
     cfg = SearchConfig(quality_threshold=0.8, max_retries=0)
     with pytest.raises(SearchExhausted, match=re.escape("search at alpha=0.5 found no valid path")):

@@ -23,14 +23,15 @@ from toolpath.execution import (
 )
 from toolpath.graphs import PlanNode
 from toolpath.planning import SubtaskInstance
-from toolpath.registry import BenchmarkRow, BenchmarkTable
+from toolpath.registry import BenchmarkTable
+from toolpath.search import benchmark_rows
 
 INST = SubtaskInstance(kind="Object Detection", argument="Cat", ordinal=1)
-NODE = PlanNode(node_id=3, tool="YOLOv7", kind="Object Detection", instance=INST, role="candidate")
-ROOT = PlanNode(node_id=0, tool=None, kind=None, instance=None, role="root")
+NODE = PlanNode(node_id=3, tool="YOLOv7", kind="Object Detection", instance=INST)
+ROOT = PlanNode(node_id=0, tool=None, kind=None, instance=None)
 # Node ids index the graph's node list, so ids 1 and 2 are filled with copies of NODE.
 GRAPH = _assemble([ROOT, *(NODE._replace(node_id=i) for i in (1, 2)), NODE], {(0, 1), (0, 2), (0, 3)})
-BT = BenchmarkTable(rows={("YOLOv7", "Object Detection"): BenchmarkRow(0.0062, 0.82)})
+BT = BenchmarkTable(rows={("YOLOv7", "Object Detection"): ExecutionOutcome(0.0062, 0.82)})
 
 
 def test_deterministic_playback():
@@ -38,8 +39,20 @@ def test_deterministic_playback():
     assert out == ExecutionOutcome(time_seconds=0.0062, quality=0.82)
 
 
+def test_playback_returns_the_tables_own_record(detection_fixture):
+    """A benchmark row is the expected-outcome record: playback and the
+    search's rows hand out the very record the table holds."""
+    graph, bt = detection_fixture
+    sim = Simulator(SimulatorSpec(mode="deterministic"), bt, seed=1)
+    rows = benchmark_rows(graph, bt)
+    assert rows[0] == (0.0, 1.0)
+    for node in graph.nodes[1:]:
+        row = bt.rows[node.tool, node.kind]
+        assert sim(node, 1) is row and sim(node, 2) is row and rows[node.node_id] is row
+
+
 def test_missing_benchmark_raises():
-    other = PlanNode(node_id=4, tool="SAM", kind="Object Segmentation", instance=INST, role="candidate")
+    other = PlanNode(node_id=4, tool="SAM", kind="Object Segmentation", instance=INST)
     with pytest.raises(MissingBenchmark):
         Simulator(SimulatorSpec(mode="deterministic"), BT, seed=1)(other, 1)
 
@@ -72,8 +85,8 @@ def test_stochastic_keying_is_order_independent():
 
 
 def test_stochastic_quality_clamped():
-    rows = {("T", "Object Detection"): BenchmarkRow(1.0, 0.99)}
-    node = PlanNode(node_id=1, tool="T", kind="Object Detection", instance=INST, role="candidate")
+    rows = {("T", "Object Detection"): ExecutionOutcome(1.0, 0.99)}
+    node = PlanNode(node_id=1, tool="T", kind="Object Detection", instance=INST)
     spec = SimulatorSpec(mode="stochastic", quality_noise_sigma=0.8)
     sim = Simulator(spec, BenchmarkTable(rows=rows), seed=5)
     qualities = [sim(node, attempt).quality for attempt in range(1, 2001)]
@@ -97,7 +110,7 @@ def test_stochastic_quality_is_a_gaussian_around_the_benchmark():
     # At quality 0.5 a sigma of 0.1 clamps less than once in 10^6 draws.
     sigma, n = 0.1, 20_000
     node = NODE._replace(tool="T")
-    bt = BenchmarkTable(rows={("T", "Object Detection"): BenchmarkRow(1.0, 0.5)})
+    bt = BenchmarkTable(rows={("T", "Object Detection"): ExecutionOutcome(1.0, 0.5)})
     sim = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=sigma), bt, seed=13)
     outcomes = [sim(node, attempt) for attempt in range(1, n + 1)]
     qualities = [out.quality for out in outcomes]

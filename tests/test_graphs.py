@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     PathExplosion,
+    chain_ends,
     count_paths_dfs,
     edge_set,
     enumerate_paths,
@@ -260,7 +261,7 @@ def test_a_candidate_that_cannot_run_is_left_out():
     needy = {"tool": "Needy", "subtasks": ["Object Detection"], "inputs": ["Thermal Map"], "outputs": ["Bounding Boxes"]}
     tree_payload = {"task": "t", "subtask_tree": [{"subtask": "Object Detection (X)(1)", "parent": []}]}
     g = build_tool_subgraph(_tree(tree_payload), parse_mdt(json.dumps([good, needy])))
-    assert [(n.tool, n.role) for n in g.nodes[1:]] == [("Good", "candidate")]
+    assert [n.tool for n in g.nodes[1:]] == ["Good"] and chain_ends(g) == {1}
     assert sorted(edge_set(g)) == [(0, 1)]
     assert expand_reference(tree_payload, [good, needy]) == (
         [("Object Detection (X)(1)", "Good", "Object Detection"), ("ROOT", None, None)], 1, 1
@@ -313,11 +314,9 @@ def test_eq1_candidate_coverage(seed):
         for sub in row["subtasks"]:
             supported.setdefault(sub, set()).add(row["tool"])
     for inst in tree.nodes:
-        nodes = [n for n in g.nodes[1:] if n.instance == inst]
-        candidates = {n.tool for n in nodes if n.role == "candidate"}
-        assert candidates == supported[inst.kind]
-        for n in nodes:
-            assert n.role in ("candidate", "prerequisite")
+        # Each supported tool ends one chain of the instance, and no other node does.
+        candidates = sorted(g.nodes[i].tool for i in chain_ends(g) if g.nodes[i].instance == inst)
+        assert candidates == sorted(supported[inst.kind])
 
 
 def _assert_ordered_with_candidate_sinks(g, tree) -> None:
@@ -326,9 +325,7 @@ def _assert_ordered_with_candidate_sinks(g, tree) -> None:
     assert all(a < b for a, b in edge_set(g))
     assert g.successors == _assemble(list(g.nodes), edge_set(g)).successors
     kids = tree_children(tree)
-    leaf_candidates = {
-        n.node_id for n in g.nodes if n.role == "candidate" and not kids[n.instance]
-    }
+    leaf_candidates = {i for i in chain_ends(g) if not kids[g.nodes[i].instance]}
     assert sinks(g) == leaf_candidates
 
 

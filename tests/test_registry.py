@@ -29,8 +29,8 @@ from toolpath.errors import (
 from toolpath.registry import (
     ALL_SUBTASKS,
     PLANNER_SUBTASKS,
-    BenchmarkRow,
     BenchmarkTable,
+    ExecutionOutcome,
     ToolRecord,
     _squash,
     canonical_subtask,
@@ -141,12 +141,12 @@ def test_load_full_benchmark_keeps_listed_values(full_tables):
     _, bt = full_tables
     yolo = bt.row("YOLOv7", "Object Detection")
     assert yolo.time_seconds == 0.0062
-    assert yolo.quality_norm == 0.82
+    assert yolo.quality == 0.82
     dino = bt.row("Grounding DINO", "Object Detection")
     assert dino.time_seconds == 0.119
-    assert dino.quality_norm == 1.0
+    assert dino.quality == 1.0
     inpaint = bt.row("Stable Diffusion Inpaint", "Object Removal")
-    assert inpaint.quality_norm == 0.93
+    assert inpaint.quality == 0.93
     assert inpaint.time_seconds == 12.1
 
 
@@ -154,7 +154,7 @@ def test_benchmark_quality_normalized_per_subtask(full_tables):
     _, bt = full_tables
     by_subtask: dict[str, list[float]] = {}
     for (_, sub), row in bt.rows.items():
-        by_subtask.setdefault(sub, []).append(row.quality_norm)
+        by_subtask.setdefault(sub, []).append(row.quality)
     for sub, values in by_subtask.items():
         assert max(values) == 1.0
         assert all(0.0 < v <= 1.0 for v in values)
@@ -384,8 +384,8 @@ def test_registry_errors_are_pinned(case):
     parse = parse_mdt if table == "mdt" else lambda t: parse_benchmark(t, parse_mdt(_BENCH_MDT))
     if error is None:
         bt = parse(text)
-        assert [(r.time_seconds, r.quality_norm) for r in bt.rows.values()] == [(2.0, 0.5), (1.0, 1.0)]
-        assert all(type(r.time_seconds) is float and type(r.quality_norm) is float for r in bt.rows.values())
+        assert [(r.time_seconds, r.quality) for r in bt.rows.values()] == [(2.0, 0.5), (1.0, 1.0)]
+        assert all(type(r.time_seconds) is float and type(r.quality) is float for r in bt.rows.values())
         return
     with pytest.raises(error) as caught:
         parse(text)
@@ -398,8 +398,8 @@ def test_parsed_rows_equal_constructed_ones():
     built = ToolRecord("X", "Object Detection", frozenset({"input image"}), frozenset({"bounding boxe"}))
     assert rec == built and hash(rec) == hash(built) and rec._asdict() == built._asdict()
     row = parse_benchmark(json.dumps([_bench(), _bench("Y", quality=1.0)]), mdt).row("X", "Object Detection")
-    assert row == BenchmarkRow(1.0, 0.5) and hash(row) == hash(BenchmarkRow(1.0, 0.5))
-    assert row._asdict() == {"time_seconds": 1.0, "quality_norm": 0.5}
+    assert row == ExecutionOutcome(1.0, 0.5) and hash(row) == hash(ExecutionOutcome(1.0, 0.5))
+    assert row._asdict() == {"time_seconds": 1.0, "quality": 0.5}
     with pytest.raises(AttributeError):
         rec.tool = "Y"
     with pytest.raises(AttributeError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     attempts_for,
     dijkstra_min_time,
+    eager_search,
     enumerate_paths,
     enumerate_then_score,
     merge_every_successor_fronts,
@@ -39,8 +40,9 @@ from toolpath.execution import (
 )
 from toolpath.graphs import ROOT_ID, build_tool_subgraph, predecessors
 from toolpath.planning import parse_subtask_tree
-from toolpath.registry import BenchmarkRow, BenchmarkTable, load_benchmark, load_mdt
+from toolpath.registry import BenchmarkTable, load_benchmark, load_mdt
 from toolpath.search import (
+    DEFAULT_MAX_RETRIES,
     STATUS_EXHAUSTED,
     PathStep,
     SearchConfig,
@@ -59,7 +61,7 @@ ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 def _unit_bt(bt: BenchmarkTable) -> BenchmarkTable:
     return BenchmarkTable(
         rows={
-            k: BenchmarkRow(r.time_seconds, 1.0) for k, r in bt.rows.items()
+            k: ExecutionOutcome(r.time_seconds, 1.0) for k, r in bt.rows.items()
         }
     )
 
@@ -193,7 +195,7 @@ def test_time_scale_invariance_of_returned_path(detection_fixture):
         for k in (0.5, 2.0, 10.0):
             scaled = BenchmarkTable(
                 rows={
-                    key: BenchmarkRow(r.time_seconds * k, r.quality_norm)
+                    key: ExecutionOutcome(r.time_seconds * k, r.quality)
                     for key, r in bt.rows.items()
                 }
             )
@@ -433,7 +435,7 @@ def _suffix_extrema(graph, bt):
             node = graph.nodes[j]
             row = bt.row(node.tool, node.kind)
             times.append(row.time_seconds + min_time[j])
-            qualities.append(row.quality_norm * max_quality[j])
+            qualities.append(row.quality * max_quality[j])
         min_time[i] = min(times)
         max_quality[i] = max(qualities)
     return min_time, max_quality
@@ -461,7 +463,7 @@ def _enumerated_front(graph, bt, node_id):
         if not graph.successors[i]:
             t, q = 0.0, 1.0
             for row in reversed(rows):
-                t, q = row.time_seconds + t, row.quality_norm * q
+                t, q = row.time_seconds + t, row.quality * q
             points.add((t, q))
             continue
         for j in graph.successors[i]:
@@ -830,6 +832,80 @@ def test_each_failed_attempt_runs_once_per_search(seed, unit_quality, sim_seed, 
             assert step.quality == outcomes[-1].quality
 
 
+def _scripted(graph, bt: BenchmarkTable, outcome) -> Simulator:
+    """A scripted simulator that plays, for each (tool, subtask) pair of
+    `graph` and each attempt from 1 to 1 + DEFAULT_MAX_RETRIES,
+    `outcome(node, attempt)` at the pair's first node."""
+    script: dict[tuple[str, str, int], tuple[float, float]] = {}
+    for node in graph.nodes[1:]:
+        for attempt in range(1, DEFAULT_MAX_RETRIES + 2):
+            script.setdefault((node.tool, node.kind, attempt), tuple(outcome(node, attempt)))
+    return Simulator(SimulatorSpec(mode="scripted", script=script), bt, DEFAULT_SEED)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=299),
+    unit_quality=st.booleans(),
+    sim_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    threshold=st.sampled_from((0.8, 0.95)),
+    alpha=st.sampled_from(ALPHAS),
+    mode=st.sampled_from(("deterministic", "stochastic", "scripted")),
+)
+def test_search_returns_what_running_every_edge_returns(seed, unit_quality, sim_seed, threshold, alpha, mode):
+    """The outcome memo, the dominance check at the edge pop and the seen-pass
+    re-key spare only runs: against `eager_search`, which runs every popped
+    live edge, the status, path steps, totals, g and `expanded` are equal,
+    and `executions`, `generated` and `retries` are no higher.
+
+    The stochastic simulator draws quality noise at sigma 0.1.  The script
+    replays each row on every attempt, so it fails and retries as playback
+    does but builds no stop target.  A script whose rows differ from the
+    table is left out: there the nodes of one pair share outcomes, so two
+    prefixes can tie on the whole key, where the claim does not hold (see
+    the next test).
+    """
+    graph, bt, *_ = built_instance(seed, unit_quality=unit_quality)
+    if mode == "scripted":
+        sim = _scripted(graph, bt, lambda node, attempt: bt.row(node.tool, node.kind))
+    else:
+        sim = Simulator(SimulatorSpec(mode=mode, quality_noise_sigma=0.1), bt, sim_seed)
+    bounds = suffix_bounds(graph, bt)
+    cfg = SearchConfig(alpha=alpha, quality_threshold=threshold)
+    res, ref = astar_search(graph, bounds, sim, cfg), eager_search(graph, bounds, sim, cfg)
+    assert (res.status, res.path, res.stats.expanded) == (ref.status, ref.path, ref.stats.expanded)
+    for field in ("executions", "generated", "retries"):
+        assert getattr(res.stats, field) <= getattr(ref.stats, field), field
+
+
+def test_a_tie_on_the_whole_key_can_part_the_search_from_the_eager_reference():
+    """A script that plays what a stochastic simulator draws at each pair's
+    first node gives the nodes of one pair the same outcomes.  Here the
+    prefixes through nodes 12 and 7 total the same outcomes in another
+    order, so their edges into node 15 tie on the whole key, and their
+    labels there an ulp apart.  The eager reference runs both edges at that
+    key, and the label through 7, the better one, makes the one through 12
+    stale before it pops.  The search runs the first edge and queues the
+    second, a seen pass, again at its label's key, where the label through
+    12 pops first: a label sorts before an edge at the same key and depth.
+    So the search runs one tool more and expands two labels more than the
+    reference, and returns the path through 12, whose g is one ulp above
+    the reference's.  Over `built_instance` seeds 0-299, both `unit_quality`
+    values, thresholds 0.8 and 0.95, five alphas and seeds 0-9, such scripts
+    part the two in 44 of 60,000 searches, and the stochastic simulator,
+    whose draws are keyed by node, in none.
+    """
+    graph, bt, *_ = built_instance(260)
+    stochastic = Simulator(SimulatorSpec(mode="stochastic", quality_noise_sigma=0.1), bt, 9)
+    sim = _scripted(graph, bt, stochastic)
+    bounds = suffix_bounds(graph, bt)
+    cfg = SearchConfig(alpha=0.5)
+    res, ref = astar_search(graph, bounds, sim, cfg), eager_search(graph, bounds, sim, cfg)
+    assert (res.stats.executions, res.stats.expanded) == (14, 13)
+    assert (ref.stats.executions, ref.stats.expanded) == (13, 11)
+    assert res.path.g == math.nextafter(ref.path.g, math.inf)
+
+
 def test_seen_pass_worse_than_its_row_waits_past_the_incumbent():
     """ROOT -> {A, B} -> N, alpha 2; N's row says 1 s but it runs in 4.
 
@@ -998,7 +1074,7 @@ def test_stop_window_runs_one_pass_per_search(equal_rows, passes, executions, mo
 
     graph, bt, *_ = build_payload(chain_instance(1, stages=24, tools=16))
     if equal_rows:
-        bt = BenchmarkTable(rows=dict.fromkeys(bt.rows, BenchmarkRow(1.1, 0.97)))
+        bt = BenchmarkTable(rows=dict.fromkeys(bt.rows, ExecutionOutcome(1.1, 0.97)))
     bounds = suffix_bounds(graph, bt)
     calls = []
     pareto_fronts = search.pareto_fronts
