@@ -23,7 +23,7 @@ from .errors import InvalidConfig, OutputError, ParseError, QueueOverflow, Searc
 from .evaluation import brute_force_optimal, pareto_csv, sweep_alpha
 from .execution import DEFAULT_SEED, NAMED_MODES, Simulator, SimulatorSpec, load_simulator_spec
 from .graphs import build_tdg, build_tool_subgraph, subgraph_to_dot, subgraph_to_json, tdg_to_dot
-from .planning import build_planner_prompt, parse_subtask_tree, planner_client_from_env
+from .planning import ask_planner, build_planner_prompt, parse_subtask_tree
 from .registry import load_benchmark, load_mdt, read_text
 from .search import (
     DEFAULT_MAX_RETRIES,
@@ -82,7 +82,7 @@ def build_manifest(argv: list[str], args: argparse.Namespace, digests: dict[str,
     return {
         "command": argv,
         "config_hash": hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest(),
-        "inputs": dict(sorted(digests.items())),
+        "inputs": digests,
         "seed": getattr(args, "seed", None),
         "versions": {
             "toolpath": __version__,
@@ -220,7 +220,7 @@ def _load_tree_text(args, digests: dict[str, str]) -> str:
     """Tree text: from --tree, or else from the planner for plan's --task."""
     if args.tree:
         return read_text(args.tree, "tree", digests)
-    text = planner_client_from_env(args.planner_endpoint).generate(build_planner_prompt(args.task))
+    text = ask_planner(build_planner_prompt(args.task), args.planner_endpoint)
     digests["planner reply"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return text
 
@@ -267,7 +267,7 @@ def cmd_verify(args, digests: dict[str, str]) -> Outcome:
         raise InvalidConfig(f"--gap-tolerance must be a number >= 0, got {args.gap_tolerance}")
     cfg = _search_config(args)
     bt, graph = _build_graph(args, digests)
-    report = brute_force_optimal(graph, bt, cfg.alpha, cfg=cfg)
+    report = brute_force_optimal(graph, bt, cfg)
     code = EXIT_OK
     if args.gap_tolerance is not None and report.gap > args.gap_tolerance:
         print(f"gap {report.gap} exceeds tolerance {args.gap_tolerance}", file=sys.stderr)

@@ -8,10 +8,11 @@ suffix bounds' label-setting pass run forward over predecessor lists to
 one virtual node after every sink, from which the search also takes its
 stop target.  Its points are totalled from the root in path order, so
 each is bit-identical to scoring its path alone.  Both take, per alpha,
-the point of least g, and of equal g the faster point; the oracle then
-rebuilds the one path it reports, the lexicographically first of those
-whose every prefix the pass keeps as a label.  Other executors get one
-search per alpha.
+the point of least g, and of equal g the faster point, from the search's
+own reader of a front's least point (`search._front_bound` from the
+bare root); the oracle then rebuilds the one path it reports, the
+lexicographically first of those whose every prefix the pass keeps as a
+label.  Other executors get one search per alpha.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .registry import BenchmarkTable
 from .search import (
     Front,
     SearchConfig,
+    _front_bound,
     _non_dominated,
     astar_search,
     benchmark_rows,
-    compute_g,
     playback_front,
     suffix_bounds,
     validate_alpha,
@@ -51,12 +52,7 @@ class OracleReport(NamedTuple):
     astar_path: tuple[int, ...]
 
 
-def brute_force_optimal(
-    graph: ToolSubgraph,
-    bt: BenchmarkTable,
-    alpha: float,
-    cfg: SearchConfig | None = None,
-) -> OracleReport:
+def brute_force_optimal(graph: ToolSubgraph, bt: BenchmarkTable, cfg: SearchConfig) -> OracleReport:
     """The least objective over every root-to-leaf path, against which the search is measured.
 
     Paths are scored with benchmark rows, independent of any executor and of
@@ -64,31 +60,29 @@ def brute_force_optimal(
     order, so a missing row names the lowest node id that lacks one; its
     rows give the playback front at threshold 0, which every path passes
     (`playback_front`), and its fronts serve the search.  The front point
-    of least g is the least over all paths, bit for bit, since each point
-    is totalled from the root in path order and no path it drops can score
-    lower.  Of the paths of least g the fastest is taken, then the
-    lexicographically first whose prefixes the pass keeps (`_best_path`);
-    no other path is walked.  The search runs under deterministic
-    playback, where every step of the returned path passed on its first
-    attempt, so the path's g sums and multiplies the same rows in the same
-    order and is its objective; the gap (that objective minus the minimum)
-    is never negative.  A search with no path raises SearchExhausted; past
-    QUEUE_CAP entries it, or either pass, raises QueueOverflow.
+    of least g at `cfg.alpha` is the least over all paths, bit for bit,
+    since each point is totalled from the root in path order and no path
+    it drops can score lower.  It is read as the search reads its target,
+    by `_front_bound` from the bare root, so of the paths of least g the
+    fastest is taken, then the lexicographically first whose prefixes the
+    pass keeps (`_best_path`); no other path is walked.  The search runs
+    with `cfg` under deterministic playback, where every step of the
+    returned path passed on its first attempt, so the path's g sums and
+    multiplies the same rows in the same order and is its objective; the
+    gap (that objective minus the minimum) is never negative.  A search
+    with no path raises SearchExhausted; past QUEUE_CAP entries it, or
+    either pass, raises QueueOverflow.
     """
-    validate_alpha(alpha)
     paths_enumerated = count_paths(graph)
     bounds = suffix_bounds(graph, bt)
     fronts = playback_front(graph, bounds.rows, 0.0)
-    # min keeps the first, so the fastest, of the points of least g.
-    time, quality = min(fronts[-1], key=lambda point: compute_g(point[0], point[1], alpha))
-    best_path = _best_path(graph, bounds.rows, fronts, (time, quality))
-    best_obj = compute_g(time, quality, alpha)
-    search_cfg = (cfg if cfg is not None else SearchConfig()).with_alpha(alpha)
+    best_obj, time, neg_quality = _front_bound(fronts[-1], 0.0, 1.0, cfg.alpha)
+    best_path = _best_path(graph, bounds.rows, fronts, (time, -neg_quality))
     # Deterministic playback reads no seed.
     simulator = Simulator(SimulatorSpec(mode="deterministic"), bt, DEFAULT_SEED)
-    result = astar_search(graph, bounds, simulator, search_cfg)
+    result = astar_search(graph, bounds, simulator, cfg)
     if not result.found:
-        raise SearchExhausted(f"search at alpha={alpha} found no valid path")
+        raise SearchExhausted(f"search at alpha={cfg.alpha} found no valid path")
     return OracleReport(
         best_path=best_path,
         best_objective=best_obj,
@@ -197,8 +191,9 @@ def sweep_alpha(
     (`playback_table`), every attempt's outcome is its benchmark row, so no
     tool runs: the front of (total time, quality product) over the paths
     whose every node meets the quality threshold is built once
-    (`playback_front`), and each alpha takes its point of least g.  g is a
-    weighted-sum scalarization of (ln T, ln(2 - Q)) (Ehrgott, Multicriteria
+    (`playback_front`), and each alpha takes its point of least g
+    (`_front_bound` from the bare root).  g is a weighted-sum
+    scalarization of (ln T, ln(2 - Q)) (Ehrgott, Multicriteria
     Optimization, 2005), so its least value over all those paths lies on
     that front.  Of front points with equal g the faster one is taken, as
     the oracle and the search take it.  Points are totalled as the search
@@ -223,9 +218,8 @@ def sweep_alpha(
         if not front:
             raise SearchExhausted(f"search at alpha={alphas[0]} found no valid path")
         for alpha in alphas:
-            # min keeps the first, so the fastest, of the points of least g.
-            time, quality = min(front, key=lambda point: compute_g(point[0], point[1], alpha))
-            points.append(ParetoPoint(alpha, time, quality, compute_g(time, quality, alpha)))
+            g, time, neg_quality = _front_bound(front, 0.0, 1.0, alpha)
+            points.append(ParetoPoint(alpha, time, -neg_quality, g))
         return points
     bounds = suffix_bounds(graph, bt)
     for alpha in alphas:

@@ -99,38 +99,35 @@ def _resolve(
     """Minimal prerequisite chain making every input of `record` available.
 
     Walks backwards through the producers of the candidate tool's inputs,
-    resolving each missing input resource to a producer chain.  Producers
-    are ranked by total spliced node count, ties broken by (tool, subtask)
-    name.  Resources accumulate: once some chain element produces a
-    resource, later elements may consume it without a direct edge, and no
-    second chain is spliced for it.
+    resolving each missing input resource to a producer chain.  The
+    shortest chain wins, and of equal lengths the first in the producer
+    index's (tool, subtask) order.  Resources accumulate: once some chain
+    element produces a resource, later elements may consume it without a
+    direct edge, and no second chain is spliced for it.
     """
     chain: list[ToolRecord] = []
     avail = set(available)
     for resource in sorted(record.input_keys - avail):
         if resource in avail:  # an earlier chain produced it
             continue
-        best: tuple[tuple[int, str, str], list[ToolRecord], ToolRecord] | None = None
+        best: list[ToolRecord] | None = None
         for producer in mdt.producers.get(resource, ()):
             # Self-tool producers are never eligible: the TDG carries no self-edges.
             if producer.tool == record.tool or producer.key in visiting:
                 continue
             try:
-                sub = _resolve(producer, frozenset(avail), mdt, visiting | {record.key})
+                sub = _resolve(producer, frozenset(avail), mdt, visiting | {record.key}) + [producer]
             except UnsatisfiableDependency:
                 continue
-            rank = (len(sub) + 1, producer.tool, producer.subtask)
-            if best is None or rank < best[0]:
-                best = (rank, sub, producer)
+            if best is None or len(sub) < len(best):
+                best = sub
         if best is None:
             raise UnsatisfiableDependency(
                 f"no producer chain for resource {resource!r} required by "
                 f"{record.tool!r} ({record.subtask})"
             )
-        _, sub, producer = best
-        for rec in sub + [producer]:
-            chain.append(rec)
-            avail |= rec.output_keys
+        chain += best
+        avail.update(*(rec.output_keys for rec in best))
     return chain
 
 
@@ -162,13 +159,8 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
 
     for inst in tree.nodes:
         parents = tree.parents[inst]
-        avail_in = set(ROOT_OUTPUTS)
-        if parents:
-            common = set(avail_out[parents[0]])
-            for p in parents[1:]:
-                common &= avail_out[p]
-            avail_in |= common
-        avail_in = frozenset(avail_in)
+        # Every parent's avail_out already holds ROOT_OUTPUTS.
+        avail_in = frozenset.intersection(*(avail_out[p] for p in parents)) if parents else ROOT_OUTPUTS
 
         candidates = mdt.by_subtask.get(inst.kind, ())
         if not candidates:
@@ -179,7 +171,7 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
         trie: dict[tuple[int | None, tuple[str, str], bool], int] = {}
         entries: list[int] = []
         terminals: list[int] = []
-        produced_sets: list[frozenset[str]] = []
+        guaranteed: frozenset[str] | None = None  # what every candidate's sequence produces
         unresolved: list[UnsatisfiableDependency] = []
         for record in candidates:
             try:
@@ -207,7 +199,8 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
                         succ[prev_id].append(node_id)
                 prev_id = node_id
             terminals.append(prev_id)
-            produced_sets.append(frozenset().union(*(r.output_keys for r in seq)))
+            produced = frozenset().union(*(r.output_keys for r in seq))
+            guaranteed = produced if guaranteed is None else guaranteed & produced
         if not terminals:
             raise unresolved[0]
 
@@ -218,9 +211,6 @@ def build_tool_subgraph(tree: SubtaskTree, mdt: ModelDescriptionTable) -> ToolSu
             succ[ROOT_ID] += entries
 
         terminals_of[inst] = terminals
-        guaranteed = produced_sets[0]
-        for s in produced_sets[1:]:
-            guaranteed &= s
         avail_out[inst] = avail_in | guaranteed
 
     return ToolSubgraph(tuple(nodes), tuple(map(tuple, succ)))

@@ -1,9 +1,9 @@
 """Subtask-tree planning front end.
 
-Builds the text prompt handed to an external planner model and parses the
-JSON subtask trees it returns.  A subtask tree is a DAG whose nodes are
-labeled subtask instances; every root-to-leaf chain is one valid ordering
-of the work.
+Builds the text prompt handed to an external planner model, sends it
+(`ask_planner`), and parses the JSON subtask trees it returns.  A subtask
+tree is a DAG whose nodes are labeled subtask instances; every
+root-to-leaf chain is one valid ordering of the work.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
 from .registry import PLANNER_SUBTASKS, STRINGS, canonical_subtask, json_field, parse_json
 
 PLANNER_URL_ENV = "COSTA_PLANNER_URL"
+PLANNER_TIMEOUT_S = 60.0
 
 Node = TypeVar("Node")
 
@@ -229,32 +230,25 @@ def build_planner_prompt(task_text: str) -> str:
     return _PROMPT_TEMPLATE.format(subtasks=", ".join(PLANNER_SUBTASKS), task=task_text.strip())
 
 
-class HttpPlannerClient:
-    """POSTs {"prompt": ...} to the endpoint and reads {"text": ...} back."""
+def ask_planner(prompt_text: str, url: str | None = None) -> str:
+    """POST {"prompt": prompt_text} to the planner endpoint and return the "text" of its JSON reply.
 
-    def __init__(self, base_url: str, timeout: float = 60.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
-    def generate(self, prompt_text: str) -> str:
-        import urllib.request  # loaded only by a call that asks the planner
-
-        body = json.dumps({"prompt": prompt_text}).encode("utf-8")
-        try:
-            headers = {"Content-Type": "application/json"}
-            req = urllib.request.Request(self.base_url, data=body, headers=headers)
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = parse_json(resp.read().decode("utf-8"), "planner response")
-            return json_field(payload, "text", str, "planner response")
-        # URLError is an OSError; a bad URL and UnicodeDecodeError are ValueErrors.
-        except (OSError, ValueError, ParseError) as exc:
-            raise TransportError(f"planner endpoint request failed: {exc}") from exc
-
-
-def planner_client_from_env(url: str | None = None) -> HttpPlannerClient:
+    The endpoint is `url`, else the COSTA_PLANNER_URL environment variable;
+    with neither, EndpointUnavailable.  A failed request or a reply without
+    a string "text" is a TransportError.
+    """
     endpoint = url or os.environ.get(PLANNER_URL_ENV)
     if not endpoint:
-        raise EndpointUnavailable(
-            f"no planner endpoint configured; set {PLANNER_URL_ENV} or pass a URL"
-        )
-    return HttpPlannerClient(endpoint)
+        raise EndpointUnavailable(f"no planner endpoint configured; set {PLANNER_URL_ENV} or pass a URL")
+    import urllib.request  # loaded only by a call that asks the planner
+
+    body = json.dumps({"prompt": prompt_text}).encode("utf-8")
+    try:
+        headers = {"Content-Type": "application/json"}
+        req = urllib.request.Request(endpoint.rstrip("/"), data=body, headers=headers)
+        with urllib.request.urlopen(req, timeout=PLANNER_TIMEOUT_S) as resp:
+            payload = parse_json(resp.read().decode("utf-8"), "planner response")
+        return json_field(payload, "text", str, "planner response")
+    # URLError is an OSError; a bad URL and UnicodeDecodeError are ValueErrors.
+    except (OSError, ValueError, ParseError) as exc:
+        raise TransportError(f"planner endpoint request failed: {exc}") from exc

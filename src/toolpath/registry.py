@@ -348,10 +348,10 @@ def parse_mdt(text: str) -> ModelDescriptionTable:
         return groups
 
     def io(tool: str, tool_rows: list[tuple]) -> tuple[frozenset[str], frozenset[str]]:
-        ins, outs = keys[tool_rows[0][2]], keys[tool_rows[0][3]]
-        for row in tool_rows[1:]:
-            ins, outs = ins | keys[row[2]], outs | keys[row[3]]
-        return ins, outs
+        return (
+            frozenset().union(*(keys[row[2]] for row in tool_rows)),
+            frozenset().union(*(keys[row[3]] for row in tool_rows)),
+        )
 
     # Grouping the sorted pairs meets each index key in an eager build's order and sorts each group.
     @cache

@@ -259,14 +259,18 @@ def _front_bound(front: Front, time: float, quality: float, alpha: float) -> tup
     """(g, total time, -quality product) of the first point of `front`, the
     fastest, that reaches min over (t, q) in `front` of g(time + t, quality * q).
 
-    Times ascend along the front, so once (time + t) ** alpha times the
-    quality factor of the front's best quality reaches the best g found, no
-    later point can do better.
+    The one reader of a front's least point: the search's keys, its target,
+    and the least point the oracle and the sweep take.  The first point is
+    the incumbent, so a front whose every g is infinite yields it.  Times
+    ascend along the front, so once (time + t) ** alpha times the quality
+    factor of the front's best quality reaches the best g found, no later
+    point can do better.
     """
     floor = (2.0 - quality * front[-1][1]) ** (2.0 - alpha)
-    best = best_total = math.inf
-    best_q = 0.0
-    for t, q in front:
+    best_t, best_q = front[0]
+    best_total = time + best_t
+    best = compute_g(best_total, quality * best_q, alpha)
+    for t, q in itertools.islice(front, 1, None):  # no copy of a long front
         total = time + t
         try:
             if total**alpha * floor >= best:
@@ -552,7 +556,7 @@ def astar_search(
             stats["expanded"] += 1
             last = label.step.node_id
             if not successors[last]:
-                key = (compute_g(label.time, label.quality, alpha), label.time, -label.quality)
+                key = (f, t_f, neg_q_f)  # a sink's front is ((0, 1),), so its key is (g, time, -quality)
                 if key < best_key:
                     best, best_key, limit = label, key, key[0] * slack
                 if target is None and playback and heap and heap[0][0] <= limit:

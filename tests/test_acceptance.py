@@ -136,7 +136,7 @@ def test_criterion_05_reducible_corner(alpha):
     for seed in range(200):
         graph, bt, *_ = built_instance(seed, unit_quality=True)
         assert len(enumerate_paths(graph, cap=10**4)) <= 10**4
-        rep = brute_force_optimal(graph, bt, alpha)
+        rep = brute_force_optimal(graph, bt, SearchConfig(alpha))
         if rep.gap != 0.0:
             violations.append((seed, rep.gap))
             continue

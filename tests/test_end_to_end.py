@@ -103,7 +103,7 @@ def test_example_trees_plan_at_every_alpha(data_dir, full_tables, tree_name, alp
             visited.append(label)
     assert tuple(visited) in orderings
     # measured, not asserted zero: the search objective never beats enumeration
-    rep = brute_force_optimal(graph, bt, alpha)
+    rep = brute_force_optimal(graph, bt, SearchConfig(alpha))
     assert rep.gap >= 0.0
     assert path_objective(graph, bt, res.path.node_ids, alpha) >= rep.best_objective
 
@@ -114,7 +114,7 @@ def test_example1_search_is_optimal_at_alpha2(data_dir, full_tables):
     mdt, bt = full_tables
     tree = parse_subtask_tree((data_dir / "tree_example1.json").read_text())
     graph = build_tool_subgraph(tree, mdt)
-    rep = brute_force_optimal(graph, bt, 2.0)
+    rep = brute_force_optimal(graph, bt, SearchConfig(2.0))
     assert rep.gap == 0.0
 
 

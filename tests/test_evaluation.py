@@ -53,14 +53,14 @@ def test_single_chain_gap_zero(data_dir):
     bt = load_benchmark(data_dir / "benchmark_full.json", mdt)
     tree = parse_subtask_tree((data_dir / "tree_single_deblur.json").read_text())
     graph = build_tool_subgraph(tree, mdt)
-    rep = brute_force_optimal(graph, bt, 1.0)
+    rep = brute_force_optimal(graph, bt, SearchConfig(1.0))
     assert rep.gap == 0.0
     assert rep.paths_enumerated == 1
 
 
 def test_detection_fixture_alpha2_yolo_branch(detection_fixture):
     graph, bt = detection_fixture
-    rep = brute_force_optimal(graph, bt, 2.0)
+    rep = brute_force_optimal(graph, bt, SearchConfig(2.0))
     assert rep.gap == 0.0
     assert rep.paths_enumerated == 2
     tools = [graph.nodes[i].tool for i in rep.best_path[1:]]
@@ -71,7 +71,7 @@ def test_gap_nonnegative_on_random_instances():
     for seed in range(30):
         graph, bt, *_ = built_instance(seed)
         for alpha in (0.0, 1.0, 2.0):
-            rep = brute_force_optimal(graph, bt, alpha)
+            rep = brute_force_optimal(graph, bt, SearchConfig(alpha))
             assert rep.gap >= 0.0
             assert rep.best_objective <= rep.astar_objective
 
@@ -79,7 +79,7 @@ def test_gap_nonnegative_on_random_instances():
 def test_alpha1_unit_quality_corner_gap_zero():
     for seed in range(50):
         graph, bt, *_ = built_instance(seed, unit_quality=True)
-        rep = brute_force_optimal(graph, bt, 1.0)
+        rep = brute_force_optimal(graph, bt, SearchConfig(1.0))
         assert rep.gap == 0.0
 
 
@@ -107,7 +107,7 @@ def test_oracle_walk_matches_enumerate_then_score(instance, alpha):
     score bit for bit too.
     """
     graph, bt, *_ = instance
-    rep = brute_force_optimal(graph, bt, alpha)
+    rep = brute_force_optimal(graph, bt, SearchConfig(alpha))
     _, best_objective, count = enumerate_then_score(graph, bt, alpha)
     assert (rep.best_objective, rep.paths_enumerated) == (best_objective, count)
     keys = {}
@@ -139,7 +139,7 @@ def test_oracle_tie_keeps_the_lexicographically_first_path(alpha):
     tied = sorted(path for path, obj in objectives.items() if obj == min(objectives.values()))
     assert len(tied) == 2
     assert [graph.nodes[i].tool for i in tied[0][1:]] == ["ChainTool-00-00", "ChainTool-01-01"]
-    rep = brute_force_optimal(graph, bt, alpha)
+    rep = brute_force_optimal(graph, bt, SearchConfig(alpha))
     assert rep.best_path == tied[0]
     assert rep.best_objective == objectives[tied[0]]
 
@@ -196,7 +196,7 @@ def test_playback_front_matches_the_pass_that_carries_every_label(instance, thre
     with_paths = playback_front_by_labels(graph, rows, 0.0, paths=True)
     for alpha in _FRONT_ALPHAS:
         time, quality, path = _least_g_point(with_paths, alpha)
-        rep = brute_force_optimal(graph, bt, alpha)
+        rep = brute_force_optimal(graph, bt, SearchConfig(alpha))
         assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == (
             path,
             compute_g(time, quality, alpha),
@@ -245,7 +245,7 @@ def test_oracle_and_plan_name_the_same_missing_row():
     partial = BenchmarkTable(rows={key: row for key, row in bt.rows.items() if key not in missing})
     message = "no benchmark row for ('ChainTool-01-02', 'Depth Estimation')"
     with pytest.raises(MissingBenchmark, match=f"^{re.escape(message)}$"):
-        brute_force_optimal(graph, partial, 1.0)
+        brute_force_optimal(graph, partial, SearchConfig(1.0))
     with pytest.raises(MissingBenchmark, match=f"^{re.escape(message)}$"):
         suffix_bounds(graph, partial)
     with pytest.raises(MissingBenchmark, match="ChainTool-02-00"):
@@ -262,7 +262,7 @@ def test_oracle_node_with_ending_and_continuing_successors(alpha, best):
     rows = {"A": (1.0, 0.9), "S1": (2.0, 0.8), "C": (1.0, 1.0), "D": (1.5, 0.95), "S2": (2.0, 0.8)}
     a, s1, c, d, s2 = range(1, 6)
     graph, bt = detection_graph(rows, {(0, a), (a, s1), (a, c), (c, d), (a, s2)})
-    rep = brute_force_optimal(graph, bt, alpha)
+    rep = brute_force_optimal(graph, bt, SearchConfig(alpha))
     assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == enumerate_then_score(graph, bt, alpha)
     assert rep.best_path == best
 
@@ -276,7 +276,7 @@ def test_oracle_tie_orders_a_prefix_after_its_extensions(alpha):
     predecessor's path would keep (0, 1, 3).
     """
     graph, bt = detection_graph({"A": (1.0, 0.9), "C": (0.0, 1.0), "B": (2.0, 0.8)}, {(0, 1), (1, 2), (2, 3), (1, 3)})
-    rep = brute_force_optimal(graph, bt, alpha)
+    rep = brute_force_optimal(graph, bt, SearchConfig(alpha))
     assert (rep.best_path, rep.best_objective, rep.paths_enumerated) == enumerate_then_score(graph, bt, alpha)
     assert rep.best_path == (0, 1, 2, 3)
 
@@ -288,7 +288,7 @@ def test_oracle_g_tie_goes_to_the_faster_path():
     """
     graph, bt = detection_graph({"B": (1.5, 1.0), "A": (1.0, 0.5)}, {(0, 1), (0, 2)})
     assert enumerate_then_score(graph, bt, 1.0) == ((0, 1), 1.5, 2)
-    rep = brute_force_optimal(graph, bt, 1.0)
+    rep = brute_force_optimal(graph, bt, SearchConfig(1.0))
     assert (rep.best_path, rep.best_objective) == ((0, 2), 1.5)
     (point,) = sweep_alpha(graph, bt, _playback(bt), [1.0], base_cfg=SearchConfig(quality_threshold=0.0))
     assert (point.total_time, point.quality_product) == (1.0, 0.5)
@@ -303,7 +303,7 @@ def test_oracle_keeps_the_path_whose_prefix_is_an_ulp_faster():
     """
     graph, bt, *_ = built_instance(132)
     first, best_objective, _ = enumerate_then_score(graph, bt, 0.0)
-    rep = brute_force_optimal(graph, bt, 0.0)
+    rep = brute_force_optimal(graph, bt, SearchConfig(0.0))
     assert first == (0, 1, 2, 3, 16, 17, 18, 19, 20, 21, 28, 29)
     assert rep.best_path == (0, 7, 8, 9, 10, 11, 12, 19, 20, 21, 28, 29)
     assert rep.best_objective == best_objective
@@ -326,7 +326,7 @@ def test_oracle_path_drops_a_label_its_own_row_makes_dominated(alpha):
     assert path_totals(graph, bt, (0, 1, 3)) != path_totals(graph, bt, (0, 2, 3))
     assert path_totals(graph, bt, (0, 1, 3, 4)) == path_totals(graph, bt, (0, 2, 3, 4))
     ((*_, path),) = playback_front_by_labels(graph, benchmark_rows(graph, bt), 0.0, paths=True)
-    rep = brute_force_optimal(graph, bt, alpha, SearchConfig(quality_threshold=0.0))
+    rep = brute_force_optimal(graph, bt, SearchConfig(alpha, quality_threshold=0.0))
     assert rep.best_path == path == (0, 2, 3, 4)
 
 

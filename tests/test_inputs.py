@@ -24,7 +24,7 @@ import toolpath
 from toolpath.cli import main
 from toolpath.errors import ToolpathError, TransportError
 from toolpath.execution import MAX_TIME_SIGMA
-from toolpath.planning import HttpPlannerClient, parse_subtask_tree
+from toolpath.planning import ask_planner, parse_subtask_tree
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 DEEP = "[" * 200_000 + "]" * 200_000
@@ -307,12 +307,12 @@ def planner_url():
 def test_planner_response_without_a_string_text_is_a_transport_error(body, planner_url, monkeypatch):
     monkeypatch.setattr(_CannedHandler, "body", body)
     with pytest.raises(TransportError):
-        HttpPlannerClient(planner_url).generate("prompt")
+        ask_planner("prompt", planner_url)
 
 
 def test_planner_response_text_is_returned(planner_url, monkeypatch):
     monkeypatch.setattr(_CannedHandler, "body", b'{"text": "a tree"}')
-    assert HttpPlannerClient(planner_url).generate("prompt") == "a tree"
+    assert ask_planner("prompt", planner_url) == "a tree"
 
 
 def _slots(obj) -> list:

@@ -18,11 +18,10 @@ from toolpath.errors import (
     UnknownSubtask,
 )
 from toolpath.planning import (
-    HttpPlannerClient,
+    ask_planner,
     build_planner_prompt,
     parse_label,
     parse_subtask_tree,
-    planner_client_from_env,
 )
 from toolpath.registry import PLANNER_SUBTASKS
 
@@ -261,7 +260,7 @@ def test_build_planner_prompt_empty_task():
 def test_request_tree_unconfigured(monkeypatch):
     monkeypatch.delenv("COSTA_PLANNER_URL", raising=False)
     with pytest.raises(EndpointUnavailable):
-        planner_client_from_env()
+        ask_planner("x")
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
@@ -296,13 +295,11 @@ def planner_server(data_dir):
 
 def test_request_tree_http_roundtrip(planner_server, monkeypatch):
     monkeypatch.setenv("COSTA_PLANNER_URL", planner_server)
-    client = planner_client_from_env()
-    text = client.generate(build_planner_prompt("detect things"))
+    text = ask_planner(build_planner_prompt("detect things"))
     tree = parse_subtask_tree(text)
     assert len(tree.nodes) == 6
 
 
 def test_request_tree_transport_error():
-    client = HttpPlannerClient("http://127.0.0.1:1", timeout=0.2)
     with pytest.raises(TransportError):
-        client.generate("x")
+        ask_planner("x", "http://127.0.0.1:1")

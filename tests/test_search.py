@@ -47,6 +47,7 @@ from toolpath.search import (
     PathStep,
     SearchConfig,
     _admit,
+    _front_bound,
     _non_dominated,
     astar_search,
     benchmark_rows,
@@ -579,6 +580,25 @@ def test_suffix_pass_shifts_only_undominated_siblings(shape, merged, skipped, mo
     assert shifted[0] == skipped
 
 
+_TIMES = st.one_of(st.sampled_from([0.0, 0.5, 1e154, 1e300, math.inf]), st.floats(min_value=0.0, max_value=10.0))
+_QUALITIES = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.tuples(_TIMES, _QUALITIES), min_size=1, max_size=8),
+    alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(min_value=0.0, max_value=2.0)),
+)
+@example(points=[(1e300, 0.5), (math.inf, 1.0)], alpha=2.0)  # every g overflows
+def test_front_bound_from_the_root_reads_the_least_point(points, alpha):
+    """From the bare root `_front_bound` returns the g, time and -quality of the
+    front's first point of least g, bit for bit, as `min` picks it."""
+    front = tuple((t, -neg_q) for t, neg_q in _non_dominated([(t, -q) for t, q in points]))
+    time, quality = min(front, key=lambda point: compute_g(point[0], point[1], alpha))
+    expected = (compute_g(time, quality, alpha), time, -quality)
+    assert [x.hex() for x in _front_bound(front, 0.0, 1.0, alpha)] == [x.hex() for x in expected]
+
+
 def test_suffix_bounds_missing_benchmark():
     graph, bt = random_plan_graph(0)
     rows = dict(bt.rows)
@@ -1030,7 +1050,7 @@ def test_search_stats_logged_at_debug(detection_fixture, caplog):
 @given(seed=st.integers(min_value=0, max_value=299), alpha=st.floats(min_value=0.0, max_value=2.0))
 def test_search_matches_oracle_at_any_alpha(seed, alpha):
     graph, bt, *_ = built_instance(seed)
-    assert brute_force_optimal(graph, bt, alpha).gap == 0
+    assert brute_force_optimal(graph, bt, SearchConfig(alpha)).gap == 0
 
 
 @settings(max_examples=80, deadline=None)
